@@ -151,7 +151,7 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
-        return None if math.isnan(v) else v
+        return v if math.isfinite(v) else None
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, np.bool_):
@@ -159,6 +159,11 @@ def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     return obj
+
+
+def _report_text(report):
+    """Strict JSON text of a report: NaN and +-inf are written as null."""
+    return json.dumps(_jsonable(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def run_constants(config):
@@ -355,7 +360,7 @@ def main(argv=None):
     except (ValueError, RuntimeError) as exc:
         print(f"run error: {exc}", file=sys.stderr)
         return 1
-    text = json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
+    text = _report_text(report)
     if config["out"]:
         _write_atomic(config["out"], text)
     else:

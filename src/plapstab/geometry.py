@@ -179,6 +179,7 @@ class Mesh:
             raise ValueError("boundary mask size mismatch")
         self.rule = "gauss4" if self.dim == 1 else "tri6"
         self._density_cache = {}
+        self._interior_pattern = None
         self._build_geometry()
 
     def _build_geometry(self):
@@ -251,6 +252,33 @@ class Mesh:
     def element_density_integrals(self, measure):
         """Per-element integral of the measure density."""
         return np.sum(self.quad_weights * self.density_at_quad(measure), axis=1)
+
+    def interior_pattern(self):
+        """CSC sparsity of the interior-interior block, built once per mesh.
+
+        Returns `(slots, indices, indptr)`. `indices` and `indptr` are the
+        CSC structure of the block in interior numbering (interior nodes in
+        mesh order). `slots[(e * k + i) * k + j]` is the data index that
+        element-local entry (i, j) of element e adds into, or `indices.size`
+        (a discard slot) when either node is on the boundary. So
+        `np.bincount(slots, local.ravel())[:indices.size]` assembles an
+        (m, k, k) array of element matrices.
+        """
+        if self._interior_pattern is None:
+            k = self.elements.shape[1]
+            n = int(np.count_nonzero(self.interior))
+            number = np.cumsum(self.interior) - 1
+            number[self.boundary_mask] = -1
+            local = number[self.elements]
+            rows = np.repeat(local, k, axis=1).ravel()
+            cols = np.tile(local, (1, k)).ravel()
+            keep = (rows >= 0) & (cols >= 0)
+            keys, inverse = np.unique(cols[keep] * n + rows[keep], return_inverse=True)
+            slots = np.full(rows.shape, keys.size)
+            slots[keep] = inverse
+            indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
+            self._interior_pattern = (slots, (keys % n).astype(np.int32), indptr.astype(np.int32))
+        return self._interior_pattern
 
     def values_at_quad(self, nodal_values):
         """P1 interpolation of nodal values at all quadrature points, (m, q)."""

@@ -5,9 +5,15 @@ int |grad u|^p dmu / int |u|^p dmu over zero-trace P1 fields with a
 lagged-diffusivity fixed point: each outer step solves a linear system
 whose element weights freeze (|grad u|^2 + eps^2)^((p-2)/2), takes the
 p-power mass load of the current iterate, renormalizes, and shrinks eps.
-The second eigenvalue uses inverse iteration deflated against the ground
-state for p = 2 and a hyperplane-cut two-nodal-domain estimator (a
+The second eigenvalue uses block inverse iteration deflated against the
+ground state for p = 2 and a hyperplane-cut two-nodal-domain estimator (a
 certified upper bound) otherwise.
+
+Every inner linear solve is a sparse LU (`scipy.sparse.linalg.splu`) of the
+interior stiffness matrix. That matrix is assembled straight into interior
+numbering by one scatter through the sparsity pattern cached on the mesh
+(`Mesh.interior_pattern`). At p = 2 it does not depend on the iterate, so
+it is factored once per `first_eigenpair` call and once per deflation call.
 """
 
 import warnings
@@ -15,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import cg, spsolve
+from scipy.linalg import eigh
+from scipy.sparse.linalg import splu
 
 from .geometry import Field, submesh
 
@@ -32,18 +39,24 @@ __all__ = [
 ]
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+_DEFLATION_BLOCK = 3
 
 
 @dataclass
 class SolverOptions:
-    """Knobs for the fixed-point solver; defaults are desk-scale sane."""
+    """Knobs for the fixed-point solver; defaults are desk-scale sane.
+
+    `stagnation_tol` is the relative Rayleigh drop that counts as stagnation
+    in the ground-state iteration, and the relative residual at which
+    deflation stops. The inner linear solves are direct (sparse LU), so
+    they take no tolerance.
+    """
 
     eps_initial: float = 1e-2
     eps_floor: float = 1e-8
     eps_decay: float = 0.5
     max_outer: int = 200
     stagnation_tol: float = 1e-9
-    cg_tol: float = 1e-10
     seed: int = 0
     n_directions: int = 32
     n_offsets: int = 64
@@ -54,7 +67,7 @@ class SolverOptions:
             raise ValueError("need 0 < eps_floor <= eps_initial")
         if not (0.0 < self.eps_decay < 1.0):
             raise ValueError("eps schedule must be strictly decreasing")
-        if self.stagnation_tol <= 0.0 or self.cg_tol <= 0.0:
+        if self.stagnation_tol <= 0.0:
             raise ValueError("tolerances must be positive")
         if self.eps_floor < 1e-10:
             raise ValueError("eps floor below 1e-10 makes the inner systems singular")
@@ -117,27 +130,45 @@ def rayleigh_quotient(p, field, measure):
     return grad_energy(p, field, measure) / den
 
 
-def weighted_stiffness(mesh, measure, elem_weights=None):
-    """Assemble sum_e w_e int_e density grad phi_i . grad phi_j."""
+def _stiffness_local(mesh, measure, elem_weights=None):
+    """Element matrices w_e int_e density grad phi_i . grad phi_j, (m, k, k)."""
     de = mesh.element_density_integrals(measure)
     w = de if elem_weights is None else de * elem_weights
-    data = mesh.grad_gram * w[:, None, None]
+    return mesh.grad_gram * w[:, None, None]
+
+
+def _mass_local(mesh, measure):
+    """Element matrices int_e density phi_i phi_j by quadrature, (m, k, k)."""
+    wq = mesh.quad_weights * mesh.density_at_quad(measure)
+    return np.einsum("mq,qi,qj->mij", wq, mesh.basis, mesh.basis)
+
+
+def _assemble(mesh, local):
     k = mesh.elements.shape[1]
     rows = np.repeat(mesh.elements, k, axis=1).ravel()
     cols = np.tile(mesh.elements, (1, k)).ravel()
     n = mesh.n_nodes
-    return sparse.coo_matrix((data.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    return sparse.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
+def _assemble_interior(mesh, local):
+    """Interior-interior block of the assembled matrix, in interior
+    numbering, as CSC, by one scatter through the mesh's cached pattern."""
+    slots, indices, indptr = mesh.interior_pattern()
+    nnz = indices.size
+    data = np.bincount(slots, weights=local.ravel(), minlength=nnz + 1)[:nnz]
+    n = indptr.size - 1
+    return sparse.csc_matrix((data, indices, indptr), shape=(n, n))
+
+
+def weighted_stiffness(mesh, measure, elem_weights=None):
+    """Assemble sum_e w_e int_e density grad phi_i . grad phi_j."""
+    return _assemble(mesh, _stiffness_local(mesh, measure, elem_weights))
 
 
 def weighted_mass(mesh, measure):
     """Assemble int density phi_i phi_j by element quadrature."""
-    wq = mesh.quad_weights * mesh.density_at_quad(measure)
-    data = np.einsum("mq,qi,qj->mij", wq, mesh.basis, mesh.basis)
-    k = mesh.elements.shape[1]
-    rows = np.repeat(mesh.elements, k, axis=1).ravel()
-    cols = np.tile(mesh.elements, (1, k)).ravel()
-    n = mesh.n_nodes
-    return sparse.coo_matrix((data.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    return _assemble(mesh, _mass_local(mesh, measure))
 
 
 def _power_load(mesh, measure, values, p):
@@ -154,19 +185,9 @@ def _power_load(mesh, measure, values, p):
     return b
 
 
-def _solve_interior(A, b, interior, x0=None, tol=1e-10):
-    Ai = A[interior][:, interior]
-    bi = b[interior]
-    diag = Ai.diagonal()
-    M = sparse.diags(1.0 / np.where(diag > 0, diag, 1.0))
-    x0i = x0[interior] if x0 is not None else None
-    scale = float(np.linalg.norm(bi))
-    xi, info = cg(Ai, bi, x0=x0i, rtol=tol, atol=tol * scale, M=M)
-    if info != 0:
-        xi = spsolve(Ai.tocsc(), bi)
-    x = np.zeros(A.shape[0])
-    x[interior] = xi
-    return x
+def _interior_lu(mesh, measure, elem_weights=None):
+    """Sparse LU of the interior weighted stiffness matrix."""
+    return splu(_assemble_interior(mesh, _stiffness_local(mesh, measure, elem_weights)))
 
 
 def _distance_to_boundary(mesh):
@@ -250,26 +271,29 @@ def first_eigenpair(p, mesh, measure, opts=None):
         raise ValueError("mesh has no interior nodes")
 
     u = _distance_to_boundary(mesh)
+    if not np.any(u[interior] > 0.0):
+        # a cut submesh is not convex: every interior node can lie on a
+        # boundary-edge line, so start from the interior indicator instead
+        u = interior.astype(float)
     u = _normalize(mesh, u, p, measure)
     r = rayleigh_quotient(p, Field(mesh, u), measure)
     history = [r]
     converged = False
     stagnant = 0
     it = 0
+    # at p = 2 the diffusivity weight is identically 1: no schedule to ramp,
+    # and one factorization serves every step
+    lu = _interior_lu(mesh, measure) if p == 2.0 else None
+    at_floor = p == 2.0
     for it in range(1, opts.max_outer + 1):
-        eps = opts.eps(it - 1)
-        if p == 2.0:
-            # the diffusivity weight is identically 1; no schedule to ramp
-            w = None
-            at_floor = True
-        else:
+        if p != 2.0:
+            eps = opts.eps(it - 1)
             g = mesh.gradients(u)
             gn2 = np.sum(g * g, axis=1)
-            w = (gn2 + eps * eps) ** (0.5 * (p - 2.0))
+            lu = _interior_lu(mesh, measure, (gn2 + eps * eps) ** (0.5 * (p - 2.0)))
             at_floor = eps <= opts.eps_floor * (1.0 + 1e-12)
-        A = weighted_stiffness(mesh, measure, w)
-        b = _power_load(mesh, measure, u, p)
-        v = _solve_interior(A, b, interior, x0=u, tol=opts.cg_tol)
+        v = np.zeros(mesh.n_nodes)
+        v[interior] = lu.solve(_power_load(mesh, measure, u, p)[interior])
         v = _normalize(mesh, v, p, measure)
         r_new = rayleigh_quotient(p, Field(mesh, v), measure)
         if r_new > r:
@@ -306,48 +330,48 @@ def first_eigenpair(p, mesh, measure, opts=None):
 
 
 def _deflated_second(p, mesh, measure, u1, opts):
-    """Inverse iteration in the complement of span(u1), p = 2 only."""
-    interior = mesh.interior
-    A = weighted_stiffness(mesh, measure)
-    M = weighted_mass(mesh, measure)
-    Ai = A[interior][:, interior]
-    Mi = M[interior][:, interior]
-    u1i = u1.values[interior]
-    Mu1 = Mi @ u1i
-    denom = float(u1i @ Mu1)
+    """Block inverse iteration in the M-complement of span(u1), p = 2 only.
 
-    rng = np.random.default_rng(opts.seed)
-    v = rng.uniform(-1.0, 1.0, u1i.shape[0])
+    A block of vectors, projected against u1 and rotated by Rayleigh-Ritz
+    on every step, carries the next few eigenvalues together, so a
+    near-degenerate lambda2/lambda3 pair cannot stall it. It stops when the
+    relative residual of the lowest Ritz pair, with its u1 component
+    removed, falls to `opts.stagnation_tol`.
+    """
+    interior = mesh.interior
+    K = _assemble_interior(mesh, _stiffness_local(mesh, measure))
+    M = _assemble_interior(mesh, _mass_local(mesh, measure))
+    lu = splu(K)
+    u1i = u1.values[interior]
+    Mu1 = M @ u1i
+    Mu1 /= float(u1i @ Mu1)
+    block = min(_DEFLATION_BLOCK, u1i.size - 1)
+    if block < 1:
+        raise ValueError("mesh has too few interior nodes for a second eigenvalue")
 
     def project(x):
-        return x - (float(x @ Mu1) / denom) * u1i
+        # x - u1 (u1' M x) / (u1' M u1): M-orthogonal to u1
+        return x - np.outer(u1i, Mu1 @ x)
 
-    def m_normalize(x):
-        return x / np.sqrt(float(x @ (Mi @ x)))
-
-    v = m_normalize(project(v))
-    diag = Ai.diagonal()
-    precond = sparse.diags(1.0 / np.where(diag > 0, diag, 1.0))
-    r_prev = np.inf
+    rng = np.random.default_rng(opts.seed)
+    x = project(rng.uniform(-1.0, 1.0, (u1i.size, block)))
     history = []
     converged = False
     it = 0
     for it in range(1, opts.max_outer + 1):
-        rhs = Mi @ v
-        x, info = cg(Ai, rhs, x0=v, rtol=opts.cg_tol, atol=opts.cg_tol * float(np.linalg.norm(rhs)), M=precond)
-        if info != 0:
-            x = spsolve(Ai.tocsc(), rhs)
-        x = m_normalize(project(x))
-        r = float(x @ (Ai @ x))
-        history.append(r)
-        if abs(r_prev - r) <= opts.stagnation_tol * max(1.0, r):
-            v = x
+        theta, c = eigh(x.T @ (K @ x), x.T @ (M @ x))
+        x = x @ c  # M-orthonormal Ritz vectors, ascending Ritz values
+        v = x[:, 0]
+        Kv = K @ v
+        resid = Kv - theta[0] * (M @ v)
+        resid -= Mu1 * float(u1i @ resid)
+        history.append(float(theta[0]))
+        if np.linalg.norm(resid) <= opts.stagnation_tol * np.linalg.norm(Kv):
             converged = True
             break
-        v, r_prev = x, r
-    v = m_normalize(project(v))
+        x = project(lu.solve(M @ x))
     values = np.zeros(mesh.n_nodes)
-    values[interior] = v
+    values[interior] = x[:, 0]
     values = _normalize(mesh, values, p, measure)
     lam = rayleigh_quotient(p, Field(mesh, values), measure)
     return EigenPair(
@@ -386,7 +410,6 @@ def _cut_sweep_second(p, mesh, measure, opts):
         eps_decay=opts.eps_decay,
         max_outer=min(opts.max_outer, 60),
         stagnation_tol=max(opts.stagnation_tol, 1e-8),
-        cg_tol=opts.cg_tol,
         seed=opts.seed,
     )
 
@@ -452,7 +475,7 @@ def _cut_sweep_second(p, mesh, measure, opts):
 def second_eigenvalue(p, mesh, measure, u1pair, opts=None, method="auto"):
     """Second Dirichlet eigenvalue.
 
-    p = 2 uses deflated inverse iteration and converges to the discrete
+    p = 2 uses deflated block inverse iteration and converges to the discrete
     lambda_2.  For p != 2 the hyperplane-cut estimator returns a certified
     upper bound (is_upper_bound is set); the glued sign-changing field is an
     admissible candidate, not an eigenfunction.

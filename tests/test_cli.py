@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from plapstab.cli import build_parser, load_config, main, parse_domain_flag
+from plapstab.cli import _report_text, build_parser, load_config, main, parse_domain_flag
 
 PI2 = math.pi**2
 
@@ -80,6 +80,17 @@ class TestCommands:
         assert abs(rep["gap"] - 3.0 * PI2) <= 0.01 * 3.0 * PI2
         assert abs(rep["bound"] - PI2) <= 0.01 * PI2
         assert rep["passed"] and rep["verdict"] == "certified"
+
+    @pytest.mark.parametrize("command", [["gap"], ["eigen", "--second"]])
+    def test_p3_square_cut_sweep(self, command, capsys):
+        code, out, _ = run_cli(
+            command + ["--p", "3", "--domain", "polygon:0,0;1,0;1,1;0,1",
+                       "--level", "1", "--no-timestamp"],
+            capsys,
+        )
+        assert code == 0
+        rep = json.loads(out)["results"][0]
+        assert (rep if command == ["gap"] else rep["second"])["lambda2_is_upper_bound"]
 
     def test_malformed_domain_exits_1(self, capsys):
         code, _, err = run_cli(["gap", "--domain", "interval:0,oops"], capsys)
@@ -176,6 +187,14 @@ class TestDeterminism:
     def test_timestamp_absent_when_suppressed(self, capsys):
         _, out, _ = run_cli(["constants", "--p", "2", "--no-timestamp"], capsys)
         assert "timestamp" not in json.loads(out)
+
+    def test_infinite_margin_is_strict_json(self):
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        text = _report_text({"margin": float("inf"), "bound": -math.inf, "gap": 1.5})
+        report = json.loads(text, parse_constant=reject)
+        assert report == {"margin": None, "bound": None, "gap": 1.5}
 
     def test_nan_serialized_as_null(self, capsys):
         # p = 2 leaves the polynomial root unused; JSON must stay standard

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import eigsh
 
 import plapstab as ps
-from plapstab.geometry import Mesh
+from plapstab import spectral
+from plapstab.geometry import Mesh, submesh
 from plapstab.spectral import SolverOptions
 
 PI2 = math.pi**2
@@ -127,6 +129,17 @@ class TestFirstEigenpair:
         lam_l = ps.first_eigenpair(2.0, m, ps.lebesgue()).lam
         assert abs(lam_g / lam_l - 1.0) <= 0.02
 
+    def test_cut_submesh_starts_from_indicator(self, cache):
+        # the zigzag cut boundary of this half square puts every interior
+        # node on some boundary-edge line, so the distance start vanishes
+        m = cache.mesh("square", 2)
+        centroids = np.mean(m.nodes[m.elements], axis=1)
+        sub, _ = submesh(m, np.nonzero(centroids[:, 1] > 0.5)[0])
+        assert np.all(spectral._distance_to_boundary(sub)[sub.interior] == 0.0)
+        pair = ps.first_eigenpair(3.0, sub, ps.lebesgue())
+        assert pair.converged
+        assert np.all(pair.field.values[sub.interior] > 0.0)
+
     def test_all_boundary_mesh_rejected(self):
         nodes = np.array([[0.0], [1.0]])
         mesh = Mesh(nodes, np.array([[0, 1]]), np.array([True, True]))
@@ -193,6 +206,40 @@ class TestSecondEigenvalue:
         with pytest.raises(ValueError):
             ps.second_eigenvalue(3.0, m, ps.lebesgue(), u1, method="deflation")
 
+    def test_square_nodal_cut_matches_deflation(self, cache):
+        # the fan mesh is symmetric about the diagonals, which are mesh lines,
+        # so the best cut's half-square ground state is the discrete lambda_2
+        m = cache.mesh("square", 2)
+        u1 = cache.pair(2.0, "square", 2)
+        est = ps.second_eigenvalue(2.0, m, ps.lebesgue(), u1, method="nodal-cut")
+        defl = cache.second(2.0, "square", 2)
+        assert abs(defl.lam - 54.501373) <= 1e-6 * 54.501373
+        assert abs(est.lam - defl.lam) <= 1e-6 * defl.lam
+
+    @pytest.mark.parametrize("measure", ["lebesgue", "gaussian"])
+    @pytest.mark.parametrize("name,level", [("interval01", 4), ("square", 3)])
+    def test_p2_pairs_match_eigsh(self, cache, name, level, measure):
+        # on the square the Gaussian lambda_2 and lambda_3 differ by 5e-5
+        # relative, which a single-vector deflation does not resolve
+        m = cache.mesh(name, level)
+        mu = ps.gaussian() if measure == "gaussian" else ps.lebesgue()
+        i = m.interior
+        K = spectral.weighted_stiffness(m, mu)[i][:, i].tocsc()
+        M = spectral.weighted_mass(m, mu)[i][:, i].tocsc()
+        lam = np.sort(eigsh(K, k=3, M=M, sigma=0, return_eigenvectors=False))
+        first = cache.pair(2.0, name, level, measure)
+        second = cache.second(2.0, name, level, measure)
+        assert second.converged
+        assert abs(first.lam - lam[0]) <= 1e-9 * lam[0]
+        assert abs(second.lam - lam[1]) <= 1e-9 * lam[1]
+
+    def test_deflation_needs_two_interior_nodes(self, cache):
+        # square level 0: the centroid is the only interior node
+        m = cache.mesh("square", 0)
+        u1 = cache.pair(2.0, "square", 0)
+        with pytest.raises(ValueError, match="too few interior nodes"):
+            ps.second_eigenvalue(2.0, m, ps.lebesgue(), u1)
+
     def test_unconverged_first_pair_rejected(self, cache):
         m = cache.mesh("interval01", 3)
         opts = SolverOptions(max_outer=2)
@@ -200,6 +247,31 @@ class TestSecondEigenvalue:
             bad = ps.first_eigenpair(3.0, m, ps.lebesgue(), opts)
         with pytest.raises(ValueError):
             ps.second_eigenvalue(3.0, m, ps.lebesgue(), bad)
+
+
+class TestInteriorAssembly:
+    @pytest.mark.parametrize("case", ["interval", "square", "cut"])
+    def test_matches_sliced_global_assembly(self, cache, case):
+        if case == "interval":
+            m = cache.mesh("interval01", 3)
+        else:
+            m = cache.mesh("square", 2)
+        if case == "cut":
+            centroids = np.mean(m.nodes[m.elements], axis=1)
+            m, _ = submesh(m, np.nonzero(centroids @ [1.0, 0.3] > 0.6)[0])
+        rng = np.random.default_rng(7)
+        w = rng.uniform(0.1, 2.0, m.n_elements)
+        i = m.interior
+        for mu in (ps.lebesgue(), ps.gaussian()):
+            pairs = [
+                (spectral._stiffness_local(m, mu, w), spectral.weighted_stiffness(m, mu, w)),
+                (spectral._mass_local(m, mu), spectral.weighted_mass(m, mu)),
+            ]
+            for local, full in pairs:
+                got = spectral._assemble_interior(m, local).toarray()
+                want = full[i][:, i].toarray()
+                assert got.shape == (np.count_nonzero(i),) * 2
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestLogConcavity:

@@ -70,7 +70,7 @@ def build_parser():
         ("stability", "random-field stability battery on one configuration"),
         ("gap", "fundamental-gap report"),
         ("picone", "pointwise Picone identity residual on random fields"),
-        ("battery", "stability batteries across the whole p-list"),
+        ("battery", "same as stability: a random-field battery per p in the list"),
     ]:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", help="JSON config file; flags override it")
@@ -301,18 +301,13 @@ def run_picone(config):
     return ok, results, []
 
 
-def run_battery(config):
-    ok, results, reports = run_stability(config)
-    return ok, results, reports
-
-
 _RUNNERS = {
     "constants": run_constants,
     "eigen": run_eigen,
     "stability": run_stability,
     "gap": run_gap,
     "picone": run_picone,
-    "battery": run_battery,
+    "battery": run_stability,
 }
 
 

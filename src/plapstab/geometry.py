@@ -281,12 +281,12 @@ class Mesh:
         return self._interior_pattern
 
     def values_at_quad(self, nodal_values):
-        """P1 interpolation of nodal values at all quadrature points, (m, q)."""
-        return np.einsum("qk,mk->mq", self.basis, nodal_values[self.elements])
+        """P1 interpolation at all quadrature points: (..., n) values to (..., m, q)."""
+        return np.einsum("qk,...mk->...mq", self.basis, nodal_values.take(self.elements, axis=-1))
 
     def gradients(self, nodal_values):
-        """Per-element constant gradients, (m, dim)."""
-        return np.einsum("mkd,mk->md", self.grads, nodal_values[self.elements])
+        """Per-element constant gradients: (..., n) values to (..., m, dim)."""
+        return np.einsum("mkd,...mk->...md", self.grads, nodal_values.take(self.elements, axis=-1))
 
     def node_adjacency(self):
         """Symmetric sparse node-to-node adjacency (shared element edge)."""

@@ -6,11 +6,21 @@ Lebesgue and Gaussian measures, the weighted Poincare step with its
 centering root, the pointwise Picone identity, and the fundamental-gap
 bounds.  Every report carries its margin and a scale-aware quadrature
 tolerance tol = 1e-8 * int |grad u|^p dmu.
+
+The stability battery holds its fields as (block, n_nodes) arrays of 16
+rows: one uniform draw per block (equal to the per-field draws), one
+smoothing pass over the block with the node adjacency built once per call,
+and one reduction each for the energies, deficits and tolerances.  The
+distance inf_c int |u - c u1|^p dmu has one kernel for all rows at once,
+_convex_lp_min, whose root finder _lp_argmin (safeguarded Newton-bisection
+on the increasing derivative, started from the L^2 projection) is also the
+centering root of the weighted Poincare check.  Single-field functions
+call the same kernels on a one-row block.
 """
 
 import csv
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -39,6 +49,10 @@ __all__ = [
 
 TOL_QUAD_FACTOR = 1e-8
 U1_FLOOR_RATIO = 1e-10
+# battery fields checked per block: bounds the (block, n_quad) work arrays,
+# so peak memory does not grow with the number of fields
+_BLOCK_FIELDS = 16
+_ROOT_STEPS = 100
 
 _POLYGON_NOTE = (
     "euclidean polygon run: the stability inequality is established for "
@@ -63,21 +77,7 @@ class StabilityReport:
     note: str = ""
 
     def to_dict(self):
-        return {
-            "p": self.p,
-            "diameter": self.diameter,
-            "lambda1": self.lambda1,
-            "deficit": self.deficit,
-            "distance_p": self.distance_p,
-            "c_star": self.c_star,
-            "constant": self.constant,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "tol_quad": self.tol_quad,
-            "passed": self.passed,
-            "measure": self.measure,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -97,21 +97,7 @@ class GapReport:
     measure: str
 
     def to_dict(self):
-        return {
-            "p": self.p,
-            "diameter": self.diameter,
-            "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-            "lambda2_is_upper_bound": self.lambda2_is_upper_bound,
-            "C_value": self.C_value,
-            "bound": self.bound,
-            "gap": self.gap,
-            "margin": self.margin,
-            "tol_quad": self.tol_quad,
-            "passed": self.passed,
-            "verdict": self.verdict,
-            "measure": self.measure,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -128,18 +114,7 @@ class WeightedPoincareReport:
     degenerate: bool
 
     def to_dict(self):
-        return {
-            "p": self.p,
-            "diameter": self.diameter,
-            "t0": self.t0,
-            "lhs": self.lhs,
-            "rhs_inf": self.rhs_inf,
-            "bound": self.bound,
-            "ratio": self.ratio,
-            "margin": self.margin,
-            "passed": self.passed,
-            "degenerate": self.degenerate,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -154,88 +129,93 @@ def _quad_weights(mesh, measure):
     return mesh.quad_weights * mesh.density_at_quad(measure)
 
 
+def _deficits(p, mesh, values, lambda1, measure):
+    """(deficit, int |grad u|^p dmu, u at the quadrature points) for each row u
+    of `values`, an (n_fields, n_nodes) block of nodal values."""
+    g = mesh.gradients(values)
+    de = mesh.element_density_integrals(measure)
+    energy = np.sum(np.sqrt(np.sum(g * g, axis=-1)) ** p * de, axis=-1)
+    uq = mesh.values_at_quad(values)
+    lp = np.sum((_quad_weights(mesh, measure) * np.abs(uq) ** p).reshape(len(values), -1), axis=1)
+    return energy - lambda1 * lp, energy, uq
+
+
 def deficit(p, u, lambda1, measure):
     """int |grad u|^p dmu - lambda1 * int |u|^p dmu."""
-    w = _quad_weights(u.mesh, measure)
-    return grad_energy(p, u, measure) - lambda1 * float(np.sum(w * np.abs(u.at_quad()) ** p))
+    return float(_deficits(p, u.mesh, u.values[None], lambda1, measure)[0][0])
 
 
-def _convex_lp_min(p, W, uq, vq):
-    """Minimize F(c) = sum W |uq - c vq|^p over real c.
+def _lp_argmin(p, W, U, v, c, lo, hi, tol):
+    """Root c_r of F_r'(c) = -p sum W |U_r - c v|^(p-2) (U_r - c v) v for each row U_r.
 
-    Golden-section bracketing followed by safeguarded Newton polish on the
-    derivative; returns (F(c*), c*).  F is strictly convex and coercive for
-    p > 1, so the bracket [-B, B] below always contains the minimizer.
+    This is the one 1-D root finder of the module.  F_r' increases and
+    changes sign on [lo_r, hi_r].  Each row takes Newton steps from c_r and
+    stops once |F_r'| <= tol_r, keeping the Newton step computed from that
+    last evaluation, or once its iterate no longer moves.  A step that
+    leaves the bracket, or fails to halve the step before last, is replaced
+    by bisection, so every row converges even where F_r'' is unbounded
+    (p < 2) or vanishes (p > 2).
     """
+    c, lo, hi, tol = (np.array(x, dtype=float) for x in (c, lo, hi, tol))
+    Wv, Wvv = W * v, W * v * v
+    last = hi - lo
+    before = last.copy()
+    rows = np.arange(c.size)
+    for _ in range(_ROOT_STEPS):
+        x = c[rows]
+        d = U[rows] - x[:, None] * v
+        with np.errstate(divide="ignore"):
+            t = np.abs(d) ** (p - 2.0)
+        if p < 2.0:
+            t[d == 0.0] = 0.0
+        g = -p * ((t * d) @ Wv)
+        gp = p * (p - 1.0) * (t @ Wvv)
+        r_lo = np.where(g < 0.0, x, lo[rows])
+        r_hi = np.where(g > 0.0, x, hi[rows])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = g / gp
+        newton = x - step
+        take = (r_lo < newton) & (newton < r_hi) & (2.0 * np.abs(step) <= before[rows])
+        new = np.where(take, newton, 0.5 * (r_lo + r_hi))
+        before[rows], last[rows] = last[rows], np.abs(new - x)
+        done = (np.abs(g) <= tol[rows]) | (new == x)
+        lo[rows], hi[rows] = r_lo, r_hi
+        c[rows] = np.where(done & ~take, x, new)
+        rows = rows[~done]
+        if rows.size == 0:
+            break
+    return c
 
-    def F(c):
-        return float(np.sum(W * np.abs(uq - c * vq) ** p))
 
-    nu = float(np.sum(W * np.abs(uq) ** p)) ** (1.0 / p)
-    nv = float(np.sum(W * np.abs(vq) ** p)) ** (1.0 / p)
+def _convex_lp_min(p, W, U, v):
+    """Minimize F_r(c) = sum W |U_r - c v|^p over real c for each row U_r of U.
+
+    W and v are shaped like one row of U; returns the arrays (F_r(c_r*), c_r*).
+    F_r is strictly convex and coercive for p > 1, so its minimizer lies in
+    [-B_r, B_r], B_r = 2 ||U_r||_p / ||v||_p + 1.  At p = 2 it is the L^2
+    projection c0 = <U_r, W v> / <v, W v>; otherwise _lp_argmin starts there.
+    """
+    W = W.ravel()
+    v = v.ravel()
+    U = U.reshape(len(U), -1)
+    nv = float(np.sum(W * np.abs(v) ** p)) ** (1.0 / p)
     if nv == 0.0:
         raise ValueError("reference function vanishes identically")
-    if p == 2.0:
-        c = float(np.sum(W * uq * vq) / np.sum(W * vq * vq))
-        return F(c), c
-
-    golden = (np.sqrt(5.0) - 1.0) / 2.0
-    bound = 2.0 * nu / nv + 1.0
-    a, b = -bound, bound
-    c1 = b - golden * (b - a)
-    c2 = a + golden * (b - a)
-    f1, f2 = F(c1), F(c2)
-    for _ in range(60):
-        if f1 < f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - golden * (b - a)
-            f1 = F(c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + golden * (b - a)
-            f2 = F(c2)
-    c = c1 if f1 < f2 else c2
-
-    scale = p * float(np.sum(W * (np.abs(uq) + np.abs(vq)) ** (p - 1.0) * np.abs(vq)))
-    scale = max(scale, 1e-300)
-
-    def G(cc):  # F'(cc)
-        d = uq - cc * vq
-        ad = np.abs(d)
-        t = np.zeros_like(ad)
-        m = ad > 0.0
-        t[m] = ad[m] ** (p - 2.0) * d[m]
-        return -p * float(np.sum(W * t * vq))
-
-    if p >= 2.0:
-        # polish on the original wide bracket: the golden bracket may sit a
-        # noise-width off the stationary point and trap the safeguard
-        lo, hi = -bound, bound
-        for _ in range(60):
-            g = G(c)
-            if abs(g) <= 1e-10 * scale:
-                break
-            if g > 0.0:
-                hi = c
-            else:
-                lo = c
-            d = uq - c * vq
-            gp = p * (p - 1.0) * float(np.sum(W * np.abs(d) ** (p - 2.0) * vq * vq))
-            c_new = 0.5 * (lo + hi)
-            if gp > 0.0:
-                newton = c - g / gp
-                if lo < newton < hi:
-                    c_new = newton
-            c = c_new
-    return F(c), c
+    c = np.sum(W * U * v, axis=1) / np.sum(W * v * v)
+    if p != 2.0:
+        bound = 2.0 * np.sum(W * np.abs(U) ** p, axis=1) ** (1.0 / p) / nv + 1.0
+        scale = p * np.sum(W * (np.abs(U) + np.abs(v)) ** (p - 1.0) * np.abs(v), axis=1)
+        tol = 1e-10 * np.maximum(scale, 1e-300)
+        c = _lp_argmin(p, W, U, v, np.clip(c, -bound, bound), -bound, bound, tol)
+    return np.sum(W * np.abs(U - c[:, None] * v) ** p, axis=1), c
 
 
 def distance_to_eigenspace(p, u, u1, measure):
     """(inf_c int |u - c u1|^p dmu, argmin c)."""
     if p <= 1.0:
         raise ValueError(f"exponent must exceed 1, got {p}")
-    W = _quad_weights(u.mesh, measure)
-    return _convex_lp_min(p, W, u.at_quad(), u1.at_quad())
+    dist, c = _convex_lp_min(p, _quad_weights(u.mesh, measure), u.at_quad()[None], u1.at_quad())
+    return float(dist[0]), float(c[0])
 
 
 def cp_remainder(p, u, u1, measure, full_output=False):
@@ -280,8 +260,39 @@ def identity_check(p, u, u1, lambda1, measure):
     return abs(d - r) / max(d, floor)
 
 
-def tol_quad(p, u, measure):
-    return TOL_QUAD_FACTOR * max(grad_energy(p, u, measure), 1e-300)
+def _ground_state(p, mesh, measure, eigenpair, opts):
+    """`eigenpair`, or a converged ground state solved now when it is None."""
+    if eigenpair is None:
+        eigenpair = first_eigenpair(p, mesh, measure, opts)
+        if not eigenpair.converged:
+            raise RuntimeError("ground-state solve did not converge")
+    return eigenpair
+
+
+def _stability_constant(p, domain, constant_factor):
+    if p < 2.0:
+        raise ValueError(f"the stability inequality requires p >= 2, got {p}")
+    return 2.0 ** (2.0 - p) * (cpcore.pi_p(p) / domain.diameter) ** p * constant_factor
+
+
+def _stability_reports(p, domain, mesh, values, measure, eigenpair, constant):
+    """One StabilityReport per zero-trace field in the rows of `values`."""
+    d, energy, uq = _deficits(p, mesh, values, eigenpair.lam, measure)
+    W = _quad_weights(mesh, measure)
+    dist, c_star = _convex_lp_min(p, W, uq, eigenpair.field.at_quad())
+    rhs = constant * dist
+    tol = TOL_QUAD_FACTOR * np.maximum(energy, 1e-300)
+    margin = d - rhs
+    note = _POLYGON_NOTE if domain.kind == "polygon" and measure.kind == "lebesgue" else ""
+    rows = zip(*(a.tolist() for a in (d, dist, c_star, rhs, margin, tol)))
+    return [
+        StabilityReport(
+            p=float(p), diameter=domain.diameter, lambda1=eigenpair.lam,
+            deficit=di, distance_p=dist_i, c_star=ci, constant=constant, rhs=ri,
+            margin=mi, tol_quad=ti, passed=mi >= -ti, measure=measure.kind, note=note,
+        )
+        for di, dist_i, ci, ri, mi, ti in rows
+    ]
 
 
 def stability_check(p, domain, mesh, u, measure, eigenpair=None, opts=None, constant_factor=1.0):
@@ -290,38 +301,23 @@ def stability_check(p, domain, mesh, u, measure, eigenpair=None, opts=None, cons
     constant_factor is a test hook that scales the stability constant;
     leave at 1.0 for real runs.
     """
-    if p < 2.0:
-        raise ValueError(f"the stability inequality requires p >= 2, got {p}")
+    constant = _stability_constant(p, domain, constant_factor)
     if not u.is_zero_trace:
         raise ValueError("stability check needs a zero-trace field")
-    if eigenpair is None:
-        eigenpair = first_eigenpair(p, mesh, measure, opts)
-        if not eigenpair.converged:
-            raise RuntimeError("ground-state solve did not converge")
-    d = deficit(p, u, eigenpair.lam, measure)
-    dist, c_star = distance_to_eigenspace(p, u, eigenpair.field, measure)
-    constant = 2.0 ** (2.0 - p) * (cpcore.pi_p(p) / domain.diameter) ** p * constant_factor
-    rhs = constant * dist
-    tol = tol_quad(p, u, measure)
-    margin = d - rhs
-    note = ""
-    if domain.kind == "polygon" and measure.kind == "lebesgue":
-        note = _POLYGON_NOTE
-    return StabilityReport(
-        p=float(p),
-        diameter=domain.diameter,
-        lambda1=eigenpair.lam,
-        deficit=d,
-        distance_p=dist,
-        c_star=c_star,
-        constant=constant,
-        rhs=rhs,
-        margin=margin,
-        tol_quad=tol,
-        passed=bool(margin >= -tol),
-        measure=measure.kind,
-        note=note,
-    )
+    eigenpair = _ground_state(p, mesh, measure, eigenpair, opts)
+    return _stability_reports(p, domain, u.mesh, u.values[None], measure, eigenpair, constant)[0]
+
+
+def _random_fields(mesh, rng, n_fields, adj, smoothing_passes=2):
+    """(n_fields, n_nodes) smoothed zero-trace noise from one draw; row i
+    equals the i-th of n_fields sequential random_zero_trace_field calls."""
+    deg = np.asarray(adj.sum(axis=1)).ravel()[:, None]
+    values = rng.uniform(-1.0, 1.0, (n_fields, mesh.n_nodes)).T
+    values[mesh.boundary_mask] = 0.0
+    for _ in range(smoothing_passes):
+        values = (values + adj @ values) / (1.0 + deg)
+        values[mesh.boundary_mask] = 0.0
+    return np.ascontiguousarray(values.T)
 
 
 def random_zero_trace_field(mesh, rng, smoothing_passes=2):
@@ -332,41 +328,36 @@ def random_zero_trace_field(mesh, rng, smoothing_passes=2):
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    adj = mesh.node_adjacency()
-    deg = np.asarray(adj.sum(axis=1)).ravel()
-    values = rng.uniform(-1.0, 1.0, mesh.n_nodes)
-    values[mesh.boundary_mask] = 0.0
-    for _ in range(smoothing_passes):
-        values = (values + adj @ values) / (1.0 + deg)
-        values[mesh.boundary_mask] = 0.0
-    return Field(mesh, values)
+    values = _random_fields(mesh, rng, 1, mesh.node_adjacency(), smoothing_passes)
+    return Field(mesh, values[0])
 
 
 def stability_battery(p, domain, mesh, measure, n_fields, seed=0, eigenpair=None, opts=None, constant_factor=1.0):
-    """Seeded random-field battery; returns one StabilityReport per field."""
-    if eigenpair is None:
-        eigenpair = first_eigenpair(p, mesh, measure, opts)
-        if not eigenpair.converged:
-            raise RuntimeError("ground-state solve did not converge")
+    """Seeded random-field battery; returns one StabilityReport per field.
+
+    The fields are drawn, smoothed and checked in blocks of _BLOCK_FIELDS
+    rows.  A block draw equals the per-field draws, so report i is the
+    stability_check of the i-th random_zero_trace_field of the seeded stream.
+    """
+    constant = _stability_constant(p, domain, constant_factor)
+    eigenpair = _ground_state(p, mesh, measure, eigenpair, opts)
     rng = np.random.default_rng(seed)
+    adj = mesh.node_adjacency()
     reports = []
-    for _ in range(n_fields):
-        u = random_zero_trace_field(mesh, rng)
-        reports.append(
-            stability_check(
-                p, domain, mesh, u, measure,
-                eigenpair=eigenpair, constant_factor=constant_factor,
-            )
-        )
+    for start in range(0, n_fields, _BLOCK_FIELDS):
+        values = _random_fields(mesh, rng, min(_BLOCK_FIELDS, n_fields - start), adj)
+        reports += _stability_reports(p, domain, mesh, values, measure, eigenpair, constant)
     return reports
 
 
 def centering_root(p, f, weight, measure=None):
-    """Root t0 of g(t) = int |f - t|^(p-2) (f - t) w, by bisection.
+    """Root t0 of g(t) = int |f - t|^(p-2) (f - t) w.
 
     g is continuous and strictly decreasing with a sign change on
-    [min f, max f], so bisection cannot fail.  `weight` is a Field, an
-    array shaped like the quadrature grid, or a callable on points.
+    [min f, max f].  It is -F'(t)/p for F(t) = int |f - t|^p w, so the
+    distance kernel's root finder solves it from the weighted mean (the
+    p = 2 root).  `weight` is a Field, an array shaped like the quadrature
+    grid, or a callable on points.
     """
     mesh = f.mesh
     wq = _weight_values(mesh, weight)
@@ -375,33 +366,17 @@ def centering_root(p, f, weight, measure=None):
     W = mesh.quad_weights * wq
     if measure is not None:
         W = W * mesh.density_at_quad(measure)
-    fq = f.at_quad()
-
-    def g(t):
-        d = fq - t
-        ad = np.abs(d)
-        vals = np.zeros_like(ad)
-        m = ad > 0.0
-        vals[m] = ad[m] ** (p - 2.0) * d[m]
-        return float(np.sum(W * vals))
-
+    W = W.ravel()
+    fq = f.at_quad().ravel()
     lo = float(np.min(f.values))
     hi = float(np.max(f.values))
     if lo == hi:
         return lo
-    span = hi - lo
-    scale = float(np.sum(W)) * span ** (p - 1.0)
-    t = 0.5 * (lo + hi)
-    for _ in range(200):
-        gt = g(t)
-        if abs(gt) <= 1e-10 * scale and (hi - lo) <= 1e-12 * span + 1e-300:
-            break
-        if gt > 0.0:
-            lo = t
-        else:
-            hi = t
-        t = 0.5 * (lo + hi)
-    return t
+    # |g| <= 1e-10 * int w * span^(p-1), written for F' = -p g
+    tol = 1e-10 * p * float(np.sum(W)) * (hi - lo) ** (p - 1.0)
+    start = np.sum(W * fq) / np.sum(W)
+    t = _lp_argmin(p, W, fq[None], np.ones_like(fq), [start], [lo], [hi], [tol])
+    return float(t[0])
 
 
 def _weight_values(mesh, weight):
@@ -471,7 +446,8 @@ def weighted_poincare_check(p, domain, mesh, f, omega, measure=None):
     gn = np.sqrt(np.sum(g * g, axis=1))
     lhs = float(np.sum(gn**p * np.sum(W, axis=1)))
 
-    rhs_inf, _ = _convex_lp_min(p, W, shifted.at_quad(), np.ones_like(W))
+    dist, _ = _convex_lp_min(p, W, shifted.at_quad()[None], np.ones_like(W))
+    rhs_inf = float(dist[0])
     bound = (cpcore.pi_p(p) / domain.diameter) ** p
     degenerate = rhs_inf <= 1e-300
     ratio = float("nan") if degenerate else lhs / rhs_inf
@@ -556,9 +532,7 @@ def gap_check(p, domain, mesh, measure, opts=None, pairs=None, constant_factor=1
     verdict needs p = 2.
     """
     if pairs is None:
-        u1 = first_eigenpair(p, mesh, measure, opts)
-        if not u1.converged:
-            raise RuntimeError("ground-state solve did not converge")
+        u1 = _ground_state(p, mesh, measure, None, opts)
         u2 = second_eigenvalue(p, mesh, measure, u1, opts)
     else:
         u1, u2 = pairs

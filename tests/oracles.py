@@ -117,3 +117,45 @@ def picone_sides_highprec(p, u, du, phi, dphi):
     nphi = norm(dphi)
     r_side = nxi**p - nphi ** (p - 2) * mp.fsum(g * y for g, y in zip(grad_w, dphi))
     return float(c_side), float(r_side)
+
+
+def golden_lp_min(p, W, u, v, steps=60):
+    """min_c sum W |u - c v|^p by golden-section search on [-B, B],
+    B = 2 ||u||_p / ||v||_p + 1: the distance minimiser plapstab used before
+    its Newton-bisection kernel, and the only path it had for p < 2."""
+
+    def F(c):
+        return float(np.sum(W * np.abs(u - c * v) ** p))
+
+    nu = float(np.sum(W * np.abs(u) ** p)) ** (1.0 / p)
+    nv = float(np.sum(W * np.abs(v) ** p)) ** (1.0 / p)
+    golden = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = -(2.0 * nu / nv + 1.0), 2.0 * nu / nv + 1.0
+    c1, c2 = b - golden * (b - a), a + golden * (b - a)
+    f1, f2 = F(c1), F(c2)
+    for _ in range(steps):
+        if f1 < f2:
+            b, c2, f2 = c2, c1, f1
+            c1 = b - golden * (b - a)
+            f1 = F(c1)
+        else:
+            a, c1, f1 = c1, c2, f2
+            c2 = a + golden * (b - a)
+            f2 = F(c2)
+    return min(f1, f2)
+
+
+def sequential_zero_trace_fields(mesh, rng, n_fields, passes=2):
+    """n_fields smoothed zero-trace noise fields drawn one at a time, one
+    uniform draw and one sparse mat-vec per pass each."""
+    adj = mesh.node_adjacency()
+    deg = np.asarray(adj.sum(axis=1)).ravel()
+    out = []
+    for _ in range(n_fields):
+        values = rng.uniform(-1.0, 1.0, mesh.n_nodes)
+        values[mesh.boundary_mask] = 0.0
+        for _ in range(passes):
+            values = (values + adj @ values) / (1.0 + deg)
+            values[mesh.boundary_mask] = 0.0
+        out.append(values)
+    return np.array(out)

@@ -3,9 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import plapstab as ps
 from plapstab.verify import (
+    _convex_lp_min,
+    _random_fields,
     centering_root,
     cp_remainder,
     stability_battery,
@@ -13,7 +17,7 @@ from plapstab.verify import (
     write_reports_csv,
 )
 
-from oracles import centering_scan, picone_sides_highprec
+from oracles import centering_scan, golden_lp_min, picone_sides_highprec, sequential_zero_trace_fields
 
 PI2 = math.pi**2
 
@@ -405,3 +409,86 @@ class TestCsv:
         assert rows[1][3] == ""  # stability rows have no lambda2
         assert rows[3][4] == ""  # gap rows have no deficit
         assert float(rows[3][3]) == pytest.approx(grep.lambda2)
+
+
+class TestBatchedBattery:
+    @pytest.mark.parametrize("measure", ["lebesgue", "gaussian"])
+    @pytest.mark.parametrize("name, level", [("interval01", 3), ("square", 2)])
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+    def test_matches_single_field_checks(self, cache, p, name, level, measure):
+        domain, mesh = cache.domain(name), cache.mesh(name, level)
+        meas = ps.lebesgue() if measure == "lebesgue" else ps.gaussian()
+        pair = cache.pair(p, name, level, measure)
+        reps = stability_battery(p, domain, mesh, meas, 20, seed=9, eigenpair=pair)
+        rng = np.random.default_rng(9)
+        for rep in reps:
+            u = ps.random_zero_trace_field(mesh, rng)
+            one = ps.stability_check(p, domain, mesh, u, meas, eigenpair=pair)
+            assert rep.passed == one.passed
+            assert (rep.p, rep.lambda1, rep.constant, rep.note) == (one.p, one.lambda1, one.constant, one.note)
+            for field, rel in (("deficit", 1e-12), ("tol_quad", 1e-12), ("margin", 1e-12),
+                               ("distance_p", 1e-11), ("rhs", 1e-11)):
+                a, b = getattr(rep, field), getattr(one, field)
+                assert abs(a - b) <= rel * abs(b), field
+            assert abs(rep.c_star - one.c_star) <= 1e-7
+
+    @pytest.mark.parametrize("name, level", [("interval01", 3), ("square", 2)])
+    def test_block_draw_equals_sequential_draws(self, cache, name, level):
+        mesh = cache.mesh(name, level)
+        block = _random_fields(mesh, np.random.default_rng(4), 20, mesh.node_adjacency())
+        rng = np.random.default_rng(4)
+        one_by_one = np.array([ps.random_zero_trace_field(mesh, rng).values for _ in range(20)])
+        assert np.array_equal(block, one_by_one)
+        assert np.array_equal(block, sequential_zero_trace_fields(mesh, np.random.default_rng(4), 20))
+
+
+def _lp_problem(seed, n_rows=3, n_points=60):
+    """Positive weights, a positive reference function and signed rows."""
+    rng = np.random.default_rng(seed)
+    W = rng.uniform(0.1, 1.0, n_points)
+    v = rng.uniform(0.0, 1.0, n_points)
+    return W, rng.normal(size=(n_rows, n_points)), v
+
+
+_PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
+_EXPONENTS = st.floats(1.2, 6.0)
+_SEEDS = st.integers(0, 2**32 - 1)
+
+
+class TestDistanceKernel:
+    @_PROPERTY
+    @given(p=_EXPONENTS, seed=_SEEDS,
+           s=st.floats(0.1, 10.0), sign=st.sampled_from([-1.0, 1.0]))
+    def test_scaling(self, p, seed, s, sign):
+        W, U, v = _lp_problem(seed)
+        dist, c = _convex_lp_min(p, W, U, v)
+        dist_s, c_s = _convex_lp_min(p, W, sign * s * U, v)
+        np.testing.assert_allclose(dist_s, s**p * dist, rtol=1e-9)
+        np.testing.assert_allclose(c_s, sign * s * c, rtol=0, atol=1e-7 * s)
+
+    @_PROPERTY
+    @given(p=_EXPONENTS, seed=_SEEDS, t=st.floats(-5.0, 5.0))
+    def test_eigenspace_shift(self, p, seed, t):
+        W, U, v = _lp_problem(seed)
+        dist, c = _convex_lp_min(p, W, U, v)
+        dist_t, c_t = _convex_lp_min(p, W, U + t * v, v)
+        np.testing.assert_allclose(dist_t, dist, rtol=1e-9)
+        np.testing.assert_allclose(c_t, c + t, rtol=0, atol=1e-7)
+
+    @_PROPERTY
+    @given(p=_EXPONENTS, seed=_SEEDS)
+    def test_rows_equal_one_row_calls(self, p, seed):
+        W, U, v = _lp_problem(seed, n_rows=5)
+        dist, c = _convex_lp_min(p, W, U, v)
+        for r in range(len(U)):
+            dist_r, c_r = _convex_lp_min(p, W, U[r:r + 1], v)
+            np.testing.assert_allclose(dist_r, dist[r:r + 1], rtol=1e-12)
+            np.testing.assert_allclose(c_r, c[r:r + 1], rtol=0, atol=1e-9)
+
+    @_PROPERTY
+    @given(p=st.floats(1.2, 1.95), seed=_SEEDS)
+    def test_p_below_two_matches_golden_section(self, p, seed):
+        W, U, v = _lp_problem(seed)
+        dist, _ = _convex_lp_min(p, W, U, v)
+        golden = [golden_lp_min(p, W, u, v) for u in U]
+        np.testing.assert_allclose(dist, golden, rtol=1e-12)

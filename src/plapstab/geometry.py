@@ -242,16 +242,32 @@ class Mesh:
         )
         return float(np.max(np.hypot(edges[:, 0], edges[:, 1])))
 
-    def density_at_quad(self, measure):
+    def _measure_arrays(self, measure):
+        """(density, weights, element integrals) of the measure, built once
+        per mesh and measure kind and shared read-only by every caller."""
         key = measure.kind
         if key not in self._density_cache:
             flat = self.quad_points.reshape(-1, self.dim)
-            self._density_cache[key] = measure.density(flat).reshape(self.quad_weights.shape)
+            density = measure.density(flat).reshape(self.quad_weights.shape)
+            weights = self.quad_weights * density
+            arrays = (density, weights, np.sum(weights, axis=1))
+            for a in arrays:
+                a.setflags(write=False)
+            self._density_cache[key] = arrays
         return self._density_cache[key]
 
+    def density_at_quad(self, measure):
+        """Measure density at the quadrature points, (m, q), read-only."""
+        return self._measure_arrays(measure)[0]
+
+    def measure_weights(self, measure):
+        """Quadrature weights times the measure density, (m, q), read-only:
+        sum(measure_weights(mu) * f) integrates f given at the quadrature points."""
+        return self._measure_arrays(measure)[1]
+
     def element_density_integrals(self, measure):
-        """Per-element integral of the measure density."""
-        return np.sum(self.quad_weights * self.density_at_quad(measure), axis=1)
+        """Per-element integral of the measure density, (m,), read-only."""
+        return self._measure_arrays(measure)[2]
 
     def interior_pattern(self):
         """CSC sparsity of the interior-interior block, built once per mesh.
@@ -509,7 +525,7 @@ def integrate(mesh, measure, integrand):
     `integrand` is either a callable evaluated at the (N, dim) quadrature
     points or an array of values already shaped like the quadrature grid.
     """
-    w = mesh.quad_weights * mesh.density_at_quad(measure)
+    w = mesh.measure_weights(measure)
     if callable(integrand):
         vals = np.asarray(integrand(mesh.quad_points.reshape(-1, mesh.dim)))
         vals = vals.reshape(w.shape)

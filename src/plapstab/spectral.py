@@ -5,6 +5,12 @@ int |grad u|^p dmu / int |u|^p dmu over zero-trace P1 fields with a
 lagged-diffusivity fixed point: each outer step solves a linear system
 whose element weights freeze (|grad u|^2 + eps^2)^((p-2)/2), takes the
 p-power mass load of the current iterate, renormalizes, and shrinks eps.
+When a step fails to lower the Rayleigh quotient, a line search on the
+segment from the iterate to the step takes over: scipy's bounded Brent
+(`minimize_scalar(method="bounded")`) on [0, 1], whose objective reuses the
+quadrature values and element gradients of both ends gathered once per
+search. The step keeps the iterate unless the search finds a lower
+quotient; `EigenPair` counts the searches and those rejections.
 The second eigenvalue uses block inverse iteration deflated against the
 ground state for p = 2 and a hyperplane-cut two-nodal-domain estimator (a
 certified upper bound) otherwise.
@@ -22,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh
+from scipy.optimize import minimize_scalar
 from scipy.sparse.linalg import splu
 
 from .geometry import Field, submesh
@@ -38,8 +45,11 @@ __all__ = [
     "weighted_mass",
 ]
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 _DEFLATION_BLOCK = 3
+# entries of one (edges, nodes) block in _distance_to_boundary
+_DISTANCE_BLOCK = 2**14
+# absolute theta tolerance of the bounded Brent line search on [0, 1]
+_LINE_SEARCH_XATOL = 1e-9
 
 
 @dataclass
@@ -88,6 +98,10 @@ class EigenPair:
     converged: bool
     estimator: str = "ground"
     is_upper_bound: bool = False
+    # outer steps that fell back to the line search, and those of them
+    # whose search found no decrease (the step then keeps u)
+    line_searches: int = 0
+    line_search_rejections: int = 0
 
     def to_json_dict(self, mesh_file=None):
         return {
@@ -106,24 +120,28 @@ class EigenPair:
 
 
 def lp_norm(field, p, measure):
-    w = field.mesh.quad_weights * field.mesh.density_at_quad(measure)
+    w = field.mesh.measure_weights(measure)
     return float(np.sum(w * np.abs(field.at_quad()) ** p)) ** (1.0 / p)
 
 
+def gradient_energies(p, g, de):
+    """int |grad u|^p dmeasure from a block of element gradients g, shaped
+    (..., m, dim), and the element density integrals de: one value per
+    leading index.  Exact per element, since P1 gradients are constant."""
+    return np.sum(np.sqrt(np.sum(g * g, axis=-1)) ** p * de, axis=-1)
+
+
 def grad_energy(p, field, measure):
-    """int |grad u|^p dmeasure (exact per element: P1 gradients are constant)."""
-    g = field.gradients()
-    gn = np.sqrt(np.sum(g * g, axis=1))
+    """int |grad u|^p dmeasure of one field."""
     de = field.mesh.element_density_integrals(measure)
-    return float(np.sum(gn**p * de))
+    return float(gradient_energies(p, field.gradients(), de))
 
 
 def rayleigh_quotient(p, field, measure):
     """int |grad u|^p dmu / int |u|^p dmu."""
     if p <= 1.0:
         raise ValueError(f"exponent must exceed 1, got {p}")
-    mesh = field.mesh
-    w = mesh.quad_weights * mesh.density_at_quad(measure)
+    w = field.mesh.measure_weights(measure)
     den = float(np.sum(w * np.abs(field.at_quad()) ** p))
     if den <= 0.0:
         raise ValueError("Rayleigh quotient of the zero field")
@@ -139,7 +157,7 @@ def _stiffness_local(mesh, measure, elem_weights=None):
 
 def _mass_local(mesh, measure):
     """Element matrices int_e density phi_i phi_j by quadrature, (m, k, k)."""
-    wq = mesh.quad_weights * mesh.density_at_quad(measure)
+    wq = mesh.measure_weights(measure)
     return np.einsum("mq,qi,qj->mij", wq, mesh.basis, mesh.basis)
 
 
@@ -178,7 +196,7 @@ def _power_load(mesh, measure, values, p):
     pw = np.zeros_like(uq)
     m = uq != 0.0
     pw[m] = np.abs(uq[m]) ** (p - 2.0) * uq[m]
-    s = mesh.quad_weights * mesh.density_at_quad(measure) * pw
+    s = mesh.measure_weights(measure) * pw
     local = np.einsum("mq,qk->mk", s, mesh.basis)
     b = np.zeros(mesh.n_nodes)
     np.add.at(b, mesh.elements, local)
@@ -197,24 +215,26 @@ def _distance_to_boundary(mesh):
         x = nodes[:, 0]
         bx = x[mesh.boundary_mask]
         return np.minimum.reduce([np.abs(x - b) for b in bx])
-    # for convex polygons the distance is the min over boundary-edge lines
-    bnodes = np.nonzero(mesh.boundary_mask)[0]
-    bset = set(bnodes.tolist())
-    edges = {}
-    for tri in mesh.elements:
-        for i in range(3):
-            a, b = tri[i], tri[(i + 1) % 3]
-            key = (a, b) if a < b else (b, a)
-            edges[key] = edges.get(key, 0) + 1
-    d = np.full(mesh.n_nodes, np.inf)
-    for (a, b), count in edges.items():
-        if count != 1 or a not in bset or b not in bset:
-            continue
-        pa, pb = nodes[a], nodes[b]
-        e = pb - pa
-        dn = nodes - pa
-        cross = np.abs(e[0] * dn[:, 1] - e[1] * dn[:, 0]) / np.hypot(*e)
-        d = np.minimum(d, cross)
+    # for convex polygons the distance is the min over boundary-edge lines;
+    # a boundary edge belongs to one triangle and joins two boundary nodes
+    n = mesh.n_nodes
+    edges = np.sort(mesh.elements[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    keys, counts = np.unique(edges[:, 0] * n + edges[:, 1], return_counts=True)
+    a, b = np.divmod(keys[counts == 1], n)
+    on_boundary = mesh.boundary_mask[a] & mesh.boundary_mask[b]
+    pa = nodes[a[on_boundary]]
+    e = nodes[b[on_boundary]] - pa
+    d = np.full(n, np.inf)
+    # (edges, nodes) blocks of |e x (x - pa)| / |e|, a bounded number of
+    # edges at a time so that the work array stays small on fine meshes
+    step = max(1, _DISTANCE_BLOCK // n)
+    for s in range(0, len(e), step):
+        eb, pb = e[s:s + step], pa[s:s + step]
+        cross = eb[:, 1:] * (nodes[:, 0] - pb[:, :1])
+        np.subtract(eb[:, :1] * (nodes[:, 1] - pb[:, 1:]), cross, out=cross)
+        np.abs(cross, out=cross)
+        cross /= np.hypot(eb[:, 0], eb[:, 1])[:, None]
+        np.minimum(d, np.min(cross, axis=0), out=d)
     d[mesh.boundary_mask] = 0.0
     return d
 
@@ -227,34 +247,42 @@ def _normalize(mesh, values, p, measure):
     return values / nrm
 
 
-def _line_search(mesh, u, v, p, measure, r_u):
-    """Golden-section fallback along the segment u -> v when the fixed-point
-    step fails to decrease the Rayleigh quotient."""
+def _segment_quotient(mesh, u, v, p, measure):
+    """theta -> Rayleigh quotient of u + theta (v - u).
 
-    def ray(theta):
-        w = u + theta * (v - u)
-        if np.max(np.abs(w)) == 0.0:
+    The field values at the quadrature points, the element gradients, the
+    quadrature weights and the element density integrals are gathered once;
+    each evaluation is elementwise arithmetic on them, because both the P1
+    interpolant and the gradient are linear in the nodal values.
+    """
+    ud = np.stack([u, v - u])
+    uq, dq = mesh.values_at_quad(ud)
+    gu, gd = mesh.gradients(ud)
+    w = mesh.measure_weights(measure)
+    de = mesh.element_density_integrals(measure)
+
+    def quotient(theta):
+        den = np.sum(w * np.abs(uq + theta * dq) ** p)
+        if den <= 0.0:
             return np.inf
-        return rayleigh_quotient(p, Field(mesh, w), measure)
+        return float(gradient_energies(p, gu + theta * gd, de) / den)
 
-    a, b = 0.0, 1.0
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = ray(c), ray(d)
-    for _ in range(40):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = ray(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = ray(d)
-    theta = c if fc < fd else d
-    best = min(fc, fd)
-    if best >= r_u:
+    return quotient
+
+
+def _line_search(mesh, u, v, p, measure, r_u):
+    """Bounded Brent minimisation of the Rayleigh quotient on the segment
+    u -> v, the fallback when the fixed-point step fails to decrease it.
+    Returns (u, r_u) unchanged unless some point beats r_u."""
+    res = minimize_scalar(
+        _segment_quotient(mesh, u, v, p, measure),
+        bounds=(0.0, 1.0),
+        method="bounded",
+        options={"xatol": _LINE_SEARCH_XATOL},
+    )
+    if not res.fun < r_u:
         return u, r_u
-    return u + theta * (v - u), best
+    return u + res.x * (v - u), float(res.fun)
 
 
 def first_eigenpair(p, mesh, measure, opts=None):
@@ -280,6 +308,7 @@ def first_eigenpair(p, mesh, measure, opts=None):
     history = [r]
     converged = False
     stagnant = 0
+    searches = rejections = 0
     it = 0
     # at p = 2 the diffusivity weight is identically 1: no schedule to ramp,
     # and one factorization serves every step
@@ -299,6 +328,9 @@ def first_eigenpair(p, mesh, measure, opts=None):
         if r_new > r:
             v, r_new = _line_search(mesh, u, v, p, measure, r)
             v = _normalize(mesh, v, p, measure)
+            searches += 1
+            # a rejected search returns r itself; an accepted one is lower
+            rejections += int(r_new == r)
         drop = r - r_new
         u, r = v, r_new
         history.append(r)
@@ -320,6 +352,8 @@ def first_eigenpair(p, mesh, measure, opts=None):
         normalized=True,
         converged=converged,
         estimator="ground",
+        line_searches=searches,
+        line_search_rejections=rejections,
     )
     if not converged:
         warnings.warn(

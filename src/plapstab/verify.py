@@ -26,7 +26,7 @@ import numpy as np
 
 from . import cpcore
 from .geometry import Field
-from .spectral import first_eigenpair, grad_energy, second_eigenvalue
+from .spectral import first_eigenpair, grad_energy, gradient_energies, second_eigenvalue
 
 __all__ = [
     "StabilityReport",
@@ -125,18 +125,12 @@ class PiconeResult:
     n_skipped: int
 
 
-def _quad_weights(mesh, measure):
-    return mesh.quad_weights * mesh.density_at_quad(measure)
-
-
 def _deficits(p, mesh, values, lambda1, measure):
     """(deficit, int |grad u|^p dmu, u at the quadrature points) for each row u
     of `values`, an (n_fields, n_nodes) block of nodal values."""
-    g = mesh.gradients(values)
-    de = mesh.element_density_integrals(measure)
-    energy = np.sum(np.sqrt(np.sum(g * g, axis=-1)) ** p * de, axis=-1)
+    energy = gradient_energies(p, mesh.gradients(values), mesh.element_density_integrals(measure))
     uq = mesh.values_at_quad(values)
-    lp = np.sum((_quad_weights(mesh, measure) * np.abs(uq) ** p).reshape(len(values), -1), axis=1)
+    lp = np.sum((mesh.measure_weights(measure) * np.abs(uq) ** p).reshape(len(values), -1), axis=1)
     return energy - lambda1 * lp, energy, uq
 
 
@@ -214,7 +208,7 @@ def distance_to_eigenspace(p, u, u1, measure):
     """(inf_c int |u - c u1|^p dmu, argmin c)."""
     if p <= 1.0:
         raise ValueError(f"exponent must exceed 1, got {p}")
-    dist, c = _convex_lp_min(p, _quad_weights(u.mesh, measure), u.at_quad()[None], u1.at_quad())
+    dist, c = _convex_lp_min(p, u.mesh.measure_weights(measure), u.at_quad()[None], u1.at_quad())
     return float(dist[0]), float(c[0])
 
 
@@ -226,7 +220,7 @@ def cp_remainder(p, u, u1, measure, full_output=False):
     above 1%.
     """
     mesh = u.mesh
-    W = _quad_weights(mesh, measure)
+    W = mesh.measure_weights(measure)
     uq = u.at_quad()
     u1q = u1.at_quad()
     gu = u.gradients()[:, None, :]
@@ -278,7 +272,7 @@ def _stability_constant(p, domain, constant_factor):
 def _stability_reports(p, domain, mesh, values, measure, eigenpair, constant):
     """One StabilityReport per zero-trace field in the rows of `values`."""
     d, energy, uq = _deficits(p, mesh, values, eigenpair.lam, measure)
-    W = _quad_weights(mesh, measure)
+    W = mesh.measure_weights(measure)
     dist, c_star = _convex_lp_min(p, W, uq, eigenpair.field.at_quad())
     rhs = constant * dist
     tol = TOL_QUAD_FACTOR * np.maximum(energy, 1e-300)
@@ -442,9 +436,7 @@ def weighted_poincare_check(p, domain, mesh, f, omega, measure=None):
     t0 = centering_root(p, f, omega, measure)
     shifted = Field(mesh, f.values - t0)
 
-    g = shifted.gradients()
-    gn = np.sqrt(np.sum(g * g, axis=1))
-    lhs = float(np.sum(gn**p * np.sum(W, axis=1)))
+    lhs = float(gradient_energies(p, shifted.gradients(), np.sum(W, axis=1)))
 
     dist, _ = _convex_lp_min(p, W, shifted.at_quad()[None], np.ones_like(W))
     rhs_inf = float(dist[0])

@@ -159,3 +159,48 @@ def sequential_zero_trace_fields(mesh, rng, n_fields, passes=2):
             values[mesh.boundary_mask] = 0.0
         out.append(values)
     return np.array(out)
+
+
+def golden_segment_min(ray, steps=40):
+    """(theta, ray(theta)) at the golden-section minimum of ray on [0, 1]:
+    the line search plapstab's ground-state solver used before its bounded
+    Brent search, 2 + steps evaluations."""
+    golden = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = 0.0, 1.0
+    c, d = b - golden * (b - a), a + golden * (b - a)
+    fc, fd = ray(c), ray(d)
+    for _ in range(steps):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - golden * (b - a)
+            fc = ray(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + golden * (b - a)
+            fd = ray(d)
+    return (c, fc) if fc < fd else (d, fd)
+
+
+def distance_to_boundary_loop(mesh):
+    """Nodal distance to the nearest boundary-edge line of a triangle mesh,
+    zero on boundary nodes: one pass over every element edge, then one
+    array update per boundary edge."""
+    nodes = mesh.nodes
+    bset = set(np.nonzero(mesh.boundary_mask)[0].tolist())
+    edges = {}
+    for tri in mesh.elements:
+        for i in range(3):
+            a, b = tri[i], tri[(i + 1) % 3]
+            key = (a, b) if a < b else (b, a)
+            edges[key] = edges.get(key, 0) + 1
+    d = np.full(mesh.n_nodes, np.inf)
+    for (a, b), count in edges.items():
+        if count != 1 or a not in bset or b not in bset:
+            continue
+        pa, pb = nodes[a], nodes[b]
+        e = pb - pa
+        dn = nodes - pa
+        cross = np.abs(e[0] * dn[:, 1] - e[1] * dn[:, 0]) / np.hypot(*e)
+        d = np.minimum(d, cross)
+    d[mesh.boundary_mask] = 0.0
+    return d

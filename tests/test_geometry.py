@@ -163,6 +163,23 @@ class TestIntegrate:
             ps.Measure("cauchy")
 
 
+class TestMeasureArrays:
+    @pytest.mark.parametrize("kind", ["lebesgue", "gaussian"])
+    def test_cached_read_only_products(self, kind):
+        m = ps.build_mesh(ps.polygon_domain(UNIT_SQUARE), 2)
+        mu = ps.Measure(kind)
+        density = m.density_at_quad(mu)
+        w = m.measure_weights(mu)
+        de = m.element_density_integrals(mu)
+        assert np.array_equal(w, m.quad_weights * density)
+        assert np.array_equal(de, np.sum(m.quad_weights * density, axis=1))
+        assert m.measure_weights(ps.Measure(kind)) is w
+        assert m.element_density_integrals(ps.Measure(kind)) is de
+        for a in (density, w, de):
+            with pytest.raises(ValueError, match="read-only"):
+                a *= 2.0
+
+
 class TestFields:
     def test_zero_trace(self):
         m = ps.build_mesh(ps.interval_domain(0, 1), 1)

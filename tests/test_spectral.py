@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import eigsh
 
 import plapstab as ps
@@ -9,7 +11,10 @@ from plapstab import spectral
 from plapstab.geometry import Mesh, submesh
 from plapstab.spectral import SolverOptions
 
+from oracles import distance_to_boundary_loop, golden_segment_min
+
 PI2 = math.pi**2
+_MEASURES = {"lebesgue": ps.lebesgue(), "gaussian": ps.gaussian()}
 
 
 class TestRayleighQuotient:
@@ -247,6 +252,131 @@ class TestSecondEigenvalue:
             bad = ps.first_eigenpair(3.0, m, ps.lebesgue(), opts)
         with pytest.raises(ValueError):
             ps.second_eigenvalue(3.0, m, ps.lebesgue(), bad)
+
+
+def _random_values(mesh, seed, n_fields=2):
+    rng = np.random.default_rng(seed)
+    return [ps.random_zero_trace_field(mesh, rng).values for _ in range(n_fields)]
+
+
+def _quotient_on_segment(mesh, u, v, p, measure):
+    """Rayleigh quotient of u + theta (v - u) through Field, as the solver
+    evaluated it before the segment objective."""
+
+    def ray(theta):
+        w = u + theta * (v - u)
+        if np.max(np.abs(w)) == 0.0:
+            return np.inf
+        return ps.rayleigh_quotient(p, ps.Field(mesh, w), measure)
+
+    return ray
+
+
+class TestGradEnergy:
+    @pytest.mark.parametrize("measure", ["lebesgue", "gaussian"])
+    @pytest.mark.parametrize("name, level", [("square", 3), ("interval01", 4)])
+    def test_bitwise_equal_to_field_formula(self, cache, name, level, measure):
+        m = cache.mesh(name, level)
+        mu = _MEASURES[measure]
+        fields = np.array(_random_values(m, 3, n_fields=3))
+        de = np.sum(m.quad_weights * m.density_at_quad(mu), axis=1)
+        for p in (1.5, 2.0, 3.0, 6.0):
+            energies = []
+            for values in fields:
+                g = m.gradients(values)
+                gn = np.sqrt(np.sum(g * g, axis=1))
+                energies.append(ps.grad_energy(p, ps.Field(m, values), mu))
+                assert energies[-1] == float(np.sum(gn**p * de))
+            block = spectral.gradient_energies(p, m.gradients(fields), m.element_density_integrals(mu))
+            assert block.tolist() == energies
+
+
+class TestDistanceToBoundary:
+    # square level 5 takes several edge blocks, the other meshes one
+    @pytest.mark.parametrize("case", ["square", "square-L5", "pentagon", "cut"])
+    def test_matches_edge_loop(self, cache, case):
+        if case == "pentagon":
+            angles = 0.3 + 2.0 * np.pi * np.arange(5) / 5.0
+            m = ps.build_mesh(ps.polygon_domain(np.stack([np.cos(angles), np.sin(angles)], 1)), 3)
+        elif case.startswith("square"):
+            m = cache.mesh("square", 5 if case == "square-L5" else 3)
+        else:
+            m = cache.mesh("square", 2)
+            centroids = np.mean(m.nodes[m.elements], axis=1)
+            m, _ = submesh(m, np.nonzero(centroids[:, 1] > 0.5)[0])
+        d = spectral._distance_to_boundary(m)
+        assert np.array_equal(d, distance_to_boundary_loop(m))
+        if case == "cut":
+            assert np.all(d == 0.0)
+        else:
+            assert np.all(d[m.interior] > 0.0)
+
+
+class TestLineSearch:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(theta=st.floats(0.0, 1.0), p=st.sampled_from([1.5, 3.0, 6.0]),
+           measure=st.sampled_from(sorted(_MEASURES)),
+           name=st.sampled_from(["interval01", "square"]), seed=st.integers(0, 2**32 - 1))
+    def test_segment_quotient_is_rayleigh_quotient(self, cache, theta, p, measure, name, seed):
+        m = cache.mesh(name, 3 if name == "interval01" else 2)
+        mu = _MEASURES[measure]
+        u, v = _random_values(m, seed)
+        got = spectral._segment_quotient(m, u, v, p, mu)(theta)
+        want = _quotient_on_segment(m, u, v, p, mu)(theta)
+        assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("measure", ["lebesgue", "gaussian"])
+    @pytest.mark.parametrize("p, name, level", [(4.0, "interval01", 4), (6.0, "interval01", 4),
+                                                (4.0, "square", 2), (6.0, "square", 2)])
+    def test_no_worse_than_golden_section(self, cache, monkeypatch, p, name, level, measure):
+        m = cache.mesh(name, level)
+        mu = _MEASURES[measure]
+        search = spectral._line_search
+        segments = []
+
+        def record(mesh, u, v, p, measure, r_u):
+            segments.append((u, v, r_u))
+            return search(mesh, u, v, p, measure, r_u)
+
+        monkeypatch.setattr(spectral, "_line_search", record)
+        ps.first_eigenpair(p, m, mu)
+        assert segments
+        for u, v, r_u in segments:
+            _, r = search(m, u, v, p, mu, r_u)
+            _, best = golden_segment_min(_quotient_on_segment(m, u, v, p, mu))
+            assert r <= min(best, r_u) * (1.0 + 1e-12)
+
+    def test_keeps_u_when_no_point_beats_r_u(self, cache):
+        m = cache.mesh("square", 2)
+        pair = cache.pair(3.0, "square", 2)
+        u = pair.field.values
+        (v,) = _random_values(m, 5, n_fields=1)
+        # the ground state minimises the quotient over all fields, so every
+        # point of the segment is at or above lambda_1 > r_u
+        r_u = (1.0 - 1e-6) * pair.lam
+        w, r = spectral._line_search(m, u, v, 3.0, ps.lebesgue(), r_u)
+        assert w is u and r == r_u
+
+    def test_accepts_a_decrease(self, cache):
+        m = cache.mesh("square", 2)
+        pair = cache.pair(3.0, "square", 2)
+        (u,) = _random_values(m, 5, n_fields=1)
+        r_u = ps.rayleigh_quotient(3.0, ps.Field(m, u), ps.lebesgue())
+        w, r = spectral._line_search(m, u, pair.field.values, 3.0, ps.lebesgue(), r_u)
+        assert r < r_u and r <= pair.lam * (1.0 + 1e-8)
+        assert abs(r - ps.rayleigh_quotient(3.0, ps.Field(m, w), ps.lebesgue())) <= 1e-12 * r
+
+    @pytest.mark.parametrize("measure", ["lebesgue", "gaussian"])
+    @pytest.mark.parametrize("name, level", [("interval01", 4), ("square", 3)])
+    def test_never_searches_at_p2(self, cache, name, level, measure):
+        pair = cache.pair(2.0, name, level, measure)
+        assert pair.line_searches == pair.line_search_rejections == 0
+
+    def test_counts_at_p6(self, cache):
+        pair = ps.first_eigenpair(6.0, cache.mesh("interval01", 5), ps.lebesgue())
+        assert pair.converged
+        assert (pair.iterations, pair.line_searches, pair.line_search_rejections) == (22, 22, 15)
+        assert "line_searches" not in pair.to_json_dict()
 
 
 class TestInteriorAssembly:

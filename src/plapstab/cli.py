@@ -11,6 +11,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
@@ -140,8 +141,11 @@ def _validate_config(config):
     make_domain(config["domain"])  # raises on malformed geometry
 
 
-def _measure(config):
-    return lebesgue() if config["measure"] == "lebesgue" else gaussian()
+def _problem(config):
+    """(domain, mesh, measure) of a validated config."""
+    domain = make_domain(config["domain"])
+    measure = lebesgue() if config["measure"] == "lebesgue" else gaussian()
+    return domain, build_mesh(domain, config["level"]), measure
 
 
 def _jsonable(obj):
@@ -196,9 +200,7 @@ def run_constants(config):
 
 
 def run_eigen(config):
-    domain = make_domain(config["domain"])
-    mesh = build_mesh(domain, config["level"])
-    measure = _measure(config)
+    _, mesh, measure = _problem(config)
     opts = SolverOptions(seed=config["seed"])
     results = []
     ok = True
@@ -222,9 +224,7 @@ def run_eigen(config):
 
 
 def run_stability(config):
-    domain = make_domain(config["domain"])
-    mesh = build_mesh(domain, config["level"])
-    measure = _measure(config)
+    domain, mesh, measure = _problem(config)
     factor = 1e9 if config["inject_bad_constant"] else 1.0
     all_reports = []
     results = []
@@ -246,7 +246,7 @@ def run_stability(config):
                 "passed": cell_ok,
                 "min_margin": min(r.margin for r in reports),
                 "lambda1": reports[0].lambda1,
-                "reports": [r.to_dict() for r in reports],
+                "reports": [asdict(r) for r in reports],
             }
         )
         all_reports.extend(reports)
@@ -254,9 +254,7 @@ def run_stability(config):
 
 
 def run_gap(config):
-    domain = make_domain(config["domain"])
-    mesh = build_mesh(domain, config["level"])
-    measure = _measure(config)
+    domain, mesh, measure = _problem(config)
     factor = 1e9 if config["inject_bad_constant"] else 1.0
     results = []
     reports = []
@@ -267,15 +265,13 @@ def run_gap(config):
             opts=SolverOptions(seed=config["seed"]), constant_factor=factor,
         )
         ok = ok and rep.passed
-        results.append(rep.to_dict())
+        results.append(asdict(rep))
         reports.append(rep)
     return ok, results, reports
 
 
 def run_picone(config):
-    domain = make_domain(config["domain"])
-    mesh = build_mesh(domain, config["level"])
-    measure = _measure(config)
+    _, mesh, measure = _problem(config)
     rng = np.random.default_rng(config["seed"])
     results = []
     ok = True
@@ -288,16 +284,7 @@ def run_picone(config):
         )
         cell_ok = res.max_abs_residual <= 1e-8 * res.scale
         ok = ok and cell_ok
-        results.append(
-            {
-                "p": p,
-                "max_abs_residual": res.max_abs_residual,
-                "scale": res.scale,
-                "n_samples": res.n_samples,
-                "n_skipped": res.n_skipped,
-                "passed": cell_ok,
-            }
-        )
+        results.append({"p": p, **asdict(res), "passed": cell_ok})
     return ok, results, []
 
 

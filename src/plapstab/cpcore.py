@@ -5,6 +5,9 @@ lower bound C_p(xi, eta) >= c1(p)|eta|^p (p >= 2) together with its
 2^(2-p) <= c1 <= (p-1) 2^(2-p) envelope, sampled estimates of the c2/c3
 constants governing 1 < p < 2, and the C_p functional itself for complex
 vector arguments.
+
+C_p has one row kernel, `_cp_values`, under `cp_eval_batch` (many rows) and
+`cp_eval` / `cp_eval_flagged` (one); c1's root r0 comes from scipy's `brentq`.
 """
 
 import math
@@ -12,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad as _quad
+from scipy.optimize import brentq as _brentq
 
 __all__ = [
     "pi_p",
@@ -81,38 +85,18 @@ class C1Result:
 
 
 def _c1_root(p):
-    """Unique root r0 > 1 of r^(p-1) - (p-1) r - (p-2), by safeguarded Newton."""
+    """Unique root r0 > 1 of f(r) = r^(p-1) - (p-1) r - (p-2) by scipy's brentq;
+    f(1) = 2(2 - p) < 0 for p > 2, so doubling the upper end brackets it."""
 
     def f(r):
         return r ** (p - 1.0) - (p - 1.0) * r - (p - 2.0)
 
-    def df(r):
-        return (p - 1.0) * (r ** (p - 2.0) - 1.0)
-
-    lo = 1.0
     hi = 2.0
     while f(hi) <= 0.0:
         hi *= 2.0
         if hi > 1e12:
             raise RuntimeError("failed to bracket c1 root")
-    r = min(max(p, 1.0 + 1e-3), hi)
-    for _ in range(200):
-        fr = f(r)
-        if fr > 0.0:
-            hi = r
-        else:
-            lo = r
-        d = df(r)
-        step_ok = d > 0.0
-        if step_ok:
-            r_new = r - fr / d
-            step_ok = lo < r_new < hi
-        if not step_ok:
-            r_new = 0.5 * (lo + hi)
-        if abs(f(r_new)) <= 1e-12 * max(1.0, df(r_new)):
-            return r_new
-        r = r_new
-    return r
+    return _brentq(f, 1.0, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
 
 
 def c1_sharp(p):
@@ -267,6 +251,25 @@ def _as_complex_vec(v, name):
     return arr
 
 
+def _cp_values(p, xi, eta):
+    """(C_p over the last axis of xi, eta; mask of the tiny floating-point
+    negatives that the public functions clamp to 0)."""
+    diff = xi - eta
+    conj = np.conj if np.iscomplexobj(diff) else (lambda a: a)
+
+    def dot(a, b):
+        return np.sum((a * conj(b)).real, axis=-1)
+
+    nxi2, nd2, ne2, pairing = dot(xi, xi), dot(diff, diff), dot(eta, eta), dot(diff, eta)
+    # |xi - eta|^(p-2) * (xi - eta) -> 0 as xi -> eta, for every p > 1
+    cross = np.zeros_like(nd2)
+    m = nd2 > 0.0
+    cross[m] = p * nd2[m] ** (0.5 * (p - 2.0)) * pairing[m]
+    val = nxi2 ** (0.5 * p) - nd2 ** (0.5 * p) - cross
+    scale = np.maximum(np.maximum(nxi2, nd2), ne2) ** (0.5 * p) + 1e-300
+    return val, (val < 0.0) & (val > -1e-12 * scale)
+
+
 def cp_eval_flagged(p, xi, eta):
     """C_p(xi, eta) together with a flag telling whether the value was a
     tiny floating-point negative clamped to 0."""
@@ -275,17 +278,8 @@ def cp_eval_flagged(p, xi, eta):
     eta = _as_complex_vec(eta, "eta")
     if xi.shape != eta.shape:
         raise ValueError(f"dimension mismatch: xi has {xi.size}, eta has {eta.size}")
-    diff = xi - eta
-    nxi = np.linalg.norm(xi)
-    nd = np.linalg.norm(diff)
-    # |xi - eta|^(p-2) * (xi - eta) -> 0 as xi -> eta, for every p > 1
-    pairing = float(np.real(np.sum(diff * np.conj(eta))))
-    cross = 0.0 if nd == 0.0 else p * nd ** (p - 2.0) * pairing
-    val = nxi**p - nd**p - cross
-    scale = max(nxi**p, nd**p, float(np.linalg.norm(eta)) ** p, 1e-300)
-    if -1e-12 * scale < val < 0.0:
-        return 0.0, True
-    return float(val), False
+    values, clamped = _cp_values(p, xi[None], eta[None])
+    return (0.0 if clamped[0] else float(values[0])), bool(clamped[0])
 
 
 def cp_eval(p, xi, eta):
@@ -307,20 +301,5 @@ def cp_eval_batch(p, xi, eta):
     eta = np.asarray(eta)
     if xi.shape != eta.shape:
         raise ValueError("xi and eta must have matching shapes")
-    diff = xi - eta
-    if np.iscomplexobj(xi) or np.iscomplexobj(eta):
-        nxi2 = np.sum((xi * np.conj(xi)).real, axis=-1)
-        nd2 = np.sum((diff * np.conj(diff)).real, axis=-1)
-        ne2 = np.sum((eta * np.conj(eta)).real, axis=-1)
-        pairing = np.sum((diff * np.conj(eta)).real, axis=-1)
-    else:
-        nxi2 = np.sum(xi * xi, axis=-1)
-        nd2 = np.sum(diff * diff, axis=-1)
-        ne2 = np.sum(eta * eta, axis=-1)
-        pairing = np.sum(diff * eta, axis=-1)
-    cross = np.zeros_like(nd2)
-    m = nd2 > 0.0
-    cross[m] = p * nd2[m] ** (0.5 * (p - 2.0)) * pairing[m]
-    val = nxi2 ** (0.5 * p) - nd2 ** (0.5 * p) - cross
-    scale = np.maximum(np.maximum(nxi2, nd2), ne2) ** (0.5 * p) + 1e-300
-    return np.where((val < 0.0) & (val > -1e-12 * scale), 0.0, val)
+    values, clamped = _cp_values(p, xi, eta)
+    return np.where(clamped, 0.0, values)

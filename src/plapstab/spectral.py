@@ -23,7 +23,7 @@ it is factored once per `first_eigenpair` call and once per deflation call.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -438,13 +438,8 @@ def _cut_sweep_second(p, mesh, measure, opts):
     # sub-solves only feed an upper bound, so a looser stagnation tolerance
     # and iteration cap lose nothing: any Rayleigh quotient of an admissible
     # field bounds lambda_1 of its subdomain from above
-    sub_opts = SolverOptions(
-        eps_initial=opts.eps_initial,
-        eps_floor=opts.eps_floor,
-        eps_decay=opts.eps_decay,
-        max_outer=min(opts.max_outer, 60),
-        stagnation_tol=max(opts.stagnation_tol, 1e-8),
-        seed=opts.seed,
+    sub_opts = replace(
+        opts, max_outer=min(opts.max_outer, 60), stagnation_tol=max(opts.stagnation_tol, 1e-8)
     )
 
     def process_cut(theta, proj, tau):

@@ -20,7 +20,7 @@ call the same kernels on a one-row block.
 
 import csv
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,9 +76,6 @@ class StabilityReport:
     measure: str
     note: str = ""
 
-    def to_dict(self):
-        return asdict(self)
-
 
 @dataclass
 class GapReport:
@@ -96,9 +93,6 @@ class GapReport:
     verdict: str
     measure: str
 
-    def to_dict(self):
-        return asdict(self)
-
 
 @dataclass
 class WeightedPoincareReport:
@@ -112,9 +106,6 @@ class WeightedPoincareReport:
     margin: float
     passed: bool
     degenerate: bool
-
-    def to_dict(self):
-        return asdict(self)
 
 
 @dataclass
@@ -263,10 +254,16 @@ def _ground_state(p, mesh, measure, eigenpair, opts):
     return eigenpair
 
 
+def _bound_constant(p, domain, constant_factor):
+    """2^(2-p) (pi_p/diam)^p * constant_factor: the constant of the stability
+    inequality and of the gap bound."""
+    return 2.0 ** (2.0 - p) * (cpcore.pi_p(p) / domain.diameter) ** p * constant_factor
+
+
 def _stability_constant(p, domain, constant_factor):
     if p < 2.0:
         raise ValueError(f"the stability inequality requires p >= 2, got {p}")
-    return 2.0 ** (2.0 - p) * (cpcore.pi_p(p) / domain.diameter) ** p * constant_factor
+    return _bound_constant(p, domain, constant_factor)
 
 
 def _stability_reports(p, domain, mesh, values, measure, eigenpair, constant):
@@ -353,13 +350,11 @@ def centering_root(p, f, weight, measure=None):
     p = 2 root).  `weight` is a Field, an array shaped like the quadrature
     grid, or a callable on points.
     """
-    mesh = f.mesh
-    wq = _weight_values(mesh, weight)
-    if np.min(wq) < 0.0 or np.max(wq) <= 0.0:
-        raise ValueError("centering weight must be nonnegative with positive mass")
-    W = mesh.quad_weights * wq
-    if measure is not None:
-        W = W * mesh.density_at_quad(measure)
+    return _centering_root(p, f, _weight_array(f.mesh, weight, measure))
+
+
+def _centering_root(p, f, W):
+    """centering_root for the weighted quadrature array W of _weight_array."""
     W = W.ravel()
     fq = f.at_quad().ravel()
     lo = float(np.min(f.values))
@@ -373,13 +368,23 @@ def centering_root(p, f, weight, measure=None):
     return float(t[0])
 
 
-def _weight_values(mesh, weight):
+def _weight_array(mesh, weight, measure):
+    """Quadrature weights times the validated weight w (a Field, an array
+    shaped like the quadrature grid, or a callable on points), times the
+    density of `measure` unless it is None; the weight multiplies first."""
     if isinstance(weight, Field):
-        return weight.at_quad()
-    if callable(weight):
-        flat = mesh.quad_points.reshape(-1, mesh.dim)
-        return np.asarray(weight(flat)).reshape(mesh.quad_weights.shape)
-    return np.asarray(weight).reshape(mesh.quad_weights.shape)
+        wq = weight.at_quad()
+    elif callable(weight):
+        wq = np.asarray(weight(mesh.quad_points.reshape(-1, mesh.dim)))
+    else:
+        wq = np.asarray(weight)
+    wq = wq.reshape(mesh.quad_weights.shape)
+    if np.min(wq) < 0.0 or np.max(wq) <= 0.0:
+        raise ValueError("weight must be nonnegative with positive mass")
+    W = mesh.quad_weights * wq
+    if measure is not None:
+        W = W * mesh.density_at_quad(measure)
+    return W
 
 
 def _check_log_concave(mesh, weight, seed=0, n_pairs=200, rel_floor=1e-3):
@@ -426,14 +431,8 @@ def weighted_poincare_check(p, domain, mesh, f, omega, measure=None):
     int |f-t0|^(p-2)(f-t0) w = 0 of the weighted inequality holds.
     """
     _check_log_concave(mesh, omega)
-    wq = _weight_values(mesh, omega)
-    if np.min(wq) < 0.0 or np.max(wq) <= 0.0:
-        raise ValueError("weight must be nonnegative with positive mass")
-    W = mesh.quad_weights * wq
-    if measure is not None:
-        W = W * mesh.density_at_quad(measure)
-
-    t0 = centering_root(p, f, omega, measure)
+    W = _weight_array(mesh, omega, measure)
+    t0 = _centering_root(p, f, W)
     shifted = Field(mesh, f.values - t0)
 
     lhs = float(gradient_energies(p, shifted.gradients(), np.sum(W, axis=1)))
@@ -529,8 +528,7 @@ def gap_check(p, domain, mesh, measure, opts=None, pairs=None, constant_factor=1
     else:
         u1, u2 = pairs
     c_value, _ = distance_to_eigenspace(p, u2.field, u1.field, measure)
-    bound = 2.0 ** (2.0 - p) * (cpcore.pi_p(p) / domain.diameter) ** p * c_value
-    bound *= constant_factor
+    bound = _bound_constant(p, domain, constant_factor) * c_value
     gap = u2.lam - u1.lam
     tol = TOL_QUAD_FACTOR * max(abs(u2.lam), 1.0)
     margin = gap - bound

@@ -204,3 +204,69 @@ def distance_to_boundary_loop(mesh):
         d = np.minimum(d, cross)
     d[mesh.boundary_mask] = 0.0
     return d
+
+
+def cp_scalar(p, xi, eta):
+    """(C_p(xi, eta), clamped) for two complex vectors from their norms:
+    the single-vector formula plapstab used before its C_p functions shared
+    one row kernel."""
+    xi = np.asarray(xi, dtype=complex)
+    eta = np.asarray(eta, dtype=complex)
+    diff = xi - eta
+    nxi = np.linalg.norm(xi)
+    nd = np.linalg.norm(diff)
+    pairing = float(np.real(np.sum(diff * np.conj(eta))))
+    cross = 0.0 if nd == 0.0 else p * nd ** (p - 2.0) * pairing
+    val = nxi**p - nd**p - cross
+    scale = max(nxi**p, nd**p, float(np.linalg.norm(eta)) ** p, 1e-300)
+    if -1e-12 * scale < val < 0.0:
+        return 0.0, True
+    return float(val), False
+
+
+def c1_root_newton(p):
+    """Root r0 > 1 of r^(p-1) - (p-1) r - (p-2) by safeguarded Newton with a
+    residual stop: the c1 root plapstab used before scipy's brentq."""
+
+    def f(r):
+        return r ** (p - 1.0) - (p - 1.0) * r - (p - 2.0)
+
+    def df(r):
+        return (p - 1.0) * (r ** (p - 2.0) - 1.0)
+
+    lo, hi = 1.0, 2.0
+    while f(hi) <= 0.0:
+        hi *= 2.0
+    r = min(max(p, 1.0 + 1e-3), hi)
+    for _ in range(200):
+        fr = f(r)
+        if fr > 0.0:
+            hi = r
+        else:
+            lo = r
+        d = df(r)
+        r_new = r - fr / d if d > 0.0 else 0.5 * (lo + hi)
+        if not lo < r_new < hi:
+            r_new = 0.5 * (lo + hi)
+        if abs(f(r_new)) <= 1e-12 * max(1.0, df(r_new)):
+            return r_new
+        r = r_new
+    return r
+
+
+def c1_root_mp(p, dps=40):
+    """Root r0 > 1 of r^(p-1) - (p-1) r - (p-2) by mpmath.findroot at `dps`
+    digits, started from a bracket of the sign change narrowed by bisection."""
+    with mp.workdps(dps):
+        p = mp.mpf(p)
+        f = lambda r: r ** (p - 1) - (p - 1) * r - (p - 2)
+        lo, hi = mp.mpf(1), mp.mpf(2)
+        while f(hi) <= 0:
+            hi *= 2
+        for _ in range(40):
+            mid = (lo + hi) / 2
+            if f(mid) > 0:
+                hi = mid
+            else:
+                lo = mid
+        return +mp.findroot(f, (lo, hi))

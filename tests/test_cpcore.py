@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -15,7 +16,7 @@ from plapstab.cpcore import (
     pi_p_quadrature,
 )
 
-from oracles import pi_p_quad_oracle
+from oracles import c1_root_mp, c1_root_newton, cp_scalar, pi_p_quad_oracle
 
 SQRT2 = math.sqrt(2.0)
 
@@ -80,6 +81,22 @@ class TestC1Sharp:
             df = (p - 1.0) * (r0 ** (p - 2.0) - 1.0)
             assert abs(f) <= 1e-12 * max(1.0, df)
             assert r0 > 1.0
+
+    @pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0, 10.0, 20.0, 50.0])
+    def test_root_within_two_ulp_of_mpmath(self, p):
+        r0 = c1_sharp(p).r0
+        ref = c1_root_mp(p)
+        with mp.workdps(40):
+            err = abs(mp.mpf(r0) - ref)
+            assert err <= 2 * math.ulp(r0)
+            # no worse than the safeguarded Newton root it replaced
+            assert err <= abs(mp.mpf(c1_root_newton(p)) - ref)
+
+    def test_p4_exact(self):
+        # r^3 - 3r - 2 = (r - 2)(r + 1)^2, so r0 = 2 and c1 = 3 * 3^-2
+        res = c1_sharp(4.0)
+        assert res.r0 == 2.0
+        assert res.c1 == 1.0 / 3.0
 
     def test_decay_witness(self):
         grid = [2.0, 2.5, 3.0, 4.0, 6.0, 10.0, 20.0]
@@ -183,11 +200,34 @@ class TestCpEval:
             assert np.all(vals >= c1 * ne**p - 1e-12 * scale)
 
     def test_batch_matches_single(self, rng):
+        # the single-vector formula of the oracle, row by row
         xi = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
         eta = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
         batch = cp_eval_batch(2.5, xi, eta)
-        singles = [cp_eval(2.5, x, e) for x, e in zip(xi, eta)]
+        singles = [cp_scalar(2.5, x, e)[0] for x, e in zip(xi, eta)]
         assert np.allclose(batch, singles, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0, 3.7, 6.0])
+    def test_flagged_matches_scalar_oracle(self, p):
+        rng = np.random.default_rng(2024)
+        for n in range(1, 5):
+            for complex_case in (False, True):
+                for _ in range(40):
+                    xi, eta = rng.normal(size=(2, n))
+                    if complex_case:
+                        xi, eta = xi + 1j * rng.normal(size=n), eta + 1j * rng.normal(size=n)
+                    # |xi| from 1e-3 to 1e3, |eta| / |xi| from 1e-6 to 10
+                    size = 10.0 ** rng.uniform(-3.0, 3.0)
+                    xi, eta = size * xi, size * 10.0 ** rng.uniform(-6.0, 1.0) * eta
+                    for e in (eta, np.zeros(n), xi):
+                        val, _ = cp_eval_flagged(p, xi, e)
+                        ref, _ = cp_scalar(p, xi, e)
+                        big = max(np.linalg.norm(v) for v in (xi, e, xi - e))
+                        assert abs(val - ref) <= 1e-14 * (big**p + 1.0)
+
+    def test_cancellation_flag_matches_scalar_oracle(self):
+        args = (3.0, [1.0, 0.0], [1e-9, 0.0])
+        assert cp_eval_flagged(*args) == cp_scalar(*args) == (0.0, True)
 
 
 class TestC2C3:

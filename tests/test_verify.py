@@ -7,9 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plapstab as ps
+from plapstab.spectral import gradient_energies
 from plapstab.verify import (
+    _centering_root,
     _convex_lp_min,
     _random_fields,
+    _weight_array,
     centering_root,
     cp_remainder,
     stability_battery,
@@ -298,6 +301,37 @@ class TestWeightedPoincare:
         rep = weighted_poincare_check(p, square, m, f, omega)
         assert rep.passed and rep.margin >= -1e-8 * max(rep.lhs, 1.0)
 
+    @pytest.mark.parametrize("measure", [None, "gaussian"])
+    @pytest.mark.parametrize("case", ["sharpness", "eigen_quotient"])
+    def test_weight_first_product(self, cache, interval, square, case, measure):
+        # the inputs of the two tests above; every weighted quantity comes
+        # from quad_weights * w, then times the density, in that order
+        meas = None if measure is None else ps.gaussian()
+        if case == "sharpness":
+            p, domain, m = 2.0, interval, cache.mesh("interval01", 5)
+            f = ps.interpolate(m, lambda pts: np.cos(math.pi * pts[:, 0]))
+            omega = np.ones_like(m.quad_weights)
+            wq = omega
+        else:
+            p, domain, m = 3.0, square, cache.mesh("square", 3)
+            u1 = cache.pair(p, "square", 3)
+            u = ps.random_zero_trace_field(m, 11)
+            floor = 1e-10 * u1.field.values.max()
+            f = ps.Field(m, np.where(u1.field.values > floor,
+                                     u.values / np.maximum(u1.field.values, floor), 0.0))
+            omega = ps.Field(m, u1.field.values**p)
+            wq = omega.at_quad()
+        W = m.quad_weights * wq
+        if meas is not None:
+            W = W * m.density_at_quad(meas)
+        assert np.array_equal(_weight_array(m, omega, meas), W)
+        rep = weighted_poincare_check(p, domain, m, f, omega, meas)
+        assert rep.t0 == _centering_root(p, f, W) == centering_root(p, f, omega, meas)
+        shifted = ps.Field(m, f.values - rep.t0)
+        assert rep.lhs == float(gradient_energies(p, shifted.gradients(), np.sum(W, axis=1)))
+        dist, _ = _convex_lp_min(p, W, shifted.at_quad()[None], np.ones_like(W))
+        assert rep.rhs_inf == float(dist[0])
+
     def test_log_convex_weight_rejected(self, cache, interval):
         m = cache.mesh("interval01", 4)
         f = ps.interpolate(m, lambda pts: pts[:, 0])
@@ -382,6 +416,23 @@ class TestGap:
         assert rep.lambda2_is_upper_bound
         assert rep.verdict == "empirical"
         assert rep.passed
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_bound_is_stability_constant_times_c(self, cache, interval, p):
+        m = cache.mesh("interval01", 4)
+        u1 = cache.pair(p, "interval01", 4)
+        pairs = (u1, cache.second(p, "interval01", 4))
+        rep = ps.gap_check(p, interval, m, ps.lebesgue(), pairs=pairs)
+        u = ps.random_zero_trace_field(m, 3)
+        constant = ps.stability_check(p, interval, m, u, ps.lebesgue(), eigenpair=u1).constant
+        assert rep.bound == constant * rep.C_value
+
+    def test_p_below_two_has_a_bound(self, cache, interval):
+        # the p >= 2 requirement belongs to the stability inequality only
+        m = cache.mesh("interval01", 3)
+        u1 = cache.pair(1.5, "interval01", 3)
+        rep = ps.gap_check(1.5, interval, m, ps.lebesgue(), pairs=(u1, u1))
+        assert rep.C_value <= 1e-10 and rep.passed
 
     def test_c_value_cap(self, cache, interval):
         m = cache.mesh("interval01", 4)

@@ -230,8 +230,6 @@ def run_stability(config):
     results = []
     ok = True
     for p in config["p"]:
-        if p < 2.0:
-            raise ValueError(f"stability battery requires p >= 2, got {p}")
         reports = verify.stability_battery(
             p, domain, mesh, measure, config["fields"],
             seed=config["seed"], opts=SolverOptions(seed=config["seed"]),

@@ -85,18 +85,21 @@ class C1Result:
 
 
 def _c1_root(p):
-    """Unique root r0 > 1 of f(r) = r^(p-1) - (p-1) r - (p-2) by scipy's brentq;
-    f(1) = 2(2 - p) < 0 for p > 2, so doubling the upper end brackets it."""
+    """Unique root r0 > 1 of f(r) = r^(p-1) - (p-1) r - (p-2) by scipy's brentq.
 
-    def f(r):
-        return r ** (p - 1.0) - (p - 1.0) * r - (p - 2.0)
+    It solves g(r) = f(r) / (p - 2) = r expm1((p-2) log r) / (p - 2) - (r + 1)
+    instead: same root, without the O(p - 2) cancellation of f near p = 2.
+    g(1) = -2 < 0, so doubling the upper end brackets it."""
+
+    def g(r):
+        return r * math.expm1((p - 2.0) * math.log(r)) / (p - 2.0) - (r + 1.0)
 
     hi = 2.0
-    while f(hi) <= 0.0:
+    while g(hi) <= 0.0:
         hi *= 2.0
         if hi > 1e12:
             raise RuntimeError("failed to bracket c1 root")
-    return _brentq(f, 1.0, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+    return _brentq(g, 1.0, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
 
 
 def c1_sharp(p):

@@ -1,34 +1,33 @@
 """First and second Dirichlet eigenpairs of the (Gaussian) p-Laplacian.
 
-The ground state is computed by minimizing the Rayleigh quotient
-int |grad u|^p dmu / int |u|^p dmu over zero-trace P1 fields with a
-lagged-diffusivity fixed point: each outer step solves a linear system
-whose element weights freeze (|grad u|^2 + eps^2)^((p-2)/2), takes the
-p-power mass load of the current iterate, renormalizes, and shrinks eps.
-When a step fails to lower the Rayleigh quotient, a line search on the
-segment from the iterate to the step takes over: scipy's bounded Brent
-(`minimize_scalar(method="bounded")`) on [0, 1], whose objective reuses the
-quadrature values and element gradients of both ends gathered once per
-search. The step keeps the iterate unless the search finds a lower
-quotient; `EigenPair` counts the searches and those rejections.
+The ground state solves the discrete Euler-Lagrange system A_p(u) =
+lambda B_p(u) of the Rayleigh quotient int |grad u|^p dmu / int |u|^p dmu
+over zero-trace P1 fields, normalised by int |u|^p dmu = 1. One loop stops
+when the relative residual |A_p(u) - R(u) B_p(u)| / |A_p(u)| on the interior
+dofs is at most `SolverOptions.tol`. Its first steps are lagged-diffusivity
+(inverse power) steps: each solves a linear system whose element weights
+freeze (|grad u|^2 + eps^2)^((p-2)/2) at the iterate, with eps on a fixed
+decreasing schedule. Once such a step lowers the quotient by 1e-3 relative
+or less, Newton steps on the bordered system [J, -b; b^T, 0] take over,
+with b = B_p(u) and J the Jacobian of the residual. Both directions
+backtrack by halving the step length until the quotient drops.
 The second eigenvalue uses block inverse iteration deflated against the
 ground state for p = 2 and a hyperplane-cut two-nodal-domain estimator (a
 certified upper bound) otherwise.
 
-Every inner linear solve is a sparse LU (`scipy.sparse.linalg.splu`) of the
-interior stiffness matrix. That matrix is assembled straight into interior
-numbering by one scatter through the sparsity pattern cached on the mesh
-(`Mesh.interior_pattern`). At p = 2 it does not depend on the iterate, so
-it is factored once per `first_eigenpair` call and once per deflation call.
+Every linear solve is a sparse LU (`scipy.sparse.linalg.splu`). The
+interior matrices are assembled straight into interior numbering by one
+scatter through the sparsity pattern cached on the mesh
+(`Mesh.interior_pattern`). At p = 2 the lagged steps share one factor of
+the stiffness matrix, which is released before the first Newton step.
 """
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh
-from scipy.optimize import minimize_scalar
 from scipy.sparse.linalg import splu
 
 from .geometry import Field, submesh
@@ -48,42 +47,33 @@ __all__ = [
 _DEFLATION_BLOCK = 3
 # entries of one (edges, nodes) block in _distance_to_boundary
 _DISTANCE_BLOCK = 2**14
-# absolute theta tolerance of the bounded Brent line search on [0, 1]
-_LINE_SEARCH_XATOL = 1e-9
+# relative Rayleigh drop at or below which the lagged steps hand over to Newton
+_NEWTON_DROP = 1e-3
+# relative Rayleigh rise that a Newton step may make while its residual falls
+_NEWTON_RISE = 1e-12
+# step-length halvings before a direction counts as failed
+_MAX_HALVINGS = 30
 
 
 @dataclass
 class SolverOptions:
-    """Knobs for the fixed-point solver; defaults are desk-scale sane.
+    """Knobs for the eigen-solvers; defaults are desk-scale sane.
 
-    `stagnation_tol` is the relative Rayleigh drop that counts as stagnation
-    in the ground-state iteration, and the relative residual at which
-    deflation stops. The inner linear solves are direct (sparse LU), so
-    they take no tolerance.
+    `tol` is the relative residual at which the ground-state iteration and
+    deflation stop. `max_outer` caps their outer steps. The linear solves
+    are direct (sparse LU), so they take no tolerance.
     """
 
-    eps_initial: float = 1e-2
-    eps_floor: float = 1e-8
-    eps_decay: float = 0.5
     max_outer: int = 200
-    stagnation_tol: float = 1e-9
+    tol: float = 1e-10
     seed: int = 0
     n_directions: int = 32
     n_offsets: int = 64
     sweep_refine_rounds: int = 3
 
     def __post_init__(self):
-        if not (0.0 < self.eps_floor <= self.eps_initial):
-            raise ValueError("need 0 < eps_floor <= eps_initial")
-        if not (0.0 < self.eps_decay < 1.0):
-            raise ValueError("eps schedule must be strictly decreasing")
-        if self.stagnation_tol <= 0.0:
+        if self.tol <= 0.0:
             raise ValueError("tolerances must be positive")
-        if self.eps_floor < 1e-10:
-            raise ValueError("eps floor below 1e-10 makes the inner systems singular")
-
-    def eps(self, k):
-        return max(self.eps_floor, self.eps_initial * self.eps_decay**k)
 
 
 @dataclass
@@ -98,10 +88,9 @@ class EigenPair:
     converged: bool
     estimator: str = "ground"
     is_upper_bound: bool = False
-    # outer steps that fell back to the line search, and those of them
-    # whose search found no decrease (the step then keeps u)
-    line_searches: int = 0
-    line_search_rejections: int = 0
+    # final relative residual of the ground state or of deflation; NaN for
+    # the cut-sweep bound, which solves no system on the whole mesh
+    residual: float = float("nan")
 
     def to_json_dict(self, mesh_file=None):
         return {
@@ -189,25 +178,6 @@ def weighted_mass(mesh, measure):
     return _assemble(mesh, _mass_local(mesh, measure))
 
 
-def _power_load(mesh, measure, values, p):
-    """Load vector b_i = int density |u|^(p-2) u phi_i."""
-    uq = mesh.values_at_quad(values)
-    # |u|^(p-2) u -> 0 as u -> 0 for every p > 1; guard the p < 2 exponent
-    pw = np.zeros_like(uq)
-    m = uq != 0.0
-    pw[m] = np.abs(uq[m]) ** (p - 2.0) * uq[m]
-    s = mesh.measure_weights(measure) * pw
-    local = np.einsum("mq,qk->mk", s, mesh.basis)
-    b = np.zeros(mesh.n_nodes)
-    np.add.at(b, mesh.elements, local)
-    return b
-
-
-def _interior_lu(mesh, measure, elem_weights=None):
-    """Sparse LU of the interior weighted stiffness matrix."""
-    return splu(_assemble_interior(mesh, _stiffness_local(mesh, measure, elem_weights)))
-
-
 def _distance_to_boundary(mesh):
     """Nodal distance-to-boundary: positive inside, zero on the boundary."""
     nodes = mesh.nodes
@@ -247,49 +217,77 @@ def _normalize(mesh, values, p, measure):
     return values / nrm
 
 
-def _segment_quotient(mesh, u, v, p, measure):
-    """theta -> Rayleigh quotient of u + theta (v - u).
+def _guarded_power(x, e):
+    """x ** e for x >= 0, read as 0 where x = 0 and e < 0: the singular
+    p < 2 weights vanish with the gradient or value that carries them."""
+    if e >= 0.0:
+        return x**e
+    y = np.zeros_like(x)
+    np.power(x, e, out=y, where=x > 0.0)
+    return y
 
-    The field values at the quadrature points, the element gradients, the
-    quadrature weights and the element density integrals are gathered once;
-    each evaluation is elementwise arithmetic on them, because both the P1
-    interpolant and the gradient are linear in the nodal values.
+
+def _euler_lagrange(p, mesh, measure, u, jacobian=False):
+    """The discrete Euler-Lagrange system at u on the interior dofs.
+
+    Returns (R, b, r, rel, J): the Rayleigh quotient R(u), b = B_p(u) with
+    B_p(u)_i = int |u|^(p-2) u phi_i dmu, the residual r = A_p(u) - R b with
+    A_p(u)_i = int |grad u|^(p-2) grad u . grad phi_i dmu, its relative norm
+    |r| / |A_p(u)|, and, on request, the Jacobian J = A_p'(u) - R B_p'(u).
+    Its element matrices are de |g|^(p-2) (G G^T + (p-2) (G n)(G n)^T)
+    - R (p-1) int |u|^(p-2) phi_i phi_j, with n = g / |g|; the p = 2 weight
+    is 1 everywhere and the other weights are 0 where g or u is.
     """
-    ud = np.stack([u, v - u])
-    uq, dq = mesh.values_at_quad(ud)
-    gu, gd = mesh.gradients(ud)
     w = mesh.measure_weights(measure)
     de = mesh.element_density_integrals(measure)
+    g = mesh.gradients(u)
+    uq = mesh.values_at_quad(u)
+    au = np.abs(uq)
+    # the same operations as rayleigh_quotient, so R is bitwise the same
+    lam = float(gradient_energies(p, g, de) / np.sum(w * au**p))
+    gn = np.sqrt(np.sum(g * g, axis=1))
+    ga = de * _guarded_power(gn, p - 2.0)
+    uw = w * _guarded_power(au, p - 2.0)
+    gphi = np.einsum("mkd,md->mk", mesh.grads, g)  # G g, one row per element
+    elements, interior = mesh.elements.ravel(), mesh.interior
+    a = np.bincount(elements, (ga[:, None] * gphi).ravel(), mesh.n_nodes)[interior]
+    b = np.bincount(elements, ((uw * uq) @ mesh.basis).ravel(), mesh.n_nodes)[interior]
+    r = a - lam * b
+    rel = float(np.linalg.norm(r) / np.linalg.norm(a))
+    if not jacobian:
+        return lam, b, r, rel, None
+    # (p-2) de |g|^(p-4) (G g)(G g)^T is the (p-2) (G n)(G n)^T term
+    gb = (p - 2.0) * _guarded_power(gn, -2.0) * ga
+    local = ga[:, None, None] * mesh.grad_gram + gb[:, None, None] * (gphi[:, :, None] * gphi[:, None, :])
+    local -= (lam * (p - 1.0)) * np.einsum("mq,qi,qj->mij", uw, mesh.basis, mesh.basis)
+    return lam, b, r, rel, _assemble_interior(mesh, local)
 
-    def quotient(theta):
-        den = np.sum(w * np.abs(uq + theta * dq) ** p)
-        if den <= 0.0:
-            return np.inf
-        return float(gradient_energies(p, gu + theta * gd, de) / den)
 
-    return quotient
-
-
-def _line_search(mesh, u, v, p, measure, r_u):
-    """Bounded Brent minimisation of the Rayleigh quotient on the segment
-    u -> v, the fallback when the fixed-point step fails to decrease it.
-    Returns (u, r_u) unchanged unless some point beats r_u."""
-    res = minimize_scalar(
-        _segment_quotient(mesh, u, v, p, measure),
-        bounds=(0.0, 1.0),
-        method="bounded",
-        options={"xatol": _LINE_SEARCH_XATOL},
-    )
-    if not res.fun < r_u:
-        return u, r_u
-    return u + res.x * (v - u), float(res.fun)
+def _bordered(jac, b):
+    """CSC of [J, -b; b^T, 0] from the CSC matrix J: b_j closes column j of
+    J and -b is the last column."""
+    n = b.size
+    ends = jac.indptr[1:]
+    data = np.concatenate([np.insert(jac.data, ends, b), -b])
+    indices = np.concatenate([np.insert(jac.indices, ends, n), np.arange(n)])
+    indptr = np.append(jac.indptr + np.arange(n + 1), jac.indptr[-1] + 2 * n)
+    return sparse.csc_matrix((data, indices, indptr), shape=(n + 1, n + 1))
 
 
 def first_eigenpair(p, mesh, measure, opts=None):
     """Ground state of the Dirichlet (Gaussian) p-Laplacian on the mesh.
 
-    Returns an EigenPair with a monotone non-increasing Rayleigh history;
-    non-convergence is reported through EigenPair.converged, not raised.
+    Each outer step takes a lagged-diffusivity direction while those steps
+    lower the Rayleigh quotient by more than _NEWTON_DROP relative, and the
+    Newton direction of the bordered Euler-Lagrange system after that. The
+    step length halves from 1 until the quotient drops (a Newton step also
+    passes when it rises by at most _NEWTON_RISE relative while the residual
+    falls). A direction that finds no step hands over to the other one; two
+    such failures in a row end the solve. It stops once the relative
+    residual is at most `opts.tol`, and `converged` says exactly that.
+    Returns an EigenPair with a non-increasing (to _NEWTON_RISE) Rayleigh
+    history; non-convergence is reported through EigenPair.converged, not
+    raised.
     """
     if p <= 1.0:
         raise ValueError(f"exponent must exceed 1, got {p}")
@@ -304,63 +302,65 @@ def first_eigenpair(p, mesh, measure, opts=None):
         # boundary-edge line, so start from the interior indicator instead
         u = interior.astype(float)
     u = _normalize(mesh, u, p, measure)
-    r = rayleigh_quotient(p, Field(mesh, u), measure)
-    history = [r]
-    converged = False
-    stagnant = 0
-    searches = rejections = 0
-    it = 0
-    # at p = 2 the diffusivity weight is identically 1: no schedule to ramp,
-    # and one factorization serves every step
-    lu = _interior_lu(mesh, measure) if p == 2.0 else None
-    at_floor = p == 2.0
-    for it in range(1, opts.max_outer + 1):
-        if p != 2.0:
-            eps = opts.eps(it - 1)
-            g = mesh.gradients(u)
-            gn2 = np.sum(g * g, axis=1)
-            lu = _interior_lu(mesh, measure, (gn2 + eps * eps) ** (0.5 * (p - 2.0)))
-            at_floor = eps <= opts.eps_floor * (1.0 + 1e-12)
-        v = np.zeros(mesh.n_nodes)
-        v[interior] = lu.solve(_power_load(mesh, measure, u, p)[interior])
-        v = _normalize(mesh, v, p, measure)
-        r_new = rayleigh_quotient(p, Field(mesh, v), measure)
-        if r_new > r:
-            v, r_new = _line_search(mesh, u, v, p, measure, r)
-            v = _normalize(mesh, v, p, measure)
-            searches += 1
-            # a rejected search returns r itself; an accepted one is lower
-            rejections += int(r_new == r)
-        drop = r - r_new
-        u, r = v, r_new
-        history.append(r)
-        if at_floor and abs(drop) <= opts.stagnation_tol * max(1.0, r):
-            stagnant += 1
-            if stagnant >= 2:
-                converged = True
-                break
+    lam, b, r, res, _ = _euler_lagrange(p, mesh, measure, u)
+    history = [lam]
+    newton = False
+    lu = None
+    lagged = failures = it = 0
+    while res > opts.tol and it < opts.max_outer and failures < 2:
+        it += 1
+        d = np.zeros(mesh.n_nodes)
+        if newton:
+            # at p = 2 the lagged factor is the iterate-free stiffness matrix;
+            # drop it before the first bordered factorisation
+            lu = None
+            jac = _euler_lagrange(p, mesh, measure, u, jacobian=True)[4]
+            # u is normalised, so the normalisation row has zero right side
+            d[interior] = splu(_bordered(jac, b)).solve(np.append(-r, 0.0))[:-1]
         else:
-            stagnant = 0
+            if lu is None or p != 2.0:
+                # lagged diffusivity (|grad u|^2 + eps^2)^((p-2)/2) on the
+                # fixed schedule eps = max(1e-8, 1e-2 2^-k) of lagged step k
+                g = mesh.gradients(u)
+                eps = max(1e-8, 1e-2 * 0.5**lagged)
+                weights = (np.sum(g * g, axis=1) + eps * eps) ** (0.5 * (p - 2.0))
+                lu = splu(_assemble_interior(mesh, _stiffness_local(mesh, measure, weights)))
+            d[interior] = lu.solve(b)
+            d = _normalize(mesh, d, p, measure) - u
+            lagged += 1
+        t = 1.0
+        for _ in range(_MAX_HALVINGS):
+            v = _normalize(mesh, u + t * d, p, measure)
+            lam_v, b_v, r_v, res_v, _ = _euler_lagrange(p, mesh, measure, v)
+            if lam_v < lam or (newton and lam_v <= lam * (1.0 + _NEWTON_RISE) and res_v < res):
+                failures = 0
+                newton = newton or lam - lam_v <= _NEWTON_DROP * lam
+                u, lam, b, r, res = v, lam_v, b_v, r_v, res_v
+                break
+            t *= 0.5
+        else:
+            failures += 1
+            newton = not newton
+        history.append(lam)
 
     if np.sum(u) < 0.0:
         u = -u
-    pair = EigenPair(
-        lam=r,
+    converged = res <= opts.tol
+    if not converged:
+        warnings.warn(
+            f"first_eigenpair stopped after {it} outer steps at relative "
+            f"residual {res:.3e} > tol {opts.tol:g}"
+        )
+    return EigenPair(
+        lam=lam,
         field=Field(mesh, u),
         residual_history=history,
         iterations=it,
         normalized=True,
         converged=converged,
         estimator="ground",
-        line_searches=searches,
-        line_search_rejections=rejections,
+        residual=res,
     )
-    if not converged:
-        warnings.warn(
-            f"first_eigenpair did not stagnate within {opts.max_outer} outer "
-            f"iterations (last Rayleigh drop {history[-2] - history[-1]:.3e})"
-        )
-    return pair
 
 
 def _deflated_second(p, mesh, measure, u1, opts):
@@ -370,7 +370,7 @@ def _deflated_second(p, mesh, measure, u1, opts):
     on every step, carries the next few eigenvalues together, so a
     near-degenerate lambda2/lambda3 pair cannot stall it. It stops when the
     relative residual of the lowest Ritz pair, with its u1 component
-    removed, falls to `opts.stagnation_tol`.
+    removed, falls to `opts.tol`.
     """
     interior = mesh.interior
     K = _assemble_interior(mesh, _stiffness_local(mesh, measure))
@@ -391,6 +391,7 @@ def _deflated_second(p, mesh, measure, u1, opts):
     x = project(rng.uniform(-1.0, 1.0, (u1i.size, block)))
     history = []
     converged = False
+    rel = np.inf
     it = 0
     for it in range(1, opts.max_outer + 1):
         theta, c = eigh(x.T @ (K @ x), x.T @ (M @ x))
@@ -400,7 +401,8 @@ def _deflated_second(p, mesh, measure, u1, opts):
         resid = Kv - theta[0] * (M @ v)
         resid -= Mu1 * float(u1i @ resid)
         history.append(float(theta[0]))
-        if np.linalg.norm(resid) <= opts.stagnation_tol * np.linalg.norm(Kv):
+        rel = float(np.linalg.norm(resid) / np.linalg.norm(Kv))
+        if rel <= opts.tol:
             converged = True
             break
         x = project(lu.solve(M @ x))
@@ -416,6 +418,7 @@ def _deflated_second(p, mesh, measure, u1, opts):
         normalized=True,
         converged=converged,
         estimator="deflation",
+        residual=rel,
     )
 
 
@@ -435,12 +438,6 @@ def _cut_sweep_second(p, mesh, measure, opts):
     centroids = np.mean(mesh.nodes[mesh.elements], axis=1)
     seen = set()
     state = {"best": None, "theta": None, "tau": None, "n_cuts": 0}
-    # sub-solves only feed an upper bound, so a looser stagnation tolerance
-    # and iteration cap lose nothing: any Rayleigh quotient of an admissible
-    # field bounds lambda_1 of its subdomain from above
-    sub_opts = replace(
-        opts, max_outer=min(opts.max_outer, 60), stagnation_tol=max(opts.stagnation_tol, 1e-8)
-    )
 
     def process_cut(theta, proj, tau):
         side = proj > tau
@@ -457,7 +454,7 @@ def _cut_sweep_second(p, mesh, measure, opts):
                 return
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                pair = first_eigenpair(p, sub, measure, sub_opts)
+                pair = first_eigenpair(p, sub, measure, opts)
             halves.append((pair, node_map))
         state["n_cuts"] += 1
         value = max(halves[0][0].lam, halves[1][0].lam)

@@ -256,14 +256,10 @@ def _ground_state(p, mesh, measure, eigenpair, opts):
 
 def _bound_constant(p, domain, constant_factor):
     """2^(2-p) (pi_p/diam)^p * constant_factor: the constant of the stability
-    inequality and of the gap bound."""
-    return 2.0 ** (2.0 - p) * (cpcore.pi_p(p) / domain.diameter) ** p * constant_factor
-
-
-def _stability_constant(p, domain, constant_factor):
+    inequality and of the gap bound, both of which need p >= 2."""
     if p < 2.0:
-        raise ValueError(f"the stability inequality requires p >= 2, got {p}")
-    return _bound_constant(p, domain, constant_factor)
+        raise ValueError(f"the stability inequality and the gap bound require p >= 2, got {p}")
+    return 2.0 ** (2.0 - p) * (cpcore.pi_p(p) / domain.diameter) ** p * constant_factor
 
 
 def _stability_reports(p, domain, mesh, values, measure, eigenpair, constant):
@@ -292,7 +288,7 @@ def stability_check(p, domain, mesh, u, measure, eigenpair=None, opts=None, cons
     constant_factor is a test hook that scales the stability constant;
     leave at 1.0 for real runs.
     """
-    constant = _stability_constant(p, domain, constant_factor)
+    constant = _bound_constant(p, domain, constant_factor)
     if not u.is_zero_trace:
         raise ValueError("stability check needs a zero-trace field")
     eigenpair = _ground_state(p, mesh, measure, eigenpair, opts)
@@ -330,7 +326,7 @@ def stability_battery(p, domain, mesh, measure, n_fields, seed=0, eigenpair=None
     rows.  A block draw equals the per-field draws, so report i is the
     stability_check of the i-th random_zero_trace_field of the seeded stream.
     """
-    constant = _stability_constant(p, domain, constant_factor)
+    constant = _bound_constant(p, domain, constant_factor)
     eigenpair = _ground_state(p, mesh, measure, eigenpair, opts)
     rng = np.random.default_rng(seed)
     adj = mesh.node_adjacency()
@@ -520,15 +516,17 @@ def gap_check(p, domain, mesh, measure, opts=None, pairs=None, constant_factor=1
 
     For p != 2 the second eigenvalue is only an upper bound, so a passing
     verdict is labeled empirical (the bound is not falsified); a certified
-    verdict needs p = 2.
+    verdict needs p = 2. Like the stability inequality, the bound needs
+    p >= 2; smaller p raises ValueError before any solve.
     """
+    constant = _bound_constant(p, domain, constant_factor)
     if pairs is None:
         u1 = _ground_state(p, mesh, measure, None, opts)
         u2 = second_eigenvalue(p, mesh, measure, u1, opts)
     else:
         u1, u2 = pairs
     c_value, _ = distance_to_eigenspace(p, u2.field, u1.field, measure)
-    bound = _bound_constant(p, domain, constant_factor) * c_value
+    bound = constant * c_value
     gap = u2.lam - u1.lam
     tol = TOL_QUAD_FACTOR * max(abs(u2.lam), 1.0)
     margin = gap - bound

@@ -161,24 +161,27 @@ def sequential_zero_trace_fields(mesh, rng, n_fields, passes=2):
     return np.array(out)
 
 
-def golden_segment_min(ray, steps=40):
-    """(theta, ray(theta)) at the golden-section minimum of ray on [0, 1]:
-    the line search plapstab's ground-state solver used before its bounded
-    Brent search, 2 + steps evaluations."""
-    golden = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = 0.0, 1.0
-    c, d = b - golden * (b - a), a + golden * (b - a)
-    fc, fd = ray(c), ray(d)
-    for _ in range(steps):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - golden * (b - a)
-            fc = ray(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + golden * (b - a)
-            fd = ray(d)
-    return (c, fc) if fc < fd else (d, fd)
+def euler_lagrange_residual(p, mesh, measure, values):
+    """|A_p(u) - R(u) B_p(u)| / |A_p(u)| on the interior nodes by one loop
+    over the elements, with A_p(u)_i = int |grad u|^(p-2) grad u . grad phi_i
+    dmu, B_p(u)_i = int |u|^(p-2) u phi_i dmu and R(u) = int |grad u|^p dmu /
+    int |u|^p dmu, from the mesh's quadrature arrays alone."""
+    w = mesh.measure_weights(measure)
+    a = np.zeros(mesh.n_nodes)
+    b = np.zeros(mesh.n_nodes)
+    energy = mass = 0.0
+    for e, nodes in enumerate(mesh.elements):
+        g = mesh.grads[e].T @ values[nodes]
+        gn = float(np.linalg.norm(g))
+        de = float(np.sum(w[e]))
+        a[nodes] += de * gn ** (p - 2.0) * (mesh.grads[e] @ g)
+        energy += de * gn**p
+        uq = mesh.basis @ values[nodes]
+        b[nodes] += mesh.basis.T @ (w[e] * np.abs(uq) ** (p - 1.0) * np.sign(uq))
+        mass += float(w[e] @ np.abs(uq) ** p)
+    i = ~mesh.boundary_mask
+    r = a[i] - energy / mass * b[i]
+    return float(np.linalg.norm(r) / np.linalg.norm(a[i]))
 
 
 def distance_to_boundary_loop(mesh):

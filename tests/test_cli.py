@@ -117,6 +117,22 @@ class TestCommands:
         assert cell["fields"] == 5 and cell["passed"]
         assert cell["min_margin"] > 0.0
 
+    def test_stability_triangle_p3(self, capsys):
+        # the ground state on this triangle used to stop unconverged at p = 3
+        code, out, _ = run_cli(
+            ["stability", "--p", "3", "--domain", "polygon:0,0;1,0;0.3,0.9",
+             "--level", "3", "--no-timestamp"],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["results"][0]["passed"]
+
+    @pytest.mark.parametrize("command", ["stability", "gap"])
+    def test_p_below_two_exits_1(self, command, capsys):
+        code, _, err = run_cli([command, "--p", "1.5", "--level", "2"], capsys)
+        assert code == 1
+        assert "p >= 2" in err
+
     def test_forced_failure_exits_2(self, capsys):
         code, out, _ = run_cli(
             [

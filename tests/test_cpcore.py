@@ -92,6 +92,14 @@ class TestC1Sharp:
             # no worse than the safeguarded Newton root it replaced
             assert err <= abs(mp.mpf(c1_root_newton(p)) - ref)
 
+    @pytest.mark.parametrize("p", [2.0001, 2.001, 2.01])
+    def test_root_near_two_within_four_ulp_of_mpmath(self, p):
+        # f(r) cancels to O(p - 2) here; the root is found from f / (p - 2)
+        r0 = c1_sharp(p).r0
+        ref = c1_root_mp(p)
+        with mp.workdps(40):
+            assert abs(mp.mpf(r0) - ref) <= 4 * math.ulp(r0)
+
     def test_p4_exact(self):
         # r^3 - 3r - 2 = (r - 2)(r + 1)^2, so r0 = 2 and c1 = 3 * 3^-2
         res = c1_sharp(4.0)

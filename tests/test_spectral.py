@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from plapstab import spectral
 from plapstab.geometry import Mesh, submesh
 from plapstab.spectral import SolverOptions
 
-from oracles import distance_to_boundary_loop, golden_segment_min
+from oracles import distance_to_boundary_loop, euler_lagrange_residual
 
 PI2 = math.pi**2
 _MEASURES = {"lebesgue": ps.lebesgue(), "gaussian": ps.gaussian()}
@@ -135,11 +136,7 @@ class TestFirstEigenpair:
         assert abs(lam_g / lam_l - 1.0) <= 0.02
 
     def test_cut_submesh_starts_from_indicator(self, cache):
-        # the zigzag cut boundary of this half square puts every interior
-        # node on some boundary-edge line, so the distance start vanishes
-        m = cache.mesh("square", 2)
-        centroids = np.mean(m.nodes[m.elements], axis=1)
-        sub, _ = submesh(m, np.nonzero(centroids[:, 1] > 0.5)[0])
+        sub = _cut_half_square(cache)
         assert np.all(spectral._distance_to_boundary(sub)[sub.interior] == 0.0)
         pair = ps.first_eigenpair(3.0, sub, ps.lebesgue())
         assert pair.converged
@@ -160,8 +157,130 @@ class TestFirstEigenpair:
         opts = SolverOptions(max_outer=2)
         with pytest.warns(UserWarning):
             pair = ps.first_eigenpair(3.0, m, ps.lebesgue(), opts)
-        assert not pair.converged
+        assert not pair.converged and pair.residual > opts.tol
         assert len(pair.residual_history) == 3
+
+
+_PENTAGON_ANGLES = 0.3 + 0.4 * np.pi * np.arange(5)
+_GRID_MESHES = {
+    ("interval", 5): (ps.interval_domain(0.0, 1.0), 5),
+    ("square", 4): (ps.polygon_domain([[0, 0], [1, 0], [1, 1], [0, 1]]), 4),
+    ("triangle", 3): (ps.polygon_domain([[0, 0], [1, 0], [0.3, 0.9]]), 3),
+    ("triangle", 4): (ps.polygon_domain([[0, 0], [1, 0], [0.3, 0.9]]), 4),
+    ("quadrilateral", 3): (ps.polygon_domain([[0, 0], [1.3, 0], [1, 0.8], [0.1, 0.6]]), 3),
+    ("pentagon", 3): (ps.polygon_domain(np.stack([np.cos(_PENTAGON_ANGLES), np.sin(_PENTAGON_ANGLES)], 1)), 3),
+}
+_GRID_P = [1.5, 2.0, 3.0, 4.0, 6.0, 10.0]
+
+
+_CONVERGENCE_OPTS = {
+    "max_outer=2": SolverOptions(max_outer=2),
+    "default": SolverOptions(),
+    "tol=1e-4": SolverOptions(tol=1e-4),
+}
+
+
+def _grid_id(key):
+    return f"{key[0]}-L{key[1]}"
+
+
+@pytest.fixture(scope="module")
+def grid_mesh():
+    meshes = {}
+
+    def get(key):
+        if key not in meshes:
+            meshes[key] = ps.build_mesh(*_GRID_MESHES[key])
+        return meshes[key]
+
+    return get
+
+
+def _cut_half_square(cache):
+    # the zigzag cut boundary of this half square puts every interior node
+    # on some boundary-edge line, so the distance start vanishes
+    m = cache.mesh("square", 2)
+    centroids = np.mean(m.nodes[m.elements], axis=1)
+    return submesh(m, np.nonzero(centroids[:, 1] > 0.5)[0])[0]
+
+
+class TestEulerLagrange:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(p=st.sampled_from(_GRID_P), measure=st.sampled_from(sorted(_MEASURES)),
+           name=st.sampled_from(["interval01", "square"]), seed=st.integers(0, 2**32 - 1))
+    def test_quotient_is_rayleigh_quotient_bitwise(self, cache, p, measure, name, seed):
+        m = cache.mesh(name, 3)
+        (u,) = _random_values(m, seed, n_fields=1)
+        lam = spectral._euler_lagrange(p, m, _MEASURES[measure], u)[0]
+        assert lam == ps.rayleigh_quotient(p, ps.Field(m, u), _MEASURES[measure])
+
+    @pytest.mark.parametrize("measure", ["lebesgue", "gaussian"])
+    @pytest.mark.parametrize("key", [("interval", 5), ("triangle", 3), ("pentagon", 3)], ids=_grid_id)
+    def test_residual_matches_element_loop(self, grid_mesh, key, measure):
+        m = grid_mesh(key)
+        mu = _MEASURES[measure]
+        (u,) = _random_values(m, 11, n_fields=1)
+        for p in (1.5, 3.0, 10.0):
+            for values in (u, ps.first_eigenpair(p, m, mu).field.values):
+                got = spectral._euler_lagrange(p, m, mu, values)[3]
+                want = euler_lagrange_residual(p, m, mu, values)
+                assert abs(got - want) <= 1e-14 * max(1.0, want)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 6.0])
+    @pytest.mark.parametrize("name, level", [("interval01", 4), ("square", 2)])
+    def test_jacobian_matches_central_differences(self, cache, name, level, p):
+        # J = A_p'(u) - R(u) B_p'(u) at fixed R: compare J v with the central
+        # difference of F(w) = A_p(w) - R(u) B_p(w) = r(w) + (R(w) - R(u)) b(w)
+        m = cache.mesh(name, level)
+        mu = ps.gaussian()
+        rng = np.random.default_rng(3)
+        u = spectral._distance_to_boundary(m) * rng.uniform(1.0, 1.5, m.n_nodes)
+        (v,) = _random_values(m, 4, n_fields=1)
+        lam, _, _, _, jac = spectral._euler_lagrange(p, m, mu, u, jacobian=True)
+
+        def F(w):
+            lam_w, b_w, r_w, _, _ = spectral._euler_lagrange(p, m, mu, w)
+            return r_w + (lam_w - lam) * b_w
+
+        h = 1e-6 * np.max(np.abs(u)) / np.max(np.abs(v))
+        fd = (F(u + h * v) - F(u - h * v)) / (2.0 * h)
+        jv = jac @ v[m.interior]
+        assert np.linalg.norm(jv - fd) <= 1e-6 * np.linalg.norm(jv)
+
+
+class TestGroundStateConvergence:
+    @pytest.mark.parametrize("p", _GRID_P)
+    @pytest.mark.parametrize("key", list(_GRID_MESHES), ids=_grid_id)
+    def test_grid_reaches_tol(self, grid_mesh, key, p):
+        m = grid_mesh(key)
+        tol = SolverOptions().tol
+        for mu in _MEASURES.values():
+            pair = ps.first_eigenpair(p, m, mu)
+            assert pair.converged and pair.residual <= tol, (key, p, mu.kind, pair.residual)
+
+    # interval L7 at p = 6 stops on the rounding floor of the residual,
+    # just above the default tol
+    @pytest.mark.parametrize("p, level, name", [
+        (p, 4, name) for p in (1.5, 3.0, 6.0) for name in _CONVERGENCE_OPTS
+    ] + [(6.0, 7, "default")])
+    def test_converged_iff_residual_within_tol(self, cache, p, level, name):
+        opts = _CONVERGENCE_OPTS[name]
+        m = cache.mesh("interval01", level)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            pair = ps.first_eigenpair(p, m, ps.lebesgue(), opts)
+        assert pair.converged == (pair.residual <= opts.tol)
+        assert pair.residual == spectral._euler_lagrange(p, m, ps.lebesgue(), pair.field.values)[3]
+        assert len(pair.residual_history) == pair.iterations + 1
+        if opts.max_outer == 2:
+            assert not pair.converged
+
+    @pytest.mark.parametrize("p", [3.0, 6.0, 10.0])
+    def test_cut_submesh_converges(self, cache, p):
+        sub = _cut_half_square(cache)
+        pair = ps.first_eigenpair(p, sub, ps.lebesgue())
+        assert pair.converged and pair.residual <= SolverOptions().tol
+        assert np.all(pair.field.values[sub.interior] > 0.0)
 
 
 class TestSecondEigenvalue:
@@ -259,19 +378,6 @@ def _random_values(mesh, seed, n_fields=2):
     return [ps.random_zero_trace_field(mesh, rng).values for _ in range(n_fields)]
 
 
-def _quotient_on_segment(mesh, u, v, p, measure):
-    """Rayleigh quotient of u + theta (v - u) through Field, as the solver
-    evaluated it before the segment objective."""
-
-    def ray(theta):
-        w = u + theta * (v - u)
-        if np.max(np.abs(w)) == 0.0:
-            return np.inf
-        return ps.rayleigh_quotient(p, ps.Field(mesh, w), measure)
-
-    return ray
-
-
 class TestGradEnergy:
     @pytest.mark.parametrize("measure", ["lebesgue", "gaussian"])
     @pytest.mark.parametrize("name, level", [("square", 3), ("interval01", 4)])
@@ -310,73 +416,6 @@ class TestDistanceToBoundary:
             assert np.all(d == 0.0)
         else:
             assert np.all(d[m.interior] > 0.0)
-
-
-class TestLineSearch:
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(theta=st.floats(0.0, 1.0), p=st.sampled_from([1.5, 3.0, 6.0]),
-           measure=st.sampled_from(sorted(_MEASURES)),
-           name=st.sampled_from(["interval01", "square"]), seed=st.integers(0, 2**32 - 1))
-    def test_segment_quotient_is_rayleigh_quotient(self, cache, theta, p, measure, name, seed):
-        m = cache.mesh(name, 3 if name == "interval01" else 2)
-        mu = _MEASURES[measure]
-        u, v = _random_values(m, seed)
-        got = spectral._segment_quotient(m, u, v, p, mu)(theta)
-        want = _quotient_on_segment(m, u, v, p, mu)(theta)
-        assert abs(got - want) <= 1e-12 * want
-
-    @pytest.mark.parametrize("measure", ["lebesgue", "gaussian"])
-    @pytest.mark.parametrize("p, name, level", [(4.0, "interval01", 4), (6.0, "interval01", 4),
-                                                (4.0, "square", 2), (6.0, "square", 2)])
-    def test_no_worse_than_golden_section(self, cache, monkeypatch, p, name, level, measure):
-        m = cache.mesh(name, level)
-        mu = _MEASURES[measure]
-        search = spectral._line_search
-        segments = []
-
-        def record(mesh, u, v, p, measure, r_u):
-            segments.append((u, v, r_u))
-            return search(mesh, u, v, p, measure, r_u)
-
-        monkeypatch.setattr(spectral, "_line_search", record)
-        ps.first_eigenpair(p, m, mu)
-        assert segments
-        for u, v, r_u in segments:
-            _, r = search(m, u, v, p, mu, r_u)
-            _, best = golden_segment_min(_quotient_on_segment(m, u, v, p, mu))
-            assert r <= min(best, r_u) * (1.0 + 1e-12)
-
-    def test_keeps_u_when_no_point_beats_r_u(self, cache):
-        m = cache.mesh("square", 2)
-        pair = cache.pair(3.0, "square", 2)
-        u = pair.field.values
-        (v,) = _random_values(m, 5, n_fields=1)
-        # the ground state minimises the quotient over all fields, so every
-        # point of the segment is at or above lambda_1 > r_u
-        r_u = (1.0 - 1e-6) * pair.lam
-        w, r = spectral._line_search(m, u, v, 3.0, ps.lebesgue(), r_u)
-        assert w is u and r == r_u
-
-    def test_accepts_a_decrease(self, cache):
-        m = cache.mesh("square", 2)
-        pair = cache.pair(3.0, "square", 2)
-        (u,) = _random_values(m, 5, n_fields=1)
-        r_u = ps.rayleigh_quotient(3.0, ps.Field(m, u), ps.lebesgue())
-        w, r = spectral._line_search(m, u, pair.field.values, 3.0, ps.lebesgue(), r_u)
-        assert r < r_u and r <= pair.lam * (1.0 + 1e-8)
-        assert abs(r - ps.rayleigh_quotient(3.0, ps.Field(m, w), ps.lebesgue())) <= 1e-12 * r
-
-    @pytest.mark.parametrize("measure", ["lebesgue", "gaussian"])
-    @pytest.mark.parametrize("name, level", [("interval01", 4), ("square", 3)])
-    def test_never_searches_at_p2(self, cache, name, level, measure):
-        pair = cache.pair(2.0, name, level, measure)
-        assert pair.line_searches == pair.line_search_rejections == 0
-
-    def test_counts_at_p6(self, cache):
-        pair = ps.first_eigenpair(6.0, cache.mesh("interval01", 5), ps.lebesgue())
-        assert pair.converged
-        assert (pair.iterations, pair.line_searches, pair.line_search_rejections) == (22, 22, 15)
-        assert "line_searches" not in pair.to_json_dict()
 
 
 class TestInteriorAssembly:
@@ -431,16 +470,10 @@ class TestLogConcavity:
 class TestOptionsAndExport:
     def test_options_validation(self):
         with pytest.raises(ValueError):
-            SolverOptions(eps_floor=0.0)
+            SolverOptions(tol=-1.0)
         with pytest.raises(ValueError):
-            SolverOptions(eps_decay=1.5)
-        with pytest.raises(ValueError):
-            SolverOptions(stagnation_tol=-1.0)
-        with pytest.raises(ValueError):
-            SolverOptions(eps_floor=1e-12)
-        opts = SolverOptions()
-        assert opts.eps(0) == 1e-2
-        assert opts.eps(100) == opts.eps_floor
+            SolverOptions(tol=0.0)
+        assert SolverOptions().tol == 1e-10
 
     def test_eigenpair_json_export(self, cache):
         pair = cache.pair(2.0, "interval01", 4)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plapstab as ps
+from plapstab import verify
 from plapstab.spectral import gradient_energies
 from plapstab.verify import (
     _centering_root,
@@ -427,12 +428,19 @@ class TestGap:
         constant = ps.stability_check(p, interval, m, u, ps.lebesgue(), eigenpair=u1).constant
         assert rep.bound == constant * rep.C_value
 
-    def test_p_below_two_has_a_bound(self, cache, interval):
-        # the p >= 2 requirement belongs to the stability inequality only
+    def test_p_below_two_rejected(self, cache, interval, monkeypatch):
+        # the gap bound is the stability constant times C, which needs p >= 2;
+        # the check refuses before it solves anything
+        def no_solve(*args, **kwargs):
+            raise AssertionError("gap_check solved below p = 2")
+
+        monkeypatch.setattr(verify, "first_eigenpair", no_solve)
         m = cache.mesh("interval01", 3)
+        with pytest.raises(ValueError, match="p >= 2"):
+            ps.gap_check(1.5, interval, m, ps.lebesgue())
         u1 = cache.pair(1.5, "interval01", 3)
-        rep = ps.gap_check(1.5, interval, m, ps.lebesgue(), pairs=(u1, u1))
-        assert rep.C_value <= 1e-10 and rep.passed
+        with pytest.raises(ValueError, match="p >= 2"):
+            ps.gap_check(1.5, interval, m, ps.lebesgue(), pairs=(u1, u1))
 
     def test_c_value_cap(self, cache, interval):
         m = cache.mesh("interval01", 4)

@@ -103,22 +103,10 @@ def load_config(args):
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         config.update(file_cfg)
-    overrides = {
-        "measure": args.measure,
-        "level": args.level,
-        "seed": args.seed,
-        "fields": args.fields,
-        "samples": args.samples,
-        "second": args.second,
-        "no_timestamp": args.no_timestamp,
-        "out": args.out,
-        "csv": args.csv,
-        "mesh_out": args.mesh_out,
-        "inject_bad_constant": args.inject_bad_constant,
-    }
-    for key, val in overrides.items():
-        if val is not None:
-            config[key] = val
+    # every other option's flag has the config key as its argparse dest
+    for key in _DEFAULTS.keys() - {"p", "domain"}:
+        if getattr(args, key) is not None:
+            config[key] = getattr(args, key)
     if args.p is not None:
         config["p"] = [float(tok) for tok in args.p.split(",") if tok]
     elif not isinstance(config["p"], list):
@@ -254,18 +242,12 @@ def run_stability(config):
 def run_gap(config):
     domain, mesh, measure = _problem(config)
     factor = 1e9 if config["inject_bad_constant"] else 1.0
-    results = []
-    reports = []
-    ok = True
-    for p in config["p"]:
-        rep = verify.gap_check(
-            p, domain, mesh, measure,
-            opts=SolverOptions(seed=config["seed"]), constant_factor=factor,
-        )
-        ok = ok and rep.passed
-        results.append(asdict(rep))
-        reports.append(rep)
-    return ok, results, reports
+    opts = SolverOptions(seed=config["seed"])
+    reports = [
+        verify.gap_check(p, domain, mesh, measure, opts=opts, constant_factor=factor)
+        for p in config["p"]
+    ]
+    return all(r.passed for r in reports), [asdict(r) for r in reports], reports
 
 
 def run_picone(config):

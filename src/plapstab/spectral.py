@@ -4,13 +4,14 @@ The ground state solves the discrete Euler-Lagrange system A_p(u) =
 lambda B_p(u) of the Rayleigh quotient int |grad u|^p dmu / int |u|^p dmu
 over zero-trace P1 fields, normalised by int |u|^p dmu = 1. One loop stops
 when the relative residual |A_p(u) - R(u) B_p(u)| / |A_p(u)| on the interior
-dofs is at most `SolverOptions.tol`. Its first steps are lagged-diffusivity
-(inverse power) steps: each solves a linear system whose element weights
-freeze (|grad u|^2 + eps^2)^((p-2)/2) at the iterate, with eps on a fixed
-decreasing schedule. Once such a step lowers the quotient by 1e-3 relative
-or less, Newton steps on the bordered system [J, -b; b^T, 0] take over,
-with b = B_p(u) and J the Jacobian of the residual. Both directions
-backtrack by halving the step length until the quotient drops.
+dofs is at most `SolverOptions.tol`, or at most the rounding floor of that
+residual where this is higher (on fine 1-D meshes). Its first steps are
+lagged-diffusivity (inverse power) steps: each solves a linear system whose
+element weights freeze (|grad u|^2 + eps^2)^((p-2)/2) at the iterate, with
+eps on a fixed decreasing schedule. Once such a step lowers the quotient by
+1e-3 relative or less, Newton steps on the bordered system [J, -b; b^T, 0]
+take over, with b = B_p(u) and J the Jacobian of the residual. Both
+directions backtrack by halving the step length until the quotient drops.
 The second eigenvalue uses block inverse iteration deflated against the
 ground state for p = 2 and a hyperplane-cut two-nodal-domain estimator (a
 certified upper bound) otherwise.
@@ -59,9 +60,9 @@ _MAX_HALVINGS = 30
 class SolverOptions:
     """Knobs for the eigen-solvers; defaults are desk-scale sane.
 
-    `tol` is the relative residual at which the ground-state iteration and
-    deflation stop. `max_outer` caps their outer steps. The linear solves
-    are direct (sparse LU), so they take no tolerance.
+    `tol` is the relative residual at which the ground state (or at its
+    rounding floor, if higher) and deflation stop. `max_outer` caps their
+    outer steps. The linear solves are direct (sparse LU): no tolerance.
     """
 
     max_outer: int = 200
@@ -88,9 +89,10 @@ class EigenPair:
     converged: bool
     estimator: str = "ground"
     is_upper_bound: bool = False
-    # final relative residual of the ground state or of deflation; NaN for
-    # the cut-sweep bound, which solves no system on the whole mesh
+    # final relative residual of the ground state or of deflation, and the
+    # ground state's rounding floor; NaN where not computed
     residual: float = float("nan")
+    residual_floor: float = float("nan")
 
     def to_json_dict(self, mesh_file=None):
         return {
@@ -263,6 +265,23 @@ def _euler_lagrange(p, mesh, measure, u, jacobian=False):
     return lam, b, r, rel, _assemble_interior(mesh, local)
 
 
+def _residual_floor(p, mesh, measure, u, a):
+    """|F| / |a|, a = A_p(u), F_i = int |grad u|^(p-2) |(I + (p-2) n n^T) grad
+    phi_i| dg dmu (n = grad u / |grad u|): to first order, how far A_p(u)_i
+    moves when each u_j moves by its rounding 2^-53 |u_j|, which moves grad u
+    by at most dg = 2^-53 sum_j |grad phi_j| |u_j|. Grows like h^-2."""
+    de = mesh.element_density_integrals(measure)
+    g = mesh.gradients(u)
+    gn = np.sqrt(np.sum(g * g, axis=1))
+    gphi = np.einsum("mkd,md->mk", mesh.grads, g)
+    phi2 = np.einsum("mii->mi", mesh.grad_gram)  # |grad phi_i|^2 per element
+    dg = 2.0**-53 * np.einsum("mk,mk->m", np.sqrt(phi2), np.abs(u[mesh.elements]))
+    gain = np.sqrt(phi2 + (p * (p - 2.0)) * _guarded_power(gn, -2.0)[:, None] * gphi**2)
+    fe = (de * _guarded_power(gn, p - 2.0) * dg)[:, None] * gain
+    f = np.bincount(mesh.elements.ravel(), fe.ravel(), mesh.n_nodes)[mesh.interior]
+    return float(np.linalg.norm(f) / np.linalg.norm(a))
+
+
 def _bordered(jac, b):
     """CSC of [J, -b; b^T, 0] from the CSC matrix J: b_j closes column j of
     J and -b is the last column."""
@@ -284,7 +303,8 @@ def first_eigenpair(p, mesh, measure, opts=None):
     passes when it rises by at most _NEWTON_RISE relative while the residual
     falls). A direction that finds no step hands over to the other one; two
     such failures in a row end the solve. It stops once the relative
-    residual is at most `opts.tol`, and `converged` says exactly that.
+    residual is at most max(`opts.tol`, its rounding floor), and `converged`
+    says exactly that.
     Returns an EigenPair with a non-increasing (to _NEWTON_RISE) Rayleigh
     history; non-convergence is reported through EigenPair.converged, not
     raised.
@@ -308,6 +328,9 @@ def first_eigenpair(p, mesh, measure, opts=None):
     lu = None
     lagged = failures = it = 0
     while res > opts.tol and it < opts.max_outer and failures < 2:
+        # the floor costs about one residual; lagged steps stay far above it
+        if newton and res <= _residual_floor(p, mesh, measure, u, r + lam * b):
+            break
         it += 1
         d = np.zeros(mesh.n_nodes)
         if newton:
@@ -345,11 +368,12 @@ def first_eigenpair(p, mesh, measure, opts=None):
 
     if np.sum(u) < 0.0:
         u = -u
-    converged = res <= opts.tol
+    floor = _residual_floor(p, mesh, measure, u, r + lam * b)
+    converged = res <= max(opts.tol, floor)
     if not converged:
         warnings.warn(
             f"first_eigenpair stopped after {it} outer steps at relative "
-            f"residual {res:.3e} > tol {opts.tol:g}"
+            f"residual {res:.3e} > max(tol {opts.tol:g}, rounding floor {floor:.3e})"
         )
     return EigenPair(
         lam=lam,
@@ -360,6 +384,7 @@ def first_eigenpair(p, mesh, measure, opts=None):
         converged=converged,
         estimator="ground",
         residual=res,
+        residual_floor=floor,
     )
 
 
@@ -390,7 +415,6 @@ def _deflated_second(p, mesh, measure, u1, opts):
     rng = np.random.default_rng(opts.seed)
     x = project(rng.uniform(-1.0, 1.0, (u1i.size, block)))
     history = []
-    converged = False
     rel = np.inf
     it = 0
     for it in range(1, opts.max_outer + 1):
@@ -403,7 +427,6 @@ def _deflated_second(p, mesh, measure, u1, opts):
         history.append(float(theta[0]))
         rel = float(np.linalg.norm(resid) / np.linalg.norm(Kv))
         if rel <= opts.tol:
-            converged = True
             break
         x = project(lu.solve(M @ x))
     values = np.zeros(mesh.n_nodes)
@@ -416,7 +439,7 @@ def _deflated_second(p, mesh, measure, u1, opts):
         residual_history=history,
         iterations=it,
         normalized=True,
-        converged=converged,
+        converged=rel <= opts.tol,
         estimator="deflation",
         residual=rel,
     )
@@ -484,13 +507,12 @@ def _cut_sweep_second(p, mesh, measure, opts):
     if state["best"] is None:
         raise ValueError("cut sweep produced no admissible partition")
     value, glued = state["best"]
-    n_cuts = state["n_cuts"]
     glued = _normalize(mesh, glued, p, measure)
     return EigenPair(
         lam=value,
         field=Field(mesh, glued),
         residual_history=[],
-        iterations=n_cuts,
+        iterations=state["n_cuts"],
         normalized=True,
         converged=True,
         estimator="nodal-cut",

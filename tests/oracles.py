@@ -162,26 +162,38 @@ def sequential_zero_trace_fields(mesh, rng, n_fields, passes=2):
 
 
 def euler_lagrange_residual(p, mesh, measure, values):
-    """|A_p(u) - R(u) B_p(u)| / |A_p(u)| on the interior nodes by one loop
-    over the elements, with A_p(u)_i = int |grad u|^(p-2) grad u . grad phi_i
-    dmu, B_p(u)_i = int |u|^(p-2) u phi_i dmu and R(u) = int |grad u|^p dmu /
-    int |u|^p dmu, from the mesh's quadrature arrays alone."""
+    """(|A_p(u) - R(u) B_p(u)|, |F|) / |A_p(u)| on the interior nodes by one
+    loop over the elements, with A_p(u)_i = int |grad u|^(p-2) grad u . grad
+    phi_i dmu, B_p(u)_i = int |u|^(p-2) u phi_i dmu, R(u) = int |grad u|^p dmu
+    / int |u|^p dmu, and F_i the first-order bound on how far A_p(u)_i moves
+    when each nodal value moves by 2^-53 of itself: |grad u|^(p-2) times the
+    largest |M grad phi_i . dg|, M = I + (p-2) n n^T, over |dg| <= 2^-53
+    sum_j |grad phi_j| |u_j|, integrated; from the mesh's quadrature arrays
+    alone."""
     w = mesh.measure_weights(measure)
     a = np.zeros(mesh.n_nodes)
     b = np.zeros(mesh.n_nodes)
+    f = np.zeros(mesh.n_nodes)
     energy = mass = 0.0
     for e, nodes in enumerate(mesh.elements):
-        g = mesh.grads[e].T @ values[nodes]
+        G = mesh.grads[e]
+        g = G.T @ values[nodes]
         gn = float(np.linalg.norm(g))
         de = float(np.sum(w[e]))
-        a[nodes] += de * gn ** (p - 2.0) * (mesh.grads[e] @ g)
+        weight = de * gn ** (p - 2.0) if gn > 0.0 else (de if p == 2.0 else 0.0)
+        a[nodes] += weight * (G @ g)
         energy += de * gn**p
         uq = mesh.basis @ values[nodes]
         b[nodes] += mesh.basis.T @ (w[e] * np.abs(uq) ** (p - 1.0) * np.sign(uq))
         mass += float(w[e] @ np.abs(uq) ** p)
+        n = g / gn if gn > 0.0 else np.zeros_like(g)
+        M = np.eye(g.size) + (p - 2.0) * np.outer(n, n)
+        dg = 2.0**-53 * sum(np.linalg.norm(G[j]) * abs(values[nodes[j]]) for j in range(len(nodes)))
+        f[nodes] += weight * dg * np.linalg.norm(G @ M, axis=1)
     i = ~mesh.boundary_mask
     r = a[i] - energy / mass * b[i]
-    return float(np.linalg.norm(r) / np.linalg.norm(a[i]))
+    norm_a = np.linalg.norm(a[i])
+    return float(np.linalg.norm(r) / norm_a), float(np.linalg.norm(f[i]) / norm_a)
 
 
 def distance_to_boundary_loop(mesh):

@@ -127,6 +127,18 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)["results"][0]["passed"]
 
+    @pytest.mark.parametrize("command, p", [("eigen", "1.5,6,10,20"), ("stability", "6")])
+    def test_finest_interval_converges(self, command, p, capsys):
+        # at level 7 the ground-state residual cannot reach 1e-10: rounding
+        # the nodal values alone moves it by more, and the solve stops there
+        code, out, _ = run_cli(
+            [command, "--p", p, "--domain", "interval:0,1", "--level", "7",
+             "--fields", "4", "--no-timestamp"],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["passed"]
+
     @pytest.mark.parametrize("command", ["stability", "gap"])
     def test_p_below_two_exits_1(self, command, capsys):
         code, _, err = run_cli([command, "--p", "1.5", "--level", "2"], capsys)

@@ -222,9 +222,11 @@ class TestEulerLagrange:
         (u,) = _random_values(m, 11, n_fields=1)
         for p in (1.5, 3.0, 10.0):
             for values in (u, ps.first_eigenpair(p, m, mu).field.values):
-                got = spectral._euler_lagrange(p, m, mu, values)[3]
+                lam, b, r, rel, _ = spectral._euler_lagrange(p, m, mu, values)
+                floor = spectral._residual_floor(p, m, mu, values, r + lam * b)
                 want = euler_lagrange_residual(p, m, mu, values)
-                assert abs(got - want) <= 1e-14 * max(1.0, want)
+                assert abs(rel - want[0]) <= 1e-14 * max(1.0, want[0])
+                assert abs(floor - want[1]) <= 1e-13 * want[1]
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 6.0])
     @pytest.mark.parametrize("name, level", [("interval01", 4), ("square", 2)])
@@ -258,22 +260,47 @@ class TestGroundStateConvergence:
             pair = ps.first_eigenpair(p, m, mu)
             assert pair.converged and pair.residual <= tol, (key, p, mu.kind, pair.residual)
 
-    # interval L7 at p = 6 stops on the rounding floor of the residual,
-    # just above the default tol
+    # on interval L7 the rounding floor of the residual is above the
+    # default tol at every p here, and the solves stop on it
     @pytest.mark.parametrize("p, level, name", [
         (p, 4, name) for p in (1.5, 3.0, 6.0) for name in _CONVERGENCE_OPTS
-    ] + [(6.0, 7, "default")])
+    ] + [(p, 7, "default") for p in (1.5, 6.0, 10.0, 20.0)])
     def test_converged_iff_residual_within_tol(self, cache, p, level, name):
         opts = _CONVERGENCE_OPTS[name]
         m = cache.mesh("interval01", level)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             pair = ps.first_eigenpair(p, m, ps.lebesgue(), opts)
-        assert pair.converged == (pair.residual <= opts.tol)
-        assert pair.residual == spectral._euler_lagrange(p, m, ps.lebesgue(), pair.field.values)[3]
+        assert pair.converged == (pair.residual <= max(opts.tol, pair.residual_floor))
+        lam, b, r, rel, _ = spectral._euler_lagrange(p, m, ps.lebesgue(), pair.field.values)
+        assert pair.residual == rel
+        assert pair.residual_floor == spectral._residual_floor(p, m, ps.lebesgue(), pair.field.values, r + lam * b)
         assert len(pair.residual_history) == pair.iterations + 1
         if opts.max_outer == 2:
             assert not pair.converged
+        if level == 7:
+            assert pair.converged and pair.residual_floor > opts.tol
+            # it stops on reaching the floor rather than stalling above tol
+            assert pair.iterations < 30
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 6.0, 20.0])
+    @pytest.mark.parametrize("name, level", [("interval01", 7), ("square", 4)])
+    def test_floor_bounds_rounding_noise(self, cache, name, level, p):
+        # perturbing each nodal value by at most 2^-53 of itself moves the
+        # residual by no more than its floor; the floor is at most a few
+        # times the largest such move seen, so it is not vacuous
+        m = cache.mesh(name, level)
+        mu = ps.gaussian()
+        u = ps.first_eigenpair(p, m, mu).field.values
+        lam, b, r, _, _ = spectral._euler_lagrange(p, m, mu, u)
+        floor = spectral._residual_floor(p, m, mu, u, r + lam * b)
+        norm_a = np.linalg.norm(r + lam * b)
+        rng = np.random.default_rng(5)
+        moves = []
+        for _ in range(8):
+            w = u * (1.0 + 2.0**-53 * rng.uniform(-1.0, 1.0, u.size))
+            moves.append(np.linalg.norm(spectral._euler_lagrange(p, m, mu, w)[2] - r) / norm_a)
+        assert max(moves) <= floor <= 8.0 * max(moves)
 
     @pytest.mark.parametrize("p", [3.0, 6.0, 10.0])
     def test_cut_submesh_converges(self, cache, p):

@@ -11,10 +11,11 @@ element weights freeze (|grad u|^2 + eps^2)^((p-2)/2) at the iterate, with
 eps on a fixed decreasing schedule. Once such a step lowers the quotient by
 1e-3 relative or less, Newton steps on the bordered system [J, -b; b^T, 0]
 take over, with b = B_p(u) and J the Jacobian of the residual. Both
-directions backtrack by halving the step length until the quotient drops.
+directions backtrack by halving the step length until the quotient drops;
+a singular bordered system counts as a failed Newton direction.
 The second eigenvalue uses block inverse iteration deflated against the
-ground state for p = 2 and a hyperplane-cut two-nodal-domain estimator (a
-certified upper bound) otherwise.
+ground state for p = 2 and otherwise a hyperplane-cut two-nodal-domain
+estimator (a certified upper bound) that bisects the cuts of each direction.
 
 Every linear solve is a sparse LU (`scipy.sparse.linalg.splu`). The
 interior matrices are assembled straight into interior numbering by one
@@ -63,6 +64,9 @@ class SolverOptions:
     `tol` is the relative residual at which the ground state (or at its
     rounding floor, if higher) and deflation stop. `max_outer` caps their
     outer steps. The linear solves are direct (sparse LU): no tolerance.
+    The cut sweep bisects every one of `n_directions` directions over all
+    its distinct cuts; `n_offsets` is inert and kept only so that callers
+    that still pass it keep working.
     """
 
     max_outer: int = 200
@@ -70,7 +74,6 @@ class SolverOptions:
     seed: int = 0
     n_directions: int = 32
     n_offsets: int = 64
-    sweep_refine_rounds: int = 3
 
     def __post_init__(self):
         if self.tol <= 0.0:
@@ -338,8 +341,14 @@ def first_eigenpair(p, mesh, measure, opts=None):
             # drop it before the first bordered factorisation
             lu = None
             jac = _euler_lagrange(p, mesh, measure, u, jacobian=True)[4]
-            # u is normalised, so the normalisation row has zero right side
-            d[interior] = splu(_bordered(jac, b)).solve(np.append(-r, 0.0))[:-1]
+            try:
+                # u is normalised, so the normalisation row has zero right side
+                d[interior] = splu(_bordered(jac, b)).solve(np.append(-r, 0.0))[:-1]
+            except RuntimeError:
+                # exactly singular, as where an interior node of a cut
+                # sub-mesh touches no other interior node and u and grad u
+                # vanish around it: a failed direction, like a failed halving
+                d = None
         else:
             if lu is None or p != 2.0:
                 # lagged diffusivity (|grad u|^2 + eps^2)^((p-2)/2) on the
@@ -352,7 +361,7 @@ def first_eigenpair(p, mesh, measure, opts=None):
             d = _normalize(mesh, d, p, measure) - u
             lagged += 1
         t = 1.0
-        for _ in range(_MAX_HALVINGS):
+        for _ in range(0 if d is None else _MAX_HALVINGS):
             v = _normalize(mesh, u + t * d, p, measure)
             lam_v, b_v, r_v, res_v, _ = _euler_lagrange(p, mesh, measure, v)
             if lam_v < lam or (newton and lam_v <= lam * (1.0 + _NEWTON_RISE) and res_v < res):
@@ -446,12 +455,21 @@ def _deflated_second(p, mesh, measure, u1, opts):
 
 
 def _cut_sweep_second(p, mesh, measure, opts):
-    """Two-nodal-domain upper bound: sweep hyperplane cuts, solve the ground
-    state on both induced sub-meshes, and minimize max(lambda+, lambda-).
-    The coarse direction x offset sweep is followed by a few refinement
-    rounds of the offset around the incumbent cut (the value is piecewise
-    constant in the offset, so coarse sweeps alone can straddle the best
-    element partition)."""
+    """Two-nodal-domain upper bound: the least max(lambda+, lambda-) over
+    hyperplane cuts, lambda+- the ground states of the two induced sub-meshes
+    (inf on a side without interior nodes).
+
+    Along each of `opts.n_directions` directions, with t_0 < ... < t_(K-1)
+    the distinct element-centroid projections, cut j (1 <= j < K) puts the
+    elements with projection >= t_j into Omega+. Omega+ shrinks as j grows
+    and the zero-trace P1 spaces are nested, so lambda+ rises and lambda-
+    falls with j: the best cut is the first j with lambda+ >= lambda-, found
+    by bisection, or j - 1. Each max(lambda+, lambda-) is the quotient of an
+    admissible glued field, so the result bounds lambda2 even where
+    unconverged sub-solves break the ordering. `iterations` counts the
+    distinct cuts evaluated; `converged` holds when both sub-solves of the
+    returned cut converged.
+    """
     if mesh.dim == 1:
         directions = np.array([[1.0]])
     else:
@@ -459,62 +477,56 @@ def _cut_sweep_second(p, mesh, measure, opts):
         directions = np.stack([np.cos(th), np.sin(th)], axis=1)
 
     centroids = np.mean(mesh.nodes[mesh.elements], axis=1)
-    seen = set()
-    state = {"best": None, "theta": None, "tau": None, "n_cuts": 0}
+    # element mask -> (lambda1, ground state or None, node map)
+    solved = {}
+    cuts = set()
 
-    def process_cut(theta, proj, tau):
-        side = proj > tau
-        if not side.any() or side.all():
-            return
-        key = side.tobytes()
-        if key in seen:
-            return
-        seen.add(key)
-        halves = []
-        for mask in (side, ~side):
+    def lam(mask):
+        key = mask.tobytes()
+        if key not in solved:
             sub, node_map = submesh(mesh, np.nonzero(mask)[0])
-            if not np.any(sub.interior):
-                return
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                pair = first_eigenpair(p, sub, measure, opts)
-            halves.append((pair, node_map))
-        state["n_cuts"] += 1
-        value = max(halves[0][0].lam, halves[1][0].lam)
-        if state["best"] is None or value < state["best"][0]:
-            glued = np.zeros(mesh.n_nodes)
-            for sign, (pair, node_map) in zip((1.0, -1.0), halves):
-                glued[node_map] += sign * pair.field.values
-            state["best"] = (value, glued)
-            state["theta"], state["tau"] = theta, tau
+            pair = None
+            if np.any(sub.interior):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    pair = first_eigenpair(p, sub, measure, opts)
+            solved[key] = (np.inf if pair is None else pair.lam, pair, node_map)
+        return solved[key][0]
 
-    spacing = None
+    best, best_side = np.inf, None
     for theta in directions:
         proj = centroids @ theta
-        lo, hi = proj.min(), proj.max()
-        offsets = np.linspace(lo, hi, opts.n_offsets + 2)[1:-1]
-        spacing = offsets[1] - offsets[0] if offsets.size > 1 else hi - lo
-        for tau in offsets:
-            process_cut(theta, proj, tau)
-    if state["best"] is not None and spacing is not None:
-        theta = state["theta"]
-        proj = centroids @ theta
-        delta = spacing
-        for _ in range(opts.sweep_refine_rounds):
-            for tau in np.linspace(state["tau"] - delta, state["tau"] + delta, 17):
-                process_cut(theta, proj, tau)
-            delta /= 8.0
-    if state["best"] is None:
+        levels = np.unique(proj)
+        # first cut with lambda+ >= lambda-; K if there is none
+        lo, hi = 1, levels.size
+        while lo < hi:
+            mid = (lo + hi) // 2
+            side = proj >= levels[mid]
+            cuts.add(side.tobytes())
+            if lam(side) >= lam(~side):
+                hi = mid
+            else:
+                lo = mid + 1
+        for j in range(max(lo - 1, 1), min(lo + 1, levels.size)):
+            side = proj >= levels[j]
+            cuts.add(side.tobytes())
+            value = max(lam(side), lam(~side))
+            if value < best:
+                best, best_side = value, side
+    if best_side is None:
         raise ValueError("cut sweep produced no admissible partition")
-    value, glued = state["best"]
+    glued = np.zeros(mesh.n_nodes)
+    halves = [solved[mask.tobytes()] for mask in (best_side, ~best_side)]
+    for sign, (_, pair, node_map) in zip((1.0, -1.0), halves):
+        glued[node_map] += sign * pair.field.values
     glued = _normalize(mesh, glued, p, measure)
     return EigenPair(
-        lam=value,
+        lam=best,
         field=Field(mesh, glued),
         residual_history=[],
-        iterations=state["n_cuts"],
+        iterations=len(cuts),
         normalized=True,
-        converged=True,
+        converged=all(pair.converged for _, pair, _ in halves),
         estimator="nodal-cut",
         is_upper_bound=True,
     )

@@ -285,3 +285,26 @@ def c1_root_mp(p, dps=40):
             else:
                 lo = mid
         return +mp.findroot(f, (lo, hi))
+
+
+def exhaustive_cut_value(centroids, n_directions, side_lambda):
+    """Least max(lambda+, lambda-) over every distinct hyperplane cut of the
+    element centroids, with no ordering assumed: along each of n_directions
+    directions in [0, pi) (the one direction on a line), every split of the
+    elements at a distinct projection level t into those with projection >= t
+    and the rest, except the split that leaves one side empty. side_lambda
+    maps an array of element indices to the ground-state value of that side
+    (inf for a side without interior nodes)."""
+    if centroids.shape[1] == 1:
+        directions = np.ones((1, 1))
+    else:
+        th = np.linspace(0.0, np.pi, n_directions, endpoint=False)
+        directions = np.stack([np.cos(th), np.sin(th)], axis=1)
+    best = np.inf
+    for theta in directions:
+        proj = centroids @ theta
+        for t in np.unique(proj)[1:]:
+            plus = np.nonzero(proj >= t)[0]
+            minus = np.nonzero(proj < t)[0]
+            best = min(best, max(side_lambda(plus), side_lambda(minus)))
+    return best

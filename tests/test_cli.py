@@ -92,6 +92,19 @@ class TestCommands:
         rep = json.loads(out)["results"][0]
         assert (rep if command == ["gap"] else rep["second"])["lambda2_is_upper_bound"]
 
+    def test_triangle_cut_sweep(self, capsys):
+        # the p = 3 sweep solves an Omega+ with an isolated interior node,
+        # where the bordered Newton matrix is singular; the p = 6 value is the
+        # least over every partition of every direction (exhaustive scan, 6 s)
+        code, out, _ = run_cli(
+            ["gap", "--p", "3,6", "--domain", "polygon:0,0;1,0;0.2,0.9",
+             "--level", "2", "--no-timestamp"],
+            capsys,
+        )
+        assert code == 0
+        rep = json.loads(out)["results"][1]
+        assert rep["lambda2"] == pytest.approx(2797052.839189, rel=1e-9)
+
     def test_malformed_domain_exits_1(self, capsys):
         code, _, err = run_cli(["gap", "--domain", "interval:0,oops"], capsys)
         assert code == 1

@@ -12,7 +12,7 @@ from plapstab import spectral
 from plapstab.geometry import Mesh, submesh
 from plapstab.spectral import SolverOptions
 
-from oracles import distance_to_boundary_loop, euler_lagrange_residual
+from oracles import distance_to_boundary_loop, euler_lagrange_residual, exhaustive_cut_value
 
 PI2 = math.pi**2
 _MEASURES = {"lebesgue": ps.lebesgue(), "gaussian": ps.gaussian()}
@@ -161,6 +161,9 @@ class TestFirstEigenpair:
         assert len(pair.residual_history) == 3
 
 
+_SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
+_QUADRILATERAL = [[0, 0], [1.2, 0.1], [1.0, 0.9], [0.1, 0.7]]
+_TRIANGLE = [[0, 0], [1, 0], [0.2, 0.9]]
 _PENTAGON_ANGLES = 0.3 + 0.4 * np.pi * np.arange(5)
 _GRID_MESHES = {
     ("interval", 5): (ps.interval_domain(0.0, 1.0), 5),
@@ -308,6 +311,88 @@ class TestGroundStateConvergence:
         pair = ps.first_eigenpair(p, sub, ps.lebesgue())
         assert pair.converged and pair.residual <= SolverOptions().tol
         assert np.all(pair.field.values[sub.interior] > 0.0)
+
+
+class TestSingularNewtonSystem:
+    def test_isolated_interior_node_returns_pair(self):
+        # along theta = 7 pi / 32 the cut at the distinct centroid projection
+        # of index 18 of 48 leaves an interior node of the triangle's Omega+
+        # with no interior neighbour; u and grad u vanish around it
+        m = ps.build_mesh(ps.polygon_domain(_TRIANGLE), 2)
+        theta = 7.0 * np.pi / 32.0
+        proj = np.mean(m.nodes[m.elements], axis=1) @ np.array([np.cos(theta), np.sin(theta)])
+        sub = submesh(m, np.nonzero(proj >= np.unique(proj)[18])[0])[0]
+        adjacency = {i: set() for i in np.nonzero(sub.interior)[0]}
+        for tri in sub.elements:
+            for i in tri:
+                if i in adjacency:
+                    adjacency[i].update(j for j in tri if j != i and sub.interior[j])
+        assert any(not nb for nb in adjacency.values())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            pair = ps.first_eigenpair(3.0, sub, ps.lebesgue())
+        assert isinstance(pair, ps.EigenPair)
+        assert np.isfinite(pair.lam) and np.all(np.isfinite(pair.field.values))
+        assert pair.converged == (pair.residual <= max(SolverOptions().tol, pair.residual_floor))
+
+
+_SWEEP_CASES = {
+    "interval-L1": (ps.interval_domain(0.0, 1.0), 1, "lebesgue"),
+    "square-L1": (ps.polygon_domain(_SQUARE), 1, "lebesgue"),
+    "quadrilateral-L1-gaussian": (ps.polygon_domain(_QUADRILATERAL), 1, "gaussian"),
+}
+
+
+class TestCutSweep:
+    @pytest.mark.parametrize("case", sorted(_SWEEP_CASES))
+    def test_bisection_equals_exhaustive_scan(self, case):
+        domain, level, measure = _SWEEP_CASES[case]
+        m = ps.build_mesh(domain, level)
+        mu = _MEASURES[measure]
+        opts = SolverOptions()
+        memo = {}
+
+        def side_lambda(elements):
+            key = elements.tobytes()
+            if key not in memo:
+                sub = submesh(m, elements)[0]
+                memo[key] = np.inf
+                if np.any(sub.interior):
+                    memo[key] = ps.first_eigenpair(3.0, sub, mu, opts).lam
+            return memo[key]
+
+        centroids = np.mean(m.nodes[m.elements], axis=1)
+        est = ps.second_eigenvalue(3.0, m, mu, None, opts)
+        assert est.lam == exhaustive_cut_value(centroids, opts.n_directions, side_lambda)
+        assert est.converged and est.is_upper_bound
+
+    def test_n_offsets_is_inert(self):
+        m = ps.build_mesh(ps.polygon_domain(_SQUARE), 1)
+        default = ps.second_eigenvalue(3.0, m, ps.lebesgue(), None)
+        few = ps.second_eigenvalue(3.0, m, ps.lebesgue(), None, SolverOptions(n_offsets=8))
+        assert few.lam == default.lam and few.iterations == default.iterations
+
+    def test_interval_bisection_sub_solve_count(self, cache, monkeypatch):
+        expected = cache.second(3.0, "interval01", 4).lam
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return ps.first_eigenpair(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "first_eigenpair", counted)
+        est = ps.second_eigenvalue(3.0, cache.mesh("interval01", 4), ps.lebesgue(), None)
+        # bisection over 255 distinct cuts
+        assert len(calls) <= 20
+        assert est.lam == expected
+
+    def test_converged_only_with_converged_sub_solves(self, cache):
+        m = cache.mesh("interval01", 1)
+        assert ps.second_eigenvalue(3.0, m, ps.lebesgue(), None).converged
+        est = ps.second_eigenvalue(3.0, m, ps.lebesgue(), None, SolverOptions(max_outer=1))
+        assert not est.converged
+        # still an upper bound: the glued field is admissible
+        assert ps.rayleigh_quotient(3.0, est.field, ps.lebesgue()) <= est.lam * (1.0 + 1e-12)
 
 
 class TestSecondEigenvalue:

@@ -180,6 +180,9 @@ class Mesh:
         self.rule = "gauss4" if self.dim == 1 else "tri6"
         self._density_cache = {}
         self._interior_pattern = None
+        # sparse-LU column order per matrix built on the interior pattern,
+        # filled by the first factorisation of that matrix (see spectral)
+        self.lu_orders = {}
         self._build_geometry()
 
     def _build_geometry(self):
@@ -278,7 +281,8 @@ class Mesh:
         element-local entry (i, j) of element e adds into, or `indices.size`
         (a discard slot) when either node is on the boundary. So
         `np.bincount(slots, local.ravel())[:indices.size]` assembles an
-        (m, k, k) array of element matrices.
+        (m, k, k) array of element matrices. The column orders that sparse
+        LU factors of matrices on this pattern use are kept in `lu_orders`.
         """
         if self._interior_pattern is None:
             k = self.elements.shape[1]

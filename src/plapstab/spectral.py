@@ -17,11 +17,19 @@ The second eigenvalue uses block inverse iteration deflated against the
 ground state for p = 2 and otherwise a hyperplane-cut two-nodal-domain
 estimator (a certified upper bound) that bisects the cuts of each direction.
 
-Every linear solve is a sparse LU (`scipy.sparse.linalg.splu`). The
-interior matrices are assembled straight into interior numbering by one
-scatter through the sparsity pattern cached on the mesh
-(`Mesh.interior_pattern`). At p = 2 the lagged steps share one factor of
-the stiffness matrix, which is released before the first Newton step.
+Every linear solve is a sparse LU (`scipy.sparse.linalg.splu`) of one of
+two matrices on the interior sparsity pattern cached on the mesh
+(`Mesh.interior_pattern`): the interior matrix of the lagged steps and of
+deflation, assembled into interior numbering by one scatter, and the
+bordered Newton matrix, built from [J.data, b, -b] by one gather. The first
+factorisation of each on a mesh orders the columns by COLAMD and keeps that
+order on the mesh (`Mesh.lu_orders`); later ones gather straight into the
+column-ordered layout and factor it without reordering. COLAMD orders by
+structure alone, so these factors and their solves are bitwise those of a
+fresh `splu`. The mesh keeps the order, never a factor. At p = 2 the lagged
+steps share one factor of the stiffness matrix, released before the first
+Newton step, and deflation keeps one for its iteration; every other factor
+serves one solve.
 """
 
 import warnings
@@ -163,14 +171,24 @@ def _assemble(mesh, local):
     return sparse.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
+def _square_csc(data, indices, indptr):
+    n = indptr.size - 1
+    return sparse.csc_matrix((data, indices, indptr), shape=(n, n))
+
+
+def _interior_data(mesh, local):
+    """CSC data, on the mesh's cached interior pattern, of the interior block
+    of the matrix assembled from the (m, k, k) element matrices `local`."""
+    slots, indices, _ = mesh.interior_pattern()
+    nnz = indices.size
+    return np.bincount(slots, weights=local.ravel(), minlength=nnz + 1)[:nnz]
+
+
 def _assemble_interior(mesh, local):
     """Interior-interior block of the assembled matrix, in interior
     numbering, as CSC, by one scatter through the mesh's cached pattern."""
-    slots, indices, indptr = mesh.interior_pattern()
-    nnz = indices.size
-    data = np.bincount(slots, weights=local.ravel(), minlength=nnz + 1)[:nnz]
-    n = indptr.size - 1
-    return sparse.csc_matrix((data, indices, indptr), shape=(n, n))
+    _, indices, indptr = mesh.interior_pattern()
+    return _square_csc(_interior_data(mesh, local), indices, indptr)
 
 
 def weighted_stiffness(mesh, measure, elem_weights=None):
@@ -232,16 +250,15 @@ def _guarded_power(x, e):
     return y
 
 
-def _euler_lagrange(p, mesh, measure, u, jacobian=False):
+def _euler_lagrange(p, mesh, measure, u):
     """The discrete Euler-Lagrange system at u on the interior dofs.
 
-    Returns (R, b, r, rel, J): the Rayleigh quotient R(u), b = B_p(u) with
-    B_p(u)_i = int |u|^(p-2) u phi_i dmu, the residual r = A_p(u) - R b with
-    A_p(u)_i = int |grad u|^(p-2) grad u . grad phi_i dmu, its relative norm
-    |r| / |A_p(u)|, and, on request, the Jacobian J = A_p'(u) - R B_p'(u).
-    Its element matrices are de |g|^(p-2) (G G^T + (p-2) (G n)(G n)^T)
-    - R (p-1) int |u|^(p-2) phi_i phi_j, with n = g / |g|; the p = 2 weight
-    is 1 everywhere and the other weights are 0 where g or u is.
+    Returns (R, b, r, rel, terms): the Rayleigh quotient R(u), b = B_p(u)
+    with B_p(u)_i = int |u|^(p-2) u phi_i dmu, the residual r = A_p(u) - R b
+    with A_p(u)_i = int |grad u|^(p-2) grad u . grad phi_i dmu, its relative
+    norm |r| / |A_p(u)|, and the element terms (u, |g|, de |g|^(p-2),
+    w |u|^(p-2), G g) of g = grad u, from which _jacobian and _residual_floor
+    build their results without evaluating u again.
     """
     w = mesh.measure_weights(measure)
     de = mesh.element_density_integrals(measure)
@@ -259,41 +276,87 @@ def _euler_lagrange(p, mesh, measure, u, jacobian=False):
     b = np.bincount(elements, ((uw * uq) @ mesh.basis).ravel(), mesh.n_nodes)[interior]
     r = a - lam * b
     rel = float(np.linalg.norm(r) / np.linalg.norm(a))
-    if not jacobian:
-        return lam, b, r, rel, None
+    return lam, b, r, rel, (u, gn, ga, uw, gphi)
+
+
+def _jacobian(p, mesh, lam, terms):
+    """Element matrices of the Jacobian J = A_p'(u) - R B_p'(u) at the u of
+    `terms` (from _euler_lagrange), R = lam: de |g|^(p-2) (G G^T + (p-2)
+    (G n)(G n)^T) - R (p-1) int |u|^(p-2) phi_i phi_j, with n = g / |g|; the
+    p = 2 weight is 1 everywhere and the other weights are 0 where g or u is.
+    """
+    _, gn, ga, uw, gphi = terms
     # (p-2) de |g|^(p-4) (G g)(G g)^T is the (p-2) (G n)(G n)^T term
     gb = (p - 2.0) * _guarded_power(gn, -2.0) * ga
     local = ga[:, None, None] * mesh.grad_gram + gb[:, None, None] * (gphi[:, :, None] * gphi[:, None, :])
     local -= (lam * (p - 1.0)) * np.einsum("mq,qi,qj->mij", uw, mesh.basis, mesh.basis)
-    return lam, b, r, rel, _assemble_interior(mesh, local)
+    return local
 
 
-def _residual_floor(p, mesh, measure, u, a):
+def _residual_floor(p, mesh, terms, a):
     """|F| / |a|, a = A_p(u), F_i = int |grad u|^(p-2) |(I + (p-2) n n^T) grad
-    phi_i| dg dmu (n = grad u / |grad u|): to first order, how far A_p(u)_i
-    moves when each u_j moves by its rounding 2^-53 |u_j|, which moves grad u
-    by at most dg = 2^-53 sum_j |grad phi_j| |u_j|. Grows like h^-2."""
-    de = mesh.element_density_integrals(measure)
-    g = mesh.gradients(u)
-    gn = np.sqrt(np.sum(g * g, axis=1))
-    gphi = np.einsum("mkd,md->mk", mesh.grads, g)
+    phi_i| dg dmu (n = grad u / |grad u|) at the u of `terms` (from
+    _euler_lagrange): to first order, how far A_p(u)_i moves when each u_j
+    moves by its rounding 2^-53 |u_j|, which moves grad u by at most
+    dg = 2^-53 sum_j |grad phi_j| |u_j|. Grows like h^-2."""
+    u, gn, ga, _, gphi = terms
     phi2 = np.einsum("mii->mi", mesh.grad_gram)  # |grad phi_i|^2 per element
     dg = 2.0**-53 * np.einsum("mk,mk->m", np.sqrt(phi2), np.abs(u[mesh.elements]))
     gain = np.sqrt(phi2 + (p * (p - 2.0)) * _guarded_power(gn, -2.0)[:, None] * gphi**2)
-    fe = (de * _guarded_power(gn, p - 2.0) * dg)[:, None] * gain
+    fe = (ga * dg)[:, None] * gain
     f = np.bincount(mesh.elements.ravel(), fe.ravel(), mesh.n_nodes)[mesh.interior]
     return float(np.linalg.norm(f) / np.linalg.norm(a))
 
 
-def _bordered(jac, b):
-    """CSC of [J, -b; b^T, 0] from the CSC matrix J: b_j closes column j of
-    J and -b is the last column."""
-    n = b.size
-    ends = jac.indptr[1:]
-    data = np.concatenate([np.insert(jac.data, ends, b), -b])
-    indices = np.concatenate([np.insert(jac.indices, ends, n), np.arange(n)])
-    indptr = np.append(jac.indptr + np.arange(n + 1), jac.indptr[-1] + 2 * n)
-    return sparse.csc_matrix((data, indices, indptr), shape=(n + 1, n + 1))
+def _natural_layout(mesh, name):
+    """(src, indices, indptr) of the CSC matrix `name` on the interior
+    pattern, whose data is source[src] for the source that _lu_solve takes.
+    "interior" is the interior block itself (source: its data). "bordered"
+    is [J, -b; b^T, 0] (source: [J.data, b, -b]): b_j closes column j of J
+    and -b is the last column."""
+    _, indices, indptr = mesh.interior_pattern()
+    nnz, n = indices.size, indptr.size - 1
+    if name == "interior":
+        return np.arange(nnz), indices, indptr
+    ends = indptr[1:]
+    src = np.concatenate([np.insert(np.arange(nnz), ends, nnz + np.arange(n)), nnz + n + np.arange(n)])
+    rows = np.concatenate([np.insert(indices, ends, n), np.arange(n)]).astype(np.int32)
+    return src, rows, np.append(indptr + np.arange(n + 1), indptr[-1] + 2 * n).astype(np.int32)
+
+
+def _lu_solve(mesh, name, source):
+    """Solve of the sparse LU of the matrix `name` (see _natural_layout)
+    with data from `source`; a singular matrix raises RuntimeError.
+
+    The first factorisation of `name` on a mesh orders the columns by COLAMD
+    (scipy's default) and caches that order in `mesh.lu_orders`, as a gather
+    from the source straight into the column-ordered CSC layout. Later ones
+    factor that layout with no reordering and unpermute the solution: COLAMD
+    orders by structure alone, so the factor and its solves are bitwise
+    those of a fresh `splu`. A failed factorisation caches nothing.
+    """
+    order = mesh.lu_orders.get(name)
+    if order is not None:
+        src, indices, indptr, perm_c = order
+        lu = splu(_square_csc(source[src], indices, indptr), permc_spec="NATURAL")
+
+        def solve(rhs):
+            # in the memory layout of a fresh factor's solution, which the
+            # dense products of deflation round by
+            x = lu.solve(rhs)
+            return np.take(x, perm_c, axis=0, out=np.empty_like(x))
+
+        return solve
+    src, indices, indptr = _natural_layout(mesh, name)
+    lu = splu(_square_csc(source[src], indices, indptr))
+    # column j of the ordered layout is column q[j] of the natural one
+    q = np.argsort(lu.perm_c)
+    counts = np.diff(indptr)[q]
+    ptr = np.append(0, np.cumsum(counts)).astype(np.int32)
+    gather = np.arange(ptr[-1]) + np.repeat(indptr[q] - ptr[:-1], counts)
+    # perm_c is a view into the factor: a copy lets the factor go
+    mesh.lu_orders[name] = (src[gather].astype(np.int32), indices[gather], ptr, lu.perm_c.copy())
+    return lu.solve
 
 
 def first_eigenpair(p, mesh, measure, opts=None):
@@ -325,59 +388,75 @@ def first_eigenpair(p, mesh, measure, opts=None):
         # boundary-edge line, so start from the interior indicator instead
         u = interior.astype(float)
     u = _normalize(mesh, u, p, measure)
-    lam, b, r, res, _ = _euler_lagrange(p, mesh, measure, u)
+    lam, b, r, res, terms = _euler_lagrange(p, mesh, measure, u)
     history = [lam]
     newton = False
-    lu = None
+    solve = None
     lagged = failures = it = 0
     while res > opts.tol and it < opts.max_outer and failures < 2:
-        # the floor costs about one residual; lagged steps stay far above it
-        if newton and res <= _residual_floor(p, mesh, measure, u, r + lam * b):
-            break
+        # the floor costs about one residual; lagged steps stay far above it.
+        # In Newton mode the terms of u are at hand: u was just accepted, or
+        # a lagged direction from it failed
+        if newton:
+            floor = _residual_floor(p, mesh, terms, r + lam * b)
+            if res <= floor:
+                break
         it += 1
         d = np.zeros(mesh.n_nodes)
         if newton:
             # at p = 2 the lagged factor is the iterate-free stiffness matrix;
             # drop it before the first bordered factorisation
-            lu = None
-            jac = _euler_lagrange(p, mesh, measure, u, jacobian=True)[4]
+            solve = None
+            # J comes from the terms of the evaluation that accepted u. Those
+            # terms (the floor above was their last other use) and the matrix
+            # data are released around the factorisation: kept alive across
+            # factorisations, they fragmented the heap, and the peak RSS of
+            # repeated solves grew by several MB
+            source = np.concatenate([_interior_data(mesh, _jacobian(p, mesh, lam, terms)), b, -b])
+            terms = None
             try:
                 # u is normalised, so the normalisation row has zero right side
-                d[interior] = splu(_bordered(jac, b)).solve(np.append(-r, 0.0))[:-1]
+                d[interior] = _lu_solve(mesh, "bordered", source)(np.append(-r, 0.0))[:-1]
             except RuntimeError:
                 # exactly singular, as where an interior node of a cut
                 # sub-mesh touches no other interior node and u and grad u
                 # vanish around it: a failed direction, like a failed halving
                 d = None
+            source = None
         else:
-            if lu is None or p != 2.0:
+            if solve is None or p != 2.0:
+                solve = None  # the last lagged factor goes before the next is made
                 # lagged diffusivity (|grad u|^2 + eps^2)^((p-2)/2) on the
                 # fixed schedule eps = max(1e-8, 1e-2 2^-k) of lagged step k
                 g = mesh.gradients(u)
                 eps = max(1e-8, 1e-2 * 0.5**lagged)
                 weights = (np.sum(g * g, axis=1) + eps * eps) ** (0.5 * (p - 2.0))
-                lu = splu(_assemble_interior(mesh, _stiffness_local(mesh, measure, weights)))
-            d[interior] = lu.solve(b)
+                solve = _lu_solve(mesh, "interior", _interior_data(mesh, _stiffness_local(mesh, measure, weights)))
+            d[interior] = solve(b)
             d = _normalize(mesh, d, p, measure) - u
             lagged += 1
         t = 1.0
         for _ in range(0 if d is None else _MAX_HALVINGS):
             v = _normalize(mesh, u + t * d, p, measure)
-            lam_v, b_v, r_v, res_v, _ = _euler_lagrange(p, mesh, measure, v)
+            lam_v, b_v, r_v, res_v, terms_v = _euler_lagrange(p, mesh, measure, v)
             if lam_v < lam or (newton and lam_v <= lam * (1.0 + _NEWTON_RISE) and res_v < res):
                 failures = 0
                 newton = newton or lam - lam_v <= _NEWTON_DROP * lam
-                u, lam, b, r, res = v, lam_v, b_v, r_v, res_v
+                u, lam, b, r, res, terms = v, lam_v, b_v, r_v, res_v, terms_v
                 break
             t *= 0.5
         else:
             failures += 1
             newton = not newton
+        terms_v = None  # `terms` alone keeps an evaluation alive (see the Newton step)
         history.append(lam)
 
     if np.sum(u) < 0.0:
         u = -u
-    floor = _residual_floor(p, mesh, measure, u, r + lam * b)
+    if terms is not None:
+        # the floor is even in u, so the terms of the unflipped u serve
+        floor = _residual_floor(p, mesh, terms, r + lam * b)
+    # else a Newton step released them and failed: its floor is u's
     converged = res <= max(opts.tol, floor)
     if not converged:
         warnings.warn(
@@ -409,7 +488,7 @@ def _deflated_second(p, mesh, measure, u1, opts):
     interior = mesh.interior
     K = _assemble_interior(mesh, _stiffness_local(mesh, measure))
     M = _assemble_interior(mesh, _mass_local(mesh, measure))
-    lu = splu(K)
+    solve = _lu_solve(mesh, "interior", K.data)
     u1i = u1.values[interior]
     Mu1 = M @ u1i
     Mu1 /= float(u1i @ Mu1)
@@ -437,7 +516,7 @@ def _deflated_second(p, mesh, measure, u1, opts):
         rel = float(np.linalg.norm(resid) / np.linalg.norm(Kv))
         if rel <= opts.tol:
             break
-        x = project(lu.solve(M @ x))
+        x = project(solve(M @ x))
     values = np.zeros(mesh.n_nodes)
     values[interior] = x[:, 0]
     values = _normalize(mesh, values, p, measure)
@@ -454,10 +533,58 @@ def _deflated_second(p, mesh, measure, u1, opts):
     )
 
 
+def _interior_components(mesh):
+    """Element indices of each connected component of the interior nodes
+    (joined where they share an element): the elements touching it."""
+    if not np.any(mesh.interior):
+        return []
+    # least interior index in each component: min-label propagation over
+    # the interior pattern, whose columns hold each node and its neighbours,
+    # with pointer jumping
+    _, indices, indptr = mesh.interior_pattern()
+    label = np.arange(indptr.size - 1)
+    while True:
+        new = np.minimum.reduceat(label[indices], indptr[:-1])
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    number = np.cumsum(mesh.interior) - 1
+    inner = mesh.interior[mesh.elements]
+    element_label = np.max(np.where(inner, label[number[mesh.elements]], -1), axis=1)
+    return [np.nonzero(element_label == c)[0] for c in np.unique(label)]
+
+
+def _side_ground_state(p, mesh, measure, elements, opts):
+    """(lambda1, ground state, node map into mesh) of the sub-mesh on
+    `elements`; (inf, None, None) where it has no interior node.
+
+    Each connected component of its interior nodes is solved on the elements
+    that touch it, and the least lambda1 is kept. Zero-trace P1 fields vanish
+    on the other elements and the components decouple, so this is the
+    sub-mesh's discrete lambda1; solved whole, a sub-mesh with two components
+    or with elements that touch no interior node can leave the ground state
+    unconverged.
+    """
+    sub, node_map = submesh(mesh, elements)
+    best = (np.inf, None, None)
+    for piece in _interior_components(sub):
+        part, part_map = sub, node_map
+        if piece.size < sub.n_elements:
+            part, local_map = submesh(sub, piece)
+            part_map = node_map[local_map]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            pair = first_eigenpair(p, part, measure, opts)
+        if pair.lam < best[0]:
+            best = (pair.lam, pair, part_map)
+    return best
+
+
 def _cut_sweep_second(p, mesh, measure, opts):
     """Two-nodal-domain upper bound: the least max(lambda+, lambda-) over
     hyperplane cuts, lambda+- the ground states of the two induced sub-meshes
-    (inf on a side without interior nodes).
+    (inf on a side without interior nodes; see _side_ground_state).
 
     Along each of `opts.n_directions` directions, with t_0 < ... < t_(K-1)
     the distinct element-centroid projections, cut j (1 <= j < K) puts the
@@ -484,13 +611,7 @@ def _cut_sweep_second(p, mesh, measure, opts):
     def lam(mask):
         key = mask.tobytes()
         if key not in solved:
-            sub, node_map = submesh(mesh, np.nonzero(mask)[0])
-            pair = None
-            if np.any(sub.interior):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    pair = first_eigenpair(p, sub, measure, opts)
-            solved[key] = (np.inf if pair is None else pair.lam, pair, node_map)
+            solved[key] = _side_ground_state(p, mesh, measure, np.nonzero(mask)[0], opts)
         return solved[key][0]
 
     best, best_side = np.inf, None

@@ -93,9 +93,10 @@ class TestCommands:
         assert (rep if command == ["gap"] else rep["second"])["lambda2_is_upper_bound"]
 
     def test_triangle_cut_sweep(self, capsys):
-        # the p = 3 sweep solves an Omega+ with an isolated interior node,
-        # where the bordered Newton matrix is singular; the p = 6 value is the
-        # least over every partition of every direction (exhaustive scan, 6 s)
+        # the p = 3 sweep meets an Omega+ with an isolated interior node,
+        # where the bordered Newton matrix of the whole side is singular; the
+        # p = 6 value is the least over every partition of every direction
+        # (exhaustive scan, 6 s)
         code, out, _ = run_cli(
             ["gap", "--p", "3,6", "--domain", "polygon:0,0;1,0;0.2,0.9",
              "--level", "2", "--no-timestamp"],

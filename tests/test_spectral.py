@@ -1,15 +1,18 @@
 import math
+import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import eigsh
+from scipy import sparse
+from scipy.sparse.linalg import eigsh, splu
 
 import plapstab as ps
 from plapstab import spectral
-from plapstab.geometry import Mesh, submesh
+from plapstab.geometry import Mesh, read_mesh, submesh, write_mesh
 from plapstab.spectral import SolverOptions
 
 from oracles import distance_to_boundary_loop, euler_lagrange_residual, exhaustive_cut_value
@@ -225,8 +228,8 @@ class TestEulerLagrange:
         (u,) = _random_values(m, 11, n_fields=1)
         for p in (1.5, 3.0, 10.0):
             for values in (u, ps.first_eigenpair(p, m, mu).field.values):
-                lam, b, r, rel, _ = spectral._euler_lagrange(p, m, mu, values)
-                floor = spectral._residual_floor(p, m, mu, values, r + lam * b)
+                lam, b, r, rel, terms = spectral._euler_lagrange(p, m, mu, values)
+                floor = spectral._residual_floor(p, m, terms, r + lam * b)
                 want = euler_lagrange_residual(p, m, mu, values)
                 assert abs(rel - want[0]) <= 1e-14 * max(1.0, want[0])
                 assert abs(floor - want[1]) <= 1e-13 * want[1]
@@ -241,7 +244,8 @@ class TestEulerLagrange:
         rng = np.random.default_rng(3)
         u = spectral._distance_to_boundary(m) * rng.uniform(1.0, 1.5, m.n_nodes)
         (v,) = _random_values(m, 4, n_fields=1)
-        lam, _, _, _, jac = spectral._euler_lagrange(p, m, mu, u, jacobian=True)
+        lam, _, _, _, terms = spectral._euler_lagrange(p, m, mu, u)
+        jac = spectral._assemble_interior(m, spectral._jacobian(p, m, lam, terms))
 
         def F(w):
             lam_w, b_w, r_w, _, _ = spectral._euler_lagrange(p, m, mu, w)
@@ -275,9 +279,9 @@ class TestGroundStateConvergence:
             warnings.simplefilter("ignore")
             pair = ps.first_eigenpair(p, m, ps.lebesgue(), opts)
         assert pair.converged == (pair.residual <= max(opts.tol, pair.residual_floor))
-        lam, b, r, rel, _ = spectral._euler_lagrange(p, m, ps.lebesgue(), pair.field.values)
+        lam, b, r, rel, terms = spectral._euler_lagrange(p, m, ps.lebesgue(), pair.field.values)
         assert pair.residual == rel
-        assert pair.residual_floor == spectral._residual_floor(p, m, ps.lebesgue(), pair.field.values, r + lam * b)
+        assert pair.residual_floor == spectral._residual_floor(p, m, terms, r + lam * b)
         assert len(pair.residual_history) == pair.iterations + 1
         if opts.max_outer == 2:
             assert not pair.converged
@@ -295,8 +299,8 @@ class TestGroundStateConvergence:
         m = cache.mesh(name, level)
         mu = ps.gaussian()
         u = ps.first_eigenpair(p, m, mu).field.values
-        lam, b, r, _, _ = spectral._euler_lagrange(p, m, mu, u)
-        floor = spectral._residual_floor(p, m, mu, u, r + lam * b)
+        lam, b, r, _, terms = spectral._euler_lagrange(p, m, mu, u)
+        floor = spectral._residual_floor(p, m, terms, r + lam * b)
         norm_a = np.linalg.norm(r + lam * b)
         rng = np.random.default_rng(5)
         moves = []
@@ -334,6 +338,135 @@ class TestSingularNewtonSystem:
         assert isinstance(pair, ps.EigenPair)
         assert np.isfinite(pair.lam) and np.all(np.isfinite(pair.field.values))
         assert pair.converged == (pair.residual <= max(SolverOptions().tol, pair.residual_floor))
+        # every bordered factorisation failed, so only the lagged order is kept
+        assert "interior" in sub.lu_orders and "bordered" not in sub.lu_orders
+
+
+_ORDER_DOMAINS = {
+    "interval": ps.interval_domain(0.0, 1.0),
+    "square": ps.polygon_domain(_SQUARE),
+    "triangle": ps.polygon_domain(_TRIANGLE),
+    "pentagon": ps.polygon_domain(np.stack([np.cos(_PENTAGON_ANGLES), np.sin(_PENTAGON_ANGLES)], 1)),
+}
+
+
+@pytest.fixture(scope="module")
+def order_mesh():
+    built = {}
+
+    def get(name, level, variant):
+        """A new Mesh object, so that no column order is cached on it yet."""
+        if (name, level) not in built:
+            built[(name, level)] = ps.build_mesh(_ORDER_DOMAINS[name], level)
+        m = built[(name, level)]
+        if variant == "cut":
+            centroids = np.mean(m.nodes[m.elements], axis=1)
+            return submesh(m, np.nonzero(centroids @ np.ones(m.dim) > 0.4 * m.dim)[0])[0]
+        if variant == "read":
+            with tempfile.TemporaryDirectory() as tmp:
+                path = os.path.join(tmp, "mesh.txt")
+                write_mesh(m, path)
+                return read_mesh(path)
+        return Mesh(m.nodes, m.elements, m.boundary_mask, level)
+
+    return get
+
+
+def _counted_splu(monkeypatch):
+    """Record the column ordering asked of every splu call in spectral."""
+    calls = []
+
+    def counted(a, **kwargs):
+        calls.append((a.shape[0], kwargs.get("permc_spec", "COLAMD")))
+        return splu(a, **kwargs)
+
+    monkeypatch.setattr(spectral, "splu", counted)
+    return calls
+
+
+class TestCachedColumnOrder:
+    @staticmethod
+    def _matrices(p, m, mu, u):
+        """(name, source, fresh CSC) of a lagged, a bordered and the
+        deflation matrix at u, each CSC built apart from _lu_solve."""
+        g = m.gradients(u)
+        weights = (np.sum(g * g, axis=1) + 1e-4) ** (0.5 * (p - 2.0))
+        lagged = spectral._assemble_interior(m, spectral._stiffness_local(m, mu, weights))
+        lam, b, _, _, terms = spectral._euler_lagrange(p, m, mu, u)
+        jac = spectral._assemble_interior(m, spectral._jacobian(p, m, lam, terms))
+        bordered = sparse.bmat([[jac, -b[:, None]], [b[None, :], None]], format="csc")
+        stiffness = spectral._assemble_interior(m, spectral._stiffness_local(m, mu))
+        return [
+            ("interior", lagged.data, lagged),
+            ("bordered", np.concatenate([jac.data, b, -b]), bordered),
+            ("interior", stiffness.data, stiffness),
+        ]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(sorted(_ORDER_DOMAINS)), level=st.integers(1, 4),
+           variant=st.sampled_from(["mesh", "cut", "read"]), p=st.sampled_from([1.5, 2.0, 3.0, 6.0]),
+           measure=st.sampled_from(sorted(_MEASURES)), seed=st.integers(0, 2**32 - 1))
+    def test_ordered_factor_solves_bitwise(self, order_mesh, name, level, variant, p, measure, seed):
+        m = order_mesh(name, level, variant)
+        assume(np.count_nonzero(m.interior) >= 2)
+        mu = _MEASURES[measure]
+        rng = np.random.default_rng(seed)
+        u = np.where(m.interior, rng.uniform(0.5, 1.5, m.n_nodes), 0.0)
+        for name_, source, fresh in self._matrices(p, m, mu, u):
+            # the gather builds the matrix that is factored in natural order
+            src, indices, indptr = spectral._natural_layout(m, name_)
+            assert np.array_equal(source[src], fresh.data)
+            assert np.array_equal(indices, fresh.indices) and np.array_equal(indptr, fresh.indptr)
+            rhs = [rng.standard_normal(fresh.shape[0]), rng.standard_normal((fresh.shape[0], 3))]
+            want = splu(fresh)
+            # the first call orders by COLAMD, the next ones reuse its order
+            for solve in [spectral._lu_solve(m, name_, source) for _ in range(3)]:
+                for x in rhs:
+                    got, ref = solve(x), want.solve(x)
+                    assert np.array_equal(got, ref)
+                    assert got.flags.f_contiguous == ref.flags.f_contiguous
+            assert name_ in m.lu_orders
+
+    def test_colamd_once_per_mesh_and_pattern(self, monkeypatch):
+        m = ps.build_mesh(ps.polygon_domain(_SQUARE), 3)
+        calls = _counted_splu(monkeypatch)
+        first = ps.first_eigenpair(3.0, m, ps.lebesgue())
+        n = np.count_nonzero(m.interior)
+        # the interior and the bordered pattern, each ordered once
+        assert sorted(c for c in calls if c[1] == "COLAMD") == [(n, "COLAMD"), (n + 1, "COLAMD")]
+        del calls[:]
+        again = ps.first_eigenpair(3.0, m, ps.lebesgue())
+        pair = ps.first_eigenpair(2.0, m, ps.gaussian())
+        ps.second_eigenvalue(2.0, m, ps.gaussian(), pair)
+        assert calls and all(spec == "NATURAL" for _, spec in calls)
+        assert again.lam == first.lam
+        # a sub-mesh is a new mesh: it orders its own patterns
+        sub, _ = submesh(m, np.arange(m.n_elements // 2))
+        del calls[:]
+        ps.first_eigenpair(3.0, sub, ps.lebesgue())
+        assert [spec for _, spec in calls].count("COLAMD") == 2 and sub.lu_orders
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, 6.0])
+    def test_one_factorisation_per_step(self, monkeypatch, p):
+        m = ps.build_mesh(ps.polygon_domain(_SQUARE), 4)
+        calls = _counted_splu(monkeypatch)
+        pair = ps.first_eigenpair(p, m, ps.lebesgue())
+        n = np.count_nonzero(m.interior)
+        newton = sum(size == n + 1 for size, _ in calls)
+        assert newton >= 1
+        if p == 2.0:
+            # the lagged steps share one stiffness factor
+            assert len(calls) == 1 + newton
+        else:
+            assert len(calls) == pair.iterations
+
+    def test_failed_first_factorisation_caches_no_order(self):
+        m = ps.build_mesh(ps.polygon_domain(_SQUARE), 2)
+        n = np.count_nonzero(m.interior)
+        nnz = m.interior_pattern()[1].size
+        with pytest.raises(RuntimeError):
+            spectral._lu_solve(m, "bordered", np.zeros(nnz + 2 * n))
+        assert "bordered" not in m.lu_orders
 
 
 _SWEEP_CASES = {
@@ -352,13 +485,11 @@ class TestCutSweep:
         opts = SolverOptions()
         memo = {}
 
+        # the sweep's own side solve: this test checks the search
         def side_lambda(elements):
             key = elements.tobytes()
             if key not in memo:
-                sub = submesh(m, elements)[0]
-                memo[key] = np.inf
-                if np.any(sub.interior):
-                    memo[key] = ps.first_eigenpair(3.0, sub, mu, opts).lam
+                memo[key] = spectral._side_ground_state(3.0, m, mu, elements, opts)[0]
             return memo[key]
 
         centroids = np.mean(m.nodes[m.elements], axis=1)
@@ -385,6 +516,68 @@ class TestCutSweep:
         # bisection over 255 distinct cuts
         assert len(calls) <= 20
         assert est.lam == expected
+
+    @pytest.mark.parametrize("p", [3.0, 6.0])
+    def test_triangle_sub_solves_converge(self, monkeypatch, p):
+        # solved whole, 3 of these sides (p = 3) and 1 (p = 6) ended
+        # unconverged: two interior components, or elements that touch no
+        # interior node
+        pairs = []
+
+        def recorded(*args, **kwargs):
+            pairs.append(ps.first_eigenpair(*args, **kwargs))
+            return pairs[-1]
+
+        monkeypatch.setattr(spectral, "first_eigenpair", recorded)
+        m = ps.build_mesh(ps.polygon_domain(_TRIANGLE), 2)
+        est = ps.second_eigenvalue(p, m, ps.lebesgue(), None)
+        assert est.converged and len(pairs) > 200
+        assert all(pair.converged for pair in pairs)
+
+    @pytest.mark.parametrize("k, j, n_components, n_dropped", [(6, 19, 2, 1), (7, 18, 2, 2), (5, 5, 1, 3)])
+    def test_split_side_is_the_whole_side(self, k, j, n_components, n_dropped):
+        # Omega+ of the triangle at direction k pi / 32 and cut j, with two
+        # interior components or with elements that touch no interior node:
+        # at p = 2 the sub-mesh solved whole converges, and its lambda1 is
+        # the least component lambda1
+        m = ps.build_mesh(ps.polygon_domain(_TRIANGLE), 2)
+        mu = ps.lebesgue()
+        theta = k * np.pi / 32.0
+        proj = np.mean(m.nodes[m.elements], axis=1) @ np.array([np.cos(theta), np.sin(theta)])
+        elements = np.nonzero(proj >= np.unique(proj)[j])[0]
+        sub = submesh(m, elements)[0]
+        components = spectral._interior_components(sub)
+        assert len(components) == n_components
+        assert sub.n_elements - sum(c.size for c in components) == n_dropped
+        lam, pair, node_map = spectral._side_ground_state(2.0, m, mu, elements, SolverOptions())
+        whole = ps.first_eigenpair(2.0, sub, mu)
+        assert pair.converged and whole.converged
+        assert abs(lam - whole.lam) <= 1e-12 * whole.lam
+        # the component's ground state, put on the parent mesh, has quotient lam
+        glued = np.zeros(m.n_nodes)
+        glued[node_map] = pair.field.values
+        assert abs(ps.rayleigh_quotient(2.0, ps.Field(m, glued), mu) - lam) <= 1e-12 * lam
+
+    @pytest.mark.parametrize("p", [3.0, 6.0])
+    @pytest.mark.parametrize("level", [1, 4])
+    def test_interval_sides_solved_whole(self, monkeypatch, level, p):
+        # an interval side is one component with every element touching an
+        # interior node, so the sweep is bitwise the one that solves each
+        # side's sub-mesh whole
+        m = ps.build_mesh(ps.interval_domain(0.0, 1.0), level)
+        est = ps.second_eigenvalue(p, m, ps.lebesgue(), None)
+
+        def whole_side(p, mesh, measure, elements, opts):
+            sub, node_map = submesh(mesh, elements)
+            if not np.any(sub.interior):
+                return np.inf, None, None
+            pair = ps.first_eigenpair(p, sub, measure, opts)
+            return pair.lam, pair, node_map
+
+        monkeypatch.setattr(spectral, "_side_ground_state", whole_side)
+        ref = ps.second_eigenvalue(p, m, ps.lebesgue(), None)
+        assert est.lam == ref.lam and est.iterations == ref.iterations
+        assert np.array_equal(est.field.values, ref.field.values)
 
     def test_converged_only_with_converged_sub_solves(self, cache):
         m = cache.mesh("interval01", 1)

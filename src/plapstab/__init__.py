@@ -4,7 +4,6 @@ verification of the associated stability and spectral-gap inequalities."""
 
 from .cpcore import (
     C1Result,
-    LogPolarGrid,
     c1_sharp,
     c1_variational,
     c2_c3_estimate,

@@ -1,9 +1,9 @@
 """Batch front end: configuration parsing, run orchestration, report emission.
 
-Commands: constants, eigen, stability, gap, picone, battery.  A JSON config
-file may supply any option; command-line flags override it.  Exit status is
-0 when every verdict passed (empirical verdicts count when not falsified),
-2 on a failed inequality, 1 on configuration or solver errors.
+Commands: constants, eigen, stability, gap, picone.  A JSON config file
+may supply any option; command-line flags override it.  Exit status is 0
+when every verdict passed (empirical verdicts count when not falsified),
+2 on a failed inequality, 1 on usage, configuration or solver errors.
 """
 
 import argparse
@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import cpcore, verify
-from .geometry import Field, build_mesh, gaussian, lebesgue, make_domain, write_mesh
+from .geometry import Field, Measure, build_mesh, make_domain, write_mesh
 from .spectral import SolverOptions, first_eigenpair, second_eigenvalue
 
 SCHEMA_VERSION = 1
@@ -71,7 +71,6 @@ def build_parser():
         ("stability", "random-field stability battery on one configuration"),
         ("gap", "fundamental-gap report"),
         ("picone", "pointwise Picone identity residual on random fields"),
-        ("battery", "same as stability: a random-field battery per p in the list"),
     ]:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", help="JSON config file; flags override it")
@@ -122,18 +121,25 @@ def _validate_config(config):
     if not config["p"]:
         raise ValueError("p-list must be nonempty")
     for p in config["p"]:
-        if p <= 1.0:
-            raise ValueError(f"every exponent must exceed 1, got {p}")
-    if not 0 <= int(config["level"]) <= 7:
-        raise ValueError(f"level must lie in [0, 7], got {config['level']}")
+        if type(p) not in (int, float) or not 1.0 < p < math.inf:
+            raise ValueError(f"every exponent must be a finite number above 1, got {p!r}")
+    # a config-file value must have the type its flag parses to
+    for key in _DEFAULTS.keys() - {"p", "domain"}:
+        default, value = _DEFAULTS[key], config[key]
+        kind = str if default is None else type(default)
+        if type(value) is not kind and not (default is None and value is None):
+            raise ValueError(f"{key} must be of type {kind.__name__}, got {value!r}")
+    for key, low, high in (("level", 0, 7), ("fields", 1, math.inf), ("samples", 1, math.inf)):
+        if not low <= config[key] <= high:
+            raise ValueError(f"{key} must lie in [{low}, {high}], got {config[key]}")
+    Measure(config["measure"])  # raises on an unknown kind
     make_domain(config["domain"])  # raises on malformed geometry
 
 
 def _problem(config):
     """(domain, mesh, measure) of a validated config."""
     domain = make_domain(config["domain"])
-    measure = lebesgue() if config["measure"] == "lebesgue" else gaussian()
-    return domain, build_mesh(domain, config["level"]), measure
+    return domain, build_mesh(domain, config["level"]), Measure(config["measure"])
 
 
 def _jsonable(obj):
@@ -274,7 +280,6 @@ _RUNNERS = {
     "stability": run_stability,
     "gap": run_gap,
     "picone": run_picone,
-    "battery": run_stability,
 }
 
 
@@ -308,13 +313,18 @@ def _write_atomic(path, text):
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, and 2 means a failed inequality
+        # here; -h exits 0
+        return 1 if exc.code else 0
     if not args.command:
         parser.print_help()
         return 1
     try:
         config = load_config(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:

@@ -27,14 +27,22 @@ __all__ = [
     "cp_eval_flagged",
     "cp_eval_batch",
     "c2_c3_estimate",
-    "LogPolarGrid",
 ]
 
+# the log-polar (s, t) grid of the variational constants (see _sampled_extrema)
+_R_MIN = 1e-3
+_R_MAX = 1e3
+_N_RADII = 128
+_N_ANGLES = 256
+_REFINE_ROUNDS = 10
+# radii the c2/c3 estimate also samples: probes of the ratio's limit at infinity
+_C2C3_FAR_RADII = (1e4, 1e5, 1e6)
 
-def _check_p(p, minimum=1.0):
+
+def _check_p(p):
     p = float(p)
-    if not np.isfinite(p) or p <= minimum:
-        raise ValueError(f"exponent p must satisfy p > {minimum}, got {p}")
+    if not np.isfinite(p) or p <= 1.0:
+        raise ValueError(f"exponent p must satisfy p > 1.0, got {p}")
     return p
 
 
@@ -116,40 +124,6 @@ def c1_sharp(p):
     return C1Result(p=p, r0=r0, k0=r0 / (1.0 + r0), c1=c1, lower=lower, upper=upper)
 
 
-@dataclass(frozen=True)
-class LogPolarGrid:
-    """Log-polar sampling of the (s, t) plane for the variational constants."""
-
-    r_min: float = 1e-3
-    r_max: float = 1e3
-    n_radii: int = 128
-    n_angles: int = 256
-    refine_rounds: int = 10
-    asymptotic_radii: tuple = ()
-
-    def points(self):
-        r = np.logspace(math.log10(self.r_min), math.log10(self.r_max), self.n_radii)
-        if self.asymptotic_radii:
-            r = np.concatenate([r, np.asarray(self.asymptotic_radii, dtype=float)])
-        th = np.linspace(0.0, 2.0 * math.pi, self.n_angles, endpoint=False)
-        s = np.outer(r, np.cos(th)).ravel()
-        t = np.outer(r, np.sin(th)).ravel()
-        return np.stack([s, t], axis=1)
-
-
-def _grid_points(grid):
-    if grid is None:
-        grid = LogPolarGrid()
-    if isinstance(grid, LogPolarGrid):
-        return grid.points(), grid.refine_rounds
-    pts = np.asarray(grid, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
-        raise ValueError("grid must be a nonempty (N, 2) array of (s, t) samples")
-    if np.any(np.sum(pts * pts, axis=1) == 0.0):
-        raise ValueError("grid must not contain the origin")
-    return pts, 0
-
-
 def _c1_ratio(p, s, t):
     """[(t^2 + s^2 + 2s + 1)^(p/2) - 1 - p s] / (t^2 + s^2)^(p/2)."""
     s = np.asarray(s, dtype=float)
@@ -170,54 +144,53 @@ def _c2c3_ratio(p, s, t):
         return num / den
 
 
-def _refine_extremum(fn, s0, t0, w0, rounds, mode):
-    """Shrinking 17x17 local grid search around the incumbent sample."""
-    best_s, best_t, w = s0, t0, w0
-    best = fn(best_s, best_t)
+def _sampled_extrema(fn, far_radii, modes):
+    """Extremum of fn(s, t) for each of `modes` ("min" or "max"): the best
+    sample of the log-polar grid (_N_RADII radii from _R_MIN to _R_MAX, then
+    `far_radii`, by _N_ANGLES angles), refined by _REFINE_ROUNDS rounds of a
+    shrinking 17x17 local grid search around it. Refined samples closer
+    to the origin than _R_MIN are dropped: there the ratios are 0/0 and
+    their numerators cancel, so a rounding error can pass for an extremum."""
+    r = np.logspace(math.log10(_R_MIN), math.log10(_R_MAX), _N_RADII)
+    r = np.concatenate([r, np.asarray(far_radii, dtype=float)])
+    th = np.linspace(0.0, 2.0 * math.pi, _N_ANGLES, endpoint=False)
+    s = np.outer(r, np.cos(th)).ravel()
+    t = np.outer(r, np.sin(th)).ravel()
+    vals = fn(s, t)
     off = np.linspace(-1.0, 1.0, 17)
-    for _ in range(rounds):
-        S = best_s + w * off[:, None] + 0.0 * off[None, :]
-        T = best_t + 0.0 * off[:, None] + w * off[None, :]
-        vals = fn(S, T)
-        vals = np.where(S * S + T * T == 0.0, np.nan, vals)
-        if mode == "min":
-            i = np.unravel_index(np.nanargmin(vals), vals.shape)
-            better = vals[i] < best
-        else:
-            i = np.unravel_index(np.nanargmax(vals), vals.shape)
-            better = vals[i] > best
-        if better:
-            best, best_s, best_t = vals[i], S[i], T[i]
-        w *= 0.25
-    return best, (best_s, best_t)
+    extrema = []
+    for mode in modes:
+        pick = np.nanargmin if mode == "min" else np.nanargmax
+        i = int(pick(vals))
+        best_s, best_t = s[i], t[i]
+        best = fn(best_s, best_t)
+        w = 0.5 * math.hypot(best_s, best_t) + 1e-3
+        for _ in range(_REFINE_ROUNDS):
+            S = best_s + w * off[:, None] + 0.0 * off[None, :]
+            T = best_t + 0.0 * off[:, None] + w * off[None, :]
+            local = np.where(np.hypot(S, T) < _R_MIN, np.nan, fn(S, T))
+            j = np.unravel_index(pick(local), local.shape)
+            if (local[j] < best) if mode == "min" else (local[j] > best):
+                best, best_s, best_t = local[j], S[j], T[j]
+            w *= 0.25
+        extrema.append(float(best))
+    return extrema
 
 
-def c1_variational(p, grid=None, full_output=False):
-    """Sampled infimum of the c1(p) defining ratio over an (s, t) grid.
+def c1_variational(p):
+    """Sampled infimum of the c1(p) defining ratio over the (s, t) plane.
 
-    The sampled value is an upper bound for the true infimum c1_sharp(p).c1
-    and converges to it as the grid refines around the minimizer; with the
-    default log-polar grid the local refinement gets within ~1e-6.
+    Every sample is a value of the ratio, so the result bounds the true
+    infimum c1_sharp(p).c1 from above; the local refinement of the
+    log-polar grid's best sample gets within ~1e-6 of it.
     """
     p = _check_p(p)
     if p < 2.0:
         raise ValueError(f"the variational c1 estimate requires p >= 2, got {p}")
-    pts, rounds = _grid_points(grid)
-    vals = _c1_ratio(p, pts[:, 0], pts[:, 1])
-    i = int(np.nanargmin(vals))
-    best, argmin = vals[i], (pts[i, 0], pts[i, 1])
-    if rounds > 0:
-        w = 0.5 * math.hypot(*argmin) + 1e-3
-        best, argmin = _refine_extremum(
-            lambda s, t: _c1_ratio(p, s, t), argmin[0], argmin[1], w, rounds, "min"
-        )
-    best = float(best)
-    if full_output:
-        return best, (float(argmin[0]), float(argmin[1]))
-    return best
+    return _sampled_extrema(lambda s, t: _c1_ratio(p, s, t), (), ("min",))[0]
 
 
-def c2_c3_estimate(p, grid=None, full_output=False):
+def c2_c3_estimate(p):
     """Sampled (inf, sup) of the c2/c3 defining ratio for 1 < p < 2.
 
     One-sided by construction: the first value is an upper bound for the
@@ -226,23 +199,7 @@ def c2_c3_estimate(p, grid=None, full_output=False):
     p = _check_p(p)
     if p >= 2.0:
         raise ValueError(f"c2/c3 estimates require 1 < p < 2, got {p}")
-    if grid is None:
-        grid = LogPolarGrid(asymptotic_radii=(1e4, 1e5, 1e6))
-    pts, rounds = _grid_points(grid)
-    vals = _c2c3_ratio(p, pts[:, 0], pts[:, 1])
-    imin = int(np.nanargmin(vals))
-    imax = int(np.nanargmax(vals))
-    c2_est, arg2 = vals[imin], (pts[imin, 0], pts[imin, 1])
-    c3_est, arg3 = vals[imax], (pts[imax, 0], pts[imax, 1])
-    if rounds > 0:
-        fn = lambda s, t: _c2c3_ratio(p, s, t)
-        w2 = 0.5 * math.hypot(*arg2) + 1e-3
-        c2_est, arg2 = _refine_extremum(fn, arg2[0], arg2[1], w2, rounds, "min")
-        w3 = 0.5 * math.hypot(*arg3) + 1e-3
-        c3_est, arg3 = _refine_extremum(fn, arg3[0], arg3[1], w3, rounds, "max")
-    if full_output:
-        return (float(c2_est), float(c3_est)), (arg2, arg3)
-    return float(c2_est), float(c3_est)
+    return tuple(_sampled_extrema(lambda s, t: _c2c3_ratio(p, s, t), _C2C3_FAR_RADII, ("min", "max")))
 
 
 def _as_complex_vec(v, name):

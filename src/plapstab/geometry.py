@@ -68,11 +68,6 @@ class Domain:
     interval: tuple = None
     vertices: np.ndarray = None
 
-    def spec_dict(self):
-        if self.kind == "interval":
-            return {"interval": [self.interval[0], self.interval[1]]}
-        return {"polygon": self.vertices.tolist()}
-
 
 def interval_domain(a, b):
     a, b = float(a), float(b)
@@ -109,8 +104,6 @@ def polygon_domain(vertices):
 
 def make_domain(spec):
     """Build a Domain from {"interval": [a, b]} or {"polygon": [[x, y], ...]}."""
-    if isinstance(spec, Domain):
-        return spec
     if not isinstance(spec, dict) or len(spec) != 1:
         raise ValueError(f"domain spec must be a one-key dict, got {spec!r}")
     if "interval" in spec:
@@ -165,19 +158,17 @@ class Mesh:
     the reference basis values at the quadrature points.
     """
 
-    def __init__(self, nodes, elements, boundary_mask, level=0):
+    def __init__(self, nodes, elements, boundary_mask):
         self.nodes = np.asarray(nodes, dtype=float)
         if self.nodes.ndim == 1:
             self.nodes = self.nodes[:, None]
         self.elements = np.asarray(elements, dtype=int)
         self.boundary_mask = np.asarray(boundary_mask, dtype=bool)
-        self.level = int(level)
         self.dim = self.nodes.shape[1]
         if self.elements.shape[1] != self.dim + 1:
             raise ValueError("element arity does not match mesh dimension")
         if self.boundary_mask.shape[0] != self.nodes.shape[0]:
             raise ValueError("boundary mask size mismatch")
-        self.rule = "gauss4" if self.dim == 1 else "tri6"
         self._density_cache = {}
         self._interior_pattern = None
         # sparse-LU column order per matrix built on the interior pattern,
@@ -415,7 +406,7 @@ def build_mesh(domain, level):
         elements = np.stack([np.arange(n), np.arange(1, n + 1)], axis=1)
         boundary = np.zeros(n + 1, dtype=bool)
         boundary[0] = boundary[-1] = True
-        return Mesh(nodes, elements, boundary, level=level)
+        return Mesh(nodes, elements, boundary)
 
     verts = domain.vertices
     nv = verts.shape[0]
@@ -426,7 +417,7 @@ def build_mesh(domain, level):
         nodes, elements = _refine_triangles(nodes, elements)
     boundary = _on_polygon_boundary(nodes, verts)
     nodes = _project_boundary_nodes(nodes, boundary, verts)
-    return Mesh(nodes, elements, boundary, level=level)
+    return Mesh(nodes, elements, boundary)
 
 
 def _polygon_centroid(verts):
@@ -519,7 +510,7 @@ def submesh(mesh, element_idx):
     sub_counts = np.bincount(sub_elems_parent.ravel(), minlength=mesh.n_nodes)
     cut = sub_counts[node_map] < parent_counts[node_map]
     boundary = mesh.boundary_mask[node_map] | cut
-    sub = Mesh(mesh.nodes[node_map], sub_elems, boundary, level=mesh.level)
+    sub = Mesh(mesh.nodes[node_map], sub_elems, boundary)
     return sub, node_map
 
 

@@ -63,6 +63,8 @@ _NEWTON_DROP = 1e-3
 _NEWTON_RISE = 1e-12
 # step-length halvings before a direction counts as failed
 _MAX_HALVINGS = 30
+# cut directions of the 2-D cut sweep, equally spaced over [0, pi)
+_CUT_DIRECTIONS = 32
 
 
 @dataclass
@@ -71,16 +73,14 @@ class SolverOptions:
 
     `tol` is the relative residual at which the ground state (or at its
     rounding floor, if higher) and deflation stop. `max_outer` caps their
-    outer steps. The linear solves are direct (sparse LU): no tolerance.
-    The cut sweep bisects every one of `n_directions` directions over all
-    its distinct cuts; `n_offsets` is inert and kept only so that callers
-    that still pass it keep working.
+    outer steps. `seed` seeds deflation's start block. The linear solves
+    are direct (sparse LU): no tolerance. `n_offsets` is inert and kept
+    only so that callers that still pass it keep working.
     """
 
     max_outer: int = 200
     tol: float = 1e-10
     seed: int = 0
-    n_directions: int = 32
     n_offsets: int = 64
 
     def __post_init__(self):
@@ -90,27 +90,30 @@ class SolverOptions:
 
 @dataclass
 class EigenPair:
-    """Eigenvalue with its normalized eigenfunction and solve diagnostics."""
+    """Eigenvalue with its eigenfunction (int |u|^p dmu = 1) and solve diagnostics."""
 
     lam: float
     field: Field
     residual_history: list
     iterations: int
-    normalized: bool
     converged: bool
     estimator: str = "ground"
-    is_upper_bound: bool = False
     # final relative residual of the ground state or of deflation, and the
     # ground state's rounding floor; NaN where not computed
     residual: float = float("nan")
     residual_floor: float = float("nan")
+
+    @property
+    def is_upper_bound(self):
+        """True for the cut sweep's lambda2, an upper bound, not an eigenvalue."""
+        return self.estimator == "nodal-cut"
 
     def to_json_dict(self, mesh_file=None):
         return {
             "lambda": float(self.lam),
             "iterations": int(self.iterations),
             "residual_history": [float(r) for r in self.residual_history],
-            "normalized": bool(self.normalized),
+            "normalized": True,
             "converged": bool(self.converged),
             "estimator": self.estimator,
             "lambda2_is_upper_bound": bool(self.is_upper_bound),
@@ -468,7 +471,6 @@ def first_eigenpair(p, mesh, measure, opts=None):
         field=Field(mesh, u),
         residual_history=history,
         iterations=it,
-        normalized=True,
         converged=converged,
         estimator="ground",
         residual=res,
@@ -526,7 +528,6 @@ def _deflated_second(p, mesh, measure, u1, opts):
         field=Field(mesh, values),
         residual_history=history,
         iterations=it,
-        normalized=True,
         converged=rel <= opts.tol,
         estimator="deflation",
         residual=rel,
@@ -586,7 +587,7 @@ def _cut_sweep_second(p, mesh, measure, opts):
     hyperplane cuts, lambda+- the ground states of the two induced sub-meshes
     (inf on a side without interior nodes; see _side_ground_state).
 
-    Along each of `opts.n_directions` directions, with t_0 < ... < t_(K-1)
+    Along each of _CUT_DIRECTIONS directions (one in 1-D), with t_0 < ... < t_(K-1)
     the distinct element-centroid projections, cut j (1 <= j < K) puts the
     elements with projection >= t_j into Omega+. Omega+ shrinks as j grows
     and the zero-trace P1 spaces are nested, so lambda+ rises and lambda-
@@ -600,7 +601,7 @@ def _cut_sweep_second(p, mesh, measure, opts):
     if mesh.dim == 1:
         directions = np.array([[1.0]])
     else:
-        th = np.linspace(0.0, np.pi, opts.n_directions, endpoint=False)
+        th = np.linspace(0.0, np.pi, _CUT_DIRECTIONS, endpoint=False)
         directions = np.stack([np.cos(th), np.sin(th)], axis=1)
 
     centroids = np.mean(mesh.nodes[mesh.elements], axis=1)
@@ -646,30 +647,23 @@ def _cut_sweep_second(p, mesh, measure, opts):
         field=Field(mesh, glued),
         residual_history=[],
         iterations=len(cuts),
-        normalized=True,
         converged=all(pair.converged for _, pair, _ in halves),
         estimator="nodal-cut",
-        is_upper_bound=True,
     )
 
 
-def second_eigenvalue(p, mesh, measure, u1pair, opts=None, method="auto"):
+def second_eigenvalue(p, mesh, measure, u1pair, opts=None):
     """Second Dirichlet eigenvalue.
 
-    p = 2 uses deflated block inverse iteration and converges to the discrete
-    lambda_2.  For p != 2 the hyperplane-cut estimator returns a certified
-    upper bound (is_upper_bound is set); the glued sign-changing field is an
-    admissible candidate, not an eigenfunction.
+    p = 2 uses block inverse iteration deflated against the converged ground
+    state `u1pair` and converges to the discrete lambda_2.  Every other p
+    uses the hyperplane-cut sweep, which returns a certified upper bound
+    (is_upper_bound is set; `u1pair` is not used and may be None); its glued
+    sign-changing field is an admissible candidate, not an eigenfunction.
     """
     if u1pair is not None and not u1pair.converged:
         raise ValueError("second_eigenvalue needs a converged first eigenpair")
     opts = opts or SolverOptions()
-    if method == "auto":
-        method = "deflation" if p == 2.0 else "nodal-cut"
-    if method == "deflation":
-        if p != 2.0:
-            raise ValueError("deflation is only valid at p = 2")
+    if p == 2.0:
         return _deflated_second(p, mesh, measure, u1pair.field, opts)
-    if method == "nodal-cut":
-        return _cut_sweep_second(p, mesh, measure, opts)
-    raise ValueError(f"unknown method {method!r}")
+    return _cut_sweep_second(p, mesh, measure, opts)

@@ -203,12 +203,11 @@ def distance_to_eigenspace(p, u, u1, measure):
     return float(dist[0]), float(c[0])
 
 
-def cp_remainder(p, u, u1, measure, full_output=False):
+def cp_remainder(p, u, u1, measure):
     """int C_p(grad u, u1 grad(u/u1)) dmu with grad(u/u1) by the quotient rule.
 
-    Quadrature points where u1 falls below 1e-10 * max(u1) are excluded;
-    their measure fraction is reported and a boundary-layer warning fires
-    above 1%.
+    Quadrature points where u1 falls below 1e-10 * max(u1) are excluded; a
+    boundary-layer warning gives their measure fraction when it is above 1%.
     """
     mesh = u.mesh
     W = mesh.measure_weights(measure)
@@ -231,10 +230,7 @@ def cp_remainder(p, u, u1, measure, full_output=False):
         warnings.warn(
             f"cp_remainder: boundary layer excluded {excluded:.2%} of the mass"
         )
-    value = float(np.sum(W[mask] * cvals[mask]))
-    if full_output:
-        return value, excluded
-    return value
+    return float(np.sum(W[mask] * cvals[mask]))
 
 
 def identity_check(p, u, u1, lambda1, measure):
@@ -295,19 +291,19 @@ def stability_check(p, domain, mesh, u, measure, eigenpair=None, opts=None, cons
     return _stability_reports(p, domain, u.mesh, u.values[None], measure, eigenpair, constant)[0]
 
 
-def _random_fields(mesh, rng, n_fields, adj, smoothing_passes=2):
+def _random_fields(mesh, rng, n_fields, adj):
     """(n_fields, n_nodes) smoothed zero-trace noise from one draw; row i
     equals the i-th of n_fields sequential random_zero_trace_field calls."""
     deg = np.asarray(adj.sum(axis=1)).ravel()[:, None]
     values = rng.uniform(-1.0, 1.0, (n_fields, mesh.n_nodes)).T
     values[mesh.boundary_mask] = 0.0
-    for _ in range(smoothing_passes):
+    for _ in range(2):
         values = (values + adj @ values) / (1.0 + deg)
         values[mesh.boundary_mask] = 0.0
     return np.ascontiguousarray(values.T)
 
 
-def random_zero_trace_field(mesh, rng, smoothing_passes=2):
+def random_zero_trace_field(mesh, rng):
     """Seeded interior noise with Jacobi smoothing: representative W0 fields.
 
     Raw uniform noise oscillates at mesh scale and inflates quadrature
@@ -315,7 +311,7 @@ def random_zero_trace_field(mesh, rng, smoothing_passes=2):
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    values = _random_fields(mesh, rng, 1, mesh.node_adjacency(), smoothing_passes)
+    values = _random_fields(mesh, rng, 1, mesh.node_adjacency())
     return Field(mesh, values[0])
 
 
@@ -383,24 +379,25 @@ def _weight_array(mesh, weight, measure):
     return W
 
 
-def _check_log_concave(mesh, weight, seed=0, n_pairs=200, rel_floor=1e-3):
-    """Sampled midpoint log-concavity test; raises on substantial violation."""
+def _check_log_concave(mesh, weight):
+    """Midpoint log-concavity test on 200 seeded pairs of nodes where the weight
+    exceeds 1e-3 of its maximum; raises when more than 1% of them violate it."""
     can_eval = isinstance(weight, Field) or callable(weight)
     if not can_eval:
         return
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     nodes = mesh.nodes
     vals_nodes = (
         weight.values if isinstance(weight, Field) else np.asarray(weight(nodes)).ravel()
     )
     vmax = float(np.max(vals_nodes))
-    ok_nodes = np.nonzero(vals_nodes > rel_floor * vmax)[0]
+    ok_nodes = np.nonzero(vals_nodes > 1e-3 * vmax)[0]
     if ok_nodes.size < 2:
         raise ValueError("weight is not positive on enough of the domain")
     tau = max(1e-8, 50.0 * mesh.h**2)
     violations = 0
     tested = 0
-    for _ in range(n_pairs):
+    for _ in range(200):
         i, j = rng.choice(ok_nodes, size=2, replace=False)
         mid = 0.5 * (nodes[i] + nodes[j])
         wm = float(np.asarray(weight(mid[None, :])).ravel()[0])
@@ -460,7 +457,8 @@ def picone_check(p, u, phi, measure=None, max_samples=None, seed=0, full_output=
     C_p is evaluated through the C_p functional with xi = grad u and
     eta = grad u - (grad phi / phi) u; R_p expands the divergence-form side
     analytically from the P1 data.  Samples where |phi| falls below
-    1e-12 * max|phi| are skipped and counted.
+    1e-12 * max|phi| are skipped and counted.  The identity is pointwise,
+    so `measure` is not read; it stays for callers that pass it.
     """
     mesh = u.mesh
     uq = u.at_quad().ravel()

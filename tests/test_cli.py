@@ -121,6 +121,35 @@ class TestCommands:
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 1
 
+    @pytest.mark.parametrize("argv", [["eigen", "--measure", "foo"], ["eigen", "--level", "x"], ["battery"]])
+    def test_usage_error_exits_1(self, argv, capsys):
+        # argparse's own exit status, 2, is the code of a failed inequality
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1
+        assert "usage:" in err
+
+    @pytest.mark.parametrize("argv", [["-h"], ["eigen", "-h"]])
+    def test_help_exits_0(self, argv, capsys):
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert "usage:" in out
+
+    @pytest.mark.parametrize("argv, file_cfg", [
+        (["eigen"], {"measure": "lebsgue"}),
+        (["constants"], {"p": ["2"]}),
+        (["stability"], {"fields": "many"}),
+        (["picone", "--samples", "0"], None),
+        (["stability", "--fields", "0"], None),
+    ])
+    def test_bad_config_value_exits_1(self, argv, file_cfg, tmp_path, capsys):
+        if file_cfg is not None:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps(file_cfg))
+            argv = argv + ["--config", str(cfg)]
+        code, out, err = run_cli(argv + ["--level", "1", "--no-timestamp"], capsys)
+        assert code == 1
+        assert err.startswith("config error:") and not out
+
     def test_stability_small(self, capsys):
         code, out, _ = run_cli(
             ["stability", "--p", "2", "--level", "3", "--fields", "5", "--no-timestamp"],
@@ -199,11 +228,11 @@ class TestCommands:
         header = open(mesh_file).readline().split()
         assert header[:2] == ["DIM", "1"]
 
-    def test_battery_csv(self, tmp_path, capsys):
+    def test_stability_csv(self, tmp_path, capsys):
         csv_path = tmp_path / "rows.csv"
         code, out, _ = run_cli(
             [
-                "battery", "--p", "2,3", "--level", "3", "--fields", "3",
+                "stability", "--p", "2,3", "--level", "3", "--fields", "3",
                 "--csv", str(csv_path), "--no-timestamp",
             ],
             capsys,

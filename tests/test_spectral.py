@@ -59,7 +59,7 @@ class TestFirstEigenpair:
     def test_interval_p2(self, cache):
         pair = cache.pair(2.0, "interval01", 4)
         assert abs(pair.lam - PI2) <= 1e-3 * PI2
-        assert pair.converged and pair.normalized
+        assert pair.converged
 
     def test_square_p2(self, cache):
         pair = cache.pair(2.0, "square", 4)
@@ -367,7 +367,7 @@ def order_mesh():
                 path = os.path.join(tmp, "mesh.txt")
                 write_mesh(m, path)
                 return read_mesh(path)
-        return Mesh(m.nodes, m.elements, m.boundary_mask, level)
+        return Mesh(m.nodes, m.elements, m.boundary_mask)
 
     return get
 
@@ -494,7 +494,7 @@ class TestCutSweep:
 
         centroids = np.mean(m.nodes[m.elements], axis=1)
         est = ps.second_eigenvalue(3.0, m, mu, None, opts)
-        assert est.lam == exhaustive_cut_value(centroids, opts.n_directions, side_lambda)
+        assert est.lam == exhaustive_cut_value(centroids, spectral._CUT_DIRECTIONS, side_lambda)
         assert est.converged and est.is_upper_bound
 
     def test_n_offsets_is_inert(self):
@@ -608,8 +608,7 @@ class TestSecondEigenvalue:
     def test_midpoint_cut_matches_deflation(self, cache):
         # lambda_1 of each half interval is (pi / 0.5)^2 = 4 pi^2
         m = cache.mesh("interval01", 4)
-        u1 = cache.pair(2.0, "interval01", 4)
-        est = ps.second_eigenvalue(2.0, m, ps.lebesgue(), u1, method="nodal-cut")
+        est = spectral._cut_sweep_second(2.0, m, ps.lebesgue(), SolverOptions())
         assert est.is_upper_bound and est.estimator == "nodal-cut"
         assert abs(est.lam - 4.0 * PI2) <= 5e-3 * 4.0 * PI2
         defl = cache.second(2.0, "interval01", 4)
@@ -629,18 +628,11 @@ class TestSecondEigenvalue:
         vals = est.field.values
         assert vals.min() < 0.0 < vals.max()
 
-    def test_deflation_requires_p2(self, cache):
-        m = cache.mesh("interval01", 3)
-        u1 = cache.pair(3.0, "interval01", 3)
-        with pytest.raises(ValueError):
-            ps.second_eigenvalue(3.0, m, ps.lebesgue(), u1, method="deflation")
-
     def test_square_nodal_cut_matches_deflation(self, cache):
         # the fan mesh is symmetric about the diagonals, which are mesh lines,
         # so the best cut's half-square ground state is the discrete lambda_2
         m = cache.mesh("square", 2)
-        u1 = cache.pair(2.0, "square", 2)
-        est = ps.second_eigenvalue(2.0, m, ps.lebesgue(), u1, method="nodal-cut")
+        est = spectral._cut_sweep_second(2.0, m, ps.lebesgue(), SolverOptions())
         defl = cache.second(2.0, "square", 2)
         assert abs(defl.lam - 54.501373) <= 1e-6 * 54.501373
         assert abs(est.lam - defl.lam) <= 1e-6 * defl.lam

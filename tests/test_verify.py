@@ -151,7 +151,7 @@ class TestRemainderAndIdentity:
         u1 = ps.zero_trace(m, spike)
         u = ps.zero_trace(m, np.sin(2.0 * math.pi * x))
         with pytest.warns(UserWarning, match="boundary layer"):
-            cp_remainder(3.0, u, u1, ps.lebesgue(), full_output=True)
+            cp_remainder(3.0, u, u1, ps.lebesgue())
 
 
 class TestStability:

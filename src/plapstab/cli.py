@@ -7,11 +7,12 @@ when every verdict passed (empirical verdicts count when not falsified),
 """
 
 import argparse
+import dataclasses
+import functools
 import json
 import math
 import os
 import sys
-from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
@@ -64,6 +65,25 @@ def build_parser():
         description="Poincare stability constants, p-Laplacian eigenpairs, "
         "and inequality verification batteries.",
     )
+    # the options every command takes, declared once and copied into each
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON config file; flags override it")
+    common.add_argument("--p", help="comma-separated exponent list, e.g. 2,3,4")
+    common.add_argument("--domain", help="interval:a,b or polygon:x1,y1;x2,y2;...")
+    common.add_argument("--measure", choices=["lebesgue", "gaussian"])
+    common.add_argument("--level", type=int, help="mesh refinement level (0..7)")
+    common.add_argument("--seed", type=int)
+    common.add_argument("--out", help="write the JSON report here (else stdout)")
+    common.add_argument("--csv", help="also write CSV rows here")
+    common.add_argument("--no-timestamp", action="store_true", default=None,
+                        help="omit the timestamp for byte-reproducible output")
+    common.add_argument("--fields", type=int, help="random fields per battery cell")
+    common.add_argument("--samples", type=int, help="sample-point budget (picone)")
+    common.add_argument("--second", action="store_true", default=None,
+                        help="also compute the second eigenpair (eigen)")
+    common.add_argument("--mesh-out", help="mesh file path (eigen)")
+    common.add_argument("--inject-bad-constant", action="store_true", default=None,
+                        help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command")
     for name, help_text in [
         ("constants", "pi_p and the c1 (or c2/c3) constants for each p"),
@@ -72,25 +92,15 @@ def build_parser():
         ("gap", "fundamental-gap report"),
         ("picone", "pointwise Picone identity residual on random fields"),
     ]:
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", help="JSON config file; flags override it")
-        cmd.add_argument("--p", help="comma-separated exponent list, e.g. 2,3,4")
-        cmd.add_argument("--domain", help="interval:a,b or polygon:x1,y1;x2,y2;...")
-        cmd.add_argument("--measure", choices=["lebesgue", "gaussian"])
-        cmd.add_argument("--level", type=int, help="mesh refinement level (0..7)")
-        cmd.add_argument("--seed", type=int)
-        cmd.add_argument("--out", help="write the JSON report here (else stdout)")
-        cmd.add_argument("--csv", help="also write CSV rows here")
-        cmd.add_argument("--no-timestamp", action="store_true", default=None,
-                         help="omit the timestamp for byte-reproducible output")
-        cmd.add_argument("--fields", type=int, help="random fields per battery cell")
-        cmd.add_argument("--samples", type=int, help="sample-point budget (picone)")
-        cmd.add_argument("--second", action="store_true", default=None,
-                         help="also compute the second eigenpair (eigen)")
-        cmd.add_argument("--mesh-out", help="mesh file path (eigen)")
-        cmd.add_argument("--inject-bad-constant", action="store_true", default=None,
-                         help=argparse.SUPPRESS)
+        sub.add_parser(name, help=help_text, parents=[common])
     return parser
+
+
+@functools.cache
+def _parser():
+    """The parser of `main`, built once per process: parsing leaves no state
+    in it."""
+    return build_parser()
 
 
 def load_config(args):
@@ -143,19 +153,23 @@ def _problem(config):
 
 
 def _jsonable(obj):
+    """Plain JSON values of a report: dataclasses become dicts of their
+    fields, numpy scalars and arrays Python ones, non-finite floats None."""
+    if isinstance(obj, (float, np.floating)):  # the commonest leaf first
+        v = float(obj)
+        return v if math.isfinite(v) else None
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return v if math.isfinite(v) else None
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.bool_):
         return bool(obj)
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     return obj
 
 
@@ -238,7 +252,7 @@ def run_stability(config):
                 "passed": cell_ok,
                 "min_margin": min(r.margin for r in reports),
                 "lambda1": reports[0].lambda1,
-                "reports": [asdict(r) for r in reports],
+                "reports": reports,
             }
         )
         all_reports.extend(reports)
@@ -253,7 +267,7 @@ def run_gap(config):
         verify.gap_check(p, domain, mesh, measure, opts=opts, constant_factor=factor)
         for p in config["p"]
     ]
-    return all(r.passed for r in reports), [asdict(r) for r in reports], reports
+    return all(r.passed for r in reports), reports, reports
 
 
 def run_picone(config):
@@ -270,7 +284,7 @@ def run_picone(config):
         )
         cell_ok = res.max_abs_residual <= 1e-8 * res.scale
         ok = ok and cell_ok
-        results.append({"p": p, **asdict(res), "passed": cell_ok})
+        results.append({"p": p, **vars(res), "passed": cell_ok})
     return ok, results, []
 
 
@@ -312,7 +326,7 @@ def _write_atomic(path, text):
 
 
 def main(argv=None):
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -8,14 +8,14 @@ vector arguments.
 
 C_p has one row kernel, `_cp_values`, under `cp_eval_batch` (many rows) and
 `cp_eval` / `cp_eval_flagged` (one); c1's root r0 comes from scipy's `brentq`.
+`scipy.integrate` and `scipy.optimize` are imported by the two functions that
+use them, so `import plapstab` loads neither.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad as _quad
-from scipy.optimize import brentq as _brentq
 
 __all__ = [
     "pi_p",
@@ -55,18 +55,16 @@ def pi_p(p):
 def pi_p_quadrature(p):
     """pi_p from its defining integral 2*int_0^inf (1 + s^p/(p-1))^-1 ds.
 
-    Adaptive Gauss-Kronrod on the half line; independent of the closed form.
+    The substitution s^p/(p-1) = v/(1-v) turns it into the Beta integral
+    2 (p-1)^(1/p) / p * int_0^1 v^(1/p-1) (1-v)^(-1/p) dv, whose endpoint
+    powers scipy's `quad` takes as an algebraic weight (QAWS); independent
+    of the closed form, and free of overflow or endpoint trouble for any p > 1.
     """
+    from scipy.integrate import quad
+
     p = _check_p(p)
-    val, _ = _quad(
-        lambda s: 1.0 / (1.0 + s**p / (p - 1.0)),
-        0.0,
-        np.inf,
-        epsabs=1e-13,
-        epsrel=1e-13,
-        limit=400,
-    )
-    return 2.0 * val
+    val, _ = quad(lambda v: 1.0, 0.0, 1.0, weight="alg", wvar=(1.0 / p - 1.0, -1.0 / p))
+    return 2.0 * (p - 1.0) ** (1.0 / p) / p * val
 
 
 @dataclass(frozen=True)
@@ -98,6 +96,7 @@ def _c1_root(p):
     It solves g(r) = f(r) / (p - 2) = r expm1((p-2) log r) / (p - 2) - (r + 1)
     instead: same root, without the O(p - 2) cancellation of f near p = 2.
     g(1) = -2 < 0, so doubling the upper end brackets it."""
+    from scipy.optimize import brentq
 
     def g(r):
         return r * math.expm1((p - 2.0) * math.log(r)) / (p - 2.0) - (r + 1.0)
@@ -107,7 +106,7 @@ def _c1_root(p):
         hi *= 2.0
         if hi > 1e12:
             raise RuntimeError("failed to bracket c1 root")
-    return _brentq(g, 1.0, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+    return brentq(g, 1.0, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
 
 
 def c1_sharp(p):

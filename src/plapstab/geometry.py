@@ -431,28 +431,19 @@ def _polygon_centroid(verts):
 
 
 def _refine_triangles(nodes, elements):
-    """One round of uniform 4-way refinement with deterministic midpoint order."""
-    node_list = [nodes]
-    midpoint = {}
-    next_id = nodes.shape[0]
-
-    def mid(i, j):
-        nonlocal next_id
-        key = (i, j) if i < j else (j, i)
-        if key not in midpoint:
-            midpoint[key] = next_id
-            node_list.append(0.5 * (nodes[i] + nodes[j])[None, :])
-            next_id += 1
-        return midpoint[key]
-
-    new_elems = np.empty((4 * elements.shape[0], 3), dtype=int)
-    for t, (a, b, c) in enumerate(elements):
-        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-        new_elems[4 * t + 0] = (a, ab, ca)
-        new_elems[4 * t + 1] = (ab, b, bc)
-        new_elems[4 * t + 2] = (ca, bc, c)
-        new_elems[4 * t + 3] = (ab, bc, ca)
-    return np.vstack(node_list), new_elems
+    """One round of uniform 4-way refinement.  Edge midpoints are numbered
+    after the old nodes in the order their edges are first met (ab, bc, ca
+    of each triangle in turn)."""
+    n, m = nodes.shape[0], elements.shape[0]
+    ends = np.stack([elements, np.roll(elements, -1, axis=1)], axis=2).reshape(-1, 2)
+    keys = ends.min(axis=1) * n + ends.max(axis=1)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    ab, bc, ca = (n + np.argsort(np.argsort(first))[inverse]).reshape(m, 3).T
+    met = ends[np.sort(first)]
+    midpoints = 0.5 * (nodes[met[:, 0]] + nodes[met[:, 1]])
+    a, b, c = elements.T
+    new_elems = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1).reshape(4 * m, 3)
+    return np.vstack([nodes, midpoints]), new_elems
 
 
 def _on_polygon_boundary(points, verts):
@@ -472,21 +463,23 @@ def _on_polygon_boundary(points, verts):
 
 
 def _project_boundary_nodes(points, mask, verts):
-    """Snap boundary-flagged nodes exactly onto their nearest polygon edge."""
+    """Snap boundary-flagged nodes exactly onto their nearest polygon edge
+    (the first such edge on a tie)."""
     pts = points.copy()
     nv = verts.shape[0]
     idx = np.nonzero(mask)[0]
-    for i in idx:
-        best, best_d = None, np.inf
-        for k in range(nv):
-            a, b = verts[k], verts[(k + 1) % nv]
-            e = b - a
-            t = np.clip(((pts[i] - a) @ e) / (e @ e), 0.0, 1.0)
-            proj = a + t * e
-            d = np.hypot(*(pts[i] - proj))
-            if d < best_d:
-                best, best_d = proj, d
-        pts[i] = best
+    q = pts[idx]
+    best, best_d = q.copy(), np.full(idx.size, np.inf)
+    for k in range(nv):
+        a, b = verts[k], verts[(k + 1) % nv]
+        e = b - a
+        # one (1, 2) @ (2, 1) product per node: bitwise the 1-D (q_i - a) @ e
+        t = np.clip(np.matmul((q - a)[:, None, :], e[:, None])[:, 0, 0] / (e @ e), 0.0, 1.0)
+        proj = a + t[:, None] * e
+        d = np.hypot(*(q - proj).T)
+        closer = d < best_d
+        best[closer], best_d[closer] = proj[closer], d[closer]
+    pts[idx] = best
     return pts
 
 
@@ -532,13 +525,12 @@ def integrate(mesh, measure, integrand):
 def write_mesh(mesh, path):
     """Text format: header `DIM n NODES k ELEMS m`, coordinates, node-index
     tuples, then one line of 0/1 boundary flags."""
+    lines = [f"DIM {mesh.dim} NODES {mesh.n_nodes} ELEMS {mesh.n_elements}"]
+    lines += [" ".join(map(repr, row)) for row in mesh.nodes.tolist()]
+    lines += [" ".join(map(str, row)) for row in mesh.elements.tolist()]
+    lines.append(" ".join("1" if b else "0" for b in mesh.boundary_mask.tolist()))
     with open(path, "w") as fh:
-        fh.write(f"DIM {mesh.dim} NODES {mesh.n_nodes} ELEMS {mesh.n_elements}\n")
-        for row in mesh.nodes:
-            fh.write(" ".join(repr(float(x)) for x in row) + "\n")
-        for row in mesh.elements:
-            fh.write(" ".join(str(int(i)) for i in row) + "\n")
-        fh.write(" ".join("1" if b else "0" for b in mesh.boundary_mask) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_mesh(path):

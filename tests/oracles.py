@@ -308,3 +308,59 @@ def exhaustive_cut_value(centroids, n_directions, side_lambda):
             minus = np.nonzero(proj < t)[0]
             best = min(best, max(side_lambda(plus), side_lambda(minus)))
     return best
+
+
+def refine_triangles_loop(nodes, elements):
+    """One round of 4-way refinement, one triangle at a time: a dict numbers
+    each edge midpoint when its edge is first met (ab, bc, ca per triangle)."""
+    node_list = [nodes]
+    midpoint = {}
+    next_id = nodes.shape[0]
+
+    def mid(i, j):
+        nonlocal next_id
+        key = (i, j) if i < j else (j, i)
+        if key not in midpoint:
+            midpoint[key] = next_id
+            node_list.append(0.5 * (nodes[i] + nodes[j])[None, :])
+            next_id += 1
+        return midpoint[key]
+
+    new_elems = np.empty((4 * elements.shape[0], 3), dtype=int)
+    for t, (a, b, c) in enumerate(elements):
+        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+        new_elems[4 * t + 0] = (a, ab, ca)
+        new_elems[4 * t + 1] = (ab, b, bc)
+        new_elems[4 * t + 2] = (ca, bc, c)
+        new_elems[4 * t + 3] = (ab, bc, ca)
+    return np.vstack(node_list), new_elems
+
+
+def project_boundary_nodes_loop(points, mask, verts):
+    """Each flagged node moved onto its nearest polygon edge, one node and
+    one edge at a time; the first edge wins a tie (strict <)."""
+    pts = points.copy()
+    nv = verts.shape[0]
+    for i in np.nonzero(mask)[0]:
+        best, best_d = None, np.inf
+        for k in range(nv):
+            a, b = verts[k], verts[(k + 1) % nv]
+            e = b - a
+            t = np.clip(((pts[i] - a) @ e) / (e @ e), 0.0, 1.0)
+            proj = a + t * e
+            d = np.hypot(*(pts[i] - proj))
+            if d < best_d:
+                best, best_d = proj, d
+        pts[i] = best
+    return pts
+
+
+def write_mesh_loop(mesh, path):
+    """The mesh text format written one line at a time."""
+    with open(path, "w") as fh:
+        fh.write(f"DIM {mesh.dim} NODES {mesh.n_nodes} ELEMS {mesh.n_elements}\n")
+        for row in mesh.nodes:
+            fh.write(" ".join(repr(float(x)) for x in row) + "\n")
+        for row in mesh.elements:
+            fh.write(" ".join(str(int(i)) for i in row) + "\n")
+        fh.write(" ".join("1" if b else "0" for b in mesh.boundary_mask) + "\n")

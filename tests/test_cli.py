@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from plapstab import cli
 from plapstab.cli import _report_text, build_parser, load_config, main, parse_domain_flag
 
 PI2 = math.pi**2
@@ -50,6 +51,42 @@ class TestParsing:
         args = parser.parse_args(["eigen", "--level", "9"])
         with pytest.raises(ValueError):
             load_config(args)
+
+
+class TestParserReuse:
+    """main() builds its parser once per process; later calls must behave
+    exactly as calls on a fresh parser."""
+
+    SEQUENCE = [
+        ["eigen", "--second", "--p", "2", "--level", "2", "--no-timestamp"],
+        ["eigen", "--p", "2", "--level", "2", "--no-timestamp"],
+        ["eigen", "--bogus"],
+        ["-h"],
+        ["gap", "--p", "2", "--level", "2", "--no-timestamp"],
+    ]
+
+    def test_reused_parser_matches_fresh_calls(self, capsys):
+        reused = [run_cli(argv, capsys) for argv in self.SEQUENCE]
+        fresh = []
+        for argv in self.SEQUENCE:
+            cli._parser.cache_clear()
+            fresh.append(run_cli(argv, capsys))
+        assert [code for code, _, _ in reused] == [0, 0, 1, 0, 0]
+        assert reused == fresh
+        assert "second" in json.loads(reused[0][1])["results"][0]
+        assert "second" not in json.loads(reused[1][1])["results"][0]
+
+    @pytest.mark.parametrize("command", ["constants", "eigen", "stability", "gap", "picone"])
+    def test_subcommand_help(self, command, capsys):
+        code, out, _ = run_cli([command, "-h"], capsys)
+        assert code == 0
+        assert out.startswith(f"usage: plapstab {command} [-h]")
+        shown = [line.split()[0].rstrip(",") for line in out.splitlines()
+                 if line.startswith("  -")]
+        assert shown == ["-h", "--config", "--p", "--domain", "--measure", "--level", "--seed",
+                         "--out", "--csv", "--no-timestamp", "--fields", "--samples", "--second",
+                         "--mesh-out"]
+        assert "inject" not in out
 
 
 class TestCommands:

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -40,10 +45,37 @@ class TestPiP:
         assert abs(pi_p(p) - pi_p_quadrature(p)) <= 1e-8
         assert abs(pi_p(p) - pi_p_quad_oracle(p)) <= 1e-10
 
+    @pytest.mark.parametrize("p, tol", [
+        (1.0 + 1e-7, 1e-8), (1.001, 1e-12), (1.1, 1e-14), (120.0, 1e-13), (200.0, 1e-13),
+        (1000.0, 1e-13), (1e6, 1e-9),
+    ])
+    def test_quadrature_at_both_ends_of_p(self, p, tol):
+        # where a half-line integrand breaks down: s^p overflows from p ~ 120
+        # on, and quad runs out of subdivisions near p = 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert abs(pi_p_quadrature(p) - pi_p(p)) <= tol
+
     @pytest.mark.parametrize("p", [1.0, 0.5, -3.0])
     def test_rejects_bad_exponent(self, p):
         with pytest.raises(ValueError):
             pi_p(p)
+
+
+def test_import_leaves_out_integrate_and_optimize():
+    # only pi_p_quadrature and the c1 root need them; they load on first use
+    code = (
+        "import sys, plapstab\n"
+        "late = ('scipy.integrate', 'scipy.optimize')\n"
+        "assert not [m for m in late if m in sys.modules], sorted(sys.modules)\n"
+        "assert abs(plapstab.c1_sharp(3).c1 - (2 - 2 ** 0.5)) <= 1e-14\n"
+        "assert abs(plapstab.pi_p_quadrature(3) - plapstab.pi_p(3)) <= 1e-14\n"
+        "assert all(m in sys.modules for m in late)\n"
+    )
+    src = str(Path(cpcore.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestC1Sharp:

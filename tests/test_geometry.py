@@ -5,9 +5,21 @@ import pytest
 from scipy.special import erf
 
 import plapstab as ps
+from plapstab import geometry
 from plapstab.geometry import Mesh, make_domain, read_mesh, submesh, write_mesh
 
 from conftest import UNIT_SQUARE
+from oracles import project_boundary_nodes_loop, refine_triangles_loop, write_mesh_loop
+
+# on polygons without symmetry a boundary projection that rounds its dot
+# product differently moves nodes by an ulp; on the square it does not
+MESH_POLYGONS = {
+    "square": UNIT_SQUARE,
+    "triangle": [[0, 0], [1, 0], [0.3, 0.9]],
+    "thin-triangle": [[0, 0], [1, 0], [0.2, 0.9]],
+    "quadrilateral": [[0, 0], [1.3, 0], [1, 0.8], [0.1, 0.6]],
+    "pentagon": [[0, 0], [2, 0], [2.6, 1.4], [1, 2.4], [-0.5, 1.2]],
+}
 
 
 class TestDomains:
@@ -114,6 +126,43 @@ class TestBuildMesh:
         m2 = ps.build_mesh(sq, 3)
         assert np.array_equal(m1.nodes, m2.nodes)
         assert np.array_equal(m1.elements, m2.elements)
+
+
+class TestMeshAgainstLoops:
+    """build_mesh and write_mesh equal, bit for bit, the one-triangle-at-a-time
+    and one-node-at-a-time loops of tests/oracles.py."""
+
+    @pytest.mark.parametrize("name", sorted(MESH_POLYGONS))
+    def test_build_mesh_bitwise(self, name):
+        domain = ps.polygon_domain(MESH_POLYGONS[name])
+        verts = domain.vertices
+        nv = len(verts)
+        nodes = np.vstack([verts, geometry._polygon_centroid(verts)])
+        elements = np.array([[i, (i + 1) % nv, nv] for i in range(nv)])
+        for level in range(7):
+            if level:
+                nodes, elements = refine_triangles_loop(nodes, elements)
+            boundary = geometry._on_polygon_boundary(nodes, verts)
+            projected = project_boundary_nodes_loop(nodes, boundary, verts)
+            m = ps.build_mesh(domain, level)
+            assert m.nodes.tobytes() == projected.tobytes(), level
+            assert np.array_equal(m.elements, elements), level
+            assert np.array_equal(m.boundary_mask, boundary), level
+
+    @pytest.mark.parametrize("name, level", [
+        ("interval", 0), ("interval", 3), ("square", 2), ("triangle", 3), ("quadrilateral", 4),
+    ])
+    def test_mesh_file_bytes(self, name, level, tmp_path):
+        domain = (ps.interval_domain(-0.3, 1.7) if name == "interval"
+                  else ps.polygon_domain(MESH_POLYGONS[name]))
+        m = ps.build_mesh(domain, level)
+        write_mesh(m, tmp_path / "fast.mesh")
+        write_mesh_loop(m, tmp_path / "loop.mesh")
+        assert (tmp_path / "fast.mesh").read_bytes() == (tmp_path / "loop.mesh").read_bytes()
+        back = read_mesh(tmp_path / "fast.mesh")
+        assert back.nodes.tobytes() == m.nodes.tobytes()
+        assert np.array_equal(back.elements, m.elements)
+        assert np.array_equal(back.boundary_mask, m.boundary_mask)
 
 
 class TestIntegrate:

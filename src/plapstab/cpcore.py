@@ -95,17 +95,23 @@ def _c1_root(p):
 
     It solves g(r) = f(r) / (p - 2) = r expm1((p-2) log r) / (p - 2) - (r + 1)
     instead: same root, without the O(p - 2) cancellation of f near p = 2.
-    g(1) = -2 < 0, so doubling the upper end brackets it."""
+    g(1) = -2 < 0, so the upper ends 2, 4, 8, ... bracket it. Where g(2)
+    overflows (p above about 1026), r0 - 1 is of order log(p) / p, and the
+    ends 1 + 2^k / (p - 2), k = 0, 1, ..., bracket it instead."""
     from scipy.optimize import brentq
 
     def g(r):
         return r * math.expm1((p - 2.0) * math.log(r)) / (p - 2.0) - (r + 1.0)
 
-    hi = 2.0
-    while g(hi) <= 0.0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise RuntimeError("failed to bracket c1 root")
+    try:
+        g(2.0)
+    except OverflowError:
+        ends = (1.0 + 2.0**k / (p - 2.0) for k in range(40))
+    else:
+        ends = (2.0**k for k in range(1, 40))
+    hi = next((r for r in ends if g(r) > 0.0), None)
+    if hi is None:
+        raise RuntimeError("failed to bracket c1 root")
     return brentq(g, 1.0, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
 
 

@@ -170,7 +170,7 @@ class Mesh:
         if self.boundary_mask.shape[0] != self.nodes.shape[0]:
             raise ValueError("boundary mask size mismatch")
         self._density_cache = {}
-        self._interior_pattern = None
+        self._patterns = {}
         # sparse-LU column order per matrix built on the interior pattern,
         # filled by the first factorisation of that matrix (see spectral)
         self.lu_orders = {}
@@ -263,23 +263,30 @@ class Mesh:
         """Per-element integral of the measure density, (m,), read-only."""
         return self._measure_arrays(measure)[2]
 
-    def interior_pattern(self):
-        """CSC sparsity of the interior-interior block, built once per mesh.
+    def pattern(self, nodes):
+        """CSC sparsity of the P1 matrices on `nodes`, built once per mesh.
 
+        `nodes` is "interior" (the interior-interior block, in interior
+        numbering: interior nodes in mesh order) or "all" (the full matrix).
         Returns `(slots, indices, indptr)`. `indices` and `indptr` are the
-        CSC structure of the block in interior numbering (interior nodes in
-        mesh order). `slots[(e * k + i) * k + j]` is the data index that
-        element-local entry (i, j) of element e adds into, or `indices.size`
-        (a discard slot) when either node is on the boundary. So
+        CSC structure, symmetric, with sorted rows in each column.
+        `slots[(e * k + i) * k + j]` is the data index that element-local
+        entry (i, j) of element e adds into, or `indices.size` (a discard
+        slot) when either node is left out. So
         `np.bincount(slots, local.ravel())[:indices.size]` assembles an
         (m, k, k) array of element matrices. The column orders that sparse
-        LU factors of matrices on this pattern use are kept in `lu_orders`.
+        LU factors of interior matrices use are kept in `lu_orders`.
         """
-        if self._interior_pattern is None:
+        if nodes not in self._patterns:
+            if nodes == "interior":
+                number = np.cumsum(self.interior) - 1
+                number[self.boundary_mask] = -1
+            elif nodes == "all":
+                number = np.arange(self.n_nodes)
+            else:
+                raise ValueError(f"unknown node set {nodes!r}")
             k = self.elements.shape[1]
-            n = int(np.count_nonzero(self.interior))
-            number = np.cumsum(self.interior) - 1
-            number[self.boundary_mask] = -1
+            n = int(np.count_nonzero(number >= 0))
             local = number[self.elements]
             rows = np.repeat(local, k, axis=1).ravel()
             cols = np.tile(local, (1, k)).ravel()
@@ -288,8 +295,8 @@ class Mesh:
             slots = np.full(rows.shape, keys.size)
             slots[keep] = inverse
             indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
-            self._interior_pattern = (slots, (keys % n).astype(np.int32), indptr.astype(np.int32))
-        return self._interior_pattern
+            self._patterns[nodes] = (slots, (keys % n).astype(np.int32), indptr.astype(np.int32))
+        return self._patterns[nodes]
 
     def values_at_quad(self, nodal_values):
         """P1 interpolation at all quadrature points: (..., n) values to (..., m, q)."""
@@ -300,22 +307,15 @@ class Mesh:
         return np.einsum("mkd,...mk->...md", self.grads, nodal_values.take(self.elements, axis=-1))
 
     def node_adjacency(self):
-        """Symmetric sparse node-to-node adjacency (shared element edge)."""
+        """Symmetric sparse node-to-node adjacency (shared element edge), CSR:
+        the full pattern without its diagonal, every entry 1."""
         from scipy import sparse
 
-        pairs = []
-        k = self.elements.shape[1]
-        for i in range(k):
-            for j in range(i + 1, k):
-                pairs.append(self.elements[:, [i, j]])
-        ij = np.concatenate(pairs)
-        rows = np.concatenate([ij[:, 0], ij[:, 1]])
-        cols = np.concatenate([ij[:, 1], ij[:, 0]])
-        data = np.ones(rows.shape[0])
-        adj = sparse.coo_matrix((data, (rows, cols)), shape=(self.n_nodes, self.n_nodes))
-        adj = adj.tocsr()
-        adj.data[:] = 1.0
-        return adj
+        _, indices, indptr = self.pattern("all")
+        # the pattern is symmetric, so its CSC arrays are its CSR ones too
+        off = indices != np.repeat(np.arange(self.n_nodes), np.diff(indptr))
+        ptr = np.append(0, np.cumsum(off))[indptr]
+        return sparse.csr_matrix((np.ones(ptr[-1]), indices[off], ptr), shape=(self.n_nodes, self.n_nodes))
 
 
 @dataclass

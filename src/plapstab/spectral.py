@@ -17,10 +17,13 @@ The second eigenvalue uses block inverse iteration deflated against the
 ground state for p = 2 and otherwise a hyperplane-cut two-nodal-domain
 estimator (a certified upper bound) that bisects the cuts of each direction.
 
-Every linear solve is a sparse LU (`scipy.sparse.linalg.splu`) of one of
-two matrices on the interior sparsity pattern cached on the mesh
-(`Mesh.interior_pattern`): the interior matrix of the lagged steps and of
-deflation, assembled into interior numbering by one scatter, and the
+Every sparse matrix is one scatter of element matrices on a sparsity
+pattern cached on the mesh (`Mesh.pattern`): the full matrices of
+`weighted_stiffness` and `weighted_mass` on the pattern of all nodes, the
+interior ones on the interior pattern. Every int |u|^p dmu is one call of
+`lp_energies`. Every linear solve is a sparse LU
+(`scipy.sparse.linalg.splu`) of one of two matrices on the interior
+pattern: the interior matrix of the lagged steps and of deflation, and the
 bordered Newton matrix, built from [J.data, b, -b] by one gather. The first
 factorisation of each on a mesh orders the columns by COLAMD and keeps that
 order on the mesh (`Mesh.lu_orders`); later ones gather straight into the
@@ -125,8 +128,14 @@ class EigenPair:
 
 
 def lp_norm(field, p, measure):
-    w = field.mesh.measure_weights(measure)
-    return float(np.sum(w * np.abs(field.at_quad()) ** p)) ** (1.0 / p)
+    return float(lp_energies(p, field.at_quad(), field.mesh.measure_weights(measure))) ** (1.0 / p)
+
+
+def lp_energies(p, uq, w):
+    """int |u|^p dmeasure from a block of values uq at the quadrature points,
+    shaped (..., *w.shape), and the quadrature weights w of the measure: one
+    value per leading index."""
+    return np.sum(w * np.abs(uq) ** p, axis=tuple(range(-w.ndim, 0)))
 
 
 def gradient_energies(p, g, de):
@@ -146,32 +155,22 @@ def rayleigh_quotient(p, field, measure):
     """int |grad u|^p dmu / int |u|^p dmu."""
     if p <= 1.0:
         raise ValueError(f"exponent must exceed 1, got {p}")
-    w = field.mesh.measure_weights(measure)
-    den = float(np.sum(w * np.abs(field.at_quad()) ** p))
+    den = float(lp_energies(p, field.at_quad(), field.mesh.measure_weights(measure)))
     if den <= 0.0:
         raise ValueError("Rayleigh quotient of the zero field")
     return grad_energy(p, field, measure) / den
 
 
-def _stiffness_local(mesh, measure, elem_weights=None):
-    """Element matrices w_e int_e density grad phi_i . grad phi_j, (m, k, k)."""
-    de = mesh.element_density_integrals(measure)
-    w = de if elem_weights is None else de * elem_weights
-    return mesh.grad_gram * w[:, None, None]
+def _stiffness_local(mesh, element_weights):
+    """Element matrices w_e grad phi_i . grad phi_j for the (m,) weights w_e,
+    (m, k, k); w_e = int_e density gives the stiffness matrix's."""
+    return mesh.grad_gram * element_weights[:, None, None]
 
 
-def _mass_local(mesh, measure):
-    """Element matrices int_e density phi_i phi_j by quadrature, (m, k, k)."""
-    wq = mesh.measure_weights(measure)
-    return np.einsum("mq,qi,qj->mij", wq, mesh.basis, mesh.basis)
-
-
-def _assemble(mesh, local):
-    k = mesh.elements.shape[1]
-    rows = np.repeat(mesh.elements, k, axis=1).ravel()
-    cols = np.tile(mesh.elements, (1, k)).ravel()
-    n = mesh.n_nodes
-    return sparse.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+def _mass_local(mesh, quad_weights):
+    """Element matrices sum_q w_eq phi_i phi_j for the (m, q) quadrature
+    weights w_eq, (m, k, k); the measure's weights give the mass matrix's."""
+    return np.einsum("mq,qi,qj->mij", quad_weights, mesh.basis, mesh.basis)
 
 
 def _square_csc(data, indices, indptr):
@@ -179,29 +178,30 @@ def _square_csc(data, indices, indptr):
     return sparse.csc_matrix((data, indices, indptr), shape=(n, n))
 
 
-def _interior_data(mesh, local):
-    """CSC data, on the mesh's cached interior pattern, of the interior block
+def _scatter(mesh, local, nodes="interior"):
+    """CSC data, on the mesh's cached pattern of `nodes` (see Mesh.pattern),
     of the matrix assembled from the (m, k, k) element matrices `local`."""
-    slots, indices, _ = mesh.interior_pattern()
+    slots, indices, _ = mesh.pattern(nodes)
     nnz = indices.size
     return np.bincount(slots, weights=local.ravel(), minlength=nnz + 1)[:nnz]
 
 
-def _assemble_interior(mesh, local):
-    """Interior-interior block of the assembled matrix, in interior
-    numbering, as CSC, by one scatter through the mesh's cached pattern."""
-    _, indices, indptr = mesh.interior_pattern()
-    return _square_csc(_interior_data(mesh, local), indices, indptr)
+def _assemble_csc(mesh, local, nodes="interior"):
+    """The matrix on `nodes` assembled from the element matrices `local`, as
+    CSC in the pattern's numbering, by one scatter."""
+    _, indices, indptr = mesh.pattern(nodes)
+    return _square_csc(_scatter(mesh, local, nodes), indices, indptr)
 
 
 def weighted_stiffness(mesh, measure, elem_weights=None):
-    """Assemble sum_e w_e int_e density grad phi_i . grad phi_j."""
-    return _assemble(mesh, _stiffness_local(mesh, measure, elem_weights))
+    """Assemble sum_e w_e int_e density grad phi_i . grad phi_j, CSC."""
+    de = mesh.element_density_integrals(measure)
+    return _assemble_csc(mesh, _stiffness_local(mesh, de if elem_weights is None else de * elem_weights), "all")
 
 
 def weighted_mass(mesh, measure):
-    """Assemble int density phi_i phi_j by element quadrature."""
-    return _assemble(mesh, _mass_local(mesh, measure))
+    """Assemble int density phi_i phi_j by element quadrature, CSC."""
+    return _assemble_csc(mesh, _mass_local(mesh, mesh.measure_weights(measure)), "all")
 
 
 def _distance_to_boundary(mesh):
@@ -267,12 +267,11 @@ def _euler_lagrange(p, mesh, measure, u):
     de = mesh.element_density_integrals(measure)
     g = mesh.gradients(u)
     uq = mesh.values_at_quad(u)
-    au = np.abs(uq)
     # the same operations as rayleigh_quotient, so R is bitwise the same
-    lam = float(gradient_energies(p, g, de) / np.sum(w * au**p))
+    lam = float(gradient_energies(p, g, de) / lp_energies(p, uq, w))
     gn = np.sqrt(np.sum(g * g, axis=1))
     ga = de * _guarded_power(gn, p - 2.0)
-    uw = w * _guarded_power(au, p - 2.0)
+    uw = w * _guarded_power(np.abs(uq), p - 2.0)
     gphi = np.einsum("mkd,md->mk", mesh.grads, g)  # G g, one row per element
     elements, interior = mesh.elements.ravel(), mesh.interior
     a = np.bincount(elements, (ga[:, None] * gphi).ravel(), mesh.n_nodes)[interior]
@@ -291,8 +290,8 @@ def _jacobian(p, mesh, lam, terms):
     _, gn, ga, uw, gphi = terms
     # (p-2) de |g|^(p-4) (G g)(G g)^T is the (p-2) (G n)(G n)^T term
     gb = (p - 2.0) * _guarded_power(gn, -2.0) * ga
-    local = ga[:, None, None] * mesh.grad_gram + gb[:, None, None] * (gphi[:, :, None] * gphi[:, None, :])
-    local -= (lam * (p - 1.0)) * np.einsum("mq,qi,qj->mij", uw, mesh.basis, mesh.basis)
+    local = _stiffness_local(mesh, ga) + gb[:, None, None] * (gphi[:, :, None] * gphi[:, None, :])
+    local -= (lam * (p - 1.0)) * _mass_local(mesh, uw)
     return local
 
 
@@ -317,7 +316,7 @@ def _natural_layout(mesh, name):
     "interior" is the interior block itself (source: its data). "bordered"
     is [J, -b; b^T, 0] (source: [J.data, b, -b]): b_j closes column j of J
     and -b is the last column."""
-    _, indices, indptr = mesh.interior_pattern()
+    _, indices, indptr = mesh.pattern("interior")
     nnz, n = indices.size, indptr.size - 1
     if name == "interior":
         return np.arange(nnz), indices, indptr
@@ -415,7 +414,7 @@ def first_eigenpair(p, mesh, measure, opts=None):
             # data are released around the factorisation: kept alive across
             # factorisations, they fragmented the heap, and the peak RSS of
             # repeated solves grew by several MB
-            source = np.concatenate([_interior_data(mesh, _jacobian(p, mesh, lam, terms)), b, -b])
+            source = np.concatenate([_scatter(mesh, _jacobian(p, mesh, lam, terms)), b, -b])
             terms = None
             try:
                 # u is normalised, so the normalisation row has zero right side
@@ -434,7 +433,8 @@ def first_eigenpair(p, mesh, measure, opts=None):
                 g = mesh.gradients(u)
                 eps = max(1e-8, 1e-2 * 0.5**lagged)
                 weights = (np.sum(g * g, axis=1) + eps * eps) ** (0.5 * (p - 2.0))
-                solve = _lu_solve(mesh, "interior", _interior_data(mesh, _stiffness_local(mesh, measure, weights)))
+                de = mesh.element_density_integrals(measure)
+                solve = _lu_solve(mesh, "interior", _scatter(mesh, _stiffness_local(mesh, de * weights)))
             d[interior] = solve(b)
             d = _normalize(mesh, d, p, measure) - u
             lagged += 1
@@ -488,8 +488,8 @@ def _deflated_second(p, mesh, measure, u1, opts):
     removed, falls to `opts.tol`.
     """
     interior = mesh.interior
-    K = _assemble_interior(mesh, _stiffness_local(mesh, measure))
-    M = _assemble_interior(mesh, _mass_local(mesh, measure))
+    K = _assemble_csc(mesh, _stiffness_local(mesh, mesh.element_density_integrals(measure)))
+    M = _assemble_csc(mesh, _mass_local(mesh, mesh.measure_weights(measure)))
     solve = _lu_solve(mesh, "interior", K.data)
     u1i = u1.values[interior]
     Mu1 = M @ u1i
@@ -542,7 +542,7 @@ def _interior_components(mesh):
     # least interior index in each component: min-label propagation over
     # the interior pattern, whose columns hold each node and its neighbours,
     # with pointer jumping
-    _, indices, indptr = mesh.interior_pattern()
+    _, indices, indptr = mesh.pattern("interior")
     label = np.arange(indptr.size - 1)
     while True:
         new = np.minimum.reduceat(label[indices], indptr[:-1])

@@ -12,10 +12,11 @@ rows: one uniform draw per block (equal to the per-field draws), one
 smoothing pass over the block with the node adjacency built once per call,
 and one reduction each for the energies, deficits and tolerances.  The
 distance inf_c int |u - c u1|^p dmu has one kernel for all rows at once,
-_convex_lp_min, whose root finder _lp_argmin (safeguarded Newton-bisection
-on the increasing derivative, started from the L^2 projection) is also the
-centering root of the weighted Poincare check.  Single-field functions
-call the same kernels on a one-row block.
+_convex_lp_min, whose root finder is _lp_argmin (safeguarded
+Newton-bisection on the increasing derivative, started from the L^2
+projection). The weighted Poincare check takes its centering root t0 and
+inf_t int |f - t|^p w from one call of it, with v = 1.  Single-field
+functions call the same kernels on a one-row block.
 """
 
 import csv
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import cpcore
 from .geometry import Field
-from .spectral import first_eigenpair, grad_energy, gradient_energies, second_eigenvalue
+from .spectral import first_eigenpair, grad_energy, gradient_energies, lp_energies, second_eigenvalue
 
 __all__ = [
     "StabilityReport",
@@ -121,8 +122,7 @@ def _deficits(p, mesh, values, lambda1, measure):
     of `values`, an (n_fields, n_nodes) block of nodal values."""
     energy = gradient_energies(p, mesh.gradients(values), mesh.element_density_integrals(measure))
     uq = mesh.values_at_quad(values)
-    lp = np.sum((mesh.measure_weights(measure) * np.abs(uq) ** p).reshape(len(values), -1), axis=1)
-    return energy - lambda1 * lp, energy, uq
+    return energy - lambda1 * lp_energies(p, uq, mesh.measure_weights(measure)), energy, uq
 
 
 def deficit(p, u, lambda1, measure):
@@ -183,16 +183,16 @@ def _convex_lp_min(p, W, U, v):
     W = W.ravel()
     v = v.ravel()
     U = U.reshape(len(U), -1)
-    nv = float(np.sum(W * np.abs(v) ** p)) ** (1.0 / p)
+    nv = float(lp_energies(p, v, W)) ** (1.0 / p)
     if nv == 0.0:
         raise ValueError("reference function vanishes identically")
     c = np.sum(W * U * v, axis=1) / np.sum(W * v * v)
     if p != 2.0:
-        bound = 2.0 * np.sum(W * np.abs(U) ** p, axis=1) ** (1.0 / p) / nv + 1.0
+        bound = 2.0 * lp_energies(p, U, W) ** (1.0 / p) / nv + 1.0
         scale = p * np.sum(W * (np.abs(U) + np.abs(v)) ** (p - 1.0) * np.abs(v), axis=1)
         tol = 1e-10 * np.maximum(scale, 1e-300)
         c = _lp_argmin(p, W, U, v, np.clip(c, -bound, bound), -bound, bound, tol)
-    return np.sum(W * np.abs(U - c[:, None] * v) ** p, axis=1), c
+    return lp_energies(p, U - c[:, None] * v, W), c
 
 
 def distance_to_eigenspace(p, u, u1, measure):
@@ -337,27 +337,22 @@ def centering_root(p, f, weight, measure=None):
     """Root t0 of g(t) = int |f - t|^(p-2) (f - t) w.
 
     g is continuous and strictly decreasing with a sign change on
-    [min f, max f].  It is -F'(t)/p for F(t) = int |f - t|^p w, so the
-    distance kernel's root finder solves it from the weighted mean (the
-    p = 2 root).  `weight` is a Field, an array shaped like the quadrature
-    grid, or a callable on points.
+    [min f, max f].  It is -F'(t)/p for F(t) = int |f - t|^p w, so t0 is
+    the argmin of F, which the distance kernel finds from the weighted mean
+    (the p = 2 root).  `weight` is a Field, an array shaped like the
+    quadrature grid, or a callable on points.
     """
-    return _centering_root(p, f, _weight_array(f.mesh, weight, measure))
+    return _centered_min(p, f, _weight_array(f.mesh, weight, measure))[1]
 
 
-def _centering_root(p, f, W):
-    """centering_root for the weighted quadrature array W of _weight_array."""
-    W = W.ravel()
-    fq = f.at_quad().ravel()
-    lo = float(np.min(f.values))
-    hi = float(np.max(f.values))
-    if lo == hi:
-        return lo
-    # |g| <= 1e-10 * int w * span^(p-1), written for F' = -p g
-    tol = 1e-10 * p * float(np.sum(W)) * (hi - lo) ** (p - 1.0)
-    start = np.sum(W * fq) / np.sum(W)
-    t = _lp_argmin(p, W, fq[None], np.ones_like(fq), [start], [lo], [hi], [tol])
-    return float(t[0])
+def _centered_min(p, f, W):
+    """(inf_t int |f - t|^p w, its argmin t0) for the weighted quadrature
+    array W of _weight_array, by one call of the distance kernel; a constant
+    f is its own t0 exactly, at distance 0."""
+    if np.ptp(f.values) == 0.0:
+        return 0.0, float(f.values[0])
+    dist, t = _convex_lp_min(p, W, f.at_quad()[None], np.ones_like(W))
+    return float(dist[0]), float(t[0])
 
 
 def _weight_array(mesh, weight, measure):
@@ -420,18 +415,14 @@ def _check_log_concave(mesh, weight):
 def weighted_poincare_check(p, domain, mesh, f, omega, measure=None):
     """Verify int |grad f|^p w >= (pi_p/diam)^p inf_t int |f - t|^p w.
 
-    The field is first centered by the t0 root so the hypothesis
-    int |f-t0|^(p-2)(f-t0) w = 0 of the weighted inequality holds.
+    The minimiser t0 of int |f - t|^p w is the centering root, at which
+    the hypothesis int |f-t0|^(p-2)(f-t0) w = 0 of the weighted inequality
+    holds; a constant shift leaves grad f as it is.
     """
     _check_log_concave(mesh, omega)
     W = _weight_array(mesh, omega, measure)
-    t0 = _centering_root(p, f, W)
-    shifted = Field(mesh, f.values - t0)
-
-    lhs = float(gradient_energies(p, shifted.gradients(), np.sum(W, axis=1)))
-
-    dist, _ = _convex_lp_min(p, W, shifted.at_quad()[None], np.ones_like(W))
-    rhs_inf = float(dist[0])
+    rhs_inf, t0 = _centered_min(p, f, W)
+    lhs = float(gradient_energies(p, f.gradients(), np.sum(W, axis=1)))
     bound = (cpcore.pi_p(p) / domain.diameter) ** p
     degenerate = rhs_inf <= 1e-300
     ratio = float("nan") if degenerate else lhs / rhs_inf
@@ -451,8 +442,8 @@ def weighted_poincare_check(p, domain, mesh, f, omega, measure=None):
     )
 
 
-def picone_check(p, u, phi, measure=None, max_samples=None, seed=0, full_output=False):
-    """Max pointwise |C_p - R_p| over sampled quadrature points.
+def picone_check(p, u, phi, measure=None, max_samples=None, seed=0):
+    """PiconeResult: max pointwise |C_p - R_p| over sampled quadrature points.
 
     C_p is evaluated through the C_p functional with xi = grad u and
     eta = grad u - (grad phi / phi) u; R_p expands the divergence-form side
@@ -498,15 +489,12 @@ def picone_check(p, u, phi, measure=None, max_samples=None, seed=0, full_output=
     resid = np.abs(c_side - r_side)
     a_n = np.sqrt(np.sum(a * a, axis=1))
     scale = float(np.max(gu_n**p + a_n**p + 1.0)) if resid.size else 1.0
-    max_resid = float(np.max(resid)) if resid.size else 0.0
-    if full_output:
-        return PiconeResult(
-            max_abs_residual=max_resid,
-            scale=scale,
-            n_samples=int(resid.size),
-            n_skipped=n_skipped,
-        )
-    return max_resid
+    return PiconeResult(
+        max_abs_residual=float(np.max(resid)) if resid.size else 0.0,
+        scale=scale,
+        n_samples=int(resid.size),
+        n_skipped=n_skipped,
+    )
 
 
 def gap_check(p, domain, mesh, measure, opts=None, pairs=None, constant_factor=1.0):

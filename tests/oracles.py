@@ -3,6 +3,7 @@ library code paths.  Nothing in here imports from plapstab."""
 
 import mpmath as mp
 import numpy as np
+from scipy import sparse
 from scipy.integrate import solve_ivp
 
 mp.mp.dps = 30
@@ -219,6 +220,31 @@ def distance_to_boundary_loop(mesh):
         d = np.minimum(d, cross)
     d[mesh.boundary_mask] = 0.0
     return d
+
+
+def coo_assemble(mesh, local):
+    """The (n, n) matrix summed from the (m, k, k) element matrices `local`
+    through scipy's coordinate (COO) format, which adds up the duplicate
+    entries itself; CSR."""
+    k = mesh.elements.shape[1]
+    rows = np.repeat(mesh.elements, k, axis=1).ravel()
+    cols = np.tile(mesh.elements, (1, k)).ravel()
+    n = mesh.n_nodes
+    return sparse.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
+def coo_node_adjacency(mesh):
+    """Node-to-node adjacency through shared element edges, CSR: both
+    orientations of every edge of every element as COO triplets, duplicates
+    summed, then every stored entry set to 1."""
+    k = mesh.elements.shape[1]
+    ij = np.concatenate([mesh.elements[:, [i, j]] for i in range(k) for j in range(i + 1, k)])
+    rows = np.concatenate([ij[:, 0], ij[:, 1]])
+    cols = np.concatenate([ij[:, 1], ij[:, 0]])
+    n = mesh.n_nodes
+    adj = sparse.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n)).tocsr()
+    adj.data[:] = 1.0
+    return adj
 
 
 def cp_scalar(p, xi, eta):

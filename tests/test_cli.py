@@ -100,6 +100,19 @@ class TestCommands:
         assert abs(entry["pi_p"] - 3.0469919990461723) <= 1e-10
         assert entry["passed"]
 
+    def test_constants_p1030(self, capsys):
+        assert main(["constants", "--p", "1030", "--no-timestamp"]) == 0
+        (entry,) = json.loads(capsys.readouterr().out)["results"]
+        assert entry["passed"] and entry["r0"] > 1.0
+
+    def test_arithmetic_error_exits_1(self, monkeypatch, capsys):
+        def overflow(config):
+            raise OverflowError("math range error")
+
+        monkeypatch.setitem(cli._RUNNERS, "constants", overflow)
+        assert main(["constants", "--p", "3"]) == 1
+        assert capsys.readouterr().err == "run error: math range error\n"
+
     def test_constants_p_below_two_uses_c2c3(self, capsys):
         code, out, _ = run_cli(["constants", "--p", "1.5", "--no-timestamp"], capsys)
         assert code == 0

@@ -132,6 +132,16 @@ class TestC1Sharp:
         with mp.workdps(40):
             assert abs(mp.mpf(r0) - ref) <= 4 * math.ulp(r0)
 
+    @pytest.mark.parametrize("p", [1030.0, 2000.0, 1e4])
+    def test_root_where_two_overflows(self, p):
+        # (p - 2) log 2 overflows expm1, so the bracket starts just above 1
+        res = c1_sharp(p)
+        ref = c1_root_mp(p)
+        assert res.r0 > 1.0
+        with mp.workdps(40):
+            assert abs(mp.mpf(res.r0) - ref) <= 4 * math.ulp(res.r0)
+        assert res.lower <= res.c1 <= res.upper
+
     def test_p4_exact(self):
         # r^3 - 3r - 2 = (r - 2)(r + 1)^2, so r0 = 2 and c1 = 3 * 3^-2
         res = c1_sharp(4.0)

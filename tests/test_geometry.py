@@ -9,7 +9,7 @@ from plapstab import geometry
 from plapstab.geometry import Mesh, make_domain, read_mesh, submesh, write_mesh
 
 from conftest import UNIT_SQUARE
-from oracles import project_boundary_nodes_loop, refine_triangles_loop, write_mesh_loop
+from oracles import coo_node_adjacency, project_boundary_nodes_loop, refine_triangles_loop, write_mesh_loop
 
 # on polygons without symmetry a boundary projection that rounds its dot
 # product differently moves nodes by an ulp; on the square it does not
@@ -227,6 +227,43 @@ class TestMeasureArrays:
         for a in (density, w, de):
             with pytest.raises(ValueError, match="read-only"):
                 a *= 2.0
+
+
+def _pattern_mesh(shape, level):
+    """Interval, square or triangle mesh, a cut of the square mesh, or the
+    interval mesh with one node that no element uses."""
+    if shape in ("interval", "orphan"):
+        m = ps.build_mesh(ps.interval_domain(0.0, 1.0), level)
+        if shape == "orphan":
+            m = Mesh(np.append(m.nodes[:, 0], 0.5), m.elements, np.append(m.boundary_mask, False))
+        return m
+    vertices = [[0.0, 0.0], [1.0, 0.0], [0.3, 0.8]] if shape == "triangle" else UNIT_SQUARE
+    m = ps.build_mesh(ps.polygon_domain(vertices), level)
+    if shape == "cut":
+        m, _ = submesh(m, np.nonzero(np.mean(m.nodes[m.elements], axis=1)[:, 0] > 0.5)[0])
+    return m
+
+
+class TestPattern:
+    @pytest.mark.parametrize("shape", ["interval", "square", "triangle", "cut", "orphan"])
+    @pytest.mark.parametrize("level", range(6))
+    def test_node_adjacency_matches_coo(self, shape, level):
+        m = _pattern_mesh(shape, level)
+        got, want = m.node_adjacency(), coo_node_adjacency(m)
+        assert got.format == "csr" and got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    def test_cached_per_node_set(self):
+        m = ps.build_mesh(ps.polygon_domain(UNIT_SQUARE), 2)
+        full, inner = m.pattern("all"), m.pattern("interior")
+        assert m.pattern("all") is full and m.pattern("interior") is inner
+        # the full pattern keeps every element entry, the interior one drops
+        # those of boundary nodes into its discard slot
+        assert full[2].size == m.n_nodes + 1 and np.all(full[0] < full[1].size)
+        assert inner[2].size == np.count_nonzero(m.interior) + 1 and np.any(inner[0] == inner[1].size)
+        with pytest.raises(ValueError, match="node set"):
+            m.pattern("boundary")
 
 
 class TestFields:

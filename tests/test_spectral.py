@@ -15,7 +15,7 @@ from plapstab import spectral
 from plapstab.geometry import Mesh, read_mesh, submesh, write_mesh
 from plapstab.spectral import SolverOptions
 
-from oracles import distance_to_boundary_loop, euler_lagrange_residual, exhaustive_cut_value
+from oracles import coo_assemble, distance_to_boundary_loop, euler_lagrange_residual, exhaustive_cut_value
 
 PI2 = math.pi**2
 _MEASURES = {"lebesgue": ps.lebesgue(), "gaussian": ps.gaussian()}
@@ -245,7 +245,7 @@ class TestEulerLagrange:
         u = spectral._distance_to_boundary(m) * rng.uniform(1.0, 1.5, m.n_nodes)
         (v,) = _random_values(m, 4, n_fields=1)
         lam, _, _, _, terms = spectral._euler_lagrange(p, m, mu, u)
-        jac = spectral._assemble_interior(m, spectral._jacobian(p, m, lam, terms))
+        jac = spectral._assemble_csc(m, spectral._jacobian(p, m, lam, terms))
 
         def F(w):
             lam_w, b_w, r_w, _, _ = spectral._euler_lagrange(p, m, mu, w)
@@ -255,6 +255,21 @@ class TestEulerLagrange:
         fd = (F(u + h * v) - F(u - h * v)) / (2.0 * h)
         jv = jac @ v[m.interior]
         assert np.linalg.norm(jv - fd) <= 1e-6 * np.linalg.norm(jv)
+
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 6.0])
+    @pytest.mark.parametrize("name, level", [("interval01", 4), ("square", 2)])
+    def test_jacobian_from_element_kernels_bitwise(self, cache, name, level, p):
+        m = cache.mesh(name, level)
+        u = spectral._distance_to_boundary(m) * np.random.default_rng(3).uniform(1.0, 1.5, m.n_nodes)
+        lam, _, _, _, terms = spectral._euler_lagrange(p, m, ps.gaussian(), u)
+        _, gn, ga, uw, gphi = terms
+        # de |g|^(p-2) G G^T + (p-2) de |g|^(p-4) (G g)(G g)^T
+        # - R (p-1) int |u|^(p-2) phi_i phi_j, written out
+        gb = (p - 2.0) * spectral._guarded_power(gn, -2.0) * ga
+        want = ga[:, None, None] * m.grad_gram + gb[:, None, None] * (gphi[:, :, None] * gphi[:, None, :])
+        want -= (lam * (p - 1.0)) * np.einsum("mq,qi,qj->mij", uw, m.basis, m.basis)
+        assert np.array_equal(spectral._jacobian(p, m, lam, terms), want)
 
 
 class TestGroundStateConvergence:
@@ -391,11 +406,11 @@ class TestCachedColumnOrder:
         deflation matrix at u, each CSC built apart from _lu_solve."""
         g = m.gradients(u)
         weights = (np.sum(g * g, axis=1) + 1e-4) ** (0.5 * (p - 2.0))
-        lagged = spectral._assemble_interior(m, spectral._stiffness_local(m, mu, weights))
+        lagged = spectral._assemble_csc(m, spectral._stiffness_local(m, m.element_density_integrals(mu) * weights))
         lam, b, _, _, terms = spectral._euler_lagrange(p, m, mu, u)
-        jac = spectral._assemble_interior(m, spectral._jacobian(p, m, lam, terms))
+        jac = spectral._assemble_csc(m, spectral._jacobian(p, m, lam, terms))
         bordered = sparse.bmat([[jac, -b[:, None]], [b[None, :], None]], format="csc")
-        stiffness = spectral._assemble_interior(m, spectral._stiffness_local(m, mu))
+        stiffness = spectral._assemble_csc(m, spectral._stiffness_local(m, m.element_density_integrals(mu)))
         return [
             ("interior", lagged.data, lagged),
             ("bordered", np.concatenate([jac.data, b, -b]), bordered),
@@ -463,7 +478,7 @@ class TestCachedColumnOrder:
     def test_failed_first_factorisation_caches_no_order(self):
         m = ps.build_mesh(ps.polygon_domain(_SQUARE), 2)
         n = np.count_nonzero(m.interior)
-        nnz = m.interior_pattern()[1].size
+        nnz = m.pattern("interior")[1].size
         with pytest.raises(RuntimeError):
             spectral._lu_solve(m, "bordered", np.zeros(nnz + 2 * n))
         assert "bordered" not in m.lu_orders
@@ -694,6 +709,25 @@ class TestGradEnergy:
             assert block.tolist() == energies
 
 
+    @pytest.mark.parametrize("measure", ["lebesgue", "gaussian"])
+    @pytest.mark.parametrize("name, level", [("square", 3), ("interval01", 4)])
+    def test_lp_energies_rows_bitwise(self, cache, name, level, measure):
+        m = cache.mesh(name, level)
+        mu = _MEASURES[measure]
+        w = m.measure_weights(mu)
+        values = np.array(_random_values(m, 5, n_fields=3))
+        uq = m.values_at_quad(values)
+        for p in (1.5, 2.0, 3.0, 6.0):
+            rows = [float(spectral.lp_energies(p, u, w)) for u in uq]
+            assert rows == [float(np.sum(w * np.abs(u) ** p)) for u in uq]
+            assert spectral.lp_energies(p, uq, w).tolist() == rows
+            # the flattened rows of the distance kernel
+            assert spectral.lp_energies(p, uq.reshape(len(uq), -1), w.ravel()).tolist() == rows
+            for v, row in zip(values, rows):
+                f = ps.Field(m, v)
+                assert ps.rayleigh_quotient(p, f, mu) == ps.grad_energy(p, f, mu) / row
+
+
 class TestDistanceToBoundary:
     # square level 5 takes several edge blocks, the other meshes one
     @pytest.mark.parametrize("case", ["square", "square-L5", "pentagon", "cut"])
@@ -730,14 +764,39 @@ class TestInteriorAssembly:
         i = m.interior
         for mu in (ps.lebesgue(), ps.gaussian()):
             pairs = [
-                (spectral._stiffness_local(m, mu, w), spectral.weighted_stiffness(m, mu, w)),
-                (spectral._mass_local(m, mu), spectral.weighted_mass(m, mu)),
+                (spectral._stiffness_local(m, m.element_density_integrals(mu) * w), spectral.weighted_stiffness(m, mu, w)),
+                (spectral._mass_local(m, m.measure_weights(mu)), spectral.weighted_mass(m, mu)),
             ]
             for local, full in pairs:
-                got = spectral._assemble_interior(m, local).toarray()
+                got = spectral._assemble_csc(m, local).toarray()
                 want = full[i][:, i].toarray()
                 assert got.shape == (np.count_nonzero(i),) * 2
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+class TestFullAssembly:
+    @pytest.mark.parametrize("shape", ["interval", "square", "triangle"])
+    @pytest.mark.parametrize("level", range(6))
+    def test_matches_coo_oracle(self, shape, level):
+        if shape == "interval":
+            domain = ps.interval_domain(0.0, 1.0)
+        else:
+            domain = ps.polygon_domain(_SQUARE if shape == "square" else [[0.0, 0.0], [1.0, 0.0], [0.3, 0.8]])
+        m = ps.build_mesh(domain, level)
+        w = np.random.default_rng(level).uniform(0.1, 2.0, m.n_elements)
+        for mu in _MEASURES.values():
+            de = m.element_density_integrals(mu)
+            cases = [
+                (spectral.weighted_stiffness(m, mu), m.grad_gram * de[:, None, None]),
+                (spectral.weighted_stiffness(m, mu, w), m.grad_gram * (de * w)[:, None, None]),
+                (spectral.weighted_mass(m, mu), np.einsum("mq,qi,qj->mij", m.measure_weights(mu), m.basis, m.basis)),
+            ]
+            for got, local in cases:
+                want = coo_assemble(m, local).tocsc()
+                assert got.shape == want.shape
+                assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+                # the two add each entry's element terms in different orders
+                assert np.all(np.abs(got.data - want.data) <= 1e-15 * np.abs(want.data))
 
 
 class TestLogConcavity:

@@ -10,7 +10,6 @@ import plapstab as ps
 from plapstab import verify
 from plapstab.spectral import gradient_energies
 from plapstab.verify import (
-    _centering_root,
     _convex_lp_min,
     _random_fields,
     _weight_array,
@@ -289,6 +288,15 @@ class TestWeightedPoincare:
         assert rep.degenerate and rep.passed
         assert rep.lhs <= 1e-14 and rep.rhs_inf <= 1e-14
 
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_constant_field_is_its_own_center(self, cache, interval, p):
+        m = cache.mesh("interval01", 3)
+        # the weighted mean of 7.7 rounds to another float here
+        f = ps.Field(m, np.full(m.n_nodes, 7.7))
+        rep = weighted_poincare_check(p, interval, m, f, 1.0 + 0.5 * np.cos(m.quad_points[:, :, 0]))
+        assert rep.t0 == 7.7 and rep.rhs_inf == 0.0 and rep.lhs == 0.0
+        assert rep.degenerate and rep.passed
+
     def test_eigen_weight_quotient_field(self, cache, square):
         # the proof-step run: omega = u1^p, f = u / u1 for a random field
         p = 3.0
@@ -327,11 +335,11 @@ class TestWeightedPoincare:
             W = W * m.density_at_quad(meas)
         assert np.array_equal(_weight_array(m, omega, meas), W)
         rep = weighted_poincare_check(p, domain, m, f, omega, meas)
-        assert rep.t0 == _centering_root(p, f, W) == centering_root(p, f, omega, meas)
-        shifted = ps.Field(m, f.values - rep.t0)
-        assert rep.lhs == float(gradient_energies(p, shifted.gradients(), np.sum(W, axis=1)))
-        dist, _ = _convex_lp_min(p, W, shifted.at_quad()[None], np.ones_like(W))
+        # t0 and the infimum come from one minimisation over the constants
+        dist, t0 = _convex_lp_min(p, W, f.at_quad()[None], np.ones_like(W))
+        assert rep.t0 == float(t0[0]) == centering_root(p, f, omega, meas)
         assert rep.rhs_inf == float(dist[0])
+        assert rep.lhs == float(gradient_energies(p, f.gradients(), np.sum(W, axis=1)))
 
     def test_log_convex_weight_rejected(self, cache, interval):
         m = cache.mesh("interval01", 4)
@@ -345,21 +353,21 @@ class TestPicone:
     def test_phi_equals_u(self, cache):
         m = cache.mesh("interval01", 4)
         u = ps.Field(m, 1.0 + ps.random_zero_trace_field(m, 2).values**2)
-        res = ps.picone_check(3.0, u, u, ps.lebesgue(), full_output=True)
+        res = ps.picone_check(3.0, u, u, ps.lebesgue())
         assert res.max_abs_residual <= 1e-12 * res.scale
 
     def test_p2_random(self, cache, rng):
         m = cache.mesh("square", 3)
         u = ps.random_zero_trace_field(m, rng)
         phi = ps.Field(m, 0.5 + rng.uniform(0.0, 1.0, m.n_nodes))
-        res = ps.picone_check(2.0, u, phi, ps.lebesgue(), full_output=True)
+        res = ps.picone_check(2.0, u, phi, ps.lebesgue())
         assert res.max_abs_residual <= 1e-10 * res.scale
 
     def test_p3_negative_phi(self, cache, rng):
         m = cache.mesh("interval01", 4)
         u = ps.random_zero_trace_field(m, rng)
         phi = ps.Field(m, -(0.5 + rng.uniform(0.0, 1.0, m.n_nodes)))
-        res = ps.picone_check(3.0, u, phi, ps.lebesgue(), full_output=True)
+        res = ps.picone_check(3.0, u, phi, ps.lebesgue())
         assert res.max_abs_residual <= 1e-8 * res.scale
 
     def test_skipped_samples_counted(self, cache, rng):
@@ -368,7 +376,7 @@ class TestPicone:
         vals = np.zeros(m.n_nodes)
         vals[m.nodes[:, 0] > 0.5] = 1.0
         phi = ps.Field(m, vals)
-        res = ps.picone_check(3.0, u, phi, ps.lebesgue(), full_output=True)
+        res = ps.picone_check(3.0, u, phi, ps.lebesgue())
         assert res.n_skipped > 0
 
     def test_formula_against_highprec_oracle(self, rng):

@@ -193,6 +193,8 @@ def run_constants(config):
             )
             ok = ok and res.lower <= res.c1 <= res.upper
             ok = ok and abs(res.c1 - res.c1_k0_form()) <= 1e-12 * res.c1
+            # every sample of the ratio bounds c1 from above, up to rounding
+            ok = ok and entry["c1_variational"] >= res.c1 * (1.0 - 1e-12)
         else:
             c2_est, c3_est = cpcore.c2_c3_estimate(p)
             entry.update(

@@ -130,13 +130,28 @@ def c1_sharp(p):
 
 
 def _c1_ratio(p, s, t):
-    """[(t^2 + s^2 + 2s + 1)^(p/2) - 1 - p s] / (t^2 + s^2)^(p/2)."""
+    """[(t^2 + s^2 + 2s + 1)^(p/2) - 1 - p s] / (t^2 + s^2)^(p/2).
+
+    Where the numerator or the denominator overflows (large p and radius),
+    the ratio is taken in log form, exp(log num - (p/2) log(t^2 + s^2)),
+    with log num = (p/2) log1p(x) where num itself overflows: 1 + p s is
+    then below its last bit. Elsewhere it is the plain quotient."""
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
     x = t * t + s * s + 2.0 * s  # = t^2 + (1+s)^2 - 1 >= -1
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         num = np.expm1(0.5 * p * np.log1p(x)) - p * s
-        return num / (t * t + s * s) ** (0.5 * p)
+        ratio = num / (t * t + s * s) ** (0.5 * p)
+        # both sides are at most (1 + r)^p at radius r <= 1 + sqrt(1 + x), so
+        # neither overflows while p log(2 + sqrt(1 + max x)) is below
+        # log(max float) = 709.78
+        if p * math.log(2.0 + math.sqrt(max(1.0 + np.max(x), 0.0))) > 709.0:
+            r2 = t * t + s * s
+            den = r2 ** (0.5 * p)
+            log_num = np.where(np.isinf(num), 0.5 * p * np.log1p(x), np.log(num))
+            big = np.isinf(num) | np.isinf(den)
+            ratio = np.where(big, np.exp(log_num - 0.5 * p * np.log(r2)), ratio)
+        return ratio
 
 
 def _c2c3_ratio(p, s, t):

@@ -15,7 +15,10 @@ directions backtrack by halving the step length until the quotient drops;
 a singular bordered system counts as a failed Newton direction.
 The second eigenvalue uses block inverse iteration deflated against the
 ground state for p = 2 and otherwise a hyperplane-cut two-nodal-domain
-estimator (a certified upper bound) that bisects the cuts of each direction.
+estimator (a certified upper bound). Along each direction it finds the cut
+where the two sides' lambda1 cross by a search seeded at the previous
+direction's crossing: it gallops by 1, 2, 4, ... cuts from there to bracket
+the crossing and bisects the bracket.
 
 Every sparse matrix is one scatter of element matrices on a sparsity
 pattern cached on the mesh (`Mesh.pattern`): the full matrices of
@@ -582,6 +585,37 @@ def _side_ground_state(p, mesh, measure, elements, opts):
     return best
 
 
+def _first_crossing(crossed, n, seed):
+    """First j in [1, n) with crossed(j), or n if there is none, for a
+    predicate that is False and then True as j grows. The search probes the
+    seed (clipped to [1, n - 1]) first, gallops from it by 1, 2, 4, ... until
+    the answer is bracketed, and bisects the bracket: about 2 log2(d) probes
+    for an answer d cuts from the seed."""
+    lo, hi = 1, n
+    if n > 1:
+        seed = min(max(seed, 1), n - 1)
+        step = 1
+        if crossed(seed):
+            hi = seed
+            while hi - step >= 1 and crossed(hi - step):
+                hi -= step
+                step *= 2
+            lo = max(hi - step + 1, 1)
+        else:
+            lo = seed + 1
+            while lo - 1 + step < n and not crossed(lo - 1 + step):
+                lo += step
+                step *= 2
+            hi = min(lo - 1 + step, n)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if crossed(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def _cut_sweep_second(p, mesh, measure, opts):
     """Two-nodal-domain upper bound: the least max(lambda+, lambda-) over
     hyperplane cuts, lambda+- the ground states of the two induced sub-meshes
@@ -591,12 +625,19 @@ def _cut_sweep_second(p, mesh, measure, opts):
     the distinct element-centroid projections, cut j (1 <= j < K) puts the
     elements with projection >= t_j into Omega+. Omega+ shrinks as j grows
     and the zero-trace P1 spaces are nested, so lambda+ rises and lambda-
-    falls with j: the best cut is the first j with lambda+ >= lambda-, found
-    by bisection, or j - 1. Each max(lambda+, lambda-) is the quotient of an
+    falls with j: the best cut is the first j with lambda+ >= lambda-, or
+    j - 1. The search for that j starts at the previous direction's
+    crossing, scaled to this direction's K (the middle cut for the first
+    direction), gallops from there by 1, 2, 4, ... cuts until the crossing is
+    bracketed, and bisects the bracket; neighbouring directions cross at
+    nearby cuts, so most searches probe only a few cuts. Any correct search
+    of a monotone predicate finds the same j, and the sides of j - 1 and j
+    are memoised. Each max(lambda+, lambda-) is the quotient of an
     admissible glued field, so the result bounds lambda2 even where
     unconverged sub-solves break the ordering. `iterations` counts the
     distinct cuts evaluated; `converged` holds when both sub-solves of the
-    returned cut converged.
+    returned cut converged. A mesh on which no cut leaves interior nodes on
+    both sides raises ValueError.
     """
     if mesh.dim == 1:
         directions = np.array([[1.0]])
@@ -616,19 +657,18 @@ def _cut_sweep_second(p, mesh, measure, opts):
         return solved[key][0]
 
     best, best_side = np.inf, None
+    crossing = 0.5  # the last direction's crossing as a fraction of its cuts
     for theta in directions:
         proj = centroids @ theta
         levels = np.unique(proj)
-        # first cut with lambda+ >= lambda-; K if there is none
-        lo, hi = 1, levels.size
-        while lo < hi:
-            mid = (lo + hi) // 2
-            side = proj >= levels[mid]
+
+        def crossed(j):
+            side = proj >= levels[j]
             cuts.add(side.tobytes())
-            if lam(side) >= lam(~side):
-                hi = mid
-            else:
-                lo = mid + 1
+            return lam(side) >= lam(~side)
+
+        lo = _first_crossing(crossed, levels.size, round(crossing * levels.size))
+        crossing = lo / levels.size
         for j in range(max(lo - 1, 1), min(lo + 1, levels.size)):
             side = proj >= levels[j]
             cuts.add(side.tobytes())
@@ -636,7 +676,10 @@ def _cut_sweep_second(p, mesh, measure, opts):
             if value < best:
                 best, best_side = value, side
     if best_side is None:
-        raise ValueError("cut sweep produced no admissible partition")
+        raise ValueError(
+            "cut sweep found no admissible partition: no hyperplane cut leaves "
+            "interior nodes on both sides of this mesh; use a finer mesh (a higher --level)"
+        )
     glued = np.zeros(mesh.n_nodes)
     halves = [solved[mask.tobytes()] for mask in (best_side, ~best_side)]
     for sign, (_, pair, node_map) in zip((1.0, -1.0), halves):

@@ -319,8 +319,13 @@ def stability_battery(p, domain, mesh, measure, n_fields, seed=0, eigenpair=None
     """Seeded random-field battery; returns one StabilityReport per field.
 
     The fields are drawn, smoothed and checked in blocks of _BLOCK_FIELDS
-    rows.  A block draw equals the per-field draws, so report i is the
-    stability_check of the i-th random_zero_trace_field of the seeded stream.
+    rows.  A block draw equals the per-field draws, so field i is the i-th
+    random_zero_trace_field of the seeded stream, and report i agrees with
+    that field's stability_check: the same verdict, p, lambda1, constant
+    and note, the deficit, tolerance and margin to 1e-12 relative, the
+    distance and right side to 1e-11 relative and c_star to 1e-7 absolute.
+    The two differ in the last bits at p != 2, because the distance
+    minimisation rounds its block products by the block's row count.
     """
     constant = _bound_constant(p, domain, constant_factor)
     eigenpair = _ground_state(p, mesh, measure, eigenpair, opts)

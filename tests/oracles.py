@@ -336,6 +336,53 @@ def exhaustive_cut_value(centroids, n_directions, side_lambda):
     return best
 
 
+def bisection_cut_sweep(centroids, n_directions, n_nodes, side_solve):
+    """The hyperplane-cut sweep with a cold bisection for each direction's
+    crossing, as spectral._cut_sweep_second searched before it seeded each
+    search from the previous direction. side_solve maps an element mask of
+    one side to (lambda1, ground-state pair or None, node map), as
+    spectral._side_ground_state does. Returns (least max(lambda+, lambda-),
+    the glued field u+ - u- of the best cut before normalisation, the number
+    of distinct cuts evaluated)."""
+    if centroids.shape[1] == 1:
+        directions = np.array([[1.0]])
+    else:
+        th = np.linspace(0.0, np.pi, n_directions, endpoint=False)
+        directions = np.stack([np.cos(th), np.sin(th)], axis=1)
+    cuts = set()
+
+    def lam(mask):
+        return side_solve(mask)[0]
+
+    best, best_side = np.inf, None
+    for theta in directions:
+        proj = centroids @ theta
+        levels = np.unique(proj)
+        # first cut with lambda+ >= lambda-; K if there is none
+        lo, hi = 1, levels.size
+        while lo < hi:
+            mid = (lo + hi) // 2
+            side = proj >= levels[mid]
+            cuts.add(side.tobytes())
+            if lam(side) >= lam(~side):
+                hi = mid
+            else:
+                lo = mid + 1
+        for j in range(max(lo - 1, 1), min(lo + 1, levels.size)):
+            side = proj >= levels[j]
+            cuts.add(side.tobytes())
+            value = max(lam(side), lam(~side))
+            if value < best:
+                best, best_side = value, side
+    if best_side is None:
+        raise ValueError("cut sweep produced no admissible partition")
+    glued = np.zeros(n_nodes)
+    for sign, mask in zip((1.0, -1.0), (best_side, ~best_side)):
+        _, pair, node_map = side_solve(mask)
+        glued[node_map] += sign * pair.field.values
+    return best, glued, len(cuts)
+
+
 def refine_triangles_loop(nodes, elements):
     """One round of 4-way refinement, one triangle at a time: a dict numbers
     each edge midpoint when its edge is first met (ab, bc, ca per triangle)."""

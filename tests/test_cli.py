@@ -105,6 +105,18 @@ class TestCommands:
         (entry,) = json.loads(capsys.readouterr().out)["results"]
         assert entry["passed"] and entry["r0"] > 1.0
 
+    @pytest.mark.parametrize("p", [247.0, 300.0])
+    def test_constants_large_p_variational_above_c1(self, p, capsys):
+        assert main(["constants", "--p", str(p), "--no-timestamp"]) == 0
+        (entry,) = json.loads(capsys.readouterr().out)["results"]
+        assert entry["passed"] and entry["c1_variational"] >= entry["c1"] * (1.0 - 1e-12)
+
+    def test_variational_below_c1_fails(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli.cpcore, "c1_variational", lambda p: 0.0)
+        assert main(["constants", "--p", "3", "--no-timestamp"]) == 2
+        (entry,) = json.loads(capsys.readouterr().out)["results"]
+        assert not entry["passed"]
+
     def test_arithmetic_error_exits_1(self, monkeypatch, capsys):
         def overflow(config):
             raise OverflowError("math range error")
@@ -155,6 +167,16 @@ class TestCommands:
         assert code == 0
         rep = json.loads(out)["results"][1]
         assert rep["lambda2"] == pytest.approx(2797052.839189, rel=1e-9)
+
+    def test_no_admissible_cut_exits_1(self, capsys):
+        # every hyperplane cut of this L1 mesh leaves its 4 interior nodes on
+        # one side; at p = 2 deflation needs no cut
+        args = ["gap", "--domain", "polygon:0,0;1,0;0.2,0.9", "--level", "1", "--no-timestamp"]
+        code, _, err = run_cli(args + ["--p", "3"], capsys)
+        assert code == 1
+        assert "no hyperplane cut leaves interior nodes on both sides" in err
+        assert "--level" in err
+        assert run_cli(args + ["--p", "2"], capsys)[0] == 0
 
     def test_malformed_domain_exits_1(self, capsys):
         code, _, err = run_cli(["gap", "--domain", "interval:0,oops"], capsys)

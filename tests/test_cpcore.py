@@ -176,6 +176,42 @@ class TestC1Variational:
         c1 = c1_sharp(p).c1
         assert c1 * (1.0 - 1e-12) <= c1_variational(p) <= c1 * (1.0 + 1e-6)
 
+    @pytest.mark.parametrize("p, upper", [(122.0, 1e-6), (246.0, 1e-6), (247.0, 1e-6), (300.0, 1e-6),
+                                          (1030.0, None)])
+    def test_one_sided_at_large_p(self, p, upper):
+        # (t^2 + s^2)^(p/2) overflows at the grid's outer radii, where the
+        # plain quotient read 0 and won the minimum (at 862 of the integers
+        # p from 2 to 1100, the first p = 122); at p = 1030 c1 is
+        # subnormal, so only the lower side holds to rounding
+        c1 = c1_sharp(p).c1
+        val = c1_variational(p)
+        assert val > 0.0 and val >= c1 * (1.0 - 1e-12)
+        if upper is not None:
+            assert val <= c1 * (1.0 + upper)
+
+    @pytest.mark.parametrize("p", [3.0, 50.0, 246.0, 247.0, 1030.0])
+    def test_ratio_is_the_plain_quotient_where_finite(self, p):
+        s, t = np.meshgrid(np.linspace(-40.0, 40.0, 81), np.linspace(-40.0, 40.0, 81))
+        x = t * t + s * s + 2.0 * s
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            num = np.expm1(0.5 * p * np.log1p(x)) - p * s
+            den = (t * t + s * s) ** (0.5 * p)
+            plain = num / den
+        finite = np.isfinite(num) & np.isfinite(den)
+        ratio = cpcore._c1_ratio(p, s, t)
+        assert np.array_equal(ratio[finite], plain[finite], equal_nan=True)
+        # elsewhere a value in [0, inf]: the ratio itself may overflow
+        assert np.all(ratio[~finite] >= 0.0)
+
+    @pytest.mark.parametrize("p, s, t", [(247.0, -18.0, 0.5), (247.0, 30.0, -7.0), (1030.0, -3.0, 1.0),
+                                         (1030.0, 25.0, 25.0)])
+    def test_log_form_ratio(self, p, s, t):
+        # points where the denominator, or both sides, overflow
+        with mp.workdps(40):
+            ps_, ss, ts = mp.mpf(p), mp.mpf(s), mp.mpf(t)
+            exact = ((ts**2 + (1 + ss) ** 2) ** (ps_ / 2) - 1 - ps_ * ss) / (ts**2 + ss**2) ** (ps_ / 2)
+        assert abs(float(cpcore._c1_ratio(p, s, t)) - float(exact)) <= 1e-12 * float(exact)
+
     def test_rejects_p_below_two(self):
         with pytest.raises(ValueError):
             c1_variational(1.5)

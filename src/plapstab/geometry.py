@@ -227,14 +227,10 @@ class Mesh:
 
     @property
     def h(self):
-        """Longest element edge."""
+        """Longest element edge: the largest distance between two nodes of
+        one element."""
         xe = self.nodes[self.elements]
-        if self.dim == 1:
-            return float(np.max(self.measures))
-        edges = np.concatenate(
-            [xe[:, 1] - xe[:, 0], xe[:, 2] - xe[:, 1], xe[:, 0] - xe[:, 2]]
-        )
-        return float(np.max(np.hypot(edges[:, 0], edges[:, 1])))
+        return float(np.sqrt(np.max(np.sum((xe[:, :, None] - xe[:, None]) ** 2, axis=-1))))
 
     def _measure_arrays(self, measure):
         """(density, weights, element integrals) of the measure, built once
@@ -341,44 +337,20 @@ class Field:
         return self.mesh.gradients(self.values)
 
     def __call__(self, points):
-        """Evaluate at arbitrary points inside the domain (brute-force locate)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        """Values at an (N, dim) array of points inside the mesh: each point
+        in the first element where all its barycentric coordinates, affine
+        with the basis gradients `mesh.grads`, are at least -1e-12."""
         mesh = self.mesh
-        if mesh.dim == 1:
-            x = pts[:, 0]
-            xe = mesh.nodes[mesh.elements][:, :, 0]  # (m, 2)
-            out = np.empty(x.shape[0])
-            for i, xi in enumerate(x):
-                e = np.nonzero((xe[:, 0] <= xi + 1e-13) & (xi - 1e-13 <= xe[:, 1]))[0]
-                if e.size == 0:
-                    raise ValueError(f"point {xi} outside mesh")
-                e = e[0]
-                lam = (xi - xe[e, 0]) / (xe[e, 1] - xe[e, 0])
-                v = self.values[mesh.elements[e]]
-                out[i] = (1.0 - lam) * v[0] + lam * v[1]
-            return out
-        xe = mesh.nodes[mesh.elements]  # (m, 3, 2)
-        v0 = xe[:, 0]
-        T = np.stack([xe[:, 1] - v0, xe[:, 2] - v0], axis=2)  # (m, 2, 2)
-        det = T[:, 0, 0] * T[:, 1, 1] - T[:, 0, 1] * T[:, 1, 0]
-        inv = np.empty_like(T)
-        inv[:, 0, 0] = T[:, 1, 1] / det
-        inv[:, 0, 1] = -T[:, 0, 1] / det
-        inv[:, 1, 0] = -T[:, 1, 0] / det
-        inv[:, 1, 1] = T[:, 0, 0] / det
-        out = np.empty(pts.shape[0])
-        for i, xi in enumerate(pts):
-            d = xi - v0  # (m, 2)
-            l1 = inv[:, 0, 0] * d[:, 0] + inv[:, 0, 1] * d[:, 1]
-            l2 = inv[:, 1, 0] * d[:, 0] + inv[:, 1, 1] * d[:, 1]
-            ok = (l1 >= -1e-12) & (l2 >= -1e-12) & (l1 + l2 <= 1.0 + 1e-12)
-            e = np.nonzero(ok)[0]
-            if e.size == 0:
-                raise ValueError(f"point {xi} outside mesh")
-            e = e[0]
-            v = self.values[mesh.elements[e]]
-            out[i] = v[0] * (1.0 - l1[e] - l2[e]) + v[1] * l1[e] + v[2] * l2[e]
-        return out
+        v0 = mesh.nodes[mesh.elements[:, 0]]
+        out = []
+        for x in np.asarray(points, dtype=float).reshape(-1, mesh.dim):
+            bary = np.einsum("mkd,md->mk", mesh.grads, x - v0)
+            bary[:, 0] += 1.0
+            inside = np.nonzero(np.all(bary >= -1e-12, axis=1))[0]
+            if inside.size == 0:
+                raise ValueError(f"point {x} outside mesh")
+            out.append(bary[inside[0]] @ self.values[mesh.elements[inside[0]]])
+        return np.array(out)
 
 
 def interpolate(mesh, fn):

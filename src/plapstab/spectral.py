@@ -18,7 +18,9 @@ ground state for p = 2 and otherwise a hyperplane-cut two-nodal-domain
 estimator (a certified upper bound). Along each direction it finds the cut
 where the two sides' lambda1 cross by a search seeded at the previous
 direction's crossing: it gallops by 1, 2, 4, ... cuts from there to bracket
-the crossing and bisects the bracket.
+the crossing and bisects the bracket. A side's lambda1 is the least over the
+connected components of its interior nodes, labelled on the parent mesh's
+full pattern; each component is solved on one sub-mesh cut from the parent.
 
 Every sparse matrix is one scatter of element matrices on a sparsity
 pattern cached on the mesh (`Mesh.pattern`): the full matrices of
@@ -46,6 +48,7 @@ from scipy import sparse
 from scipy.linalg import eigh
 from scipy.sparse.linalg import splu
 
+from .cpcore import _guarded_power
 from .geometry import Field, submesh
 
 __all__ = [
@@ -196,10 +199,9 @@ def _assemble_csc(mesh, local, nodes="interior"):
     return _square_csc(_scatter(mesh, local, nodes), indices, indptr)
 
 
-def weighted_stiffness(mesh, measure, elem_weights=None):
-    """Assemble sum_e w_e int_e density grad phi_i . grad phi_j, CSC."""
-    de = mesh.element_density_integrals(measure)
-    return _assemble_csc(mesh, _stiffness_local(mesh, de if elem_weights is None else de * elem_weights), "all")
+def weighted_stiffness(mesh, measure):
+    """Assemble int density grad phi_i . grad phi_j, CSC."""
+    return _assemble_csc(mesh, _stiffness_local(mesh, mesh.element_density_integrals(measure)), "all")
 
 
 def weighted_mass(mesh, measure):
@@ -244,16 +246,6 @@ def _normalize(mesh, values, p, measure):
     if nrm == 0.0:
         raise ValueError("cannot normalize the zero field")
     return values / nrm
-
-
-def _guarded_power(x, e):
-    """x ** e for x >= 0, read as 0 where x = 0 and e < 0: the singular
-    p < 2 weights vanish with the gradient or value that carries them."""
-    if e >= 0.0:
-        return x**e
-    y = np.zeros_like(x)
-    np.power(x, e, out=y, where=x > 0.0)
-    return y
 
 
 def _euler_lagrange(p, mesh, measure, u):
@@ -537,46 +529,37 @@ def _deflated_second(p, mesh, measure, u1, opts):
     )
 
 
-def _interior_components(mesh):
-    """Element indices of each connected component of the interior nodes
-    (joined where they share an element): the elements touching it."""
-    if not np.any(mesh.interior):
-        return []
-    # least interior index in each component: min-label propagation over
-    # the interior pattern, whose columns hold each node and its neighbours,
-    # with pointer jumping
-    _, indices, indptr = mesh.pattern("interior")
-    label = np.arange(indptr.size - 1)
+def _side_ground_state(p, mesh, measure, elements, opts):
+    """(lambda1, ground state, node map into mesh) of the side made of
+    `elements`; (inf, None, None) where it has no interior node.
+
+    The side's interior nodes are the mesh's interior nodes whose elements
+    all lie in it. Each connected component of them (joined where they share
+    an element) is solved on one sub-mesh of the mesh, made of the elements
+    that touch it, and the least lambda1 is kept. Zero-trace P1 fields vanish
+    on the other elements and the components decouple, so this is the side's
+    discrete lambda1; solved whole, a side with two components or with
+    elements that touch no interior node can leave the ground state
+    unconverged.
+    """
+    n = mesh.n_nodes
+    inner = mesh.interior.copy()
+    inner[np.delete(mesh.elements, elements, axis=0)] = False
+    # least node index in each component: min-label propagation over the
+    # mesh's full pattern, whose columns hold each node and its neighbours,
+    # with pointer jumping; n labels every node outside the side's interior
+    _, indices, indptr = mesh.pattern("all")
+    label = np.where(inner, np.arange(n), n)
     while True:
-        new = np.minimum.reduceat(label[indices], indptr[:-1])
-        new = new[new]
+        new = np.where(inner, np.minimum.reduceat(label[indices], indptr[:-1]), n)
+        new = np.append(new, n)[new]
         if np.array_equal(new, label):
             break
         label = new
-    number = np.cumsum(mesh.interior) - 1
-    inner = mesh.interior[mesh.elements]
-    element_label = np.max(np.where(inner, label[number[mesh.elements]], -1), axis=1)
-    return [np.nonzero(element_label == c)[0] for c in np.unique(label)]
-
-
-def _side_ground_state(p, mesh, measure, elements, opts):
-    """(lambda1, ground state, node map into mesh) of the sub-mesh on
-    `elements`; (inf, None, None) where it has no interior node.
-
-    Each connected component of its interior nodes is solved on the elements
-    that touch it, and the least lambda1 is kept. Zero-trace P1 fields vanish
-    on the other elements and the components decouple, so this is the
-    sub-mesh's discrete lambda1; solved whole, a sub-mesh with two components
-    or with elements that touch no interior node can leave the ground state
-    unconverged.
-    """
-    sub, node_map = submesh(mesh, elements)
+    element_label = np.min(label[mesh.elements], axis=1)
     best = (np.inf, None, None)
-    for piece in _interior_components(sub):
-        part, part_map = sub, node_map
-        if piece.size < sub.n_elements:
-            part, local_map = submesh(sub, piece)
-            part_map = node_map[local_map]
+    for c in np.unique(label[inner]):
+        part, part_map = submesh(mesh, np.nonzero(element_label == c)[0])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             pair = first_eigenpair(p, part, measure, opts)

@@ -1,6 +1,8 @@
 """Independent oracles used to freeze expected values before trusting the
 library code paths.  Nothing in here imports from plapstab."""
 
+import warnings
+
 import mpmath as mp
 import numpy as np
 from scipy import sparse
@@ -437,3 +439,93 @@ def write_mesh_loop(mesh, path):
         for row in mesh.elements:
             fh.write(" ".join(str(int(i)) for i in row) + "\n")
         fh.write(" ".join("1" if b else "0" for b in mesh.boundary_mask) + "\n")
+
+
+def interior_components_nested(mesh):
+    """Element indices of each connected component of the interior nodes
+    (joined where they share an element): the elements touching it. The
+    search that spectral._side_ground_state ran on a side's own sub-mesh
+    before it labelled the side's nodes on the parent mesh."""
+    if not np.any(mesh.interior):
+        return []
+    # least interior index in each component: min-label propagation over
+    # the interior pattern, whose columns hold each node and its neighbours,
+    # with pointer jumping
+    _, indices, indptr = mesh.pattern("interior")
+    label = np.arange(indptr.size - 1)
+    while True:
+        new = np.minimum.reduceat(label[indices], indptr[:-1])
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    number = np.cumsum(mesh.interior) - 1
+    inner = mesh.interior[mesh.elements]
+    element_label = np.max(np.where(inner, label[number[mesh.elements]], -1), axis=1)
+    return [np.nonzero(element_label == c)[0] for c in np.unique(label)]
+
+
+def side_ground_state_nested(p, mesh, measure, elements, opts, submesh, first_eigenpair):
+    """(lambda1, ground state, node map into mesh) of the sub-mesh on
+    `elements`; (inf, None, None) where it has no interior node. The side
+    solve before the sides were cut from the parent mesh: one sub-mesh of
+    the whole side, then one nested sub-mesh of it per connected interior
+    component that leaves elements out. `submesh` and `first_eigenpair` are
+    the library's, passed in.
+    """
+    sub, node_map = submesh(mesh, elements)
+    best = (np.inf, None, None)
+    for piece in interior_components_nested(sub):
+        part, part_map = sub, node_map
+        if piece.size < sub.n_elements:
+            part, local_map = submesh(sub, piece)
+            part_map = node_map[local_map]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            pair = first_eigenpair(p, part, measure, opts)
+        if pair.lam < best[0]:
+            best = (pair.lam, pair, part_map)
+    return best
+
+
+def field_eval_per_dimension(field, points):
+    """A P1 field at points, with one brute-force locator per dimension:
+    1-D by interval bounds to 1e-13, 2-D by barycentric coordinates to
+    1e-12 from a hand-inverted edge matrix."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    mesh = field.mesh
+    if mesh.dim == 1:
+        x = pts[:, 0]
+        xe = mesh.nodes[mesh.elements][:, :, 0]  # (m, 2)
+        out = np.empty(x.shape[0])
+        for i, xi in enumerate(x):
+            e = np.nonzero((xe[:, 0] <= xi + 1e-13) & (xi - 1e-13 <= xe[:, 1]))[0]
+            if e.size == 0:
+                raise ValueError(f"point {xi} outside mesh")
+            e = e[0]
+            lam = (xi - xe[e, 0]) / (xe[e, 1] - xe[e, 0])
+            v = field.values[mesh.elements[e]]
+            out[i] = (1.0 - lam) * v[0] + lam * v[1]
+        return out
+    xe = mesh.nodes[mesh.elements]  # (m, 3, 2)
+    v0 = xe[:, 0]
+    T = np.stack([xe[:, 1] - v0, xe[:, 2] - v0], axis=2)  # (m, 2, 2)
+    det = T[:, 0, 0] * T[:, 1, 1] - T[:, 0, 1] * T[:, 1, 0]
+    inv = np.empty_like(T)
+    inv[:, 0, 0] = T[:, 1, 1] / det
+    inv[:, 0, 1] = -T[:, 0, 1] / det
+    inv[:, 1, 0] = -T[:, 1, 0] / det
+    inv[:, 1, 1] = T[:, 0, 0] / det
+    out = np.empty(pts.shape[0])
+    for i, xi in enumerate(pts):
+        d = xi - v0  # (m, 2)
+        l1 = inv[:, 0, 0] * d[:, 0] + inv[:, 0, 1] * d[:, 1]
+        l2 = inv[:, 1, 0] * d[:, 0] + inv[:, 1, 1] * d[:, 1]
+        ok = (l1 >= -1e-12) & (l2 >= -1e-12) & (l1 + l2 <= 1.0 + 1e-12)
+        e = np.nonzero(ok)[0]
+        if e.size == 0:
+            raise ValueError(f"point {xi} outside mesh")
+        e = e[0]
+        v = field.values[mesh.elements[e]]
+        out[i] = v[0] * (1.0 - l1[e] - l2[e]) + v[1] * l1[e] + v[2] * l2[e]
+    return out

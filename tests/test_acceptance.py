@@ -49,7 +49,7 @@ def test_criterion_02_c1_envelope():
     for p in (2.0, 2.5, 3.0, 4.0, 6.0, 10.0, 20.0):
         res = c1_sharp(p)
         ok = ok and 2.0 ** (2.0 - p) <= res.c1 <= (p - 1.0) * 2.0 ** (2.0 - p)
-        ok = ok and abs(res.c1 - res.c1_k0_form()) <= 1e-12 * res.c1
+        ok = ok and abs(res.log_c1() - res.log_c1_k0_form()) <= 1e-12
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 1.0
     report(2, ok, f"2^(2-p) <= c1 <= (p-1)2^(2-p) and both forms agree, p grid ({elapsed:.3f}s)")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -104,6 +105,22 @@ class TestCommands:
         assert main(["constants", "--p", "1030", "--no-timestamp"]) == 0
         (entry,) = json.loads(capsys.readouterr().out)["results"]
         assert entry["passed"] and entry["r0"] > 1.0
+
+    def test_constants_subnormal_c1(self, capsys):
+        # c1 is subnormal from p = 1029 on and reads 0 from p = 1082 on
+        ps = ",".join(str(p) for p in range(1026, 1111))
+        assert main(["constants", "--p", ps, "--no-timestamp"]) == 0
+        entries = json.loads(capsys.readouterr().out)["results"]
+        assert len(entries) == 85 and all(e["passed"] for e in entries)
+
+    def test_constants_moved_c1_fails(self, monkeypatch, capsys):
+        # the k0-form check on logs still catches a c1 off by 1e-10 relative
+        sharp = cli.cpcore.c1_sharp
+        monkeypatch.setattr(cli.cpcore, "c1_sharp",
+                            lambda p: dataclasses.replace(sharp(p), c1=sharp(p).c1 * (1.0 + 1e-10)))
+        assert main(["constants", "--p", "500", "--no-timestamp"]) == 2
+        (entry,) = json.loads(capsys.readouterr().out)["results"]
+        assert not entry["passed"]
 
     @pytest.mark.parametrize("p", [247.0, 300.0])
     def test_constants_large_p_variational_above_c1(self, p, capsys):

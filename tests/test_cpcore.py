@@ -104,7 +104,35 @@ class TestC1Sharp:
     @pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0, 10.0])
     def test_both_closed_forms_agree(self, p):
         res = c1_sharp(p)
-        assert abs(res.c1 - res.c1_k0_form()) <= 1e-12 * res.c1
+        assert abs(res.log_c1() - res.log_c1_k0_form()) <= 1e-12
+
+    @pytest.mark.parametrize("p", [3.0, 50.0, 500.0, 1000.0, 1025.0])
+    def test_normal_range_keeps_its_products(self, p):
+        res = c1_sharp(p)
+        assert res.c1 == (p - 1.0) * (res.r0 + 1.0) ** (2.0 - p)
+        assert res.lower == 2.0 ** (2.0 - p) and res.upper == (p - 1.0) * 2.0 ** (2.0 - p)
+
+    @pytest.mark.parametrize("p", [1030.0, 1050.0, 1071.0, 1076.0, 1080.0, 1110.0])
+    def test_subnormal_range_is_exp_of_log(self, p):
+        # (p-1)(r0+1)^(2-p) multiplies a subnormal power, which keeps only a
+        # few digits: c1(1071) read above c1(1070) and c1(1074) read 0
+        res = c1_sharp(p)
+        assert res.c1 == math.exp(math.log(p - 1.0) + (2.0 - p) * math.log1p(res.r0))
+        product = (p - 1.0) * 2.0 ** (2.0 - p)
+        if product < sys.float_info.min:
+            assert res.upper == math.exp(math.log(p - 1.0) + (2.0 - p) * math.log(2.0))
+        else:
+            assert res.upper == product
+        # a power of two, exact down to 2^-1074, then 0
+        assert res.lower == 2.0 ** (2.0 - p)
+        assert res.lower <= res.c1 <= res.upper
+        assert abs(res.log_c1() - res.log_c1_k0_form()) <= 1e-12
+
+    def test_subnormal_c1_decreases(self):
+        values = [c1_sharp(float(p)).c1 for p in range(1020, 1090)]
+        assert all(a >= b for a, b in zip(values, values[1:]))
+        # 2^-1074 is the least positive float
+        assert values[1081 - 1020] > 0.0 and values[1082 - 1020] == 0.0
 
     def test_root_residual(self):
         for p in [2.5, 3.0, 4.0, 6.0, 10.0, 20.0]:

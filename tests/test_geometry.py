@@ -9,7 +9,13 @@ from plapstab import geometry
 from plapstab.geometry import Mesh, make_domain, read_mesh, submesh, write_mesh
 
 from conftest import UNIT_SQUARE
-from oracles import coo_node_adjacency, project_boundary_nodes_loop, refine_triangles_loop, write_mesh_loop
+from oracles import (
+    coo_node_adjacency,
+    field_eval_per_dimension,
+    project_boundary_nodes_loop,
+    refine_triangles_loop,
+    write_mesh_loop,
+)
 
 # on polygons without symmetry a boundary projection that rounds its dot
 # product differently moves nodes by an ulp; on the square it does not
@@ -284,6 +290,34 @@ class TestFields:
         f = ps.interpolate(m, lambda pts: pts[:, 0])
         with pytest.raises(ValueError):
             f(np.array([[2.0]]))
+
+    @pytest.mark.parametrize("shape, level", [("interval", 0), ("interval", 3), ("square", 2),
+                                              ("quadrilateral", 3), ("pentagon", 1)])
+    def test_locator_matches_per_dimension_oracle(self, shape, level):
+        # one barycentric locator for both dimensions, against the old
+        # interval-bounds (1-D) and hand-inverted (2-D) locators
+        domain = ps.interval_domain(0.0, 1.0) if shape == "interval" else ps.polygon_domain(MESH_POLYGONS[shape])
+        m = ps.build_mesh(domain, level)
+        rng = np.random.default_rng(level)
+        f = ps.Field(m, rng.normal(size=m.n_nodes))
+        # random points of random elements, and every node
+        bary = rng.dirichlet(np.ones(m.dim + 1), 300)
+        elems = rng.integers(0, m.n_elements, 300)
+        pts = np.concatenate([np.einsum("nk,nkd->nd", bary, m.nodes[m.elements[elems]]), m.nodes])
+        got = f(pts)
+        assert got.shape == (pts.shape[0],)
+        assert np.max(np.abs(got - field_eval_per_dimension(f, pts))) <= 1e-14 * np.max(np.abs(f.values))
+
+    @pytest.mark.parametrize("shape", ["interval", "square"])
+    def test_locator_outside_raises_in_both_dimensions(self, shape):
+        domain = ps.interval_domain(0.0, 1.0) if shape == "interval" else ps.polygon_domain(UNIT_SQUARE)
+        m = ps.build_mesh(domain, 2)
+        f = ps.Field(m, np.ones(m.n_nodes))
+        outside = np.full((1, m.dim), 1.0 + 1e-6)
+        with pytest.raises(ValueError, match="outside mesh"):
+            f(outside)
+        with pytest.raises(ValueError, match="outside mesh"):
+            field_eval_per_dimension(f, outside)
 
     def test_wrong_length_raises(self):
         m = ps.build_mesh(ps.interval_domain(0, 1), 0)

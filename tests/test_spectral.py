@@ -21,6 +21,8 @@ from oracles import (
     distance_to_boundary_loop,
     euler_lagrange_residual,
     exhaustive_cut_value,
+    interior_components_nested,
+    side_ground_state_nested,
 )
 
 PI2 = math.pi**2
@@ -649,7 +651,7 @@ class TestCutSweep:
         proj = np.mean(m.nodes[m.elements], axis=1) @ np.array([np.cos(theta), np.sin(theta)])
         elements = np.nonzero(proj >= np.unique(proj)[j])[0]
         sub = submesh(m, elements)[0]
-        components = spectral._interior_components(sub)
+        components = interior_components_nested(sub)
         assert len(components) == n_components
         assert sub.n_elements - sum(c.size for c in components) == n_dropped
         lam, pair, node_map = spectral._side_ground_state(2.0, m, mu, elements, SolverOptions())
@@ -660,6 +662,42 @@ class TestCutSweep:
         glued = np.zeros(m.n_nodes)
         glued[node_map] = pair.field.values
         assert abs(ps.rayleigh_quotient(2.0, ps.Field(m, glued), mu) - lam) <= 1e-12 * lam
+
+    @pytest.mark.parametrize("shape", ["triangle", "quadrilateral", "pentagon"])
+    def test_sides_cut_from_the_parent_equal_nested_sub_meshes(self, monkeypatch, shape):
+        # every side of the p = 3 sweep on L2, solved on sub-meshes cut from
+        # the parent, is bitwise the side solved on a nested sub-mesh of the
+        # side's own sub-mesh; one sub-mesh per sub-solve
+        vertices = {"triangle": _TRIANGLE, "quadrilateral": _QUADRILATERAL, "pentagon": _PENTAGON}[shape]
+        m = ps.build_mesh(ps.polygon_domain(vertices), 2)
+        side_solve = spectral._side_ground_state
+        calls = {"submesh": 0, "first_eigenpair": 0, "sides": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def checked(p, mesh, measure, elements, opts):
+            got = side_solve(p, mesh, measure, elements, opts)
+            want = side_ground_state_nested(p, mesh, measure, elements, opts, submesh, ps.first_eigenpair)
+            calls["sides"] += 1
+            assert got[0] == want[0]
+            if want[1] is None:
+                assert got[1] is None and got[2] is None
+            else:
+                assert np.array_equal(got[2], want[2])
+                assert np.array_equal(got[1].field.values, want[1].field.values)
+                assert got[1].converged == want[1].converged
+            return got
+
+        monkeypatch.setattr(spectral, "_side_ground_state", checked)
+        monkeypatch.setattr(spectral, "submesh", counted("submesh", submesh))
+        monkeypatch.setattr(spectral, "first_eigenpair", counted("first_eigenpair", ps.first_eigenpair))
+        est = ps.second_eigenvalue(3.0, m, ps.lebesgue(), None)
+        assert est.converged and calls["sides"] > 100
+        assert calls["submesh"] == calls["first_eigenpair"]
 
     @pytest.mark.parametrize("p", [3.0, 6.0])
     @pytest.mark.parametrize("level", [1, 4])
@@ -851,8 +889,9 @@ class TestInteriorAssembly:
         w = rng.uniform(0.1, 2.0, m.n_elements)
         i = m.interior
         for mu in (ps.lebesgue(), ps.gaussian()):
+            local_w = spectral._stiffness_local(m, m.element_density_integrals(mu) * w)
             pairs = [
-                (spectral._stiffness_local(m, m.element_density_integrals(mu) * w), spectral.weighted_stiffness(m, mu, w)),
+                (local_w, spectral._assemble_csc(m, local_w, "all")),
                 (spectral._mass_local(m, m.measure_weights(mu)), spectral.weighted_mass(m, mu)),
             ]
             for local, full in pairs:
@@ -876,7 +915,8 @@ class TestFullAssembly:
             de = m.element_density_integrals(mu)
             cases = [
                 (spectral.weighted_stiffness(m, mu), m.grad_gram * de[:, None, None]),
-                (spectral.weighted_stiffness(m, mu, w), m.grad_gram * (de * w)[:, None, None]),
+                (spectral._assemble_csc(m, spectral._stiffness_local(m, de * w), "all"),
+                 m.grad_gram * (de * w)[:, None, None]),
                 (spectral.weighted_mass(m, mu), np.einsum("mq,qi,qj->mij", m.measure_weights(mu), m.basis, m.basis)),
             ]
             for got, local in cases:

@@ -341,6 +341,32 @@ class TestWeightedPoincare:
         assert rep.rhs_inf == float(dist[0])
         assert rep.lhs == float(gradient_energies(p, f.gradients(), np.sum(W, axis=1)))
 
+    def test_log_concavity_midpoints_in_one_call(self, cache, monkeypatch):
+        # the 200 seeded midpoints go to the weight's locator in one call,
+        # drawn as 200 sequential pairs of nodes
+        m = cache.mesh("square", 3)
+        omega = ps.Field(m, cache.pair(3.0, "square", 3).field.values ** 3.0)
+        calls = []
+        evaluate = ps.Field.__call__
+
+        def recorded(field, points):
+            calls.append(np.array(points))
+            return evaluate(field, points)
+
+        monkeypatch.setattr(ps.Field, "__call__", recorded)
+        verify._check_log_concave(m, omega)
+        ok_nodes = np.nonzero(omega.values > 1e-3 * omega.values.max())[0]
+        rng = np.random.default_rng(0)
+        pairs = [rng.choice(ok_nodes, size=2, replace=False) for _ in range(200)]
+        mids = np.array([0.5 * (m.nodes[i] + m.nodes[j]) for i, j in pairs])
+        assert len(calls) == 1 and np.array_equal(calls[0], mids)
+
+    def test_callable_weight_rejected(self, cache, interval):
+        m = cache.mesh("interval01", 3)
+        f = ps.interpolate(m, lambda pts: pts[:, 0])
+        with pytest.raises(ValueError):
+            weighted_poincare_check(2.0, interval, m, f, lambda pts: np.ones(len(pts)))
+
     def test_log_convex_weight_rejected(self, cache, interval):
         m = cache.mesh("interval01", 4)
         f = ps.interpolate(m, lambda pts: pts[:, 0])

@@ -4,7 +4,8 @@ Domains are intervals or strictly convex polygons.  Meshes are uniform
 1D grids or fan triangulations refined 4-way; every integral in the
 package goes through the fixed element quadrature rules defined here
 (4-point Gauss-Legendre on segments, 6-point degree-4 rule on triangles)
-weighted by a Lebesgue or Gaussian density.
+weighted by a Lebesgue or Gaussian density.  Every mesh's boundary is the
+nodes on its facets (end nodes in 1D, edges in 2D) of one element only.
 """
 
 from dataclasses import dataclass
@@ -54,8 +55,6 @@ _TRI6_BARY = np.array(
     ]
 )
 _TRI6_WEIGHTS = np.array([_TRI6_WA, _TRI6_WA, _TRI6_WA, _TRI6_WB, _TRI6_WB, _TRI6_WB])
-
-_BOUNDARY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -150,6 +149,8 @@ def gaussian():
 
 class Mesh:
     """P1 simplicial mesh: segments in 1D, positively oriented triangles in 2D.
+    Its read-only `boundary_facets` are the facets that only one element
+    has (see _boundary_facets); `boundary_mask` flags the nodes on them.
 
     All element geometry used by assembly and quadrature is precomputed:
     `grads[e, i]` is the (constant) gradient of nodal basis i on element e,
@@ -158,17 +159,18 @@ class Mesh:
     the reference basis values at the quadrature points.
     """
 
-    def __init__(self, nodes, elements, boundary_mask):
+    def __init__(self, nodes, elements):
         self.nodes = np.asarray(nodes, dtype=float)
         if self.nodes.ndim == 1:
             self.nodes = self.nodes[:, None]
         self.elements = np.asarray(elements, dtype=int)
-        self.boundary_mask = np.asarray(boundary_mask, dtype=bool)
         self.dim = self.nodes.shape[1]
         if self.elements.shape[1] != self.dim + 1:
             raise ValueError("element arity does not match mesh dimension")
-        if self.boundary_mask.shape[0] != self.nodes.shape[0]:
-            raise ValueError("boundary mask size mismatch")
+        self.boundary_facets = _boundary_facets(self.elements, self.n_nodes)
+        self.boundary_mask = np.bincount(self.boundary_facets.ravel(), minlength=self.n_nodes) > 0
+        self.boundary_facets.setflags(write=False)
+        self.boundary_mask.setflags(write=False)
         self._density_cache = {}
         self._patterns = {}
         # sparse-LU column order per matrix built on the interior pattern,
@@ -376,9 +378,7 @@ def build_mesh(domain, level):
         n = 16 * 2**level
         nodes = np.linspace(a, b, n + 1)
         elements = np.stack([np.arange(n), np.arange(1, n + 1)], axis=1)
-        boundary = np.zeros(n + 1, dtype=bool)
-        boundary[0] = boundary[-1] = True
-        return Mesh(nodes, elements, boundary)
+        return Mesh(nodes, elements)
 
     verts = domain.vertices
     nv = verts.shape[0]
@@ -387,9 +387,8 @@ def build_mesh(domain, level):
     elements = np.array([[i, (i + 1) % nv, nv] for i in range(nv)], dtype=int)
     for _ in range(level):
         nodes, elements = _refine_triangles(nodes, elements)
-    boundary = _on_polygon_boundary(nodes, verts)
-    nodes = _project_boundary_nodes(nodes, boundary, verts)
-    return Mesh(nodes, elements, boundary)
+    nodes = _project_boundary_nodes(nodes, _boundary_facets(elements, len(nodes)), verts)
+    return Mesh(nodes, elements)
 
 
 def _polygon_centroid(verts):
@@ -402,44 +401,44 @@ def _polygon_centroid(verts):
     return np.array([cx, cy])
 
 
+def _facet_keys(elements, n):
+    """One key per facet of each element in turn, shared by every element
+    that has the facet: a segment's end nodes (key: the node), a triangle's
+    edges ab, bc, ca (key of the edge of nodes i < j out of n: i * n + j)."""
+    if elements.shape[1] == 2:
+        return elements.ravel()
+    a, b = elements, elements[:, [1, 2, 0]]
+    return (np.minimum(a, b) * n + np.maximum(a, b)).ravel()
+
+
+def _boundary_facets(elements, n):
+    """(k, dim) node tuples, in key order, of the facets of one element only."""
+    keys, counts = np.unique(_facet_keys(elements, n), return_counts=True)
+    single = keys[counts == 1]
+    return single[:, None] if elements.shape[1] == 2 else np.stack(np.divmod(single, n), axis=1)
+
+
 def _refine_triangles(nodes, elements):
     """One round of uniform 4-way refinement.  Edge midpoints are numbered
     after the old nodes in the order their edges are first met (ab, bc, ca
     of each triangle in turn)."""
     n, m = nodes.shape[0], elements.shape[0]
-    ends = np.stack([elements, np.roll(elements, -1, axis=1)], axis=2).reshape(-1, 2)
-    keys = ends.min(axis=1) * n + ends.max(axis=1)
+    keys = _facet_keys(elements, n)
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     ab, bc, ca = (n + np.argsort(np.argsort(first))[inverse]).reshape(m, 3).T
-    met = ends[np.sort(first)]
-    midpoints = 0.5 * (nodes[met[:, 0]] + nodes[met[:, 1]])
+    a, b = np.divmod(keys[np.sort(first)], n)
+    midpoints = 0.5 * (nodes[a] + nodes[b])
     a, b, c = elements.T
     new_elems = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1).reshape(4 * m, 3)
     return np.vstack([nodes, midpoints]), new_elems
 
 
-def _on_polygon_boundary(points, verts):
-    """Boolean mask: point lies on some polygon edge to within 1e-12."""
-    scale = np.max(np.abs(verts)) + 1.0
-    mask = np.zeros(points.shape[0], dtype=bool)
-    nv = verts.shape[0]
-    for i in range(nv):
-        a, b = verts[i], verts[(i + 1) % nv]
-        e = b - a
-        d = points - a
-        cross = np.abs(e[0] * d[:, 1] - e[1] * d[:, 0])
-        t = (d @ e) / (e @ e)
-        on = (cross <= _BOUNDARY_TOL * scale * np.hypot(*e)) & (t >= -1e-12) & (t <= 1.0 + 1e-12)
-        mask |= on
-    return mask
-
-
-def _project_boundary_nodes(points, mask, verts):
-    """Snap boundary-flagged nodes exactly onto their nearest polygon edge
-    (the first such edge on a tie)."""
+def _project_boundary_nodes(points, facets, verts):
+    """Snap the nodes of the boundary facets exactly onto their nearest
+    polygon edge (the first such edge on a tie)."""
     pts = points.copy()
     nv = verts.shape[0]
-    idx = np.nonzero(mask)[0]
+    idx = np.unique(facets)
     q = pts[idx]
     best, best_d = q.copy(), np.full(idx.size, np.inf)
     for k in range(nv):
@@ -458,9 +457,9 @@ def _project_boundary_nodes(points, mask, verts):
 def submesh(mesh, element_idx):
     """Mesh induced by a subset of elements.
 
-    Nodes touching an element outside the subset (or boundary nodes of the
-    parent) are marked as boundary.  Returns (sub, node_map) where node_map
-    sends sub-node indices to parent-node indices.
+    Its boundary comes from its elements, as for every Mesh: the parent's
+    boundary nodes in it and the nodes touching an element outside it.
+    Returns (sub, node_map), node_map sending sub-nodes to parent nodes.
     """
     element_idx = np.asarray(element_idx, dtype=int)
     if element_idx.size == 0:
@@ -469,13 +468,7 @@ def submesh(mesh, element_idx):
     node_map = np.unique(sub_elems_parent)
     renumber = -np.ones(mesh.n_nodes, dtype=int)
     renumber[node_map] = np.arange(node_map.size)
-    sub_elems = renumber[sub_elems_parent]
-
-    parent_counts = np.bincount(mesh.elements.ravel(), minlength=mesh.n_nodes)
-    sub_counts = np.bincount(sub_elems_parent.ravel(), minlength=mesh.n_nodes)
-    cut = sub_counts[node_map] < parent_counts[node_map]
-    boundary = mesh.boundary_mask[node_map] | cut
-    sub = Mesh(mesh.nodes[node_map], sub_elems, boundary)
+    sub = Mesh(mesh.nodes[node_map], renumber[sub_elems_parent])
     return sub, node_map
 
 
@@ -506,6 +499,7 @@ def write_mesh(mesh, path):
 
 
 def read_mesh(path):
+    """Mesh of a write_mesh file; flags that differ from its boundary raise ValueError."""
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 6 or header[0] != "DIM" or header[2] != "NODES" or header[4] != "ELEMS":
@@ -516,4 +510,7 @@ def read_mesh(path):
         flags = np.array([t == "1" for t in fh.readline().split()])
     if nodes.shape != (k, dim) or elements.shape != (m, dim + 1) or flags.shape != (k,):
         raise ValueError(f"inconsistent mesh data in {path}")
-    return Mesh(nodes, elements, flags)
+    mesh = Mesh(nodes, elements)
+    if not np.array_equal(flags, mesh.boundary_mask):
+        raise ValueError(f"boundary flags in {path} differ from the boundary of its elements")
+    return mesh

@@ -48,7 +48,7 @@ from scipy import sparse
 from scipy.linalg import eigh
 from scipy.sparse.linalg import splu
 
-from .cpcore import _guarded_power
+from .cpcore import _check_p, _guarded_power
 from .geometry import Field, submesh
 
 __all__ = [
@@ -159,8 +159,7 @@ def grad_energy(p, field, measure):
 
 def rayleigh_quotient(p, field, measure):
     """int |grad u|^p dmu / int |u|^p dmu."""
-    if p <= 1.0:
-        raise ValueError(f"exponent must exceed 1, got {p}")
+    _check_p(p)
     den = float(lp_energies(p, field.at_quad(), field.mesh.measure_weights(measure)))
     if den <= 0.0:
         raise ValueError("Rayleigh quotient of the zero field")
@@ -210,25 +209,17 @@ def weighted_mass(mesh, measure):
 
 
 def _distance_to_boundary(mesh):
-    """Nodal distance-to-boundary: positive inside, zero on the boundary."""
+    """Nodal distance to `mesh.boundary_facets` (end nodes, or the lines of
+    edges), zero on the boundary: on a convex mesh, to the domain's boundary."""
     nodes = mesh.nodes
     if mesh.dim == 1:
-        x = nodes[:, 0]
-        bx = x[mesh.boundary_mask]
-        return np.minimum.reduce([np.abs(x - b) for b in bx])
-    # for convex polygons the distance is the min over boundary-edge lines;
-    # a boundary edge belongs to one triangle and joins two boundary nodes
-    n = mesh.n_nodes
-    edges = np.sort(mesh.elements[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    keys, counts = np.unique(edges[:, 0] * n + edges[:, 1], return_counts=True)
-    a, b = np.divmod(keys[counts == 1], n)
-    on_boundary = mesh.boundary_mask[a] & mesh.boundary_mask[b]
-    pa = nodes[a[on_boundary]]
-    e = nodes[b[on_boundary]] - pa
-    d = np.full(n, np.inf)
+        return np.min(np.abs(nodes - nodes[mesh.boundary_facets[:, 0]].T), axis=1)
+    pa, end = nodes[mesh.boundary_facets.T]
+    e = end - pa
+    d = np.full(mesh.n_nodes, np.inf)
     # (edges, nodes) blocks of |e x (x - pa)| / |e|, a bounded number of
     # edges at a time so that the work array stays small on fine meshes
-    step = max(1, _DISTANCE_BLOCK // n)
+    step = max(1, _DISTANCE_BLOCK // mesh.n_nodes)
     for s in range(0, len(e), step):
         eb, pb = e[s:s + step], pa[s:s + step]
         cross = eb[:, 1:] * (nodes[:, 0] - pb[:, :1])
@@ -372,8 +363,7 @@ def first_eigenpair(p, mesh, measure, opts=None):
     history; non-convergence is reported through EigenPair.converged, not
     raised.
     """
-    if p <= 1.0:
-        raise ValueError(f"exponent must exceed 1, got {p}")
+    _check_p(p)
     opts = opts or SolverOptions()
     interior = mesh.interior
     if not np.any(interior):
@@ -687,7 +677,8 @@ def second_eigenvalue(p, mesh, measure, u1pair, opts=None):
     (is_upper_bound is set; `u1pair` is not used and may be None); its glued
     sign-changing field is an admissible candidate, not an eigenfunction.
     """
-    if u1pair is not None and not u1pair.converged:
+    _check_p(p)
+    if u1pair is None and p == 2.0 or u1pair is not None and not u1pair.converged:
         raise ValueError("second_eigenvalue needs a converged first eigenpair")
     opts = opts or SolverOptions()
     if p == 2.0:

@@ -115,6 +115,7 @@ class PiconeResult:
     scale: float
     n_samples: int
     n_skipped: int
+    passed: bool
 
 
 def _deficits(p, mesh, values, lambda1, measure):
@@ -194,8 +195,7 @@ def _convex_lp_min(p, W, U, v):
 
 def distance_to_eigenspace(p, u, u1, measure):
     """(inf_c int |u - c u1|^p dmu, argmin c)."""
-    if p <= 1.0:
-        raise ValueError(f"exponent must exceed 1, got {p}")
+    cpcore._check_p(p)
     dist, c = _convex_lp_min(p, u.mesh.measure_weights(measure), u.at_quad()[None], u1.at_quad())
     return float(dist[0]), float(c[0])
 
@@ -275,8 +275,8 @@ def _stability_reports(p, domain, mesh, values, measure, eigenpair, constant):
     ]
 
 
-def stability_check(p, domain, mesh, u, measure, eigenpair=None, opts=None, constant_factor=1.0):
-    """Full stability report for one zero-trace field.
+def stability_check(p, domain, u, measure, eigenpair=None, opts=None, constant_factor=1.0):
+    """Full stability report for one zero-trace field, on its mesh `u.mesh`.
 
     constant_factor is a test hook that scales the stability constant;
     leave at 1.0 for real runs.
@@ -284,7 +284,7 @@ def stability_check(p, domain, mesh, u, measure, eigenpair=None, opts=None, cons
     constant = _bound_constant(p, domain, constant_factor)
     if not u.is_zero_trace:
         raise ValueError("stability check needs a zero-trace field")
-    eigenpair = _ground_state(p, mesh, measure, eigenpair, opts)
+    eigenpair = _ground_state(p, u.mesh, measure, eigenpair, opts)
     return _stability_reports(p, domain, u.mesh, u.values[None], measure, eigenpair, constant)[0]
 
 
@@ -396,15 +396,15 @@ def _check_log_concave(mesh, weight):
         )
 
 
-def weighted_poincare_check(p, domain, mesh, f, omega, measure=None):
-    """Verify int |grad f|^p w >= (pi_p/diam)^p inf_t int |f - t|^p w.
+def weighted_poincare_check(p, domain, f, omega, measure=None):
+    """Verify int |grad f|^p w >= (pi_p/diam)^p inf_t int |f - t|^p w on f.mesh.
 
     The minimiser t0 of int |f - t|^p w is the centering root, at which
     the hypothesis int |f-t0|^(p-2)(f-t0) w = 0 of the weighted inequality
     holds; a constant shift leaves grad f as it is.
     """
-    _check_log_concave(mesh, omega)
-    W = _weight_array(mesh, omega, measure)
+    _check_log_concave(f.mesh, omega)
+    W = _weight_array(f.mesh, omega, measure)
     rhs_inf, t0 = _centered_min(p, f, W)
     lhs = float(gradient_energies(p, f.gradients(), np.sum(W, axis=1)))
     bound = (cpcore.pi_p(p) / domain.diameter) ** p
@@ -427,7 +427,8 @@ def weighted_poincare_check(p, domain, mesh, f, omega, measure=None):
 
 
 def picone_check(p, u, phi, measure=None, max_samples=None, seed=0):
-    """PiconeResult: max pointwise |C_p - R_p| over sampled quadrature points.
+    """PiconeResult: max pointwise |C_p - R_p| over sampled quadrature points;
+    passed when it is at most TOL_QUAD_FACTOR * scale.
 
     C_p is evaluated through the C_p functional with xi = grad u and
     eta = grad u - (grad phi / phi) u; R_p expands the divergence-form side
@@ -468,11 +469,13 @@ def picone_check(p, u, phi, measure=None, max_samples=None, seed=0):
     resid = np.abs(c_side - r_side)
     a_n = np.sqrt(np.sum(a * a, axis=1))
     scale = float(np.max(gu_n**p + a_n**p + 1.0)) if resid.size else 1.0
+    max_abs_residual = float(np.max(resid)) if resid.size else 0.0
     return PiconeResult(
-        max_abs_residual=float(np.max(resid)) if resid.size else 0.0,
+        max_abs_residual=max_abs_residual,
         scale=scale,
         n_samples=int(resid.size),
         n_skipped=n_skipped,
+        passed=max_abs_residual <= TOL_QUAD_FACTOR * scale,
     )
 
 

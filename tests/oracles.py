@@ -411,6 +411,42 @@ def refine_triangles_loop(nodes, elements):
     return np.vstack(node_list), new_elems
 
 
+_BOUNDARY_TOL = 1e-12
+
+
+def on_polygon_boundary(points, verts):
+    """Boolean mask: point lies on some polygon edge to within 1e-12. The
+    geometric boundary rule that build_mesh applied before a mesh's boundary
+    came from its facets."""
+    scale = np.max(np.abs(verts)) + 1.0
+    mask = np.zeros(points.shape[0], dtype=bool)
+    nv = verts.shape[0]
+    for i in range(nv):
+        a, b = verts[i], verts[(i + 1) % nv]
+        e = b - a
+        d = points - a
+        cross = np.abs(e[0] * d[:, 1] - e[1] * d[:, 0])
+        t = (d @ e) / (e @ e)
+        on = (cross <= _BOUNDARY_TOL * scale * np.hypot(*e)) & (t >= -1e-12) & (t <= 1.0 + 1e-12)
+        mask |= on
+    return mask
+
+
+def submesh_count_boundary(mesh, element_idx):
+    """(boundary mask, node map) of the sub-mesh of the elements
+    `element_idx` by the count rule that submesh applied before a mesh's
+    boundary came from its facets: nodes touching an element outside the
+    subset, or boundary nodes of the parent, are boundary."""
+    element_idx = np.asarray(element_idx, dtype=int)
+    sub_elems_parent = mesh.elements[element_idx]
+    node_map = np.unique(sub_elems_parent)
+    parent_counts = np.bincount(mesh.elements.ravel(), minlength=mesh.n_nodes)
+    sub_counts = np.bincount(sub_elems_parent.ravel(), minlength=mesh.n_nodes)
+    cut = sub_counts[node_map] < parent_counts[node_map]
+    boundary = mesh.boundary_mask[node_map] | cut
+    return boundary, node_map
+
+
 def project_boundary_nodes_loop(points, mask, verts):
     """Each flagged node moved onto its nearest polygon edge, one node and
     one edge at a time; the first edge wins a tie (strict <)."""

@@ -227,7 +227,7 @@ def test_criterion_10_weighted_poincare_sharpness(cache):
     interval = cache.domain("interval01")
     mesh = cache.mesh("interval01", 5)
     f = ps.interpolate(mesh, lambda pts: np.cos(math.pi * pts[:, 0]))
-    rep = weighted_poincare_check(2.0, interval, mesh, f, np.ones_like(mesh.quad_weights))
+    rep = weighted_poincare_check(2.0, interval, f, np.ones_like(mesh.quad_weights))
     rel = abs(rep.ratio - PI2) / PI2
     elapsed = time.perf_counter() - t0
     ok = rep.passed and rel <= 1e-4

@@ -1,10 +1,12 @@
 import dataclasses
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
-from plapstab import cli
+from plapstab import cli, verify
 from plapstab.cli import _report_text, build_parser, load_config, main, parse_domain_flag
 
 PI2 = math.pi**2
@@ -133,6 +135,33 @@ class TestCommands:
         assert main(["constants", "--p", "3", "--no-timestamp"]) == 2
         (entry,) = json.loads(capsys.readouterr().out)["results"]
         assert not entry["passed"]
+
+    def test_picone_verdict_from_result(self, monkeypatch, capsys):
+        real = verify.picone_check
+        monkeypatch.setattr(verify, "picone_check",
+                            lambda *a, **k: dataclasses.replace(real(*a, **k), passed=False))
+        code, out, _ = run_cli(["picone", "--p", "2", "--level", "2", "--no-timestamp"], capsys)
+        assert code == 2
+        assert [r["passed"] for r in json.loads(out)["results"]] == [False]
+
+    @pytest.mark.parametrize("argv", [
+        ["stability", "--p", "2", "--level", "1", "--fields", "2", "--csv", "{missing}/x.csv"],
+        ["constants", "--p", "2", "--out", "{missing}/r.json"],
+        ["eigen", "--p", "2", "--level", "1", "--mesh-out", "{missing}/m.mesh"],
+    ])
+    def test_write_error_exits_1(self, argv, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        code, out, err = run_cli([a.format(missing=missing) for a in argv] + ["--no-timestamp"], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("run error: ") and err.count("\n") == 1
+        assert not missing.exists()
+
+    def test_write_error_no_traceback(self, tmp_path):
+        argv = ["stability", "--p", "2", "--level", "1", "--fields", "2", "--csv", str(tmp_path / "missing" / "x.csv")]
+        proc = subprocess.run([sys.executable, "-m", "plapstab.cli", *argv], capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("run error: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
 
     def test_arithmetic_error_exits_1(self, monkeypatch, capsys):
         def overflow(config):

@@ -1,21 +1,31 @@
 import math
+import warnings
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 
 import plapstab as ps
-from plapstab import geometry
+from plapstab import geometry, spectral
 from plapstab.geometry import Mesh, make_domain, read_mesh, submesh, write_mesh
 
 from conftest import UNIT_SQUARE
 from oracles import (
     coo_node_adjacency,
     field_eval_per_dimension,
+    on_polygon_boundary,
     project_boundary_nodes_loop,
     refine_triangles_loop,
+    submesh_count_boundary,
     write_mesh_loop,
 )
+
+# mesh files written by write_mesh before a mesh's boundary came from its facets
+DATA = Path(__file__).parent / "data"
 
 # on polygons without symmetry a boundary projection that rounds its dot
 # product differently moves nodes by an ulp; on the square it does not
@@ -148,7 +158,7 @@ class TestMeshAgainstLoops:
         for level in range(7):
             if level:
                 nodes, elements = refine_triangles_loop(nodes, elements)
-            boundary = geometry._on_polygon_boundary(nodes, verts)
+            boundary = on_polygon_boundary(nodes, verts)
             projected = project_boundary_nodes_loop(nodes, boundary, verts)
             m = ps.build_mesh(domain, level)
             assert m.nodes.tobytes() == projected.tobytes(), level
@@ -241,7 +251,7 @@ def _pattern_mesh(shape, level):
     if shape in ("interval", "orphan"):
         m = ps.build_mesh(ps.interval_domain(0.0, 1.0), level)
         if shape == "orphan":
-            m = Mesh(np.append(m.nodes[:, 0], 0.5), m.elements, np.append(m.boundary_mask, False))
+            m = Mesh(np.append(m.nodes[:, 0], 0.5), m.elements)
         return m
     vertices = [[0.0, 0.0], [1.0, 0.0], [0.3, 0.8]] if shape == "triangle" else UNIT_SQUARE
     m = ps.build_mesh(ps.polygon_domain(vertices), level)
@@ -366,4 +376,98 @@ class TestSubmeshAndIO:
         nodes = np.array([[0.0], [0.0], [1.0]])
         elements = np.array([[0, 1], [1, 2]])
         with pytest.raises(ValueError):
-            Mesh(nodes, elements, np.array([True, False, True]))
+            Mesh(nodes, elements)
+
+
+def _facet_mesh(name, level):
+    """Interval or MESH_POLYGONS mesh, or "cut": the square's elements with
+    centroid x above 0.4, as a sub-mesh."""
+    if name == "interval":
+        return ps.build_mesh(ps.interval_domain(-0.3, 1.7), level)
+    m = ps.build_mesh(ps.polygon_domain(MESH_POLYGONS["square" if name == "cut" else name]), level)
+    if name == "cut":
+        m, _ = submesh(m, np.nonzero(np.mean(m.nodes[m.elements], axis=1)[:, 0] > 0.4)[0])
+    return m
+
+
+class TestBoundaryFromFacets:
+    """Every Mesh takes its boundary from its elements: the nodes on a facet
+    that only one element has. The geometric rule that build_mesh applied and
+    the count rule that submesh applied before are in tests/oracles.py; the
+    geometric rule is checked on every build in TestMeshAgainstLoops."""
+
+    @pytest.mark.parametrize("name", sorted(MESH_POLYGONS) + ["cut"])
+    @pytest.mark.parametrize("level", range(4))
+    def test_facets_are_edges_of_one_triangle(self, name, level):
+        m = _facet_mesh(name, level)
+        counts = Counter(
+            tuple(sorted(edge)) for tri in m.elements.tolist() for edge in zip(tri, tri[1:] + tri[:1])
+        )
+        assert m.boundary_facets.tolist() == sorted(list(edge) for edge, c in counts.items() if c == 1)
+        assert np.array_equal(np.nonzero(m.boundary_mask)[0], np.unique(m.boundary_facets))
+
+    @pytest.mark.parametrize("level", range(8))
+    def test_interval_ends(self, level):
+        m = _facet_mesh("interval", level)
+        assert m.boundary_facets.tolist() == [[0], [m.n_nodes - 1]]
+        hand_set = np.zeros(m.n_nodes, dtype=bool)
+        hand_set[[0, -1]] = True
+        assert np.array_equal(m.boundary_mask, hand_set)
+
+    def test_boundary_is_read_only(self):
+        m = _facet_mesh("square", 1)
+        for a in (m.boundary_mask, m.boundary_facets):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(["interval", "square", "thin-triangle", "pentagon", "cut"]),
+           level=st.integers(0, 3), seed=st.integers(0, 2**32 - 1), fraction=st.floats(0.02, 1.0))
+    def test_submesh_equals_count_rule(self, name, level, seed, fraction):
+        m = _facet_mesh(name, level)
+        keep = np.random.default_rng(seed).random(m.n_elements) < fraction
+        keep[np.random.default_rng(seed).integers(m.n_elements)] = True
+        sub, node_map = submesh(m, np.nonzero(keep)[0])
+        boundary, count_map = submesh_count_boundary(m, np.nonzero(keep)[0])
+        assert np.array_equal(node_map, count_map)
+        assert np.array_equal(sub.boundary_mask, boundary)
+
+    def test_sweep_submeshes_equal_count_rule(self, monkeypatch):
+        m = ps.build_mesh(ps.polygon_domain(MESH_POLYGONS["thin-triangle"]), 2)
+        seen = []
+
+        def checked(mesh, element_idx):
+            sub, node_map = submesh(mesh, element_idx)
+            boundary, count_map = submesh_count_boundary(mesh, element_idx)
+            seen.append(np.array_equal(node_map, count_map) and np.array_equal(sub.boundary_mask, boundary))
+            return sub, node_map
+
+        monkeypatch.setattr(spectral, "submesh", checked)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ps.second_eigenvalue(3.0, m, ps.lebesgue(), None)
+        assert len(seen) > 100 and all(seen)
+
+    @pytest.mark.parametrize("name, level", [("quadrilateral", 1), ("interval", 0)])
+    def test_reads_older_mesh_file(self, name, level, tmp_path):
+        path = DATA / f"{name}_l{level}.mesh"
+        m = read_mesh(path)
+        built = _facet_mesh(name, level)
+        assert m.nodes.tobytes() == built.nodes.tobytes()
+        assert np.array_equal(m.elements, built.elements)
+        assert np.array_equal(m.boundary_mask, built.boundary_mask)
+        write_mesh(m, tmp_path / "again.mesh")
+        assert (tmp_path / "again.mesh").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("flip", ["interior", "boundary"])
+    def test_read_rejects_flags_off_the_boundary(self, flip, tmp_path):
+        m = _facet_mesh("square", 1)
+        path = tmp_path / "square.mesh"
+        write_mesh(m, path)
+        lines = path.read_text().splitlines()
+        flags = lines[-1].split()
+        i = int(np.nonzero(m.boundary_mask == (flip == "boundary"))[0][0])
+        flags[i] = "0" if flags[i] == "1" else "1"
+        path.write_text("\n".join(lines[:-1] + [" ".join(flags)]) + "\n")
+        with pytest.raises(ValueError, match="boundary flags"):
+            read_mesh(path)

@@ -155,7 +155,7 @@ class TestFirstEigenpair:
 
     def test_all_boundary_mesh_rejected(self):
         nodes = np.array([[0.0], [1.0]])
-        mesh = Mesh(nodes, np.array([[0, 1]]), np.array([True, True]))
+        mesh = Mesh(nodes, np.array([[0, 1]]))
         with pytest.raises(ValueError):
             ps.first_eigenpair(2.0, mesh, ps.lebesgue())
 
@@ -390,7 +390,7 @@ def order_mesh():
                 path = os.path.join(tmp, "mesh.txt")
                 write_mesh(m, path)
                 return read_mesh(path)
-        return Mesh(m.nodes, m.elements, m.boundary_mask)
+        return Mesh(m.nodes, m.elements)
 
     return get
 

@@ -158,7 +158,7 @@ class TestStability:
         u1 = cache.pair(2.0, "interval01", 4)
         m = cache.mesh("interval01", 4)
         u = ps.zero_trace(m, math.sqrt(2.0) * np.sin(2.0 * math.pi * m.nodes[:, 0]))
-        rep = ps.stability_check(2.0, interval, m, u, ps.lebesgue(), eigenpair=u1)
+        rep = ps.stability_check(2.0, interval, u, ps.lebesgue(), eigenpair=u1)
         assert rep.passed
         assert abs(rep.deficit - 3.0 * PI2) <= 0.01 * 3.0 * PI2
         assert abs(rep.constant - PI2) <= 1e-10
@@ -170,7 +170,7 @@ class TestStability:
         u1 = cache.pair(3.0, "interval01", 4)
         m = cache.mesh("interval01", 4)
         u = ps.Field(m, 2.0 * u1.field.values)
-        rep = ps.stability_check(3.0, interval, m, u, ps.lebesgue(), eigenpair=u1)
+        rep = ps.stability_check(3.0, interval, u, ps.lebesgue(), eigenpair=u1)
         assert rep.passed
         assert abs(rep.deficit) <= rep.tol_quad
         assert rep.distance_p <= 1e-10
@@ -179,7 +179,7 @@ class TestStability:
         u1 = cache.pair(3.0, "square", 3)
         m = cache.mesh("square", 3)
         u = ps.random_zero_trace_field(m, 7)
-        rep = ps.stability_check(3.0, square, m, u, ps.lebesgue(), eigenpair=u1)
+        rep = ps.stability_check(3.0, square, u, ps.lebesgue(), eigenpair=u1)
         assert rep.passed and rep.margin >= -rep.tol_quad
         assert rep.note != ""  # polygon runs are labeled
 
@@ -187,19 +187,19 @@ class TestStability:
         u1 = cache.pair(2.0, "square", 3, "gaussian")
         m = cache.mesh("square", 3)
         u = ps.random_zero_trace_field(m, 7)
-        rep = ps.stability_check(2.0, square, m, u, ps.gaussian(), eigenpair=u1)
+        rep = ps.stability_check(2.0, square, u, ps.gaussian(), eigenpair=u1)
         assert rep.note == ""
 
     def test_rejects_p_below_two(self, cache, interval):
         m = cache.mesh("interval01", 3)
         u = ps.random_zero_trace_field(m, 0)
         with pytest.raises(ValueError):
-            ps.stability_check(1.5, interval, m, u, ps.lebesgue())
+            ps.stability_check(1.5, interval, u, ps.lebesgue())
 
     def test_rejects_nonzero_trace(self, cache, interval):
         m = cache.mesh("interval01", 3)
         with pytest.raises(ValueError):
-            ps.stability_check(2.0, interval, m, ps.Field(m, np.ones(m.n_nodes)), ps.lebesgue())
+            ps.stability_check(2.0, interval, ps.Field(m, np.ones(m.n_nodes)), ps.lebesgue())
 
     def test_battery_all_pass(self, cache, interval):
         u1 = cache.pair(2.0, "interval01", 3)
@@ -223,7 +223,7 @@ class TestStability:
             m = ps.build_mesh(dom, 3)
             pair = ps.first_eigenpair(3.0, m, leb)
             u = ps.zero_trace(m, np.sin(2.0 * math.pi * m.nodes[:, 0] / s))
-            rep = ps.stability_check(3.0, dom, m, u, leb, eigenpair=pair)
+            rep = ps.stability_check(3.0, dom, u, leb, eigenpair=pair)
             margins[s] = rep.margin
         # n = 1, p = 3: both sides scale by s^(n-p) = s^-2; signs invariant
         assert margins[0.5] > 0 and margins[1.0] > 0 and margins[2.0] > 0
@@ -275,7 +275,7 @@ class TestWeightedPoincare:
     def test_sharpness_witness(self, cache, interval):
         m = cache.mesh("interval01", 5)
         f = ps.interpolate(m, lambda pts: np.cos(math.pi * pts[:, 0]))
-        rep = weighted_poincare_check(2.0, interval, m, f, np.ones_like(m.quad_weights))
+        rep = weighted_poincare_check(2.0, interval, f, np.ones_like(m.quad_weights))
         assert rep.passed
         assert abs(rep.ratio - PI2) <= 1e-4 * PI2
         assert abs(rep.lhs - PI2 / 2.0) <= 1e-3 * PI2
@@ -284,7 +284,7 @@ class TestWeightedPoincare:
     def test_constant_degenerate(self, cache, interval):
         m = cache.mesh("interval01", 3)
         f = ps.Field(m, np.ones(m.n_nodes))
-        rep = weighted_poincare_check(2.0, interval, m, f, np.ones_like(m.quad_weights))
+        rep = weighted_poincare_check(2.0, interval, f, np.ones_like(m.quad_weights))
         assert rep.degenerate and rep.passed
         assert rep.lhs <= 1e-14 and rep.rhs_inf <= 1e-14
 
@@ -293,7 +293,7 @@ class TestWeightedPoincare:
         m = cache.mesh("interval01", 3)
         # the weighted mean of 7.7 rounds to another float here
         f = ps.Field(m, np.full(m.n_nodes, 7.7))
-        rep = weighted_poincare_check(p, interval, m, f, 1.0 + 0.5 * np.cos(m.quad_points[:, :, 0]))
+        rep = weighted_poincare_check(p, interval, f, 1.0 + 0.5 * np.cos(m.quad_points[:, :, 0]))
         assert rep.t0 == 7.7 and rep.rhs_inf == 0.0 and rep.lhs == 0.0
         assert rep.degenerate and rep.passed
 
@@ -307,7 +307,7 @@ class TestWeightedPoincare:
         fvals = np.where(u1.field.values > floor, u.values / np.maximum(u1.field.values, floor), 0.0)
         f = ps.Field(m, fvals)
         omega = ps.Field(m, u1.field.values**p)
-        rep = weighted_poincare_check(p, square, m, f, omega)
+        rep = weighted_poincare_check(p, square, f, omega)
         assert rep.passed and rep.margin >= -1e-8 * max(rep.lhs, 1.0)
 
     @pytest.mark.parametrize("measure", [None, "gaussian"])
@@ -334,7 +334,7 @@ class TestWeightedPoincare:
         if meas is not None:
             W = W * m.density_at_quad(meas)
         assert np.array_equal(_weight_array(m, omega, meas), W)
-        rep = weighted_poincare_check(p, domain, m, f, omega, meas)
+        rep = weighted_poincare_check(p, domain, f, omega, meas)
         # t0 and the infimum come from one minimisation over the constants
         dist, t0 = _convex_lp_min(p, W, f.at_quad()[None], np.ones_like(W))
         assert rep.t0 == float(t0[0]) == centering_root(p, f, omega, meas)
@@ -365,14 +365,14 @@ class TestWeightedPoincare:
         m = cache.mesh("interval01", 3)
         f = ps.interpolate(m, lambda pts: pts[:, 0])
         with pytest.raises(ValueError):
-            weighted_poincare_check(2.0, interval, m, f, lambda pts: np.ones(len(pts)))
+            weighted_poincare_check(2.0, interval, f, lambda pts: np.ones(len(pts)))
 
     def test_log_convex_weight_rejected(self, cache, interval):
         m = cache.mesh("interval01", 4)
         f = ps.interpolate(m, lambda pts: pts[:, 0])
         bad = ps.interpolate(m, lambda pts: np.exp(8.0 * (pts[:, 0] - 0.5) ** 2))
         with pytest.raises(ValueError, match="log-concav"):
-            weighted_poincare_check(2.0, interval, m, f, bad)
+            weighted_poincare_check(2.0, interval, f, bad)
 
 
 class TestPicone:
@@ -414,6 +414,43 @@ class TestPicone:
                 dphi = rng.normal(size=2)
                 c_side, r_side = picone_sides_highprec(p, u, du, phi, dphi)
                 assert abs(c_side - r_side) <= 1e-12 * (abs(c_side) + 1.0)
+
+
+    def test_verdict_is_the_tolerance_rule(self, cache, rng, monkeypatch):
+        m = cache.mesh("square", 3)
+        u = ps.random_zero_trace_field(m, rng)
+        phi = ps.Field(m, 0.5 + rng.uniform(0.0, 1.0, m.n_nodes))
+        res = ps.picone_check(3.0, u, phi, ps.lebesgue())
+        assert res.passed is True and 0.0 < res.max_abs_residual <= verify.TOL_QUAD_FACTOR * res.scale
+        # a tolerance just below the residual fails the same samples
+        monkeypatch.setattr(verify, "TOL_QUAD_FACTOR", 0.5 * res.max_abs_residual / res.scale)
+        again = ps.picone_check(3.0, u, phi, ps.lebesgue())
+        assert again.passed is False and again.max_abs_residual == res.max_abs_residual
+
+
+class TestExponentRule:
+    """Every entry point that takes p checks it by cpcore._check_p: finite
+    and above 1."""
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, 1.0])
+    @pytest.mark.parametrize("entry", [
+        "first_eigenpair", "second_eigenvalue", "rayleigh_quotient", "distance_to_eigenspace",
+    ])
+    def test_rejected(self, cache, entry, p):
+        m = cache.mesh("interval01", 2)
+        u1 = cache.pair(2.0, "interval01", 2)
+        calls = {
+            "first_eigenpair": lambda: ps.first_eigenpair(p, m, ps.lebesgue()),
+            "second_eigenvalue": lambda: ps.second_eigenvalue(p, m, ps.lebesgue(), u1),
+            "rayleigh_quotient": lambda: ps.rayleigh_quotient(p, u1.field, ps.lebesgue()),
+            "distance_to_eigenspace": lambda: ps.distance_to_eigenspace(p, u1.field, u1.field, ps.lebesgue()),
+        }
+        with pytest.raises(ValueError, match="exponent p must satisfy p > 1.0"):
+            calls[entry]()
+
+    def test_p2_second_needs_a_first_pair(self, cache):
+        with pytest.raises(ValueError, match="needs a converged first eigenpair"):
+            ps.second_eigenvalue(2.0, cache.mesh("interval01", 2), ps.lebesgue(), None)
 
 
 class TestGap:
@@ -459,7 +496,7 @@ class TestGap:
         pairs = (u1, cache.second(p, "interval01", 4))
         rep = ps.gap_check(p, interval, m, ps.lebesgue(), pairs=pairs)
         u = ps.random_zero_trace_field(m, 3)
-        constant = ps.stability_check(p, interval, m, u, ps.lebesgue(), eigenpair=u1).constant
+        constant = ps.stability_check(p, interval, u, ps.lebesgue(), eigenpair=u1).constant
         assert rep.bound == constant * rep.C_value
 
     def test_p_below_two_rejected(self, cache, interval, monkeypatch):
@@ -516,7 +553,7 @@ class TestBatchedBattery:
         rng = np.random.default_rng(9)
         for rep in reps:
             u = ps.random_zero_trace_field(mesh, rng)
-            one = ps.stability_check(p, domain, mesh, u, meas, eigenpair=pair)
+            one = ps.stability_check(p, domain, u, meas, eigenpair=pair)
             assert rep.passed == one.passed
             assert (rep.p, rep.lambda1, rep.constant, rep.note) == (one.p, one.lambda1, one.constant, one.note)
             for field, rel in (("deficit", 1e-12), ("tol_quad", 1e-12), ("margin", 1e-12),

@@ -119,7 +119,7 @@ def load_config(args):
     if args.p is not None:
         config["p"] = [float(tok) for tok in args.p.split(",") if tok]
     elif not isinstance(config["p"], list):
-        config["p"] = [float(config["p"])]
+        config["p"] = [config["p"]]
     if args.domain is not None:
         config["domain"] = parse_domain_flag(args.domain)
     config["command"] = args.command
@@ -131,8 +131,10 @@ def _validate_config(config):
     if not config["p"]:
         raise ValueError("p-list must be nonempty")
     for p in config["p"]:
-        if type(p) not in (int, float) or not 1.0 < p < math.inf:
-            raise ValueError(f"every exponent must be a finite number above 1, got {p!r}")
+        # _check_p takes p through float(), which a config file's "2" or true would pass
+        if type(p) not in (int, float):
+            raise ValueError(f"every exponent must be a number, got {p!r}")
+        cpcore._check_p(p)
     # a config-file value must have the type its flag parses to
     for key in _DEFAULTS.keys() - {"p", "domain"}:
         default, value = _DEFAULTS[key], config[key]
@@ -337,7 +339,7 @@ def main(argv=None):
         return 1
     try:
         config = load_config(args)
-    except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, OSError, OverflowError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:

@@ -13,14 +13,15 @@ eps on a fixed decreasing schedule. Once such a step lowers the quotient by
 take over, with b = B_p(u) and J the Jacobian of the residual. Both
 directions backtrack by halving the step length until the quotient drops;
 a singular bordered system counts as a failed Newton direction.
-The second eigenvalue uses block inverse iteration deflated against the
-ground state for p = 2 and otherwise a hyperplane-cut two-nodal-domain
-estimator (a certified upper bound). Along each direction it finds the cut
-where the two sides' lambda1 cross by a search seeded at the previous
-direction's crossing: it gallops by 1, 2, 4, ... cuts from there to bracket
-the crossing and bisects the bracket. A side's lambda1 is the least over the
-connected components of its interior nodes, labelled on the parent mesh's
-full pattern; each component is solved on one sub-mesh cut from the parent.
+The second eigenvalue uses shift-invert Lanczos (ARPACK) in the complement
+of the ground state for p = 2 and otherwise a hyperplane-cut
+two-nodal-domain estimator (a certified upper bound). Along each direction
+it finds the cut where the two sides' lambda1 cross by a search seeded at
+the previous direction's crossing: it gallops by 1, 2, 4, ... cuts from
+there to bracket the crossing and bisects the bracket. A side's lambda1 is
+the least over the connected components of its interior nodes, labelled on
+the parent mesh's full pattern; each component is solved on one sub-mesh
+cut from the parent.
 
 Every sparse matrix is one scatter of element matrices on a sparsity
 pattern cached on the mesh (`Mesh.pattern`): the full matrices of
@@ -36,8 +37,8 @@ column-ordered layout and factor it without reordering. COLAMD orders by
 structure alone, so these factors and their solves are bitwise those of a
 fresh `splu`. The mesh keeps the order, never a factor. At p = 2 the lagged
 steps share one factor of the stiffness matrix, released before the first
-Newton step, and deflation keeps one for its iteration; every other factor
-serves one solve.
+Newton step, and deflation keeps one for its Lanczos solves; every other
+factor serves one solve.
 """
 
 import warnings
@@ -45,8 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigh
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .cpcore import _check_p, _guarded_power
 from .geometry import Field, submesh
@@ -63,7 +63,6 @@ __all__ = [
     "weighted_mass",
 ]
 
-_DEFLATION_BLOCK = 3
 # entries of one (edges, nodes) block in _distance_to_boundary
 _DISTANCE_BLOCK = 2**14
 # relative Rayleigh drop at or below which the lagged steps hand over to Newton
@@ -81,8 +80,9 @@ class SolverOptions:
     """Knobs for the eigen-solvers; defaults are desk-scale sane.
 
     `tol` is the relative residual at which the ground state (or at its
-    rounding floor, if higher) and deflation stop. `max_outer` caps their
-    outer steps. `seed` seeds deflation's start block. The linear solves
+    rounding floor, if higher) and deflation count as converged.
+    `max_outer` caps the ground state's outer steps and deflation's Lanczos
+    restarts. `seed` seeds deflation's start vector. The linear solves
     are direct (sparse LU): no tolerance. `n_offsets` is inert and kept
     only so that callers that still pass it keep working.
     """
@@ -329,8 +329,8 @@ def _lu_solve(mesh, name, source):
         lu = splu(_square_csc(source[src], indices, indptr), permc_spec="NATURAL")
 
         def solve(rhs):
-            # in the memory layout of a fresh factor's solution, which the
-            # dense products of deflation round by
+            # in the memory layout of a fresh factor's solution, also for a
+            # block of right sides
             x = lu.solve(rhs)
             return np.take(x, perm_c, axis=0, out=np.empty_like(x))
 
@@ -464,56 +464,62 @@ def first_eigenpair(p, mesh, measure, opts=None):
 
 
 def _deflated_second(p, mesh, measure, u1, opts):
-    """Block inverse iteration in the M-complement of span(u1), p = 2 only.
-
-    A block of vectors, projected against u1 and rotated by Rayleigh-Ritz
-    on every step, carries the next few eigenvalues together, so a
-    near-degenerate lambda2/lambda3 pair cannot stall it. It stops when the
-    relative residual of the lowest Ritz pair, with its u1 component
-    removed, falls to `opts.tol`.
+    """Shift-invert Lanczos (ARPACK's `eigsh`, sigma = 0) in the
+    M-complement of span(u1), p = 2 only: each step solves with the interior
+    stiffness factor and projects against u1. `converged` means the relative
+    residual |K v - theta M v| / |K v| (u1 part removed, theta the Rayleigh
+    quotient) is at most `opts.tol`, whatever ARPACK says; `iterations`
+    counts the solves.
     """
     interior = mesh.interior
     K = _assemble_csc(mesh, _stiffness_local(mesh, mesh.element_density_integrals(measure)))
     M = _assemble_csc(mesh, _mass_local(mesh, mesh.measure_weights(measure)))
-    solve = _lu_solve(mesh, "interior", K.data)
     u1i = u1.values[interior]
+    n = u1i.size
+    if n < 2:
+        raise ValueError("mesh has too few interior nodes for a second eigenvalue")
+    solve = _lu_solve(mesh, "interior", K.data)
     Mu1 = M @ u1i
     Mu1 /= float(u1i @ Mu1)
-    block = min(_DEFLATION_BLOCK, u1i.size - 1)
-    if block < 1:
-        raise ValueError("mesh has too few interior nodes for a second eigenvalue")
+    solves = 0
 
     def project(x):
         # x - u1 (u1' M x) / (u1' M u1): M-orthogonal to u1
-        return x - np.outer(u1i, Mu1 @ x)
+        return x - u1i * float(Mu1 @ x)
 
-    rng = np.random.default_rng(opts.seed)
-    x = project(rng.uniform(-1.0, 1.0, (u1i.size, block)))
-    history = []
-    rel = np.inf
-    it = 0
-    for it in range(1, opts.max_outer + 1):
-        theta, c = eigh(x.T @ (K @ x), x.T @ (M @ x))
-        x = x @ c  # M-orthonormal Ritz vectors, ascending Ritz values
+    def shift_invert(x):
+        nonlocal solves
+        solves += 1
+        return project(solve(x))
+
+    v0 = project(np.random.default_rng(opts.seed).uniform(-1.0, 1.0, n))
+    try:
+        _, x = eigsh(K, k=1, M=M, sigma=0.0, which="LM", OPinv=LinearOperator((n, n), shift_invert, dtype=float),
+                     v0=v0, tol=1e-2 * opts.tol, maxiter=opts.max_outer)
         v = x[:, 0]
-        Kv = K @ v
-        resid = Kv - theta[0] * (M @ v)
-        resid -= Mu1 * float(u1i @ resid)
-        history.append(float(theta[0]))
-        rel = float(np.linalg.norm(resid) / np.linalg.norm(Kv))
-        if rel <= opts.tol:
-            break
-        x = project(solve(M @ x))
+    except ArpackNoConvergence:
+        # with k = 1 nothing converged: the start vector stands in
+        v = v0
+    Kv, Mv = K @ v, M @ v
+    theta = float(v @ Kv) / float(v @ Mv)
+    resid = Kv - theta * Mv
+    resid -= Mu1 * float(u1i @ resid)
+    rel = float(np.linalg.norm(resid) / np.linalg.norm(Kv))
+    converged = rel <= opts.tol
+    if not converged:
+        warnings.warn(
+            f"second_eigenvalue stopped after {solves} shift-invert solves at "
+            f"relative residual {rel:.3e} > tol {opts.tol:g}"
+        )
     values = np.zeros(mesh.n_nodes)
-    values[interior] = x[:, 0]
+    values[interior] = v
     values = _normalize(mesh, values, p, measure)
-    lam = rayleigh_quotient(p, Field(mesh, values), measure)
     return EigenPair(
-        lam=lam,
+        lam=rayleigh_quotient(p, Field(mesh, values), measure),
         field=Field(mesh, values),
-        residual_history=history,
-        iterations=it,
-        converged=rel <= opts.tol,
+        residual_history=[theta],
+        iterations=solves,
+        converged=converged,
         estimator="deflation",
         residual=rel,
     )
@@ -671,7 +677,7 @@ def _cut_sweep_second(p, mesh, measure, opts):
 def second_eigenvalue(p, mesh, measure, u1pair, opts=None):
     """Second Dirichlet eigenvalue.
 
-    p = 2 uses block inverse iteration deflated against the converged ground
+    p = 2 uses shift-invert Lanczos deflated against the converged ground
     state `u1pair` and converges to the discrete lambda_2.  Every other p
     uses the hyperplane-cut sweep, which returns a certified upper bound
     (is_upper_bound is set; `u1pair` is not used and may be None); its glued

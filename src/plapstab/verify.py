@@ -358,11 +358,23 @@ def _centered_min(p, f, W):
 
 
 def _weight_array(mesh, weight, measure):
-    """Quadrature weights times the validated weight w (a Field, or an array
-    shaped like the quadrature grid), times the density of `measure` unless
-    it is None; the weight multiplies first."""
-    wq = weight.at_quad() if isinstance(weight, Field) else np.asarray(weight)
-    wq = wq.reshape(mesh.quad_weights.shape)
+    """Quadrature weights times the validated weight w (a Field on `mesh`, or
+    an array shaped like its quadrature grid), times the density of
+    `measure` unless it is None; the weight multiplies first."""
+    if isinstance(weight, Field):
+        other = weight.mesh
+        if other is not mesh and not (
+            np.array_equal(other.nodes, mesh.nodes) and np.array_equal(other.elements, mesh.elements)
+        ):
+            raise ValueError("weight Field must live on the mesh of the field it weights")
+        wq = weight.at_quad()
+    else:
+        wq = np.asarray(weight)
+        if wq.shape != mesh.quad_weights.shape:
+            raise ValueError(
+                f"weight array must be shaped like the mesh's quadrature grid "
+                f"{mesh.quad_weights.shape}, got {wq.shape}"
+            )
     if np.min(wq) < 0.0 or np.max(wq) <= 0.0:
         raise ValueError("weight must be nonnegative with positive mass")
     W = mesh.quad_weights * wq
@@ -403,8 +415,8 @@ def weighted_poincare_check(p, domain, f, omega, measure=None):
     the hypothesis int |f-t0|^(p-2)(f-t0) w = 0 of the weighted inequality
     holds; a constant shift leaves grad f as it is.
     """
-    _check_log_concave(f.mesh, omega)
     W = _weight_array(f.mesh, omega, measure)
+    _check_log_concave(f.mesh, omega)
     rhs_inf, t0 = _centered_min(p, f, W)
     lhs = float(gradient_energies(p, f.gradients(), np.sum(W, axis=1)))
     bound = (cpcore.pi_p(p) / domain.diameter) ** p

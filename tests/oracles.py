@@ -7,6 +7,8 @@ import mpmath as mp
 import numpy as np
 from scipy import sparse
 from scipy.integrate import solve_ivp
+from scipy.linalg import eigh
+from scipy.sparse.linalg import splu
 
 mp.mp.dps = 30
 
@@ -565,3 +567,32 @@ def field_eval_per_dimension(field, points):
         v = field.values[mesh.elements[e]]
         out[i] = v[0] * (1.0 - l1[e] - l2[e]) + v[1] * l1[e] + v[2] * l2[e]
     return out
+
+
+def block_inverse_iteration_second(K, M, u1, tol=1e-10, max_outer=200, seed=0, block=3):
+    """(theta, v, relative residual, iterations) of the second eigenpair of
+    K v = theta M v (CSC, on the interior nodes) by block inverse iteration in
+    the M-complement of the ground state u1: a seeded block of `block`
+    vectors (fewer on small systems), projected against u1 and rotated by
+    Rayleigh-Ritz on every step, until the lowest Ritz pair's relative
+    residual |K v - theta M v| / |K v|, u1 part removed, is at most `tol`."""
+    solve = splu(K).solve
+    Mu1 = M @ u1
+    Mu1 /= float(u1 @ Mu1)
+
+    def project(x):
+        return x - np.outer(u1, Mu1 @ x)
+
+    x = project(np.random.default_rng(seed).uniform(-1.0, 1.0, (u1.size, min(block, u1.size - 1))))
+    for it in range(1, max_outer + 1):
+        theta, c = eigh(x.T @ (K @ x), x.T @ (M @ x))
+        x = x @ c
+        v = x[:, 0]
+        Kv = K @ v
+        resid = Kv - theta[0] * (M @ v)
+        resid -= Mu1 * float(u1 @ resid)
+        rel = float(np.linalg.norm(resid) / np.linalg.norm(Kv))
+        if rel <= tol:
+            break
+        x = project(solve(M @ x))
+    return float(theta[0]), v, rel, it

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from plapstab import cli, verify
+from plapstab import cli, cpcore, verify
 from plapstab.cli import _report_text, build_parser, load_config, main, parse_domain_flag
 
 PI2 = math.pi**2
@@ -54,6 +54,46 @@ class TestParsing:
         args = parser.parse_args(["eigen", "--level", "9"])
         with pytest.raises(ValueError):
             load_config(args)
+
+
+class TestExponentRule:
+    """A flag, a config file and a library call reject the same p with the
+    same message, that of cpcore._check_p."""
+
+    @pytest.mark.parametrize("flag, value", [("1", 1), ("0.5", 0.5), ("-3", -3), ("nan", math.nan), ("inf", math.inf)])
+    def test_flag_and_config_file_match_library(self, flag, value, tmp_path, capsys):
+        with pytest.raises(ValueError) as lib:
+            cpcore.pi_p(value)
+        code, out, err = run_cli(["constants", "--p", f"2,{flag}", "--no-timestamp"], capsys)
+        assert code == 1 and not out
+        assert err == f"config error: {lib.value}\n"
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"p": [2, value]}))
+        code, out, err = run_cli(["constants", "--config", str(cfg), "--no-timestamp"], capsys)
+        assert code == 1 and not out
+        assert err == f"config error: {lib.value}\n"
+
+    @pytest.mark.parametrize("p", ["2", True, None, ["2"], [True], [None], [[2]]])
+    def test_config_file_exponent_must_be_a_number(self, p, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"p": p}))
+        code, out, err = run_cli(["constants", "--config", str(cfg), "--no-timestamp"], capsys)
+        assert code == 1 and not out
+        bad = p[0] if isinstance(p, list) else p
+        assert err == f"config error: every exponent must be a number, got {bad!r}\n"
+
+    def test_config_file_scalar_exponent(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"p": 3}))
+        code, out, _ = run_cli(["constants", "--config", str(cfg), "--no-timestamp"], capsys)
+        assert code == 0 and [r["p"] for r in json.loads(out)["results"]] == [3]
+
+    def test_config_file_huge_integer_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"p": [1' + "0" * 400 + "]}")
+        code, out, err = run_cli(["constants", "--config", str(cfg), "--no-timestamp"], capsys)
+        assert code == 1 and not out
+        assert err.startswith("config error:") and "Traceback" not in err
 
 
 class TestParserReuse:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
-from scipy.sparse.linalg import eigsh, splu
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh, splu
 
 import plapstab as ps
 from plapstab import spectral
@@ -17,6 +17,7 @@ from plapstab.spectral import SolverOptions
 
 from oracles import (
     bisection_cut_sweep,
+    block_inverse_iteration_second,
     coo_assemble,
     distance_to_boundary_loop,
     euler_lagrange_residual,
@@ -729,6 +730,25 @@ class TestCutSweep:
         assert ps.rayleigh_quotient(3.0, est.field, ps.lebesgue()) <= est.lam * (1.0 + 1e-12)
 
 
+# p = 2 meshes on which deflation is checked against eigsh and the block
+# inverse iteration oracle; the polygons are built here, the rest cached
+_LANCZOS_POLYGONS = {
+    "triangle": ps.polygon_domain(_TRIANGLE),
+    "quadrilateral": ps.polygon_domain(_QUADRILATERAL),
+    "pentagon": ps.polygon_domain(_PENTAGON),
+}
+_LANCZOS_CASES = (
+    [("interval01", level) for level in range(2, 7)]
+    + [("square", level) for level in range(1, 6)]
+    + [(name, level) for name in _LANCZOS_POLYGONS for level in (2, 3, 4)]
+)
+
+
+def _interior_matrices(m, mu):
+    i = m.interior
+    return spectral.weighted_stiffness(m, mu)[i][:, i].tocsc(), spectral.weighted_mass(m, mu)[i][:, i].tocsc()
+
+
 class TestSecondEigenvalue:
     def test_interval_deflation(self, cache):
         pair2 = cache.second(2.0, "interval01", 4)
@@ -779,21 +799,74 @@ class TestSecondEigenvalue:
         assert abs(est.lam - defl.lam) <= 1e-6 * defl.lam
 
     @pytest.mark.parametrize("measure", ["lebesgue", "gaussian"])
-    @pytest.mark.parametrize("name,level", [("interval01", 4), ("square", 3)])
+    @pytest.mark.parametrize("name,level", _LANCZOS_CASES)
     def test_p2_pairs_match_eigsh(self, cache, name, level, measure):
-        # on the square the Gaussian lambda_2 and lambda_3 differ by 5e-5
-        # relative, which a single-vector deflation does not resolve
-        m = cache.mesh(name, level)
-        mu = ps.gaussian() if measure == "gaussian" else ps.lebesgue()
-        i = m.interior
-        K = spectral.weighted_stiffness(m, mu)[i][:, i].tocsc()
-        M = spectral.weighted_mass(m, mu)[i][:, i].tocsc()
+        mu = _MEASURES[measure]
+        if name in _LANCZOS_POLYGONS:
+            m = ps.build_mesh(_LANCZOS_POLYGONS[name], level)
+            first = ps.first_eigenpair(2.0, m, mu)
+            second = ps.second_eigenvalue(2.0, m, mu, first)
+        else:
+            m = cache.mesh(name, level)
+            first, second = cache.pair(2.0, name, level, measure), cache.second(2.0, name, level, measure)
+        tol = SolverOptions().tol
+        assert second.converged and second.estimator == "deflation"
+        assert second.residual <= tol
+        K, M = _interior_matrices(m, mu)
         lam = np.sort(eigsh(K, k=3, M=M, sigma=0, return_eigenvectors=False))
-        first = cache.pair(2.0, name, level, measure)
-        second = cache.second(2.0, name, level, measure)
-        assert second.converged
+        theta, _, rel, _ = block_inverse_iteration_second(K, M, first.field.values[m.interior], tol=tol)
+        assert rel <= tol
         assert abs(first.lam - lam[0]) <= 1e-9 * lam[0]
-        assert abs(second.lam - lam[1]) <= 1e-9 * lam[1]
+        for ref in (theta, lam[1]):
+            assert abs(second.lam - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("level", [1, 3, 4, 5])
+    def test_gaussian_square_returns_lambda2_not_lambda3(self, cache, level):
+        # the Gaussian breaks the square's symmetry only slightly: lambda_2
+        # and lambda_3 differ by 3e-6 to 2e-4 relative (5e-5 at level 3)
+        m = cache.mesh("square", level)
+        K, M = _interior_matrices(m, ps.gaussian())
+        lam, vecs = eigsh(K, k=3, M=M, sigma=0)
+        order = np.argsort(lam)
+        lam, vecs = lam[order], vecs[:, order]
+        assert lam[2] - lam[1] <= 2.5e-4 * lam[1]
+        pair = cache.second(2.0, "square", level, "gaussian")
+        assert pair.converged
+        assert abs(pair.lam - lam[1]) <= 1e-12 * lam[1]
+        # the field is lambda_2's eigenvector, M-orthogonal to lambda_3's
+        v = pair.field.values[m.interior]
+        assert abs(v @ (M @ vecs[:, 2])) <= 1e-6 * math.sqrt(v @ (M @ v))
+
+    def test_arpack_no_convergence_reported_unconverged(self, cache, monkeypatch):
+        def no_convergence(A, k, **kwargs):
+            raise ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), np.empty((A.shape[0], 0)))
+
+        monkeypatch.setattr(spectral, "eigsh", no_convergence)
+        u1 = cache.pair(2.0, "square", 3)
+        with pytest.warns(UserWarning, match="shift-invert solves"):
+            pair = ps.second_eigenvalue(2.0, cache.mesh("square", 3), ps.lebesgue(), u1)
+        assert not pair.converged and pair.estimator == "deflation"
+        assert pair.residual > SolverOptions().tol
+        assert np.isfinite(pair.lam)
+
+    def test_iterations_count_solves(self, cache, monkeypatch):
+        calls = []
+        lu_solve = spectral._lu_solve
+
+        def counted(mesh, name, source):
+            solve = lu_solve(mesh, name, source)
+
+            def counted_solve(rhs):
+                calls.append(rhs.shape)
+                return solve(rhs)
+
+            return counted_solve
+
+        u1 = cache.pair(2.0, "square", 3)
+        monkeypatch.setattr(spectral, "_lu_solve", counted)
+        pair = ps.second_eigenvalue(2.0, cache.mesh("square", 3), ps.lebesgue(), u1)
+        assert pair.iterations == len(calls) > 0
+        assert all(len(shape) == 1 for shape in calls)
 
     def test_deflation_needs_two_interior_nodes(self, cache):
         # square level 0: the centroid is the only interior node

@@ -367,6 +367,41 @@ class TestWeightedPoincare:
         with pytest.raises(ValueError):
             weighted_poincare_check(2.0, interval, f, lambda pts: np.ones(len(pts)))
 
+    @pytest.mark.parametrize("a, b, level", [(0.0, 1.0, 3), (5.0, 6.0, 2)])
+    def test_weight_field_on_another_mesh_rejected(self, cache, interval, a, b, level):
+        # a finer mesh of the same interval, and a mesh of the same size on
+        # another interval, whose nodes the weight's own indices would read
+        m = cache.mesh("interval01", 2)
+        f = ps.interpolate(m, lambda pts: np.sin(math.pi * pts[:, 0]))
+        other = ps.build_mesh(ps.interval_domain(a, b), level)
+        omega = ps.Field(other, np.ones(other.n_nodes))
+        with pytest.raises(ValueError, match="must live on the mesh"):
+            weighted_poincare_check(2.0, interval, f, omega)
+        with pytest.raises(ValueError, match="must live on the mesh"):
+            centering_root(2.0, f, omega)
+
+    def test_weight_field_on_an_equal_mesh_accepted(self, cache, interval):
+        m = cache.mesh("interval01", 2)
+        f = ps.interpolate(m, lambda pts: np.sin(math.pi * pts[:, 0]))
+        copy = ps.build_mesh(interval, 2)
+        assert copy is not m
+        rep = weighted_poincare_check(2.0, interval, f, ps.Field(copy, np.ones(copy.n_nodes)))
+        assert rep == weighted_poincare_check(2.0, interval, f, ps.Field(m, np.ones(m.n_nodes)))
+
+    @pytest.mark.parametrize("case", ["flat", "finer mesh", "scalar"])
+    def test_weight_array_of_another_shape_rejected(self, cache, interval, case):
+        m = cache.mesh("interval01", 2)
+        f = ps.interpolate(m, lambda pts: np.sin(math.pi * pts[:, 0]))
+        weight = {
+            "flat": np.ones(m.quad_weights.size),
+            "finer mesh": np.ones_like(cache.mesh("interval01", 3).quad_weights),
+            "scalar": 1.0,
+        }[case]
+        with pytest.raises(ValueError, match="shaped like the mesh's quadrature grid"):
+            weighted_poincare_check(2.0, interval, f, weight)
+        with pytest.raises(ValueError, match="shaped like the mesh's quadrature grid"):
+            centering_root(2.0, f, weight)
+
     def test_log_convex_weight_rejected(self, cache, interval):
         m = cache.mesh("interval01", 4)
         f = ps.interpolate(m, lambda pts: pts[:, 0])

@@ -173,9 +173,10 @@ class Mesh:
         self.boundary_mask.setflags(write=False)
         self._density_cache = {}
         self._patterns = {}
-        # sparse-LU column order per matrix built on the interior pattern,
-        # filled by the first factorisation of that matrix (see spectral)
-        self.lu_orders = {}
+        # LU layout (dense gather index or sparse column order) per matrix
+        # built on the interior pattern, filled by the first factorisation
+        # of that matrix (see spectral._lu_solve)
+        self.lu_layouts = {}
         self._build_geometry()
 
     def _build_geometry(self):
@@ -272,8 +273,8 @@ class Mesh:
         entry (i, j) of element e adds into, or `indices.size` (a discard
         slot) when either node is left out. So
         `np.bincount(slots, local.ravel())[:indices.size]` assembles an
-        (m, k, k) array of element matrices. The column orders that sparse
-        LU factors of interior matrices use are kept in `lu_orders`.
+        (m, k, k) array of element matrices. The layouts that LU factors of
+        interior matrices use are kept in `lu_layouts`.
         """
         if nodes not in self._patterns:
             if nodes == "interior":

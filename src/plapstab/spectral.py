@@ -21,24 +21,29 @@ the previous direction's crossing: it gallops by 1, 2, 4, ... cuts from
 there to bracket the crossing and bisects the bracket. A side's lambda1 is
 the least over the connected components of its interior nodes, labelled on
 the parent mesh's full pattern; each component is solved on one sub-mesh
-cut from the parent.
+cut from the parent. The side sub-solves do not warn one by one: a sweep
+warns once, with the number of them that did not converge.
 
 Every sparse matrix is one scatter of element matrices on a sparsity
 pattern cached on the mesh (`Mesh.pattern`): the full matrices of
 `weighted_stiffness` and `weighted_mass` on the pattern of all nodes, the
 interior ones on the interior pattern. Every int |u|^p dmu is one call of
-`lp_energies`. Every linear solve is a sparse LU
-(`scipy.sparse.linalg.splu`) of one of two matrices on the interior
-pattern: the interior matrix of the lagged steps and of deflation, and the
-bordered Newton matrix, built from [J.data, b, -b] by one gather. The first
-factorisation of each on a mesh orders the columns by COLAMD and keeps that
-order on the mesh (`Mesh.lu_orders`); later ones gather straight into the
-column-ordered layout and factor it without reordering. COLAMD orders by
-structure alone, so these factors and their solves are bitwise those of a
-fresh `splu`. The mesh keeps the order, never a factor. At p = 2 the lagged
-steps share one factor of the stiffness matrix, released before the first
-Newton step, and deflation keeps one for its Lanczos solves; every other
-factor serves one solve.
+`lp_energies`. Every linear solve is an LU factor (`_lu_solve`) of one of
+two matrices on the interior pattern: the interior matrix of the lagged
+steps and of deflation, and the bordered Newton matrix, built from [J.data,
+b, -b] by one gather. Its layout depends on the size alone, with one cutoff,
+_DENSE_MAX = 64 unknowns (measured: dense wins up to about 100). At most
+that many unknowns, as on the cut sweep's sides, the data is gathered into a
+dense column-major array and factored by LAPACK (`getrf`/`getrs`). Above it,
+it is a sparse LU (`scipy.sparse.linalg.splu`): the first factorisation of
+each matrix on a mesh orders the columns by COLAMD and keeps that order on
+the mesh, and later ones gather straight into the column-ordered layout and
+factor it without reordering. COLAMD orders by structure alone, so these
+factors and their solves are bitwise those of a fresh `splu`. The mesh keeps
+the layout (`Mesh.lu_layouts`: the dense gather index or the sparse column
+order), never a factor. At p = 2 the lagged steps share one factor of the
+stiffness matrix, released before the first Newton step, and deflation
+keeps one for its Lanczos solves; every other factor serves one solve.
 """
 
 import warnings
@@ -46,6 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg.lapack import dgetrf as _getrf, dgetrs as _getrs
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .cpcore import _check_p, _guarded_power
@@ -73,6 +79,13 @@ _NEWTON_RISE = 1e-12
 _MAX_HALVINGS = 30
 # cut directions of the 2-D cut sweep, equally spaced over [0, pi)
 _CUT_DIRECTIONS = 32
+# systems of at most this many unknowns are factored dense (LAPACK getrf),
+# larger ones by sparse LU. One factorisation and solve of a lagged matrix,
+# 2 vCPU Xeon, one BLAS thread: dense 7-17 us against 60-100 us sparse at
+# 15-31 unknowns, 47 against 121 us at 63 and 89 against 187 us at 85;
+# dense loses from about 110 (143 against 126 us at 113, 171 against 142
+# us at 127, 658 against 175 us at 255)
+_DENSE_MAX = 64
 
 
 @dataclass
@@ -83,7 +96,9 @@ class SolverOptions:
     rounding floor, if higher) and deflation count as converged.
     `max_outer` caps the ground state's outer steps and deflation's Lanczos
     restarts. `seed` seeds deflation's start vector. The linear solves
-    are direct (sparse LU): no tolerance. `n_offsets` is inert and kept
+    are direct, with no tolerance and no choice of solver: dense LAPACK LU
+    up to _DENSE_MAX = 64 unknowns (where it is the faster one, measured)
+    and sparse LU above. `n_offsets` is inert and kept
     only so that callers that still pass it keep working.
     """
 
@@ -313,38 +328,58 @@ def _natural_layout(mesh, name):
 
 
 def _lu_solve(mesh, name, source):
-    """Solve of the sparse LU of the matrix `name` (see _natural_layout)
+    """Solve of the LU factor of the matrix `name` (see _natural_layout)
     with data from `source`; a singular matrix raises RuntimeError.
 
-    The first factorisation of `name` on a mesh orders the columns by COLAMD
-    (scipy's default) and caches that order in `mesh.lu_orders`, as a gather
-    from the source straight into the column-ordered CSC layout. Later ones
-    factor that layout with no reordering and unpermute the solution: COLAMD
-    orders by structure alone, so the factor and its solves are bitwise
-    those of a fresh `splu`. A failed factorisation caches nothing.
+    A matrix of at most _DENSE_MAX unknowns is gathered into a dense
+    column-major array and factored by LAPACK (`getrf`, partial pivoting);
+    its solves are `getrs`. A larger one is a sparse LU (`splu`): the first
+    factorisation of `name` on a mesh orders the columns by COLAMD (scipy's
+    default), and later ones gather the source straight into that
+    column-ordered CSC layout, factor it with no reordering and unpermute
+    the solution. COLAMD orders by structure alone, so those factors and
+    their solves are bitwise those of a fresh `splu`. `mesh.lu_layouts`
+    keeps, per name, the dense gather index or the sparse column order,
+    never a factor; a failed factorisation caches nothing.
     """
-    order = mesh.lu_orders.get(name)
-    if order is not None:
-        src, indices, indptr, perm_c = order
-        lu = splu(_square_csc(source[src], indices, indptr), permc_spec="NATURAL")
+    layout = mesh.lu_layouts.get(name)
+    if layout is None:
+        src, indices, indptr = _natural_layout(mesh, name)
+        n = indptr.size - 1
+        if n <= _DENSE_MAX:
+            # column-major position of each CSC entry in the n x n array
+            layout = ("dense", src, np.repeat(n * np.arange(n), np.diff(indptr)) + indices, n)
+        else:
+            lu = splu(_square_csc(source[src], indices, indptr))
+            # column j of the ordered layout is column q[j] of the natural one
+            q = np.argsort(lu.perm_c)
+            counts = np.diff(indptr)[q]
+            ptr = np.append(0, np.cumsum(counts)).astype(np.int32)
+            gather = np.arange(ptr[-1]) + np.repeat(indptr[q] - ptr[:-1], counts)
+            # perm_c is a view into the factor: a copy lets the factor go
+            mesh.lu_layouts[name] = ("sparse", src[gather].astype(np.int32), indices[gather], ptr,
+                                     lu.perm_c.copy())
+            return lu.solve
+    if layout[0] == "dense":
+        _, src, position, n = layout
+        a = np.zeros(n * n)
+        a[position] = source[src]
+        lu, piv, info = _getrf(a.reshape(n, n, order="F"), overwrite_a=True)
+        if info > 0:
+            # what splu raises for an exactly singular matrix
+            raise RuntimeError("Factor is exactly singular")
+        mesh.lu_layouts[name] = layout
+        return lambda rhs: _getrs(lu, piv, rhs)[0]
+    _, src, indices, indptr, perm_c = layout
+    lu = splu(_square_csc(source[src], indices, indptr), permc_spec="NATURAL")
 
-        def solve(rhs):
-            # in the memory layout of a fresh factor's solution, also for a
-            # block of right sides
-            x = lu.solve(rhs)
-            return np.take(x, perm_c, axis=0, out=np.empty_like(x))
+    def solve(rhs):
+        # in the memory layout of a fresh factor's solution, also for a
+        # block of right sides
+        x = lu.solve(rhs)
+        return np.take(x, perm_c, axis=0, out=np.empty_like(x))
 
-        return solve
-    src, indices, indptr = _natural_layout(mesh, name)
-    lu = splu(_square_csc(source[src], indices, indptr))
-    # column j of the ordered layout is column q[j] of the natural one
-    q = np.argsort(lu.perm_c)
-    counts = np.diff(indptr)[q]
-    ptr = np.append(0, np.cumsum(counts)).astype(np.int32)
-    gather = np.arange(ptr[-1]) + np.repeat(indptr[q] - ptr[:-1], counts)
-    # perm_c is a view into the factor: a copy lets the factor go
-    mesh.lu_orders[name] = (src[gather].astype(np.int32), indices[gather], ptr, lu.perm_c.copy())
-    return lu.solve
+    return solve
 
 
 def first_eigenpair(p, mesh, measure, opts=None):
@@ -360,11 +395,22 @@ def first_eigenpair(p, mesh, measure, opts=None):
     residual is at most max(`opts.tol`, its rounding floor), and `converged`
     says exactly that.
     Returns an EigenPair with a non-increasing (to _NEWTON_RISE) Rayleigh
-    history; non-convergence is reported through EigenPair.converged, not
-    raised.
+    history; non-convergence is reported through EigenPair.converged and a
+    warning, not raised.
     """
     _check_p(p)
     opts = opts or SolverOptions()
+    pair = _ground_state(p, mesh, measure, opts)
+    if not pair.converged:
+        warnings.warn(
+            f"first_eigenpair stopped after {pair.iterations} outer steps at relative residual "
+            f"{pair.residual:.3e} > max(tol {opts.tol:g}, rounding floor {pair.residual_floor:.3e})"
+        )
+    return pair
+
+
+def _ground_state(p, mesh, measure, opts):
+    """first_eigenpair for a checked p and given options, without its warning."""
     interior = mesh.interior
     if not np.any(interior):
         raise ValueError("mesh has no interior nodes")
@@ -445,18 +491,12 @@ def first_eigenpair(p, mesh, measure, opts=None):
         # the floor is even in u, so the terms of the unflipped u serve
         floor = _residual_floor(p, mesh, terms, r + lam * b)
     # else a Newton step released them and failed: its floor is u's
-    converged = res <= max(opts.tol, floor)
-    if not converged:
-        warnings.warn(
-            f"first_eigenpair stopped after {it} outer steps at relative "
-            f"residual {res:.3e} > max(tol {opts.tol:g}, rounding floor {floor:.3e})"
-        )
     return EigenPair(
         lam=lam,
         field=Field(mesh, u),
         residual_history=history,
         iterations=it,
-        converged=converged,
+        converged=res <= max(opts.tol, floor),
         estimator="ground",
         residual=res,
         residual_floor=floor,
@@ -526,8 +566,9 @@ def _deflated_second(p, mesh, measure, u1, opts):
 
 
 def _side_ground_state(p, mesh, measure, elements, opts):
-    """(lambda1, ground state, node map into mesh) of the side made of
-    `elements`; (inf, None, None) where it has no interior node.
+    """(lambda1, ground state, node map into mesh, unconverged sub-solves)
+    of the side made of `elements`; (inf, None, None, 0) where it has no
+    interior node.
 
     The side's interior nodes are the mesh's interior nodes whose elements
     all lie in it. Each connected component of them (joined where they share
@@ -536,7 +577,8 @@ def _side_ground_state(p, mesh, measure, elements, opts):
     on the other elements and the components decouple, so this is the side's
     discrete lambda1; solved whole, a side with two components or with
     elements that touch no interior node can leave the ground state
-    unconverged.
+    unconverged. The sub-solves do not warn; the last entry counts those
+    that did not converge.
     """
     n = mesh.n_nodes
     inner = mesh.interior.copy()
@@ -554,14 +596,14 @@ def _side_ground_state(p, mesh, measure, elements, opts):
         label = new
     element_label = np.min(label[mesh.elements], axis=1)
     best = (np.inf, None, None)
+    unconverged = 0
     for c in np.unique(label[inner]):
         part, part_map = submesh(mesh, np.nonzero(element_label == c)[0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            pair = first_eigenpair(p, part, measure, opts)
+        pair = _ground_state(p, part, measure, opts)
+        unconverged += not pair.converged
         if pair.lam < best[0]:
             best = (pair.lam, pair, part_map)
-    return best
+    return (*best, unconverged)
 
 
 def _first_crossing(crossed, n, seed):
@@ -615,8 +657,9 @@ def _cut_sweep_second(p, mesh, measure, opts):
     admissible glued field, so the result bounds lambda2 even where
     unconverged sub-solves break the ordering. `iterations` counts the
     distinct cuts evaluated; `converged` holds when both sub-solves of the
-    returned cut converged. A mesh on which no cut leaves interior nodes on
-    both sides raises ValueError.
+    returned cut converged. One warning per sweep counts the side sub-solves
+    that did not converge, if any. A mesh on which no cut leaves interior
+    nodes on both sides raises ValueError.
     """
     if mesh.dim == 1:
         directions = np.array([[1.0]])
@@ -659,8 +702,14 @@ def _cut_sweep_second(p, mesh, measure, opts):
             "cut sweep found no admissible partition: no hyperplane cut leaves "
             "interior nodes on both sides of this mesh; use a finer mesh (a higher --level)"
         )
+    unconverged = sum(side[3] for side in solved.values())
+    if unconverged:
+        warnings.warn(
+            f"cut sweep: {unconverged} side sub-solves did not converge; lambda2 is still an "
+            "upper bound, but a better cut may have been missed"
+        )
     glued = np.zeros(mesh.n_nodes)
-    halves = [solved[mask.tobytes()] for mask in (best_side, ~best_side)]
+    halves = [solved[mask.tobytes()][:3] for mask in (best_side, ~best_side)]
     for sign, (_, pair, node_map) in zip((1.0, -1.0), halves):
         glued[node_map] += sign * pair.field.values
     glued = _normalize(mesh, glued, p, measure)

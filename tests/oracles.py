@@ -344,7 +344,7 @@ def bisection_cut_sweep(centroids, n_directions, n_nodes, side_solve):
     """The hyperplane-cut sweep with a cold bisection for each direction's
     crossing, as spectral._cut_sweep_second searched before it seeded each
     search from the previous direction. side_solve maps an element mask of
-    one side to (lambda1, ground-state pair or None, node map), as
+    one side to (lambda1, ground-state pair or None, node map, ...), as
     spectral._side_ground_state does. Returns (least max(lambda+, lambda-),
     the glued field u+ - u- of the best cut before normalisation, the number
     of distinct cuts evaluated)."""
@@ -382,7 +382,7 @@ def bisection_cut_sweep(centroids, n_directions, n_nodes, side_solve):
         raise ValueError("cut sweep produced no admissible partition")
     glued = np.zeros(n_nodes)
     for sign, mask in zip((1.0, -1.0), (best_side, ~best_side)):
-        _, pair, node_map = side_solve(mask)
+        _, pair, node_map = side_solve(mask)[:3]
         glued[node_map] += sign * pair.field.values
     return best, glued, len(cuts)
 
@@ -509,7 +509,7 @@ def side_ground_state_nested(p, mesh, measure, elements, opts, submesh, first_ei
     solve before the sides were cut from the parent mesh: one sub-mesh of
     the whole side, then one nested sub-mesh of it per connected interior
     component that leaves elements out. `submesh` and `first_eigenpair` are
-    the library's, passed in.
+    the library's (or its unwarned `_ground_state`), passed in.
     """
     sub, node_map = submesh(mesh, elements)
     best = (np.inf, None, None)

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import tempfile
 import warnings
 
@@ -362,8 +363,11 @@ class TestSingularNewtonSystem:
         assert isinstance(pair, ps.EigenPair)
         assert np.isfinite(pair.lam) and np.all(np.isfinite(pair.field.values))
         assert pair.converged == (pair.residual <= max(SolverOptions().tol, pair.residual_floor))
-        # every bordered factorisation failed, so only the lagged order is kept
-        assert "interior" in sub.lu_orders and "bordered" not in sub.lu_orders
+        # the sub-mesh's systems are factored dense, where the isolated
+        # node's zero column fails getrf as it failed splu: every bordered
+        # factorisation failed, so only the lagged layout is kept
+        assert np.count_nonzero(sub.interior) + 1 <= spectral._DENSE_MAX
+        assert sub.lu_layouts["interior"][0] == "dense" and "bordered" not in sub.lu_layouts
 
 
 _ORDER_DOMAINS = {
@@ -426,13 +430,14 @@ class TestCachedColumnOrder:
             ("interior", stiffness.data, stiffness),
         ]
 
+    # systems above _DENSE_MAX unknowns: the sparse path
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(name=st.sampled_from(sorted(_ORDER_DOMAINS)), level=st.integers(1, 4),
+    @given(name=st.sampled_from(sorted(_ORDER_DOMAINS)), level=st.integers(3, 4),
            variant=st.sampled_from(["mesh", "cut", "read"]), p=st.sampled_from([1.5, 2.0, 3.0, 6.0]),
            measure=st.sampled_from(sorted(_MEASURES)), seed=st.integers(0, 2**32 - 1))
     def test_ordered_factor_solves_bitwise(self, order_mesh, name, level, variant, p, measure, seed):
         m = order_mesh(name, level, variant)
-        assume(np.count_nonzero(m.interior) >= 2)
+        assume(np.count_nonzero(m.interior) > spectral._DENSE_MAX)
         mu = _MEASURES[measure]
         rng = np.random.default_rng(seed)
         u = np.where(m.interior, rng.uniform(0.5, 1.5, m.n_nodes), 0.0)
@@ -449,7 +454,7 @@ class TestCachedColumnOrder:
                     got, ref = solve(x), want.solve(x)
                     assert np.array_equal(got, ref)
                     assert got.flags.f_contiguous == ref.flags.f_contiguous
-            assert name_ in m.lu_orders
+            assert m.lu_layouts[name_][0] == "sparse"
 
     def test_colamd_once_per_mesh_and_pattern(self, monkeypatch):
         m = ps.build_mesh(ps.polygon_domain(_SQUARE), 3)
@@ -464,11 +469,20 @@ class TestCachedColumnOrder:
         ps.second_eigenvalue(2.0, m, ps.gaussian(), pair)
         assert calls and all(spec == "NATURAL" for _, spec in calls)
         assert again.lam == first.lam
-        # a sub-mesh is a new mesh: it orders its own patterns
-        sub, _ = submesh(m, np.arange(m.n_elements // 2))
+        # a sub-mesh is a new mesh: it orders its own patterns (79 interior
+        # nodes, above _DENSE_MAX)
+        centroids = np.mean(m.nodes[m.elements], axis=1)
+        sub, _ = submesh(m, np.nonzero(centroids[:, 0] > 0.25)[0])
+        assert np.count_nonzero(sub.interior) > spectral._DENSE_MAX
         del calls[:]
         ps.first_eigenpair(3.0, sub, ps.lebesgue())
-        assert [spec for _, spec in calls].count("COLAMD") == 2 and sub.lu_orders
+        assert [spec for _, spec in calls].count("COLAMD") == 2
+        assert [sub.lu_layouts[name][0] for name in ("interior", "bordered")] == ["sparse", "sparse"]
+        # one of at most _DENSE_MAX unknowns (49) makes no sparse factor
+        half, _ = submesh(m, np.arange(m.n_elements // 2))
+        del calls[:]
+        ps.first_eigenpair(3.0, half, ps.lebesgue())
+        assert not calls and half.lu_layouts["bordered"][0] == "dense"
 
     @pytest.mark.parametrize("p", [2.0, 3.0, 6.0])
     def test_one_factorisation_per_step(self, monkeypatch, p):
@@ -490,7 +504,91 @@ class TestCachedColumnOrder:
         nnz = m.pattern("interior")[1].size
         with pytest.raises(RuntimeError):
             spectral._lu_solve(m, "bordered", np.zeros(nnz + 2 * n))
-        assert "bordered" not in m.lu_orders
+        assert "bordered" not in m.lu_layouts
+
+
+def _counted_lapack(monkeypatch):
+    """Record the size of every dense factorisation and solve in spectral."""
+    calls = {"getrf": [], "getrs": []}
+    getrf, getrs = spectral._getrf, spectral._getrs
+
+    def counted_getrf(a, **kwargs):
+        calls["getrf"].append(a.shape[0])
+        return getrf(a, **kwargs)
+
+    def counted_getrs(lu, piv, b, **kwargs):
+        calls["getrs"].append(lu.shape[0])
+        return getrs(lu, piv, b, **kwargs)
+
+    monkeypatch.setattr(spectral, "_getrf", counted_getrf)
+    monkeypatch.setattr(spectral, "_getrs", counted_getrs)
+    return calls
+
+
+class TestDenseFactor:
+    # systems of at most _DENSE_MAX unknowns: the dense path
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(sorted(_ORDER_DOMAINS)), level=st.integers(1, 3),
+           variant=st.sampled_from(["mesh", "cut", "read"]), p=st.sampled_from([1.5, 2.0, 3.0, 6.0]),
+           measure=st.sampled_from(sorted(_MEASURES)), seed=st.integers(0, 2**32 - 1))
+    def test_dense_solves(self, order_mesh, name, level, variant, p, measure, seed):
+        m = order_mesh(name, level, variant)
+        n = np.count_nonzero(m.interior)
+        assume(2 <= n and n + 1 <= spectral._DENSE_MAX)
+        mu = _MEASURES[measure]
+        rng = np.random.default_rng(seed)
+        u = np.where(m.interior, rng.uniform(0.5, 1.5, m.n_nodes), 0.0)
+        for name_, source, fresh in TestCachedColumnOrder._matrices(p, m, mu, u):
+            a = fresh.toarray()
+            size = a.shape[0]
+            rhs = [rng.standard_normal(size), rng.standard_normal((size, 3))]
+            # the first call caches the gather index, the next ones reuse it
+            for solve in [spectral._lu_solve(m, name_, source) for _ in range(2)]:
+                assert m.lu_layouts[name_][0] == "dense"
+                for b in rhs:
+                    x = solve(b)
+                    assert x.shape == b.shape
+                    r, x, b = (np.reshape(v, (size, -1)) for v in (a @ x - b, x, b))
+                    # normwise backward error, one right side at a time
+                    bound = 1e-12 * np.linalg.norm(a, np.inf) * np.max(np.abs(x), axis=0)
+                    assert np.all(np.max(np.abs(r), axis=0) <= bound)
+            # an exact zero column is singular: RuntimeError, and a new mesh
+            # caches no layout for it
+            src, _, indptr = spectral._natural_layout(m, name_)
+            j = int(rng.integers(size))
+            singular = source.copy()
+            singular[src[indptr[j]:indptr[j + 1]]] = 0.0
+            with pytest.raises(RuntimeError):
+                spectral._lu_solve(m, name_, singular)
+            assert m.lu_layouts[name_][0] == "dense"
+            other = order_mesh(name, level, variant)
+            with pytest.raises(RuntimeError):
+                spectral._lu_solve(other, name_, singular)
+            assert name_ not in other.lu_layouts
+
+    @pytest.mark.parametrize("measure", sorted(_MEASURES))
+    @pytest.mark.parametrize("name, level", [("interval", 1), ("square", 2), ("triangle", 2), ("pentagon", 2)])
+    def test_one_factor_for_every_p2_solve(self, monkeypatch, order_mesh, name, level, measure):
+        # at p = 2 the lagged steps share one dense factor of the stiffness
+        # matrix, and deflation one for all its Lanczos solves; each Newton
+        # step factors the bordered matrix. No sparse factor is made
+        m = order_mesh(name, level, "mesh")
+        n = np.count_nonzero(m.interior)
+        assert n + 1 <= spectral._DENSE_MAX
+        mu = _MEASURES[measure]
+        splu_calls = _counted_splu(monkeypatch)
+        calls = _counted_lapack(monkeypatch)
+        pair = ps.first_eigenpair(2.0, m, mu)
+        newton = calls["getrf"].count(n + 1)
+        assert newton >= 1 and calls["getrf"] == [n] + [n + 1] * newton
+        # every lagged step solves with the one interior factor
+        lagged = pair.iterations - newton
+        assert lagged >= 2 and calls["getrs"] == [n] * lagged + [n + 1] * newton
+        for key in calls:
+            del calls[key][:]
+        second = ps.second_eigenvalue(2.0, m, mu, pair)
+        assert calls["getrf"] == [n] and calls["getrs"] == [n] * second.iterations
+        assert not splu_calls
 
 
 _SWEEP_CASES = {
@@ -609,12 +707,14 @@ class TestCutSweep:
     def test_interval_bisection_sub_solve_count(self, cache, monkeypatch):
         expected = cache.second(3.0, "interval01", 4).lam
         calls = []
+        ground_state = spectral._ground_state
 
         def counted(*args, **kwargs):
             calls.append(args[1])
-            return ps.first_eigenpair(*args, **kwargs)
+            return ground_state(*args, **kwargs)
 
-        monkeypatch.setattr(spectral, "first_eigenpair", counted)
+        # the side sub-solves are first_eigenpair without its warning
+        monkeypatch.setattr(spectral, "_ground_state", counted)
         est = ps.second_eigenvalue(3.0, cache.mesh("interval01", 4), ps.lebesgue(), None)
         # 255 distinct cuts; the first probe, the middle, is the crossing,
         # and one probe below it confirms it
@@ -627,12 +727,13 @@ class TestCutSweep:
         # unconverged: two interior components, or elements that touch no
         # interior node
         pairs = []
+        ground_state = spectral._ground_state
 
         def recorded(*args, **kwargs):
-            pairs.append(ps.first_eigenpair(*args, **kwargs))
+            pairs.append(ground_state(*args, **kwargs))
             return pairs[-1]
 
-        monkeypatch.setattr(spectral, "first_eigenpair", recorded)
+        monkeypatch.setattr(spectral, "_ground_state", recorded)
         m = ps.build_mesh(ps.polygon_domain(_TRIANGLE), 2)
         est = ps.second_eigenvalue(p, m, ps.lebesgue(), None)
         # the seeded search runs 190 (p = 3) and 204 (p = 6) sub-solves, a
@@ -655,7 +756,8 @@ class TestCutSweep:
         components = interior_components_nested(sub)
         assert len(components) == n_components
         assert sub.n_elements - sum(c.size for c in components) == n_dropped
-        lam, pair, node_map = spectral._side_ground_state(2.0, m, mu, elements, SolverOptions())
+        lam, pair, node_map, unconverged = spectral._side_ground_state(2.0, m, mu, elements, SolverOptions())
+        assert unconverged == 0
         whole = ps.first_eigenpair(2.0, sub, mu)
         assert pair.converged and whole.converged
         assert abs(lam - whole.lam) <= 1e-12 * whole.lam
@@ -671,8 +773,8 @@ class TestCutSweep:
         # side's own sub-mesh; one sub-mesh per sub-solve
         vertices = {"triangle": _TRIANGLE, "quadrilateral": _QUADRILATERAL, "pentagon": _PENTAGON}[shape]
         m = ps.build_mesh(ps.polygon_domain(vertices), 2)
-        side_solve = spectral._side_ground_state
-        calls = {"submesh": 0, "first_eigenpair": 0, "sides": 0}
+        side_solve, ground_state = spectral._side_ground_state, spectral._ground_state
+        calls = {"submesh": 0, "sub_solves": 0, "sides": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -682,7 +784,7 @@ class TestCutSweep:
 
         def checked(p, mesh, measure, elements, opts):
             got = side_solve(p, mesh, measure, elements, opts)
-            want = side_ground_state_nested(p, mesh, measure, elements, opts, submesh, ps.first_eigenpair)
+            want = side_ground_state_nested(p, mesh, measure, elements, opts, submesh, ground_state)
             calls["sides"] += 1
             assert got[0] == want[0]
             if want[1] is None:
@@ -695,10 +797,10 @@ class TestCutSweep:
 
         monkeypatch.setattr(spectral, "_side_ground_state", checked)
         monkeypatch.setattr(spectral, "submesh", counted("submesh", submesh))
-        monkeypatch.setattr(spectral, "first_eigenpair", counted("first_eigenpair", ps.first_eigenpair))
+        monkeypatch.setattr(spectral, "_ground_state", counted("sub_solves", ground_state))
         est = ps.second_eigenvalue(3.0, m, ps.lebesgue(), None)
         assert est.converged and calls["sides"] > 100
-        assert calls["submesh"] == calls["first_eigenpair"]
+        assert calls["submesh"] == calls["sub_solves"]
 
     @pytest.mark.parametrize("p", [3.0, 6.0])
     @pytest.mark.parametrize("level", [1, 4])
@@ -712,9 +814,9 @@ class TestCutSweep:
         def whole_side(p, mesh, measure, elements, opts):
             sub, node_map = submesh(mesh, elements)
             if not np.any(sub.interior):
-                return np.inf, None, None
+                return np.inf, None, None, 0
             pair = ps.first_eigenpair(p, sub, measure, opts)
-            return pair.lam, pair, node_map
+            return pair.lam, pair, node_map, int(not pair.converged)
 
         monkeypatch.setattr(spectral, "_side_ground_state", whole_side)
         ref = ps.second_eigenvalue(p, m, ps.lebesgue(), None)
@@ -724,10 +826,61 @@ class TestCutSweep:
     def test_converged_only_with_converged_sub_solves(self, cache):
         m = cache.mesh("interval01", 1)
         assert ps.second_eigenvalue(3.0, m, ps.lebesgue(), None).converged
-        est = ps.second_eigenvalue(3.0, m, ps.lebesgue(), None, SolverOptions(max_outer=1))
+        with pytest.warns(UserWarning, match="side sub-solves did not converge"):
+            est = ps.second_eigenvalue(3.0, m, ps.lebesgue(), None, SolverOptions(max_outer=1))
         assert not est.converged
         # still an upper bound: the glued field is admissible
         assert ps.rayleigh_quotient(3.0, est.field, ps.lebesgue()) <= est.lam * (1.0 + 1e-12)
+
+
+# lambda2_hex of BENCH_12.json's sweep_table, written before the sides'
+# systems were factored dense
+_PINNED_SWEEPS = {
+    ("interval", 3.0, "lebesgue"): "0x1.c6bc72ca221c6p+7",
+    ("interval", 3.0, "gaussian"): "0x1.c2bf04a1794afp+7",
+    ("triangle", 3.0, "lebesgue"): "0x1.2eeec875716dep+11",
+    ("triangle", 3.0, "gaussian"): "0x1.2c6d057070021p+11",
+    ("triangle", 6.0, "lebesgue"): "0x1.556fe6b6a8c47p+21",
+    ("triangle", 6.0, "gaussian"): "0x1.4f7bcd0f9a9fep+21",
+    ("quadrilateral", 3.0, "gaussian"): "0x1.1358b87a59367p+9",
+}
+# interval L1; square, triangle and quadrilateral (BENCH_12's, not
+# _QUADRILATERAL) L2
+_DIAGNOSED_SWEEPS = {
+    "interval": (ps.interval_domain(0.0, 1.0), 1),
+    "square": (ps.polygon_domain(_SQUARE), 2),
+    "triangle": (ps.polygon_domain(_TRIANGLE), 2),
+    "quadrilateral": (ps.polygon_domain([[0, 0], [1.3, 0], [1, 0.8], [0.1, 0.6]]), 2),
+}
+
+
+class TestSweepDiagnostics:
+    @pytest.mark.parametrize("shape, p, measure", sorted(_PINNED_SWEEPS))
+    def test_lambda2_pinned(self, shape, p, measure):
+        # the sides are factored dense (at most _DENSE_MAX unknowns), the
+        # pinned values by sparse LU: same bound to rounding
+        domain, level = _DIAGNOSED_SWEEPS[shape]
+        want = float.fromhex(_PINNED_SWEEPS[(shape, p, measure)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = spectral._cut_sweep_second(p, ps.build_mesh(domain, level), _MEASURES[measure], SolverOptions())
+        assert est.converged
+        assert abs(est.lam - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("shape", ["interval", "triangle", "square"])
+    def test_default_sweep_warns_nothing(self, shape):
+        m = ps.build_mesh(*_DIAGNOSED_SWEEPS[shape])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ps.second_eigenvalue(3.0, m, ps.lebesgue(), None).converged
+
+    def test_unconverged_sides_warn_once(self):
+        m = ps.build_mesh(ps.interval_domain(0.0, 1.0), 1)
+        with pytest.warns(UserWarning) as record:
+            est = ps.second_eigenvalue(3.0, m, ps.lebesgue(), None, SolverOptions(max_outer=2))
+        assert len(record) == 1
+        unconverged = re.match(r"cut sweep: (\d+) side sub-solves did not converge", str(record[0].message))
+        assert int(unconverged.group(1)) >= 1 and not est.converged
 
 
 # p = 2 meshes on which deflation is checked against eigsh and the block

@@ -20,9 +20,10 @@ it finds the cut where the two sides' lambda1 cross by a search seeded at
 the previous direction's crossing: it gallops by 1, 2, 4, ... cuts from
 there to bracket the crossing and bisects the bracket. A side's lambda1 is
 the least over the connected components of its interior nodes, labelled on
-the parent mesh's full pattern; each component is solved on one sub-mesh
-cut from the parent. The side sub-solves do not warn one by one: a sweep
-warns once, with the number of them that did not converge.
+the parent mesh's full pattern; each distinct component is solved once per
+sweep, on one sub-mesh cut from the parent, whatever sides share it. The
+sub-solves do not warn one by one: a sweep warns once, with the number of
+them that did not converge.
 
 Every sparse matrix is one scatter of element matrices on a sparsity
 pattern cached on the mesh (`Mesh.pattern`): the full matrices of
@@ -565,24 +566,19 @@ def _deflated_second(p, mesh, measure, u1, opts):
     )
 
 
-def _side_ground_state(p, mesh, measure, elements, opts):
-    """(lambda1, ground state, node map into mesh, unconverged sub-solves)
-    of the side made of `elements`; (inf, None, None, 0) where it has no
-    interior node.
-
-    The side's interior nodes are the mesh's interior nodes whose elements
-    all lie in it. Each connected component of them (joined where they share
-    an element) is solved on one sub-mesh of the mesh, made of the elements
-    that touch it, and the least lambda1 is kept. Zero-trace P1 fields vanish
-    on the other elements and the components decouple, so this is the side's
-    discrete lambda1; solved whole, a side with two components or with
-    elements that touch no interior node can leave the ground state
-    unconverged. The sub-solves do not warn; the last entry counts those
-    that did not converge.
+def _side_components(mesh, side):
+    """Element masks, in the order of their least node, of the connected
+    components (joined where they share an element) of the interior nodes of
+    the side with element mask `side`: the mesh's interior nodes whose
+    elements all lie in it. A component's elements are those that touch it.
+    Zero-trace P1 fields vanish on the other elements and the components
+    decouple, so the side's discrete lambda1 is the least component lambda1;
+    solved whole, a side with two components or with elements that touch no
+    interior node can leave the ground state unconverged.
     """
     n = mesh.n_nodes
     inner = mesh.interior.copy()
-    inner[np.delete(mesh.elements, elements, axis=0)] = False
+    inner[mesh.elements[~side]] = False
     # least node index in each component: min-label propagation over the
     # mesh's full pattern, whose columns hold each node and its neighbours,
     # with pointer jumping; n labels every node outside the side's interior
@@ -595,15 +591,7 @@ def _side_ground_state(p, mesh, measure, elements, opts):
             break
         label = new
     element_label = np.min(label[mesh.elements], axis=1)
-    best = (np.inf, None, None)
-    unconverged = 0
-    for c in np.unique(label[inner]):
-        part, part_map = submesh(mesh, np.nonzero(element_label == c)[0])
-        pair = _ground_state(p, part, measure, opts)
-        unconverged += not pair.converged
-        if pair.lam < best[0]:
-            best = (pair.lam, pair, part_map)
-    return (*best, unconverged)
+    return [element_label == c for c in np.unique(label[inner])]
 
 
 def _first_crossing(crossed, n, seed):
@@ -639,8 +627,9 @@ def _first_crossing(crossed, n, seed):
 
 def _cut_sweep_second(p, mesh, measure, opts):
     """Two-nodal-domain upper bound: the least max(lambda+, lambda-) over
-    hyperplane cuts, lambda+- the ground states of the two induced sub-meshes
-    (inf on a side without interior nodes; see _side_ground_state).
+    hyperplane cuts, lambda+- the two sides' lambda1: the least over the
+    connected components of a side's interior nodes (_side_components), inf
+    on a side without interior nodes.
 
     Along each of _CUT_DIRECTIONS directions (one in 1-D), with t_0 < ... < t_(K-1)
     the distinct element-centroid projections, cut j (1 <= j < K) puts the
@@ -652,14 +641,14 @@ def _cut_sweep_second(p, mesh, measure, opts):
     direction), gallops from there by 1, 2, 4, ... cuts until the crossing is
     bracketed, and bisects the bracket; neighbouring directions cross at
     nearby cuts, so most searches probe only a few cuts. Any correct search
-    of a monotone predicate finds the same j, and the sides of j - 1 and j
-    are memoised. Each max(lambda+, lambda-) is the quotient of an
+    of a monotone predicate finds the same j. A component shared by sides
+    is solved once. Each max(lambda+, lambda-) is the quotient of an
     admissible glued field, so the result bounds lambda2 even where
     unconverged sub-solves break the ordering. `iterations` counts the
     distinct cuts evaluated; `converged` holds when both sub-solves of the
-    returned cut converged. One warning per sweep counts the side sub-solves
-    that did not converge, if any. A mesh on which no cut leaves interior
-    nodes on both sides raises ValueError.
+    returned cut converged. One warning per sweep counts the distinct
+    sub-solves that did not converge, if any. A mesh on which no cut leaves
+    interior nodes on both sides raises ValueError.
     """
     if mesh.dim == 1:
         directions = np.array([[1.0]])
@@ -668,15 +657,26 @@ def _cut_sweep_second(p, mesh, measure, opts):
         directions = np.stack([np.cos(th), np.sin(th)], axis=1)
 
     centroids = np.mean(mesh.nodes[mesh.elements], axis=1)
-    # element mask -> (lambda1, ground state or None, node map)
+    # component element mask -> (ground state, node map): the one memo of
+    # solves, as sides that differ by elements touching no interior node
+    # share components
     solved = {}
+    sides = {}  # side element mask -> (lambda1, least component's pair or None, node map)
     cuts = set()
 
     def lam(mask):
         key = mask.tobytes()
-        if key not in solved:
-            solved[key] = _side_ground_state(p, mesh, measure, np.nonzero(mask)[0], opts)
-        return solved[key][0]
+        if key not in sides:
+            sides[key] = (np.inf, None, None)
+            for part in _side_components(mesh, mask):
+                part_key = part.tobytes()
+                if part_key not in solved:
+                    sub, node_map = submesh(mesh, np.nonzero(part)[0])
+                    solved[part_key] = (_ground_state(p, sub, measure, opts), node_map)
+                pair, node_map = solved[part_key]
+                if pair.lam < sides[key][0]:
+                    sides[key] = (pair.lam, pair, node_map)
+        return sides[key][0]
 
     best, best_side = np.inf, None
     crossing = 0.5  # the last direction's crossing as a fraction of its cuts
@@ -702,14 +702,14 @@ def _cut_sweep_second(p, mesh, measure, opts):
             "cut sweep found no admissible partition: no hyperplane cut leaves "
             "interior nodes on both sides of this mesh; use a finer mesh (a higher --level)"
         )
-    unconverged = sum(side[3] for side in solved.values())
+    unconverged = sum(not pair.converged for pair, _ in solved.values())
     if unconverged:
         warnings.warn(
             f"cut sweep: {unconverged} side sub-solves did not converge; lambda2 is still an "
             "upper bound, but a better cut may have been missed"
         )
     glued = np.zeros(mesh.n_nodes)
-    halves = [solved[mask.tobytes()][:3] for mask in (best_side, ~best_side)]
+    halves = [sides[mask.tobytes()] for mask in (best_side, ~best_side)]
     for sign, (_, pair, node_map) in zip((1.0, -1.0), halves):
         glued[node_map] += sign * pair.field.values
     glued = _normalize(mesh, glued, p, measure)

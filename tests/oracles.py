@@ -1,8 +1,6 @@
 """Independent oracles used to freeze expected values before trusting the
 library code paths.  Nothing in here imports from plapstab."""
 
-import warnings
-
 import mpmath as mp
 import numpy as np
 from scipy import sparse
@@ -344,8 +342,8 @@ def bisection_cut_sweep(centroids, n_directions, n_nodes, side_solve):
     """The hyperplane-cut sweep with a cold bisection for each direction's
     crossing, as spectral._cut_sweep_second searched before it seeded each
     search from the previous direction. side_solve maps an element mask of
-    one side to (lambda1, ground-state pair or None, node map, ...), as
-    spectral._side_ground_state does. Returns (least max(lambda+, lambda-),
+    one side to (lambda1, ground-state pair or None, node map): the least
+    over the side's components. Returns (least max(lambda+, lambda-),
     the glued field u+ - u- of the best cut before normalisation, the number
     of distinct cuts evaluated)."""
     if centroids.shape[1] == 1:
@@ -382,7 +380,7 @@ def bisection_cut_sweep(centroids, n_directions, n_nodes, side_solve):
         raise ValueError("cut sweep produced no admissible partition")
     glued = np.zeros(n_nodes)
     for sign, mask in zip((1.0, -1.0), (best_side, ~best_side)):
-        _, pair, node_map = side_solve(mask)[:3]
+        _, pair, node_map = side_solve(mask)
         glued[node_map] += sign * pair.field.values
     return best, glued, len(cuts)
 
@@ -482,8 +480,8 @@ def write_mesh_loop(mesh, path):
 def interior_components_nested(mesh):
     """Element indices of each connected component of the interior nodes
     (joined where they share an element): the elements touching it. The
-    search that spectral._side_ground_state ran on a side's own sub-mesh
-    before it labelled the side's nodes on the parent mesh."""
+    search that the cut sweep ran on a side's own sub-mesh before it
+    labelled the side's nodes on the parent mesh."""
     if not np.any(mesh.interior):
         return []
     # least interior index in each component: min-label propagation over
@@ -503,27 +501,23 @@ def interior_components_nested(mesh):
     return [np.nonzero(element_label == c)[0] for c in np.unique(label)]
 
 
-def side_ground_state_nested(p, mesh, measure, elements, opts, submesh, first_eigenpair):
-    """(lambda1, ground state, node map into mesh) of the sub-mesh on
-    `elements`; (inf, None, None) where it has no interior node. The side
-    solve before the sides were cut from the parent mesh: one sub-mesh of
-    the whole side, then one nested sub-mesh of it per connected interior
-    component that leaves elements out. `submesh` and `first_eigenpair` are
-    the library's (or its unwarned `_ground_state`), passed in.
-    """
+def side_components_nested(mesh, elements, submesh):
+    """(element indices into mesh, sub-mesh, node map into mesh) of each
+    connected interior component of the side made of the sorted `elements`,
+    in the order of their least node; none where it has no interior node.
+    The components as found before they were labelled on the parent mesh:
+    one sub-mesh of the whole side, then one nested sub-mesh of it per
+    component that leaves elements out. `submesh` is the library's, passed
+    in."""
     sub, node_map = submesh(mesh, elements)
-    best = (np.inf, None, None)
+    parts = []
     for piece in interior_components_nested(sub):
         part, part_map = sub, node_map
         if piece.size < sub.n_elements:
             part, local_map = submesh(sub, piece)
             part_map = node_map[local_map]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            pair = first_eigenpair(p, part, measure, opts)
-        if pair.lam < best[0]:
-            best = (pair.lam, pair, part_map)
-    return best
+        parts.append((elements[piece], part, part_map))
+    return parts
 
 
 def field_eval_per_dimension(field, points):

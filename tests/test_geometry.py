@@ -446,7 +446,8 @@ class TestBoundaryFromFacets:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             ps.second_eigenvalue(3.0, m, ps.lebesgue(), None)
-        assert len(seen) > 100 and all(seen)
+        # one sub-mesh per distinct side component: 65 here
+        assert len(seen) >= 65 and all(seen)
 
     @pytest.mark.parametrize("name, level", [("quadrilateral", 1), ("interval", 0)])
     def test_reads_older_mesh_file(self, name, level, tmp_path):

@@ -1,0 +1,89 @@
+"""Similarity invariance of the eigenvalues and the gap (ROADMAP item 13,
+first half): random convex polygons under the Lebesgue measure, mapped by a
+scaling, a translation or a rotation. lambda1 at p in {2, 3, 6} and the
+p = 2 deflation lambda2 scale as t^-p and are otherwise unchanged, and so is
+the p = 2 gap's margin / bound, all to 1e-12 relative. The p != 2 cut sweep
+is left out: its directions are fixed in the plane, not in the domain."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import plapstab as ps
+
+_REL = 1e-12
+_LEVEL = 2
+_PS = (2.0, 3.0, 6.0)
+
+
+@st.composite
+def convex_polygons(draw):
+    """Vertices at sorted random angles on a random tilted ellipse: each
+    angle step is 2 pi w_i / sum(w), w_i in [1, 3], so no step is below
+    2 pi / 19 and no vertex nearly repeats."""
+    n = draw(st.integers(3, 7))
+    weights = np.array(draw(st.lists(st.floats(1.0, 3.0), min_size=n, max_size=n)))
+    start = draw(st.floats(0.0, 2.0 * math.pi))
+    angles = start + 2.0 * math.pi * np.cumsum(weights) / np.sum(weights)
+    a, b = draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0))
+    tilt = draw(st.floats(0.0, math.pi))
+    ellipse = np.stack([a * np.cos(angles), b * np.sin(angles)], axis=1)
+    return ellipse @ _rotation(tilt).T
+
+
+def _rotation(angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
+# map kind -> (strategy for its parameter, vertices -> mapped vertices, lambda factor t^-p)
+_MAPS = {
+    "scale": (st.floats(0.2, 5.0), lambda v, t: t * v, lambda t, p: t**-p),
+    "translate": (st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+                  lambda v, shift: v + np.array(shift), lambda shift, p: 1.0),
+    "rotate": (st.floats(0.0, 2.0 * math.pi), lambda v, angle: v @ _rotation(angle).T,
+               lambda angle, p: 1.0),
+}
+
+
+def _close(got, want):
+    return abs(got - want) <= _REL * abs(want)
+
+
+def _check_similarity(kind, vertices, param):
+    _, apply, factor = _MAPS[kind]
+    mu = ps.lebesgue()
+    domains = [ps.polygon_domain(vertices), ps.polygon_domain(apply(vertices, param))]
+    meshes = [ps.build_mesh(domain, _LEVEL) for domain in domains]
+    for p in _PS:
+        pairs = [ps.first_eigenpair(p, mesh, mu) for mesh in meshes]
+        assert all(pair.converged for pair in pairs)
+        assert _close(pairs[1].lam, factor(param, p) * pairs[0].lam)
+        if p == 2.0:
+            seconds = [ps.second_eigenvalue(p, mesh, mu, pair) for mesh, pair in zip(meshes, pairs)]
+            assert all(pair.converged for pair in seconds)
+            assert _close(seconds[1].lam, factor(param, p) * seconds[0].lam)
+            gaps = [ps.gap_check(p, domain, mesh, mu, pairs=(u1, u2))
+                    for domain, mesh, u1, u2 in zip(domains, meshes, pairs, seconds)]
+            assert gaps[0].passed and gaps[1].passed
+            assert _close(gaps[1].margin / gaps[1].bound, gaps[0].margin / gaps[0].bound)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(vertices=convex_polygons(), t=_MAPS["scale"][0])
+def test_scaling(vertices, t):
+    _check_similarity("scale", vertices, t)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(vertices=convex_polygons(), shift=_MAPS["translate"][0])
+def test_translation(vertices, shift):
+    _check_similarity("translate", vertices, shift)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(vertices=convex_polygons(), angle=_MAPS["rotate"][0])
+def test_rotation(vertices, angle):
+    _check_similarity("rotate", vertices, angle)

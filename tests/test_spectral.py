@@ -24,7 +24,7 @@ from oracles import (
     euler_lagrange_residual,
     exhaustive_cut_value,
     interior_components_nested,
-    side_ground_state_nested,
+    side_components_nested,
 )
 
 PI2 = math.pi**2
@@ -617,13 +617,28 @@ _ORACLE_SWEEP_GRID = [
 ]
 
 
+def _side_solve(p, mesh, measure, side, opts):
+    """(lambda1, ground state or None, node map) of the side with element
+    mask `side`: each of its spectral._side_components solved afresh on its
+    own sub-mesh, the least kept (the first of a tie)."""
+    best = (np.inf, None, None)
+    for part in spectral._side_components(mesh, side):
+        sub, node_map = submesh(mesh, np.nonzero(part)[0])
+        pair = spectral._ground_state(p, sub, measure, opts)
+        if pair.lam < best[0]:
+            best = (pair.lam, pair, node_map)
+    return best
+
+
 def _memo_side_solve(p, mesh, measure, opts):
+    # memoised by side alone: a component shared by two sides is solved for
+    # each, as the sweep did before it memoised components
     memo = {}
 
     def side_solve(mask):
         key = mask.tobytes()
         if key not in memo:
-            memo[key] = spectral._side_ground_state(p, mesh, measure, np.nonzero(mask)[0], opts)
+            memo[key] = _side_solve(p, mesh, measure, mask, opts)
         return memo[key]
 
     return side_solve
@@ -686,11 +701,13 @@ class TestCutSweep:
         opts = SolverOptions()
         memo = {}
 
-        # the sweep's own side solve: this test checks the search
+        # the sweep's own side components: this test checks the search
         def side_lambda(elements):
             key = elements.tobytes()
             if key not in memo:
-                memo[key] = spectral._side_ground_state(3.0, m, mu, elements, opts)[0]
+                side = np.zeros(m.n_elements, dtype=bool)
+                side[elements] = True
+                memo[key] = _side_solve(3.0, m, mu, side, opts)[0]
             return memo[key]
 
         centroids = np.mean(m.nodes[m.elements], axis=1)
@@ -736,9 +753,11 @@ class TestCutSweep:
         monkeypatch.setattr(spectral, "_ground_state", recorded)
         m = ps.build_mesh(ps.polygon_domain(_TRIANGLE), 2)
         est = ps.second_eigenvalue(p, m, ps.lebesgue(), None)
-        # the seeded search runs 190 (p = 3) and 204 (p = 6) sub-solves, a
-        # bisection per direction ran 263 and 281
-        assert est.converged and 190 <= len(pairs) <= 204
+        # the seeded search meets 65 (p = 3) and 68 (p = 6) distinct
+        # components, each solved once; solved once per side that has them,
+        # they took 190 and 204 sub-solves (a bisection per direction, 263
+        # and 281)
+        assert est.converged and 65 <= len(pairs) <= 68
         assert all(pair.converged for pair in pairs)
 
     @pytest.mark.parametrize("k, j, n_components, n_dropped", [(6, 19, 2, 1), (7, 18, 2, 2), (5, 5, 1, 3)])
@@ -751,15 +770,19 @@ class TestCutSweep:
         mu = ps.lebesgue()
         theta = k * np.pi / 32.0
         proj = np.mean(m.nodes[m.elements], axis=1) @ np.array([np.cos(theta), np.sin(theta)])
-        elements = np.nonzero(proj >= np.unique(proj)[j])[0]
-        sub = submesh(m, elements)[0]
+        side = proj >= np.unique(proj)[j]
+        sub = submesh(m, np.nonzero(side)[0])[0]
         components = interior_components_nested(sub)
         assert len(components) == n_components
         assert sub.n_elements - sum(c.size for c in components) == n_dropped
-        lam, pair, node_map, unconverged = spectral._side_ground_state(2.0, m, mu, elements, SolverOptions())
-        assert unconverged == 0
+        parts = [submesh(m, np.nonzero(part)[0]) for part in spectral._side_components(m, side)]
+        assert len(parts) == n_components
+        pairs = [spectral._ground_state(2.0, part, mu, SolverOptions()) for part, _ in parts]
+        assert all(pair.converged for pair in pairs)
+        best = int(np.argmin([pair.lam for pair in pairs]))
+        lam, pair, node_map = pairs[best].lam, pairs[best], parts[best][1]
         whole = ps.first_eigenpair(2.0, sub, mu)
-        assert pair.converged and whole.converged
+        assert whole.converged
         assert abs(lam - whole.lam) <= 1e-12 * whole.lam
         # the component's ground state, put on the parent mesh, has quotient lam
         glued = np.zeros(m.n_nodes)
@@ -768,39 +791,88 @@ class TestCutSweep:
 
     @pytest.mark.parametrize("shape", ["triangle", "quadrilateral", "pentagon"])
     def test_sides_cut_from_the_parent_equal_nested_sub_meshes(self, monkeypatch, shape):
-        # every side of the p = 3 sweep on L2, solved on sub-meshes cut from
-        # the parent, is bitwise the side solved on a nested sub-mesh of the
-        # side's own sub-mesh; one sub-mesh per sub-solve
+        # every side of the p = 3 sweep on L2: its components, labelled on the
+        # parent, are those found on the side's own sub-mesh, and each is
+        # solved on a sub-mesh cut from the parent that is bitwise the nested
+        # sub-mesh, with a bitwise equal ground state; one sub-mesh per
+        # sub-solve
         vertices = {"triangle": _TRIANGLE, "quadrilateral": _QUADRILATERAL, "pentagon": _PENTAGON}[shape]
         m = ps.build_mesh(ps.polygon_domain(vertices), 2)
-        side_solve, ground_state = spectral._side_ground_state, spectral._ground_state
-        calls = {"submesh": 0, "sub_solves": 0, "sides": 0}
+        mu, opts = ps.lebesgue(), SolverOptions()
+        components, ground_state = spectral._side_components, spectral._ground_state
+        sides = {}
+        made = {}  # id of a sub-mesh -> (sub-mesh, component element bytes, node map)
+        solved = {}  # component element bytes -> (sub-mesh, node map, ground state)
 
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+        def recorded_components(mesh, side):
+            sides[side.tobytes()] = side.copy()
+            return components(mesh, side)
 
-        def checked(p, mesh, measure, elements, opts):
-            got = side_solve(p, mesh, measure, elements, opts)
-            want = side_ground_state_nested(p, mesh, measure, elements, opts, submesh, ground_state)
-            calls["sides"] += 1
-            assert got[0] == want[0]
-            if want[1] is None:
-                assert got[1] is None and got[2] is None
-            else:
-                assert np.array_equal(got[2], want[2])
-                assert np.array_equal(got[1].field.values, want[1].field.values)
-                assert got[1].converged == want[1].converged
-            return got
+        def recorded_submesh(mesh, element_idx):
+            sub, node_map = submesh(mesh, element_idx)
+            made[id(sub)] = (sub, element_idx.tobytes(), node_map)
+            return sub, node_map
 
-        monkeypatch.setattr(spectral, "_side_ground_state", checked)
-        monkeypatch.setattr(spectral, "submesh", counted("submesh", submesh))
-        monkeypatch.setattr(spectral, "_ground_state", counted("sub_solves", ground_state))
-        est = ps.second_eigenvalue(3.0, m, ps.lebesgue(), None)
-        assert est.converged and calls["sides"] > 100
-        assert calls["submesh"] == calls["sub_solves"]
+        def recorded_ground_state(p, mesh, measure, opts):
+            pair = ground_state(p, mesh, measure, opts)
+            sub, key, node_map = made[id(mesh)]
+            assert key not in solved
+            solved[key] = (sub, node_map, pair)
+            return pair
+
+        monkeypatch.setattr(spectral, "_side_components", recorded_components)
+        monkeypatch.setattr(spectral, "submesh", recorded_submesh)
+        monkeypatch.setattr(spectral, "_ground_state", recorded_ground_state)
+        est = ps.second_eigenvalue(3.0, m, mu, None)
+        assert est.converged and len(sides) > 100
+        assert len(made) == len(solved)
+        checked = set()
+        for side in sides.values():
+            got = [np.nonzero(part)[0] for part in components(m, side)]
+            want = side_components_nested(m, np.nonzero(side)[0], submesh)
+            assert [g.tolist() for g in got] == [w[0].tolist() for w in want]
+            for elements, (_, nested, nested_map) in zip(got, want):
+                sub, node_map, pair = solved[elements.tobytes()]
+                assert np.array_equal(node_map, nested_map)
+                assert sub.nodes.tobytes() == nested.nodes.tobytes()
+                assert np.array_equal(sub.elements, nested.elements)
+                assert np.array_equal(sub.boundary_mask, nested.boundary_mask)
+                if elements.tobytes() not in checked:
+                    checked.add(elements.tobytes())
+                    ref = ground_state(3.0, nested, mu, opts)
+                    assert pair.lam == ref.lam and pair.converged == ref.converged
+                    assert np.array_equal(pair.field.values, ref.field.values)
+        assert checked == set(solved)
+
+    @pytest.mark.parametrize("shape, p", [("triangle", 3.0), ("triangle", 6.0), ("quadrilateral", 3.0),
+                                          ("square", 3.0)])
+    def test_one_sub_solve_per_distinct_component(self, monkeypatch, shape, p):
+        # sides that differ only by elements touching no interior node share
+        # a component; the sweep solves it once, on one sub-mesh
+        m = ps.build_mesh(*_DIAGNOSED_SWEEPS[shape])
+        components, ground_state = spectral._side_components, spectral._ground_state
+        parts, meshed, calls = set(), [], []
+
+        def recorded_components(mesh, side):
+            found = components(mesh, side)
+            parts.update(part.tobytes() for part in found)
+            return found
+
+        def recorded_submesh(mesh, element_idx):
+            meshed.append(element_idx.tobytes())
+            return submesh(mesh, element_idx)
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return ground_state(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "_side_components", recorded_components)
+        monkeypatch.setattr(spectral, "submesh", recorded_submesh)
+        monkeypatch.setattr(spectral, "_ground_state", counted)
+        est = ps.second_eigenvalue(p, m, ps.lebesgue(), None)
+        assert est.converged
+        assert len(calls) == len(meshed) == len(set(meshed)) == len(parts)
+        assert set(meshed) == {np.nonzero(np.frombuffer(part, dtype=bool))[0].tobytes() for part in parts}
 
     @pytest.mark.parametrize("p", [3.0, 6.0])
     @pytest.mark.parametrize("level", [1, 4])
@@ -811,14 +883,11 @@ class TestCutSweep:
         m = ps.build_mesh(ps.interval_domain(0.0, 1.0), level)
         est = ps.second_eigenvalue(p, m, ps.lebesgue(), None)
 
-        def whole_side(p, mesh, measure, elements, opts):
-            sub, node_map = submesh(mesh, elements)
-            if not np.any(sub.interior):
-                return np.inf, None, None, 0
-            pair = ps.first_eigenpair(p, sub, measure, opts)
-            return pair.lam, pair, node_map, int(not pair.converged)
+        def whole_side(mesh, side):
+            # the side itself as its one component, where it has interior nodes
+            return [side] if np.any(submesh(mesh, np.nonzero(side)[0])[0].interior) else []
 
-        monkeypatch.setattr(spectral, "_side_ground_state", whole_side)
+        monkeypatch.setattr(spectral, "_side_components", whole_side)
         ref = ps.second_eigenvalue(p, m, ps.lebesgue(), None)
         assert est.lam == ref.lam and est.iterations == ref.iterations
         assert np.array_equal(est.field.values, ref.field.values)

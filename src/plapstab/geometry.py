@@ -173,9 +173,11 @@ class Mesh:
         self.boundary_mask.setflags(write=False)
         self._density_cache = {}
         self._patterns = {}
-        # LU layout (dense gather index or sparse column order) per matrix
-        # built on the interior pattern, filled by the first factorisation
-        # of that matrix (see spectral._lu_solve)
+        # factor layout per matrix built on the interior pattern, filled by
+        # the first factorisation of that matrix (see spectral._lu_solve):
+        # the dense gather index (at most 64 unknowns), the reverse
+        # Cuthill-McKee order and band gather of the interior matrix, or the
+        # COLAMD column order of the bordered Newton matrix
         self.lu_layouts = {}
         self._build_geometry()
 
@@ -273,8 +275,8 @@ class Mesh:
         entry (i, j) of element e adds into, or `indices.size` (a discard
         slot) when either node is left out. So
         `np.bincount(slots, local.ravel())[:indices.size]` assembles an
-        (m, k, k) array of element matrices. The layouts that LU factors of
-        interior matrices use are kept in `lu_layouts`.
+        (m, k, k) array of element matrices. The layouts that the factors of
+        interior-pattern matrices use are kept in `lu_layouts`.
         """
         if nodes not in self._patterns:
             if nodes == "interior":

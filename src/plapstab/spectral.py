@@ -29,22 +29,34 @@ Every sparse matrix is one scatter of element matrices on a sparsity
 pattern cached on the mesh (`Mesh.pattern`): the full matrices of
 `weighted_stiffness` and `weighted_mass` on the pattern of all nodes, the
 interior ones on the interior pattern. Every int |u|^p dmu is one call of
-`lp_energies`. Every linear solve is an LU factor (`_lu_solve`) of one of
-two matrices on the interior pattern: the interior matrix of the lagged
-steps and of deflation, and the bordered Newton matrix, built from [J.data,
-b, -b] by one gather. Its layout depends on the size alone, with one cutoff,
-_DENSE_MAX = 64 unknowns (measured: dense wins up to about 100). At most
-that many unknowns, as on the cut sweep's sides, the data is gathered into a
-dense column-major array and factored by LAPACK (`getrf`/`getrs`). Above it,
-it is a sparse LU (`scipy.sparse.linalg.splu`): the first factorisation of
-each matrix on a mesh orders the columns by COLAMD and keeps that order on
-the mesh, and later ones gather straight into the column-ordered layout and
-factor it without reordering. COLAMD orders by structure alone, so these
-factors and their solves are bitwise those of a fresh `splu`. The mesh keeps
-the layout (`Mesh.lu_layouts`: the dense gather index or the sparse column
-order), never a factor. At p = 2 the lagged steps share one factor of the
-stiffness matrix, released before the first Newton step, and deflation
-keeps one for its Lanczos solves; every other factor serves one solve.
+`lp_energies`. Every linear solve is a direct factor (`_lu_solve`) of one
+of two matrices on the interior pattern: the interior matrix of the lagged
+steps and of deflation (symmetric, with positive element weights), and the
+bordered Newton matrix, built from [J.data, b, -b] by one gather. There are
+three layouts, with one cutoff, _DENSE_MAX = 64 unknowns (measured: dense
+wins up to about 100):
+- at most that many unknowns, as on most of the cut sweep's sides, the data
+  is gathered into a dense column-major array and factored by LAPACK
+  (`getrf`/`getrs`);
+- a larger interior matrix is reordered by reverse Cuthill-McKee, gathered
+  into LAPACK's upper band storage and factored by banded Cholesky
+  (`pbtrf`/`pbtrs`; bandwidth 31 on square L4, 63 on square L5), or, where
+  Cholesky breaks down on a lagged matrix that is only numerically
+  semidefinite, by partial-pivot banded LU of the same band
+  (`gbtrf`/`gbtrs`). One factorisation of a lagged matrix takes 0.16-0.19
+  ms against 1.4 ms by `splu` at 481 unknowns, 1.6 against 8.2 ms at 1985
+  and 19 against 54 ms at 8065 (2 vCPU Xeon, one BLAS thread);
+- a larger bordered matrix, whose border row is dense, is a sparse LU
+  (`scipy.sparse.linalg.splu`): its first factorisation on a mesh orders
+  the columns by COLAMD and keeps that order on the mesh, and later ones
+  gather straight into the column-ordered layout and factor it without
+  reordering. COLAMD orders by structure alone, so these factors and their
+  solves are bitwise those of a fresh `splu`.
+The mesh keeps the layout (`Mesh.lu_layouts`: the dense gather index, the
+band order and gather, or the sparse column order), never a factor. At
+p = 2 the lagged steps share one factor of the stiffness matrix, released
+before the first Newton step, and deflation keeps one for its Lanczos
+solves; every other factor serves one solve.
 """
 
 import warnings
@@ -52,7 +64,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg.lapack import dgetrf as _getrf, dgetrs as _getrs
+from scipy.linalg.lapack import dgbtrf as _gbtrf, dgbtrs as _gbtrs, dgetrf as _getrf, dgetrs as _getrs
+from scipy.linalg.lapack import dpbtrf as _pbtrf, dpbtrs as _pbtrs
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .cpcore import _check_p, _guarded_power
@@ -81,7 +94,8 @@ _MAX_HALVINGS = 30
 # cut directions of the 2-D cut sweep, equally spaced over [0, pi)
 _CUT_DIRECTIONS = 32
 # systems of at most this many unknowns are factored dense (LAPACK getrf),
-# larger ones by sparse LU. One factorisation and solve of a lagged matrix,
+# larger ones banded (interior) or by sparse LU (bordered); see _lu_solve.
+# One factorisation and solve of a lagged matrix against sparse LU,
 # 2 vCPU Xeon, one BLAS thread: dense 7-17 us against 60-100 us sparse at
 # 15-31 unknowns, 47 against 121 us at 63 and 89 against 187 us at 85;
 # dense loses from about 110 (143 against 126 us at 113, 171 against 142
@@ -98,8 +112,10 @@ class SolverOptions:
     `max_outer` caps the ground state's outer steps and deflation's Lanczos
     restarts. `seed` seeds deflation's start vector. The linear solves
     are direct, with no tolerance and no choice of solver: dense LAPACK LU
-    up to _DENSE_MAX = 64 unknowns (where it is the faster one, measured)
-    and sparse LU above. `n_offsets` is inert and kept
+    up to _DENSE_MAX = 64 unknowns (where it is the faster one, measured);
+    above it, banded Cholesky in reverse Cuthill-McKee order for the
+    interior matrices (banded LU where Cholesky breaks down) and sparse LU
+    for the bordered Newton matrix. `n_offsets` is inert and kept
     only so that callers that still pass it keep working.
     """
 
@@ -328,20 +344,90 @@ def _natural_layout(mesh, name):
     return src, rows, np.append(indptr + np.arange(n + 1), indptr[-1] + 2 * n).astype(np.int32)
 
 
+def _band_layout(src, indices, indptr):
+    """("band", src, position, kd, perm) of the symmetric CSC matrix with
+    data source[src]: perm is its reverse Cuthill-McKee order (row k of the
+    ordered matrix is row perm[k]), kd the ordered matrix's bandwidth, and
+    position the place of each entry on or above the ordered diagonal in
+    LAPACK's upper band storage, a column-major (kd + 1) x n array holding
+    entry (i, j) in row kd + i - j; src keeps those entries alone."""
+    # imported here, so that importing the package does not load csgraph
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    n = indptr.size - 1
+    perm = reverse_cuthill_mckee(_square_csc(np.ones(indices.size), indices, indptr), symmetric_mode=True)
+    rank = np.empty(n, dtype=np.intp)
+    rank[perm] = np.arange(n)
+    i = rank[indices]
+    j = rank[np.repeat(np.arange(n), np.diff(indptr))]
+    upper = i <= j
+    kd = int(np.max(j - i))
+    return "band", src[upper], (kd + i - j + (kd + 1) * j)[upper], kd, perm
+
+
+def _band_solve(layout, source):
+    """Solve of the banded factor, in the order of `layout` (_band_layout),
+    of the symmetric matrix with data from `source`: Cholesky (`pbtrf`) on
+    the upper band, or, where that breaks down on a matrix that is not
+    numerically positive definite, partial-pivot LU (`gbtrf`) of the same
+    band. A singular matrix raises RuntimeError."""
+    _, src, position, kd, perm = layout
+    n = perm.size
+
+    def band():
+        ab = np.zeros((kd + 1) * n)
+        ab[position] = source[src]
+        return ab.reshape(kd + 1, n, order="F")
+
+    factor, info = _pbtrf(band(), overwrite_ab=True)
+    if info == 0:
+        def ordered(rhs):
+            return _pbtrs(factor, rhs)[0]
+    else:
+        # LAPACK's general band storage, kd rows of room for the LU's fill-in
+        # on top: entry (i, j) in row 2 kd + i - j, the part below the
+        # diagonal mirrored from the part above it
+        ab = band()
+        full = np.zeros((3 * kd + 1, n), order="F")
+        full[kd:2 * kd + 1] = ab
+        for d in range(1, kd + 1):
+            full[2 * kd + d, :n - d] = ab[kd - d, d:]
+        factor, piv, info = _gbtrf(full, kd, kd, overwrite_ab=True)
+        if info > 0:
+            raise RuntimeError("Factor is exactly singular")
+
+        def ordered(rhs):
+            return _gbtrs(factor, kd, kd, rhs, piv)[0]
+
+    def solve(rhs):
+        x = ordered(rhs[perm])
+        out = np.empty_like(x)
+        out[perm] = x
+        return out
+
+    return solve
+
+
 def _lu_solve(mesh, name, source):
-    """Solve of the LU factor of the matrix `name` (see _natural_layout)
-    with data from `source`; a singular matrix raises RuntimeError.
+    """Solve of the factor of the matrix `name` (see _natural_layout) with
+    data from `source`; a singular matrix raises RuntimeError.
 
     A matrix of at most _DENSE_MAX unknowns is gathered into a dense
     column-major array and factored by LAPACK (`getrf`, partial pivoting);
-    its solves are `getrs`. A larger one is a sparse LU (`splu`): the first
-    factorisation of `name` on a mesh orders the columns by COLAMD (scipy's
-    default), and later ones gather the source straight into that
-    column-ordered CSC layout, factor it with no reordering and unpermute
-    the solution. COLAMD orders by structure alone, so those factors and
-    their solves are bitwise those of a fresh `splu`. `mesh.lu_layouts`
-    keeps, per name, the dense gather index or the sparse column order,
-    never a factor; a failed factorisation caches nothing.
+    its solves are `getrs`. A larger "interior" matrix, symmetric and
+    positive definite but for rounding, is reordered by reverse
+    Cuthill-McKee, gathered into LAPACK's upper band storage and factored
+    by banded Cholesky (`pbtrf`/`pbtrs`); where Cholesky breaks down, by
+    partial-pivot banded LU (`gbtrf`/`gbtrs`) of the same band (see
+    _band_solve). A larger "bordered" matrix, whose border row is dense, is
+    a sparse LU (`splu`): its first factorisation on a mesh orders the
+    columns by COLAMD (scipy's default), and later ones gather the source
+    straight into that column-ordered CSC layout, factor it with no
+    reordering and unpermute the solution. COLAMD orders by structure
+    alone, so those factors and their solves are bitwise those of a fresh
+    `splu`. `mesh.lu_layouts` keeps, per name, the dense gather index, the
+    band order and gather, or the sparse column order, never a factor; a
+    failed factorisation caches nothing.
     """
     layout = mesh.lu_layouts.get(name)
     if layout is None:
@@ -350,6 +436,8 @@ def _lu_solve(mesh, name, source):
         if n <= _DENSE_MAX:
             # column-major position of each CSC entry in the n x n array
             layout = ("dense", src, np.repeat(n * np.arange(n), np.diff(indptr)) + indices, n)
+        elif name == "interior":
+            layout = _band_layout(src, indices, indptr)
         else:
             lu = splu(_square_csc(source[src], indices, indptr))
             # column j of the ordered layout is column q[j] of the natural one
@@ -361,6 +449,10 @@ def _lu_solve(mesh, name, source):
             mesh.lu_layouts[name] = ("sparse", src[gather].astype(np.int32), indices[gather], ptr,
                                      lu.perm_c.copy())
             return lu.solve
+    if layout[0] == "band":
+        solve = _band_solve(layout, source)
+        mesh.lu_layouts[name] = layout
+        return solve
     if layout[0] == "dense":
         _, src, position, n = layout
         a = np.zeros(n * n)

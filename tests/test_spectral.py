@@ -430,7 +430,8 @@ class TestCachedColumnOrder:
             ("interior", stiffness.data, stiffness),
         ]
 
-    # systems above _DENSE_MAX unknowns: the sparse path
+    # bordered systems above _DENSE_MAX unknowns: the sparse path (interior
+    # ones are factored banded, TestBandFactor)
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(name=st.sampled_from(sorted(_ORDER_DOMAINS)), level=st.integers(3, 4),
            variant=st.sampled_from(["mesh", "cut", "read"]), p=st.sampled_from([1.5, 2.0, 3.0, 6.0]),
@@ -442,6 +443,8 @@ class TestCachedColumnOrder:
         rng = np.random.default_rng(seed)
         u = np.where(m.interior, rng.uniform(0.5, 1.5, m.n_nodes), 0.0)
         for name_, source, fresh in self._matrices(p, m, mu, u):
+            if name_ != "bordered":
+                continue
             # the gather builds the matrix that is factored in natural order
             src, indices, indptr = spectral._natural_layout(m, name_)
             assert np.array_equal(source[src], fresh.data)
@@ -461,8 +464,10 @@ class TestCachedColumnOrder:
         calls = _counted_splu(monkeypatch)
         first = ps.first_eigenpair(3.0, m, ps.lebesgue())
         n = np.count_nonzero(m.interior)
-        # the interior and the bordered pattern, each ordered once
-        assert sorted(c for c in calls if c[1] == "COLAMD") == [(n, "COLAMD"), (n + 1, "COLAMD")]
+        # the bordered pattern, ordered once; the interior matrices go
+        # through the banded factor, not splu
+        assert sorted(c for c in calls if c[1] == "COLAMD") == [(n + 1, "COLAMD")]
+        assert all(size == n + 1 for size, _ in calls)
         del calls[:]
         again = ps.first_eigenpair(3.0, m, ps.lebesgue())
         pair = ps.first_eigenpair(2.0, m, ps.gaussian())
@@ -476,8 +481,8 @@ class TestCachedColumnOrder:
         assert np.count_nonzero(sub.interior) > spectral._DENSE_MAX
         del calls[:]
         ps.first_eigenpair(3.0, sub, ps.lebesgue())
-        assert [spec for _, spec in calls].count("COLAMD") == 2
-        assert [sub.lu_layouts[name][0] for name in ("interior", "bordered")] == ["sparse", "sparse"]
+        assert [spec for _, spec in calls].count("COLAMD") == 1
+        assert [sub.lu_layouts[name][0] for name in ("interior", "bordered")] == ["band", "sparse"]
         # one of at most _DENSE_MAX unknowns (49) makes no sparse factor
         half, _ = submesh(m, np.arange(m.n_elements // 2))
         del calls[:]
@@ -486,17 +491,21 @@ class TestCachedColumnOrder:
 
     @pytest.mark.parametrize("p", [2.0, 3.0, 6.0])
     def test_one_factorisation_per_step(self, monkeypatch, p):
+        # Newton steps factor the bordered matrix by splu, lagged steps the
+        # interior one by banded Cholesky
         m = ps.build_mesh(ps.polygon_domain(_SQUARE), 4)
         calls = _counted_splu(monkeypatch)
+        band = _counted_band(monkeypatch)
         pair = ps.first_eigenpair(p, m, ps.lebesgue())
         n = np.count_nonzero(m.interior)
-        newton = sum(size == n + 1 for size, _ in calls)
-        assert newton >= 1
+        newton = len(calls)
+        assert newton >= 1 and all(size == n + 1 for size, _ in calls)
+        assert all(size == n for size in band["pbtrf"]) and not band["gbtrf"]
         if p == 2.0:
             # the lagged steps share one stiffness factor
-            assert len(calls) == 1 + newton
+            assert len(band["pbtrf"]) == 1
         else:
-            assert len(calls) == pair.iterations
+            assert len(band["pbtrf"]) + newton == pair.iterations
 
     def test_failed_first_factorisation_caches_no_order(self):
         m = ps.build_mesh(ps.polygon_domain(_SQUARE), 2)
@@ -505,6 +514,131 @@ class TestCachedColumnOrder:
         with pytest.raises(RuntimeError):
             spectral._lu_solve(m, "bordered", np.zeros(nnz + 2 * n))
         assert "bordered" not in m.lu_layouts
+
+
+def _counted_band(monkeypatch):
+    """Record the size of every banded factorisation in spectral: Cholesky
+    (pbtrf) and the LU (gbtrf) that follows where it breaks down."""
+    calls = {"pbtrf": [], "gbtrf": []}
+    pbtrf, gbtrf = spectral._pbtrf, spectral._gbtrf
+
+    def counted_pbtrf(ab, **kwargs):
+        calls["pbtrf"].append(ab.shape[1])
+        return pbtrf(ab, **kwargs)
+
+    def counted_gbtrf(ab, kl, ku, **kwargs):
+        calls["gbtrf"].append(ab.shape[1])
+        return gbtrf(ab, kl, ku, **kwargs)
+
+    monkeypatch.setattr(spectral, "_pbtrf", counted_pbtrf)
+    monkeypatch.setattr(spectral, "_gbtrf", counted_gbtrf)
+    return calls
+
+
+def _assert_backward_stable(a, solve, rhs):
+    """solve(b) has the shape of b, and a normwise backward error, one
+    right side at a time, of at most 1e-12, for each b in `rhs`."""
+    size = a.shape[0]
+    for b in rhs:
+        x = solve(b)
+        assert x.shape == b.shape
+        r, x = (np.reshape(v, (size, -1)) for v in (a @ x - b, x))
+        bound = 1e-12 * np.linalg.norm(a, np.inf) * np.max(np.abs(x), axis=0)
+        assert np.all(np.max(np.abs(r), axis=0) <= bound)
+
+
+def _assert_singular_caches_nothing(m, other, name, source, rng):
+    """An exact zero row and column of the matrix `name` (both, since the
+    banded factor reads an interior matrix's upper triangle alone) raise
+    RuntimeError on the mesh m, which keeps its layout, and on `other`, a
+    new mesh like m, which then caches no layout for it."""
+    src, indices, indptr = spectral._natural_layout(m, name)
+    j = int(rng.integers(indptr.size - 1))
+    singular = source.copy()
+    singular[src[indptr[j]:indptr[j + 1]]] = 0.0
+    singular[src[indices == j]] = 0.0
+    kind = m.lu_layouts[name][0]
+    with pytest.raises(RuntimeError):
+        spectral._lu_solve(m, name, singular)
+    assert m.lu_layouts[name][0] == kind
+    with pytest.raises(RuntimeError):
+        spectral._lu_solve(other, name, singular)
+    assert name not in other.lu_layouts
+
+
+class TestBandFactor:
+    # interior systems above _DENSE_MAX unknowns: banded Cholesky in reverse
+    # Cuthill-McKee order
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(sorted(_ORDER_DOMAINS)), level=st.integers(3, 4),
+           variant=st.sampled_from(["mesh", "cut", "read"]), p=st.sampled_from([1.5, 2.0, 3.0, 6.0]),
+           measure=st.sampled_from(sorted(_MEASURES)), seed=st.integers(0, 2**32 - 1))
+    def test_band_solves(self, order_mesh, name, level, variant, p, measure, seed):
+        m = order_mesh(name, level, variant)
+        n = np.count_nonzero(m.interior)
+        assume(n > spectral._DENSE_MAX)
+        mu = _MEASURES[measure]
+        rng = np.random.default_rng(seed)
+        u = np.where(m.interior, rng.uniform(0.5, 1.5, m.n_nodes), 0.0)
+        # a lagged matrix and the stiffness matrix
+        for name_, source, fresh in TestCachedColumnOrder._matrices(p, m, mu, u):
+            if name_ != "interior":
+                continue
+            rhs = [rng.standard_normal(n), rng.standard_normal((n, 3))]
+            # the first call builds the band layout, the next ones reuse it
+            for solve in [spectral._lu_solve(m, name_, source) for _ in range(2)]:
+                assert m.lu_layouts[name_][0] == "band"
+                _assert_backward_stable(fresh.toarray(), solve, rhs)
+            _assert_singular_caches_nothing(m, order_mesh(name, level, variant), name_, source, rng)
+
+    def test_layout_once_per_mesh(self, monkeypatch):
+        built = []
+        band_layout = spectral._band_layout
+
+        def counted(src, indices, indptr):
+            built.append(indptr.size - 1)
+            return band_layout(src, indices, indptr)
+
+        monkeypatch.setattr(spectral, "_band_layout", counted)
+        m = ps.build_mesh(ps.polygon_domain(_SQUARE), 4)
+        n = np.count_nonzero(m.interior)
+        # lagged factors at p = 3, the p = 2 stiffness factor and deflation
+        ps.first_eigenpair(3.0, m, ps.lebesgue())
+        pair = ps.first_eigenpair(2.0, m, ps.gaussian())
+        ps.second_eigenvalue(2.0, m, ps.gaussian(), pair)
+        assert built == [n]
+        _, src, position, kd, perm = m.lu_layouts["interior"]
+        # the ordered square's bandwidth is about sqrt(n), against about n
+        # in mesh order
+        assert kd <= 31 and np.array_equal(np.sort(perm), np.arange(n))
+        assert src.size == position.size == (m.pattern("interior")[1].size + n) // 2
+        # a new mesh with the same nodes builds its own, the same one
+        other = Mesh(m.nodes, m.elements)
+        ps.first_eigenpair(3.0, other, ps.lebesgue())
+        assert built == [n, n]
+        assert all(np.array_equal(a, b) for a, b in zip(other.lu_layouts["interior"][1:], (src, position, kd, perm)))
+
+    @pytest.mark.parametrize("measure", sorted(_MEASURES))
+    def test_indefinite_matrix_falls_back_to_band_lu(self, monkeypatch, measure):
+        # K - 30 M lies between lambda1 (about 19-20) and lambda2 (about
+        # 49-50) of the square at level 3: symmetric, nonsingular and
+        # indefinite, so Cholesky breaks down and the banded LU solves
+        m = ps.build_mesh(ps.polygon_domain(_SQUARE), 3)
+        n = np.count_nonzero(m.interior)
+        mu = _MEASURES[measure]
+        K = spectral._assemble_csc(m, spectral._stiffness_local(m, m.element_density_integrals(mu)))
+        M = spectral._assemble_csc(m, spectral._mass_local(m, m.measure_weights(mu)))
+        shifted = K - 30.0 * M
+        assert np.array_equal(shifted.indices, K.indices) and np.array_equal(shifted.indptr, K.indptr)
+        calls = _counted_band(monkeypatch)
+        solve = spectral._lu_solve(m, "interior", shifted.data)
+        assert calls == {"pbtrf": [n], "gbtrf": [n]}
+        assert m.lu_layouts["interior"][0] == "band"
+        rng = np.random.default_rng(7)
+        _assert_backward_stable(shifted.toarray(), solve, [rng.standard_normal(n), rng.standard_normal((n, 3))])
+        # the positive definite stiffness matrix on the same layout: Cholesky
+        _assert_backward_stable(K.toarray(), spectral._lu_solve(m, "interior", K.data), [rng.standard_normal(n)])
+        assert calls == {"pbtrf": [n, n], "gbtrf": [n]}
 
 
 def _counted_lapack(monkeypatch):
@@ -545,26 +679,8 @@ class TestDenseFactor:
             # the first call caches the gather index, the next ones reuse it
             for solve in [spectral._lu_solve(m, name_, source) for _ in range(2)]:
                 assert m.lu_layouts[name_][0] == "dense"
-                for b in rhs:
-                    x = solve(b)
-                    assert x.shape == b.shape
-                    r, x, b = (np.reshape(v, (size, -1)) for v in (a @ x - b, x, b))
-                    # normwise backward error, one right side at a time
-                    bound = 1e-12 * np.linalg.norm(a, np.inf) * np.max(np.abs(x), axis=0)
-                    assert np.all(np.max(np.abs(r), axis=0) <= bound)
-            # an exact zero column is singular: RuntimeError, and a new mesh
-            # caches no layout for it
-            src, _, indptr = spectral._natural_layout(m, name_)
-            j = int(rng.integers(size))
-            singular = source.copy()
-            singular[src[indptr[j]:indptr[j + 1]]] = 0.0
-            with pytest.raises(RuntimeError):
-                spectral._lu_solve(m, name_, singular)
-            assert m.lu_layouts[name_][0] == "dense"
-            other = order_mesh(name, level, variant)
-            with pytest.raises(RuntimeError):
-                spectral._lu_solve(other, name_, singular)
-            assert name_ not in other.lu_layouts
+                _assert_backward_stable(a, solve, rhs)
+            _assert_singular_caches_nothing(m, order_mesh(name, level, variant), name_, source, rng)
 
     @pytest.mark.parametrize("measure", sorted(_MEASURES))
     @pytest.mark.parametrize("name, level", [("interval", 1), ("square", 2), ("triangle", 2), ("pentagon", 2)])

@@ -57,6 +57,21 @@ _TRI6_BARY = np.array(
 _TRI6_WEIGHTS = np.array([_TRI6_WA, _TRI6_WA, _TRI6_WA, _TRI6_WB, _TRI6_WB, _TRI6_WB])
 
 
+def _reference_basis(basis):
+    """(basis, products) of a rule's (q, k) reference basis values, the same
+    on every element: products[q, i * k + j] = basis[q, i] basis[q, j], so
+    that the element mass matrices are one matmul (spectral._mass_local).
+    Both read-only."""
+    products = (basis[:, :, None] * basis[:, None, :]).reshape(basis.shape[0], -1)
+    for a in (basis, products):
+        a.setflags(write=False)
+    return basis, products
+
+
+_SEGMENT_BASIS = _reference_basis(np.stack([(1.0 - _GL4_NODES) / 2.0, (1.0 + _GL4_NODES) / 2.0], axis=1))
+_TRIANGLE_BASIS = _reference_basis(_TRI6_BARY)
+
+
 @dataclass(frozen=True)
 class Domain:
     """A bounded convex domain: an interval or a strictly convex polygon."""
@@ -156,7 +171,16 @@ class Mesh:
     `grads[e, i]` is the (constant) gradient of nodal basis i on element e,
     `quad_points[e, q]` / `quad_weights[e, q]` give the physical quadrature
     rule (weights already include the element measure), and `basis` holds
-    the reference basis values at the quadrature points.
+    the reference basis values at the quadrature points, (q, k), the same
+    on every element, with their pairwise products `basis_products`,
+    (q, k * k); both are read-only and shared by the meshes of a dimension.
+
+    The quadrature kernels are linear products with these: values at the
+    quadrature points are the element gather of the nodal values times
+    `basis.T` (one matmul), gradients one product with the sparse
+    `gradient_operator()` (built on first use, then kept), and element mass
+    matrices the weights times `basis_products` (spectral._mass_local).
+    Each serves one field or a block of rows alike.
     """
 
     def __init__(self, nodes, elements):
@@ -179,6 +203,7 @@ class Mesh:
         # Cuthill-McKee order and band gather of the interior matrix, or the
         # COLAMD column order of the bordered Newton matrix
         self.lu_layouts = {}
+        self._gradient_operator = None
         self._build_geometry()
 
     def _build_geometry(self):
@@ -196,7 +221,7 @@ class Mesh:
             half = 0.5 * lengths
             self.quad_points = (mid[:, None] + half[:, None] * _GL4_NODES)[:, :, None]
             self.quad_weights = half[:, None] * _GL4_WEIGHTS[None, :]
-            self.basis = np.stack([(1.0 - _GL4_NODES) / 2.0, (1.0 + _GL4_NODES) / 2.0], axis=1)
+            self.basis, self.basis_products = _SEGMENT_BASIS
         else:
             v0, v1, v2 = xe[:, 0], xe[:, 1], xe[:, 2]
             det = (v1[:, 0] - v0[:, 0]) * (v2[:, 1] - v0[:, 1]) - (
@@ -212,7 +237,7 @@ class Mesh:
             self.grads = np.stack([b, c], axis=2) / (2.0 * area[:, None, None])
             self.quad_points = np.einsum("qk,mkd->mqd", _TRI6_BARY, xe)
             self.quad_weights = area[:, None] * _TRI6_WEIGHTS[None, :]
-            self.basis = _TRI6_BARY
+            self.basis, self.basis_products = _TRIANGLE_BASIS
         scale = np.max(self.measures)
         if np.any(self.measures <= 1e-14 * scale):
             raise ValueError("mesh contains degenerate elements")
@@ -300,12 +325,32 @@ class Mesh:
         return self._patterns[nodes]
 
     def values_at_quad(self, nodal_values):
-        """P1 interpolation at all quadrature points: (..., n) values to (..., m, q)."""
-        return np.einsum("qk,...mk->...mq", self.basis, nodal_values.take(self.elements, axis=-1))
+        """P1 interpolation at all quadrature points: (n,) or (rows, n) values
+        to (..., m, q), one matmul of the element gather against the basis."""
+        return nodal_values.take(self.elements, axis=-1) @ self.basis.T
 
     def gradients(self, nodal_values):
-        """Per-element constant gradients: (..., n) values to (..., m, dim)."""
-        return np.einsum("mkd,...mk->...md", self.grads, nodal_values.take(self.elements, axis=-1))
+        """Per-element constant gradients: (n,) or (rows, n) values to
+        (..., m, dim), one product with `gradient_operator()`."""
+        # C order, so that a block row reduces exactly as the field alone
+        g = np.ascontiguousarray((self.gradient_operator() @ nodal_values.T).T)
+        return g.reshape(nodal_values.shape[:-1] + (-1, self.dim))
+
+    def gradient_operator(self):
+        """Sparse (m * dim, n) CSR operator from nodal values to element
+        gradients: row e * dim + d holds grads[e, :, d] in the columns of
+        element e's nodes. Built on first use and kept, so that building a
+        mesh costs no more."""
+        if self._gradient_operator is None:
+            from scipy import sparse
+
+            m, k = self.elements.shape
+            indices = np.repeat(self.elements, self.dim, axis=0).ravel().astype(np.int32)
+            indptr = np.arange(0, m * self.dim * k + 1, k, dtype=np.int32)
+            data = self.grads.transpose(0, 2, 1).ravel()
+            self._gradient_operator = sparse.csr_matrix((data, indices, indptr), shape=(m * self.dim, self.n_nodes),
+                                                        copy=False)
+        return self._gradient_operator
 
     def node_adjacency(self):
         """Symmetric sparse node-to-node adjacency (shared element edge), CSR:

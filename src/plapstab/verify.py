@@ -14,9 +14,12 @@ and one reduction each for the energies, deficits and tolerances.  The
 distance inf_c int |u - c u1|^p dmu has one kernel for all rows at once,
 _convex_lp_min, whose root finder is _lp_argmin (safeguarded
 Newton-bisection on the increasing derivative, started from the L^2
-projection). The weighted Poincare check takes its centering root t0 and
-inf_t int |f - t|^p w from one call of it, with v = 1.  Single-field
-functions call the same kernels on a one-row block.
+projection); its bracket and stop scale with the rows, so the distance is
+p-homogeneous at any amplitude.  What it needs of u1 alone (_lp_reference)
+is built once per battery, not per block.  The weighted Poincare check
+takes its centering root t0 and inf_t int |f - t|^p w from one call of it,
+with v = 1.  Single-field functions call the same kernels on a one-row
+block.
 """
 
 import csv
@@ -131,8 +134,9 @@ def deficit(p, u, lambda1, measure):
     return float(_deficits(p, u.mesh, u.values[None], lambda1, measure)[0][0])
 
 
-def _lp_argmin(p, W, U, v, c, lo, hi, tol):
-    """Root c_r of F_r'(c) = -p sum W |U_r - c v|^(p-2) (U_r - c v) v for each row U_r.
+def _lp_argmin(p, ref, U, c, lo, hi, tol):
+    """Root c_r of F_r'(c) = -p sum W |U_r - c v|^(p-2) (U_r - c v) v for each
+    row U_r, with W, v and their products from `ref` (_lp_reference).
 
     This is the one 1-D root finder of the module.  F_r' increases and
     changes sign on [lo_r, hi_r].  Each row takes Newton steps from c_r and
@@ -143,7 +147,7 @@ def _lp_argmin(p, W, U, v, c, lo, hi, tol):
     (p < 2) or vanishes (p > 2).
     """
     c, lo, hi, tol = (np.array(x, dtype=float) for x in (c, lo, hi, tol))
-    Wv, Wvv = W * v, W * v * v
+    _, v, Wv, Wvv, _, _ = ref
     last = hi - lo
     before = last.copy()
     rows = np.arange(c.size)
@@ -170,26 +174,45 @@ def _lp_argmin(p, W, U, v, c, lo, hi, tol):
     return c
 
 
+def _lp_reference(p, W, v):
+    """The row-independent arrays of the distance kernel for the weights W
+    and the reference function v, both flattened: (W, v, W v, W v v, W |v|,
+    ||v||_p). A battery builds them once for all its blocks."""
+    W = W.ravel()
+    v = v.ravel()
+    nv = float(lp_energies(p, v, W)) ** (1.0 / p)
+    if nv == 0.0:
+        raise ValueError("reference function vanishes identically")
+    Wv = W * v
+    return W, v, Wv, Wv * v, W * np.abs(v), nv
+
+
 def _convex_lp_min(p, W, U, v):
     """Minimize F_r(c) = sum W |U_r - c v|^p over real c for each row U_r of U.
 
     W and v are shaped like one row of U; returns the arrays (F_r(c_r*), c_r*).
-    F_r is strictly convex and coercive for p > 1, so its minimizer lies in
-    [-B_r, B_r], B_r = 2 ||U_r||_p / ||v||_p + 1.  At p = 2 it is the L^2
-    projection c0 = <U_r, W v> / <v, W v>; otherwise _lp_argmin starts there.
     """
-    W = W.ravel()
-    v = v.ravel()
+    return _reference_lp_min(p, _lp_reference(p, W, v), U)
+
+
+def _reference_lp_min(p, ref, U):
+    """_convex_lp_min for the rows of U, with W and v given by `ref`
+    (_lp_reference).  F_r is strictly convex and coercive for p > 1, and its
+    minimizer c* has |c*| ||v||_p <= ||U_r - c* v||_p + ||U_r||_p <= 2
+    ||U_r||_p, so it lies in [-B_r, B_r], B_r = 3 ||U_r||_p / ||v||_p.  At
+    p = 2 it is the L^2 projection c0 = <U_r, W v> / <v, W v>; otherwise
+    _lp_argmin starts there and stops at |F_r'| <= 1e-10 p sum W (|U_r| +
+    |c0 v|)^(p-1) |v|.  Bracket and stop scale with U_r as F_r' does, so
+    u -> s u gives s c* and s^p F_r(c*) at any s.
+    """
+    W, v, Wv, Wvv, Wav, nv = ref
     U = U.reshape(len(U), -1)
-    nv = float(lp_energies(p, v, W)) ** (1.0 / p)
-    if nv == 0.0:
-        raise ValueError("reference function vanishes identically")
-    c = np.sum(W * U * v, axis=1) / np.sum(W * v * v)
+    c = (U @ Wv) / np.sum(Wvv)
     if p != 2.0:
-        bound = 2.0 * lp_energies(p, U, W) ** (1.0 / p) / nv + 1.0
-        scale = p * np.sum(W * (np.abs(U) + np.abs(v)) ** (p - 1.0) * np.abs(v), axis=1)
+        bound = 3.0 * lp_energies(p, U, W) ** (1.0 / p) / nv
+        scale = p * (cpcore._guarded_power(np.abs(U) + np.abs(c[:, None] * v), p - 1.0) @ Wav)
         tol = 1e-10 * np.maximum(scale, 1e-300)
-        c = _lp_argmin(p, W, U, v, np.clip(c, -bound, bound), -bound, bound, tol)
+        c = _lp_argmin(p, ref, U, np.clip(c, -bound, bound), -bound, bound, tol)
     return lp_energies(p, U - c[:, None] * v, W), c
 
 
@@ -255,24 +278,29 @@ def _bound_constant(p, domain, constant_factor):
     return 2.0 ** (2.0 - p) * (cpcore.pi_p(p) / domain.diameter) ** p * constant_factor
 
 
-def _stability_reports(p, domain, mesh, values, measure, eigenpair, constant):
-    """One StabilityReport per zero-trace field in the rows of `values`."""
-    d, energy, uq = _deficits(p, mesh, values, eigenpair.lam, measure)
-    W = mesh.measure_weights(measure)
-    dist, c_star = _convex_lp_min(p, W, uq, eigenpair.field.at_quad())
-    rhs = constant * dist
-    tol = TOL_QUAD_FACTOR * np.maximum(energy, 1e-300)
-    margin = d - rhs
+def _stability_reports(p, domain, mesh, blocks, measure, eigenpair, constant):
+    """One StabilityReport per zero-trace field in the rows of each
+    (rows, n_nodes) array of `blocks`. The distance kernel's arrays of u1
+    (_lp_reference) are built once for all the blocks."""
+    ref = _lp_reference(p, mesh.measure_weights(measure), eigenpair.field.at_quad())
     note = _POLYGON_NOTE if domain.kind == "polygon" and measure.kind == "lebesgue" else ""
-    rows = zip(*(a.tolist() for a in (d, dist, c_star, rhs, margin, tol)))
-    return [
-        StabilityReport(
-            p=float(p), diameter=domain.diameter, lambda1=eigenpair.lam,
-            deficit=di, distance_p=dist_i, c_star=ci, constant=constant, rhs=ri,
-            margin=mi, tol_quad=ti, passed=mi >= -ti, measure=measure.kind, note=note,
-        )
-        for di, dist_i, ci, ri, mi, ti in rows
-    ]
+    reports = []
+    for values in blocks:
+        d, energy, uq = _deficits(p, mesh, values, eigenpair.lam, measure)
+        dist, c_star = _reference_lp_min(p, ref, uq)
+        rhs = constant * dist
+        tol = TOL_QUAD_FACTOR * np.maximum(energy, 1e-300)
+        margin = d - rhs
+        rows = zip(*(a.tolist() for a in (d, dist, c_star, rhs, margin, tol)))
+        reports += [
+            StabilityReport(
+                p=float(p), diameter=domain.diameter, lambda1=eigenpair.lam,
+                deficit=di, distance_p=dist_i, c_star=ci, constant=constant, rhs=ri,
+                margin=mi, tol_quad=ti, passed=mi >= -ti, measure=measure.kind, note=note,
+            )
+            for di, dist_i, ci, ri, mi, ti in rows
+        ]
+    return reports
 
 
 def stability_check(p, domain, u, measure, eigenpair=None, opts=None, constant_factor=1.0):
@@ -285,7 +313,7 @@ def stability_check(p, domain, u, measure, eigenpair=None, opts=None, constant_f
     if not u.is_zero_trace:
         raise ValueError("stability check needs a zero-trace field")
     eigenpair = _ground_state(p, u.mesh, measure, eigenpair, opts)
-    return _stability_reports(p, domain, u.mesh, u.values[None], measure, eigenpair, constant)[0]
+    return _stability_reports(p, domain, u.mesh, [u.values[None]], measure, eigenpair, constant)[0]
 
 
 def _random_fields(mesh, rng, n_fields, adj):
@@ -316,7 +344,9 @@ def stability_battery(p, domain, mesh, measure, n_fields, seed=0, eigenpair=None
     """Seeded random-field battery; returns one StabilityReport per field.
 
     The fields are drawn, smoothed and checked in blocks of _BLOCK_FIELDS
-    rows.  A block draw equals the per-field draws, so field i is the i-th
+    rows; what does not depend on the field (u1 at the quadrature points,
+    ||u1||_p and its weighted products) is computed once per call, not per
+    block.  A block draw equals the per-field draws, so field i is the i-th
     random_zero_trace_field of the seeded stream, and report i agrees with
     that field's stability_check: the same verdict, p, lambda1, constant
     and note, the deficit, tolerance and margin to 1e-12 relative, the
@@ -328,11 +358,9 @@ def stability_battery(p, domain, mesh, measure, n_fields, seed=0, eigenpair=None
     eigenpair = _ground_state(p, mesh, measure, eigenpair, opts)
     rng = np.random.default_rng(seed)
     adj = mesh.node_adjacency()
-    reports = []
-    for start in range(0, n_fields, _BLOCK_FIELDS):
-        values = _random_fields(mesh, rng, min(_BLOCK_FIELDS, n_fields - start), adj)
-        reports += _stability_reports(p, domain, mesh, values, measure, eigenpair, constant)
-    return reports
+    blocks = (_random_fields(mesh, rng, min(_BLOCK_FIELDS, n_fields - start), adj)
+              for start in range(0, n_fields, _BLOCK_FIELDS))
+    return _stability_reports(p, domain, mesh, blocks, measure, eigenpair, constant)
 
 
 def centering_root(p, f, weight, measure=None):

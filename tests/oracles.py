@@ -224,6 +224,35 @@ def distance_to_boundary_loop(mesh):
     return d
 
 
+def values_at_quad_einsum(mesh, values):
+    """P1 values at the quadrature points, (..., n) to (..., m, q), as one
+    einsum over the element gather: plapstab's form before the matmul."""
+    return np.einsum("qk,...mk->...mq", mesh.basis, values.take(mesh.elements, axis=-1))
+
+
+def gradients_einsum(mesh, values):
+    """Element gradients, (..., n) to (..., m, dim), as one einsum over the
+    element gather: plapstab's form before the sparse operator."""
+    return np.einsum("mkd,...mk->...md", mesh.grads, values.take(mesh.elements, axis=-1))
+
+
+def mass_local_einsum(mesh, quad_weights):
+    """Element matrices sum_q w_eq phi_i phi_j, (m, k, k), as the 3-operand
+    einsum: plapstab's form before the basis-product matmul."""
+    return np.einsum("mq,qi,qj->mij", quad_weights, mesh.basis, mesh.basis)
+
+
+def lp_energies_pow(p, uq, w):
+    """int |u|^p dmu per leading index of uq by pow, as plapstab had it."""
+    return np.sum(w * np.abs(uq) ** p, axis=tuple(range(-w.ndim, 0)))
+
+
+def gradient_energies_pow(p, g, de):
+    """int |grad u|^p dmu per leading index of the element gradients g by
+    pow, as plapstab had it."""
+    return np.sum(np.sqrt(np.sum(g * g, axis=-1)) ** p * de, axis=-1)
+
+
 def coo_assemble(mesh, local):
     """The (n, n) matrix summed from the (m, k, k) element matrices `local`
     through scipy's coordinate (COO) format, which adds up the duplicate

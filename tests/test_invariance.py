@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plapstab as ps
-from plapstab import spectral
+from plapstab import spectral, verify
 from plapstab.geometry import Mesh
 
 _REL = 1e-12
@@ -124,3 +124,41 @@ def test_node_renumbering(vertices, seed):
                 seconds = [ps.second_eigenvalue(p, m, mu, pair) for m, pair in zip(meshes, pairs)]
                 assert all(pair.converged for pair in seconds)
                 assert _close(seconds[1].lam, seconds[0].lam)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(vertices=convex_polygons(), shift=st.integers(1, 6))
+def test_cyclic_vertex_shift(vertices, shift):
+    # the same polygon from another first vertex: another centroid rounding,
+    # node numbering and element order, the same lambda1
+    shift %= len(vertices)
+    meshes = [ps.build_mesh(ps.polygon_domain(v), _LEVEL) for v in (vertices, np.roll(vertices, shift, axis=0))]
+    for mu in (ps.lebesgue(), ps.gaussian()):
+        for p in _PS:
+            pairs = [ps.first_eigenpair(p, m, mu) for m in meshes]
+            assert all(pair.converged for pair in pairs)
+            assert _close(pairs[1].lam, pairs[0].lam)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["interval01", "square"]), measure=st.sampled_from(["lebesgue", "gaussian"]),
+       p=st.sampled_from([2.0, 3.0, 4.0, 6.0]), seed=st.integers(0, 2**32 - 1),
+       c=st.floats(1e-3, 1e3), sign=st.sampled_from([-1.0, 1.0]))
+def test_battery_p_homogeneity(cache, name, measure, p, seed, c, sign):
+    # u -> c u scales the deficit, the distance and the right side by |c|^p
+    # and c_star by c, and keeps each verdict, block by block as the
+    # battery checks its fields
+    c *= sign
+    mesh = cache.mesh(name, 3 if name == "interval01" else 2)
+    pair = cache.pair(p, name, 3 if name == "interval01" else 2, measure)
+    mu = ps.lebesgue() if measure == "lebesgue" else ps.gaussian()
+    domain = cache.domain(name)
+    constant = verify._bound_constant(p, domain, 1.0)
+    values = verify._random_fields(mesh, np.random.default_rng(seed), verify._BLOCK_FIELDS, mesh.node_adjacency())
+    reports = [verify._stability_reports(p, domain, mesh, [block], mu, pair, constant) for block in (values, c * values)]
+    scale = abs(c) ** p
+    for one, scaled in zip(*reports):
+        for field in ("deficit", "distance_p", "rhs"):
+            assert _close(getattr(scaled, field), scale * getattr(one, field)), field
+        assert abs(scaled.c_star - c * one.c_star) <= 1e-7 * abs(c)
+        assert scaled.passed == one.passed

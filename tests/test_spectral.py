@@ -23,8 +23,13 @@ from oracles import (
     distance_to_boundary_loop,
     euler_lagrange_residual,
     exhaustive_cut_value,
+    gradient_energies_pow,
+    gradients_einsum,
     interior_components_nested,
+    lp_energies_pow,
+    mass_local_einsum,
     side_components_nested,
+    values_at_quad_einsum,
 )
 
 PI2 = math.pi**2
@@ -278,8 +283,13 @@ class TestEulerLagrange:
         # - R (p-1) int |u|^(p-2) phi_i phi_j, written out
         gb = (p - 2.0) * spectral._guarded_power(gn, -2.0) * ga
         want = ga[:, None, None] * m.grad_gram + gb[:, None, None] * (gphi[:, :, None] * gphi[:, None, :])
-        want -= (lam * (p - 1.0)) * np.einsum("mq,qi,qj->mij", uw, m.basis, m.basis)
+        mass = spectral._mass_local(m, uw)
+        want -= (lam * (p - 1.0)) * mass
         assert np.array_equal(spectral._jacobian(p, m, lam, terms), want)
+        # the mass kernel's basis-product matmul against its einsum form; uw
+        # >= 0, so every entry is a sum of nonnegative terms
+        old = mass_local_einsum(m, uw)
+        assert np.all(np.abs(mass - old) <= 1e-15 * old)
 
 
 class TestGroundStateConvergence:
@@ -1241,7 +1251,11 @@ class TestGradEnergy:
                 g = m.gradients(values)
                 gn = np.sqrt(np.sum(g * g, axis=1))
                 energies.append(ps.grad_energy(p, ps.Field(m, values), mu))
-                assert energies[-1] == float(np.sum(gn**p * de))
+                assert energies[-1] == float(np.sum(spectral._guarded_power(gn, p) * de))
+                # the einsum gradients and pow, as before the sparse operator
+                # and the integer powers
+                old = float(gradient_energies_pow(p, gradients_einsum(m, values), de))
+                assert abs(energies[-1] - old) <= 1e-15 * old
             block = spectral.gradient_energies(p, m.gradients(fields), m.element_density_integrals(mu))
             assert block.tolist() == energies
 
@@ -1256,13 +1270,101 @@ class TestGradEnergy:
         uq = m.values_at_quad(values)
         for p in (1.5, 2.0, 3.0, 6.0):
             rows = [float(spectral.lp_energies(p, u, w)) for u in uq]
-            assert rows == [float(np.sum(w * np.abs(u) ** p)) for u in uq]
+            assert rows == [float(np.sum(w * spectral._guarded_power(np.abs(u), p))) for u in uq]
+            # the einsum values and pow, as before the matmul and the integer powers
+            old = lp_energies_pow(p, values_at_quad_einsum(m, values), w)
+            assert np.all(np.abs(np.array(rows) - old) <= 1e-15 * old)
             assert spectral.lp_energies(p, uq, w).tolist() == rows
             # the flattened rows of the distance kernel
             assert spectral.lp_energies(p, uq.reshape(len(uq), -1), w.ravel()).tolist() == rows
             for v, row in zip(values, rows):
                 f = ps.Field(m, v)
                 assert ps.rayleigh_quotient(p, f, mu) == ps.grad_energy(p, f, mu) / row
+
+
+def _kernel_mesh(cache, name):
+    """Interval L4, square L3, triangle L3 or a sub-mesh cut from square L3."""
+    if name == "triangle":
+        return ps.build_mesh(ps.polygon_domain(_TRIANGLE), 3)
+    if name == "cut":
+        m = cache.mesh("square", 3)
+        centroids = np.mean(m.nodes[m.elements], axis=1)
+        return submesh(m, np.nonzero(centroids @ [1.0, 0.3] > 0.6)[0])[0]
+    return cache.mesh("interval01", 4) if name == "interval" else cache.mesh("square", 3)
+
+
+class TestQuadratureKernels:
+    """The matmul values, sparse-operator gradients, basis-product mass
+    matrices and integer powers against their einsum and pow forms
+    (tests/oracles.py). Bounds: values and gradients within 1e-15 of the
+    sum of the absolute terms, mass entries and energies within 1e-15
+    relative, and integer powers within 1e-15 relative wherever the power
+    is a normal float."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(["interval", "square", "triangle", "cut"]), rows=st.sampled_from([1, 16, 100]),
+           measure=st.sampled_from(sorted(_MEASURES)), p=st.sampled_from([1.5, 2.0, 3.0, 4.0, 6.0, 8.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_einsum_and_pow_forms(self, cache, name, rows, measure, p, seed):
+        m = _kernel_mesh(cache, name)
+        mu = _MEASURES[measure]
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(-1.0, 1.0, (rows, m.n_nodes))
+        uq, g = m.values_at_quad(values), m.gradients(values)
+        # each block row is bitwise its field alone
+        for row, u, gu in zip(values, uq, g):
+            assert np.array_equal(u, m.values_at_quad(row)) and np.array_equal(gu, m.gradients(row))
+        magnitude = values_at_quad_einsum(m, np.abs(values))
+        assert np.all(np.abs(uq - values_at_quad_einsum(m, values)) <= 1e-15 * magnitude)
+        g_magnitude = np.einsum("mkd,...mk->...md", np.abs(m.grads), np.abs(values).take(m.elements, axis=-1))
+        assert np.all(np.abs(g - gradients_einsum(m, values)) <= 1e-15 * g_magnitude)
+
+        w, de = m.measure_weights(mu), m.element_density_integrals(mu)
+        scaled = w * rng.uniform(0.0, 2.0, w.shape)
+        old = mass_local_einsum(m, scaled)
+        assert np.all(np.abs(spectral._mass_local(m, scaled) - old) <= 1e-15 * old)
+        for got, want in ((spectral.lp_energies(p, uq, w), lp_energies_pow(p, values_at_quad_einsum(m, values), w)),
+                          (spectral.gradient_energies(p, g, de), gradient_energies_pow(p, gradients_einsum(m, values), de))):
+            assert np.all(np.abs(got - want) <= 1e-15 * want)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(e=st.integers(3, 8), seed=st.integers(0, 2**32 - 1), zeros=st.integers(0, 5))
+    def test_integer_powers(self, e, seed, zeros):
+        # x^e stays a normal float for x in [1e-30, 1e30] and e <= 8
+        rng = np.random.default_rng(seed)
+        x = 10.0 ** rng.uniform(-30.0, 30.0, 200)
+        x[rng.choice(x.size, zeros, replace=False)] = 0.0
+        got, want = spectral._guarded_power(x, float(e)), x ** float(e)
+        assert np.all(np.abs(got - want) <= 1e-15 * want)
+        assert np.all(got[x == 0.0] == 0.0)
+        # and on a one-row block, as the distance kernel takes it
+        assert np.array_equal(spectral._guarded_power(x[None], float(e))[0], got)
+
+    @pytest.mark.parametrize("name", ["interval", "square", "triangle", "cut"])
+    def test_gradient_operator_built_once_on_first_use(self, cache, monkeypatch, name):
+        calls = []
+        build = sparse.csr_matrix
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("shape"))
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(sparse, "csr_matrix", counted)
+        if name in ("interval", "square"):
+            # not from the session cache, whose meshes may have been used
+            domain = cache.domain("interval01" if name == "interval" else "square")
+            m = ps.build_mesh(domain, 4 if name == "interval" else 3)
+        else:
+            m = _kernel_mesh(cache, name)
+        assert calls == []
+        values = np.random.default_rng(0).uniform(-1.0, 1.0, (16, m.n_nodes))
+        operator = m.gradient_operator()
+        for _ in range(3):
+            m.gradients(values)
+            m.gradients(values[0])
+            ps.grad_energy(3.0, ps.Field(m, values[0]), ps.lebesgue())
+        assert calls == [(m.n_elements * m.dim, m.n_nodes)]
+        assert m.gradient_operator() is operator
 
 
 class TestDistanceToBoundary:

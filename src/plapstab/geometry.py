@@ -199,9 +199,9 @@ class Mesh:
         self._patterns = {}
         # factor layout per matrix built on the interior pattern, filled by
         # the first factorisation of that matrix (see spectral._lu_solve):
-        # the dense gather index (at most 64 unknowns), the reverse
-        # Cuthill-McKee order and band gather of the interior matrix, or the
-        # COLAMD column order of the bordered Newton matrix
+        # the dense gather index (at most 64 unknowns), or the band layout
+        # of the interior pattern (reverse Cuthill-McKee order and band
+        # gathers), one object shared by the interior and bordered matrices
         self.lu_layouts = {}
         self._gradient_operator = None
         self._build_geometry()

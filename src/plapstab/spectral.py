@@ -36,34 +36,24 @@ int |grad u|^p dmu one of `gradient_energies`, on values and gradients from
 the mesh's matmul and sparse-operator kernels; they and the Euler-Lagrange
 weights |grad u|^(p-2), |u|^(p-2) take their powers from
 `cpcore._guarded_power`, which multiplies out integer exponents up to 8.
-Every linear solve is a direct factor (`_lu_solve`) of one
-of two matrices on the interior pattern: the interior matrix of the lagged
-steps and of deflation (symmetric, with positive element weights), and the
-bordered Newton matrix, built from [J.data, b, -b] by one gather. There are
-three layouts, with one cutoff, _DENSE_MAX = 64 unknowns (measured: dense
-wins up to about 100):
-- at most that many unknowns, as on most of the cut sweep's sides, the data
-  is gathered into a dense column-major array and factored by LAPACK
-  (`getrf`/`getrs`);
-- a larger interior matrix is reordered by reverse Cuthill-McKee, gathered
-  into LAPACK's upper band storage and factored by banded Cholesky
-  (`pbtrf`/`pbtrs`; bandwidth 31 on square L4, 63 on square L5), or, where
-  Cholesky breaks down on a lagged matrix that is only numerically
-  semidefinite, by partial-pivot banded LU of the same band
-  (`gbtrf`/`gbtrs`). One factorisation of a lagged matrix takes 0.16-0.19
-  ms against 1.4 ms by `splu` at 481 unknowns, 1.6 against 8.2 ms at 1985
-  and 19 against 54 ms at 8065 (2 vCPU Xeon, one BLAS thread);
-- a larger bordered matrix, whose border row is dense, is a sparse LU
-  (`scipy.sparse.linalg.splu`): its first factorisation on a mesh orders
-  the columns by COLAMD and keeps that order on the mesh, and later ones
-  gather straight into the column-ordered layout and factor it without
-  reordering. COLAMD orders by structure alone, so these factors and their
-  solves are bitwise those of a fresh `splu`.
-The mesh keeps the layout (`Mesh.lu_layouts`: the dense gather index, the
-band order and gather, or the sparse column order), never a factor. At
-p = 2 the lagged steps share one factor of the stiffness matrix, released
-before the first Newton step, and deflation keeps one for its Lanczos
-solves; every other factor serves one solve.
+Every linear solve is a direct factor (`_lu_solve`) of one of two
+matrices on the interior pattern: the interior matrix of the lagged steps
+and of deflation (symmetric, with positive element weights), and the
+bordered Newton matrix [J, -b; b^T, 0]. At most _DENSE_MAX = 64 unknowns
+(as on most of the cut sweep's sides; dense wins up to about 100,
+measured), the data is gathered into a dense column-major array and
+factored by LAPACK (`getrf`/`getrs`). Above it, both matrices use one band
+layout of the interior pattern: its reverse Cuthill-McKee order (bandwidth
+31 on square L4, 63 on square L5) and gathers into LAPACK's band storage.
+The interior matrix is factored by banded Cholesky (`pbtrf`/`pbtrs`), or by
+partial-pivot banded LU (`gbtrf`/`gbtrs`) where Cholesky breaks down on a
+lagged matrix that is only numerically semidefinite. The bordered matrix
+is solved by block elimination on the banded LU of J with one refinement
+step; J is singular up to rounding at a converged iterate, so Cholesky is
+not tried on it. The mesh keeps the layouts (`Mesh.lu_layouts`), never a
+factor. At p = 2 the lagged steps share one factor of the stiffness matrix,
+released before the first Newton step, and deflation keeps one for its
+Lanczos solves; every other factor serves one solve.
 """
 
 import warnings
@@ -73,7 +63,7 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg.lapack import dgbtrf as _gbtrf, dgbtrs as _gbtrs, dgetrf as _getrf, dgetrs as _getrs
 from scipy.linalg.lapack import dpbtrf as _pbtrf, dpbtrs as _pbtrs
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .cpcore import _check_p, _guarded_power
 from .geometry import Field, submesh
@@ -101,7 +91,7 @@ _MAX_HALVINGS = 30
 # cut directions of the 2-D cut sweep, equally spaced over [0, pi)
 _CUT_DIRECTIONS = 32
 # systems of at most this many unknowns are factored dense (LAPACK getrf),
-# larger ones banded (interior) or by sparse LU (bordered); see _lu_solve.
+# larger ones banded; see _lu_solve.
 # One factorisation and solve of a lagged matrix against sparse LU,
 # 2 vCPU Xeon, one BLAS thread: dense 7-17 us against 60-100 us sparse at
 # 15-31 unknowns, 47 against 121 us at 63 and 89 against 187 us at 85;
@@ -121,8 +111,9 @@ class SolverOptions:
     are direct, with no tolerance and no choice of solver: dense LAPACK LU
     up to _DENSE_MAX = 64 unknowns (where it is the faster one, measured);
     above it, banded Cholesky in reverse Cuthill-McKee order for the
-    interior matrices (banded LU where Cholesky breaks down) and sparse LU
-    for the bordered Newton matrix. `n_offsets` is inert and kept
+    interior matrices (banded LU where Cholesky breaks down) and block
+    elimination on the banded LU of the Jacobian for the bordered Newton
+    matrix. `n_offsets` is inert and kept
     only so that callers that still pass it keep working.
     """
 
@@ -332,8 +323,8 @@ def _residual_floor(p, mesh, terms, a):
     moves by its rounding 2^-53 |u_j|, which moves grad u by at most
     dg = 2^-53 sum_j |grad phi_j| |u_j|. Grows like h^-2."""
     u, gn, ga, _, gphi = terms
-    phi2 = np.einsum("mii->mi", mesh.grad_gram)  # |grad phi_i|^2 per element
-    dg = 2.0**-53 * np.einsum("mk,mk->m", np.sqrt(phi2), np.abs(u[mesh.elements]))
+    phi2 = np.diagonal(mesh.grad_gram, axis1=1, axis2=2)  # |grad phi_i|^2 per element
+    dg = 2.0**-53 * np.add.reduce(np.sqrt(phi2) * np.abs(u[mesh.elements]), axis=1)
     gain = np.sqrt(phi2 + (p * (p - 2.0)) * _guarded_power(gn, -2.0)[:, None] * gphi**2)
     fe = (ga * dg)[:, None] * gain
     f = np.bincount(mesh.elements.ravel(), fe.ravel(), mesh.n_nodes)[mesh.interior]
@@ -356,13 +347,29 @@ def _natural_layout(mesh, name):
     return src, rows, np.append(indptr + np.arange(n + 1), indptr[-1] + 2 * n).astype(np.int32)
 
 
+def _dense_solve(layout, source):
+    """Solve of the LAPACK LU (`getrf`, partial pivoting) of the matrix with
+    data from `source`, gathered by the dense `layout`."""
+    _, src, position, n = layout
+    a = np.zeros(n * n)
+    a[position] = source[src]
+    lu, piv, info = _getrf(a.reshape(n, n, order="F"), overwrite_a=True)
+    if info > 0:
+        raise RuntimeError("Factor is exactly singular")
+    return lambda rhs: _getrs(lu, piv, rhs)[0]
+
+
 def _band_layout(src, indices, indptr):
-    """("band", src, position, kd, perm) of the symmetric CSC matrix with
-    data source[src]: perm is its reverse Cuthill-McKee order (row k of the
-    ordered matrix is row perm[k]), kd the ordered matrix's bandwidth, and
-    position the place of each entry on or above the ordered diagonal in
-    LAPACK's upper band storage, a column-major (kd + 1) x n array holding
-    entry (i, j) in row kd + i - j; src keeps those entries alone."""
+    """("band", src, position, kd, perm, general) of the symmetric CSC matrix
+    with data source[src]: perm is its reverse Cuthill-McKee order (row k of
+    the ordered matrix is row perm[k]) and kd the ordered matrix's
+    bandwidth. src keeps the entries on or above the ordered diagonal alone,
+    position their places in LAPACK's upper band storage, a column-major
+    (kd + 1) x n array holding entry (i, j) in row kd + i - j, and general,
+    (2, src.size), their places and those of their mirror images below the
+    diagonal in LAPACK's general band storage, a column-major (3 kd + 1) x n
+    array holding (i, j) in row 2 kd + i - j under kd rows of room for the
+    LU's fill-in."""
     # imported here, so that importing the package does not load csgraph
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
@@ -373,44 +380,14 @@ def _band_layout(src, indices, indptr):
     i = rank[indices]
     j = rank[np.repeat(np.arange(n), np.diff(indptr))]
     upper = i <= j
+    i, j = i[upper], j[upper]
     kd = int(np.max(j - i))
-    return "band", src[upper], (kd + i - j + (kd + 1) * j)[upper], kd, perm
+    general = np.stack([2 * kd + i - j + (3 * kd + 1) * j, 2 * kd + j - i + (3 * kd + 1) * i])
+    return "band", src[upper], kd + i - j + (kd + 1) * j, kd, perm, general
 
 
-def _band_solve(layout, source):
-    """Solve of the banded factor, in the order of `layout` (_band_layout),
-    of the symmetric matrix with data from `source`: Cholesky (`pbtrf`) on
-    the upper band, or, where that breaks down on a matrix that is not
-    numerically positive definite, partial-pivot LU (`gbtrf`) of the same
-    band. A singular matrix raises RuntimeError."""
-    _, src, position, kd, perm = layout
-    n = perm.size
-
-    def band():
-        ab = np.zeros((kd + 1) * n)
-        ab[position] = source[src]
-        return ab.reshape(kd + 1, n, order="F")
-
-    factor, info = _pbtrf(band(), overwrite_ab=True)
-    if info == 0:
-        def ordered(rhs):
-            return _pbtrs(factor, rhs)[0]
-    else:
-        # LAPACK's general band storage, kd rows of room for the LU's fill-in
-        # on top: entry (i, j) in row 2 kd + i - j, the part below the
-        # diagonal mirrored from the part above it
-        ab = band()
-        full = np.zeros((3 * kd + 1, n), order="F")
-        full[kd:2 * kd + 1] = ab
-        for d in range(1, kd + 1):
-            full[2 * kd + d, :n - d] = ab[kd - d, d:]
-        factor, piv, info = _gbtrf(full, kd, kd, overwrite_ab=True)
-        if info > 0:
-            raise RuntimeError("Factor is exactly singular")
-
-        def ordered(rhs):
-            return _gbtrs(factor, kd, kd, rhs, piv)[0]
-
+def _permuted(ordered, perm):
+    """Solve in natural order from the solve `ordered` in the order perm."""
     def solve(rhs):
         x = ordered(rhs[perm])
         out = np.empty_like(x)
@@ -420,26 +397,75 @@ def _band_solve(layout, source):
     return solve
 
 
+def _band_lu(layout, source):
+    """Solve of the partial-pivot LU (`gbtrf`) of the symmetric matrix with
+    data from `source`, gathered over both triangles into the general band
+    storage of `layout` (_band_layout)."""
+    _, src, _, kd, perm, general = layout
+    n = perm.size
+    ab = np.zeros((3 * kd + 1) * n)
+    ab[general] = source[src]
+    factor, piv, info = _gbtrf(ab.reshape(3 * kd + 1, n, order="F"), kd, kd, overwrite_ab=True)
+    if info > 0:
+        raise RuntimeError("Factor is exactly singular")
+    return _permuted(lambda rhs: _gbtrs(factor, kd, kd, rhs, piv)[0], perm)
+
+
+def _band_solve(layout, source):
+    """Solve of the banded Cholesky factor (`pbtrf`) of the symmetric matrix
+    with data from `source`, gathered into the upper band storage of
+    `layout` (_band_layout), or of its _band_lu where Cholesky breaks down."""
+    _, src, position, kd, perm, _ = layout
+    n = perm.size
+    ab = np.zeros((kd + 1) * n)
+    ab[position] = source[src]
+    factor, info = _pbtrf(ab.reshape(kd + 1, n, order="F"), overwrite_ab=True)
+    if info != 0:
+        return _band_lu(layout, source)
+    return _permuted(lambda rhs: _pbtrs(factor, rhs)[0], perm)
+
+
+def _bordered_solve(mesh, layout, source):
+    """Solve of the bordered matrix [J, c; b^T, 0] with source [J.data, b, c]
+    (see _natural_layout) by block elimination on the banded LU of J
+    (_band_lu): x = y - s z with y = J^-1 f, z = J^-1 c and s from
+    b^T x = g, then one step of refinement on the bordered residual, which
+    makes the elimination backward stable although J is singular up to
+    rounding at a converged iterate (Govaerts, SIAM J. Matrix Anal. Appl.
+    12, 1991). b^T J^-1 c = 0 is a singular bordered matrix."""
+    _, indices, indptr = mesh.pattern("interior")
+    nnz, n = indices.size, indptr.size - 1
+    jac_solve = _band_lu(layout, source)
+    b, c = source[nnz:nnz + n], source[nnz + n:]
+    z = jac_solve(c)
+    bz = float(b @ z)
+    if bz == 0.0:
+        raise RuntimeError("Factor is exactly singular")
+    jac = _square_csc(source[:nnz], indices, indptr)
+
+    def eliminate(f, g):
+        y = jac_solve(f)
+        s = (b @ y - g) / bz
+        return y - np.multiply.outer(z, s), s
+
+    def solve(rhs):
+        f, g = rhs[:n], rhs[n]
+        x, s = eliminate(f, g)
+        dx, ds = eliminate(f - jac @ x - np.multiply.outer(c, s), g - b @ x)
+        out = np.empty_like(rhs, dtype=float)
+        out[:n], out[n] = x + dx, s + ds
+        return out
+
+    return solve
+
+
 def _lu_solve(mesh, name, source):
     """Solve of the factor of the matrix `name` (see _natural_layout) with
-    data from `source`; a singular matrix raises RuntimeError.
-
-    A matrix of at most _DENSE_MAX unknowns is gathered into a dense
-    column-major array and factored by LAPACK (`getrf`, partial pivoting);
-    its solves are `getrs`. A larger "interior" matrix, symmetric and
-    positive definite but for rounding, is reordered by reverse
-    Cuthill-McKee, gathered into LAPACK's upper band storage and factored
-    by banded Cholesky (`pbtrf`/`pbtrs`); where Cholesky breaks down, by
-    partial-pivot banded LU (`gbtrf`/`gbtrs`) of the same band (see
-    _band_solve). A larger "bordered" matrix, whose border row is dense, is
-    a sparse LU (`splu`): its first factorisation on a mesh orders the
-    columns by COLAMD (scipy's default), and later ones gather the source
-    straight into that column-ordered CSC layout, factor it with no
-    reordering and unpermute the solution. COLAMD orders by structure
-    alone, so those factors and their solves are bitwise those of a fresh
-    `splu`. `mesh.lu_layouts` keeps, per name, the dense gather index, the
-    band order and gather, or the sparse column order, never a factor; a
-    failed factorisation caches nothing.
+    data from `source`: at most _DENSE_MAX unknowns, _dense_solve; above it,
+    _band_solve of an interior matrix and _bordered_solve of a bordered one,
+    on the interior pattern's band layout, built once per mesh.
+    `mesh.lu_layouts` keeps, per name, the layout, never a factor. A
+    singular matrix raises RuntimeError and caches nothing.
     """
     layout = mesh.lu_layouts.get(name)
     if layout is None:
@@ -448,42 +474,18 @@ def _lu_solve(mesh, name, source):
         if n <= _DENSE_MAX:
             # column-major position of each CSC entry in the n x n array
             layout = ("dense", src, np.repeat(n * np.arange(n), np.diff(indptr)) + indices, n)
-        elif name == "interior":
-            layout = _band_layout(src, indices, indptr)
         else:
-            lu = splu(_square_csc(source[src], indices, indptr))
-            # column j of the ordered layout is column q[j] of the natural one
-            q = np.argsort(lu.perm_c)
-            counts = np.diff(indptr)[q]
-            ptr = np.append(0, np.cumsum(counts)).astype(np.int32)
-            gather = np.arange(ptr[-1]) + np.repeat(indptr[q] - ptr[:-1], counts)
-            # perm_c is a view into the factor: a copy lets the factor go
-            mesh.lu_layouts[name] = ("sparse", src[gather].astype(np.int32), indices[gather], ptr,
-                                     lu.perm_c.copy())
-            return lu.solve
-    if layout[0] == "band":
-        solve = _band_solve(layout, source)
-        mesh.lu_layouts[name] = layout
-        return solve
+            # J is on the interior pattern, with its data first in the
+            # bordered source: the interior pattern's band layout serves both
+            shared = (kept for kept in mesh.lu_layouts.values() if kept[0] == "band")
+            layout = next(shared, None) or _band_layout(*_natural_layout(mesh, "interior"))
     if layout[0] == "dense":
-        _, src, position, n = layout
-        a = np.zeros(n * n)
-        a[position] = source[src]
-        lu, piv, info = _getrf(a.reshape(n, n, order="F"), overwrite_a=True)
-        if info > 0:
-            # what splu raises for an exactly singular matrix
-            raise RuntimeError("Factor is exactly singular")
-        mesh.lu_layouts[name] = layout
-        return lambda rhs: _getrs(lu, piv, rhs)[0]
-    _, src, indices, indptr, perm_c = layout
-    lu = splu(_square_csc(source[src], indices, indptr), permc_spec="NATURAL")
-
-    def solve(rhs):
-        # in the memory layout of a fresh factor's solution, also for a
-        # block of right sides
-        x = lu.solve(rhs)
-        return np.take(x, perm_c, axis=0, out=np.empty_like(x))
-
+        solve = _dense_solve(layout, source)
+    elif name == "interior":
+        solve = _band_solve(layout, source)
+    else:
+        solve = _bordered_solve(mesh, layout, source)
+    mesh.lu_layouts[name] = layout
     return solve
 
 
@@ -545,13 +547,8 @@ def _ground_state(p, mesh, measure, opts):
             # at p = 2 the lagged factor is the iterate-free stiffness matrix;
             # drop it before the first bordered factorisation
             solve = None
-            # J comes from the terms of the evaluation that accepted u. Those
-            # terms (the floor above was their last other use) and the matrix
-            # data are released around the factorisation: kept alive across
-            # factorisations, they fragmented the heap, and the peak RSS of
-            # repeated solves grew by several MB
+            # J comes from the terms of the evaluation that accepted u
             source = np.concatenate([_scatter(mesh, _jacobian(p, mesh, lam, terms)), b, -b])
-            terms = None
             try:
                 # u is normalised, so the normalisation row has zero right side
                 d[interior] = _lu_solve(mesh, "bordered", source)(np.append(-r, 0.0))[:-1]
@@ -560,7 +557,6 @@ def _ground_state(p, mesh, measure, opts):
                 # sub-mesh touches no other interior node and u and grad u
                 # vanish around it: a failed direction, like a failed halving
                 d = None
-            source = None
         else:
             if solve is None or p != 2.0:
                 solve = None  # the last lagged factor goes before the next is made
@@ -587,15 +583,12 @@ def _ground_state(p, mesh, measure, opts):
         else:
             failures += 1
             newton = not newton
-        terms_v = None  # `terms` alone keeps an evaluation alive (see the Newton step)
         history.append(lam)
 
     if np.sum(u) < 0.0:
         u = -u
-    if terms is not None:
-        # the floor is even in u, so the terms of the unflipped u serve
-        floor = _residual_floor(p, mesh, terms, r + lam * b)
-    # else a Newton step released them and failed: its floor is u's
+    # the floor is even in u, so the terms of the unflipped u serve
+    floor = _residual_floor(p, mesh, terms, r + lam * b)
     return EigenPair(
         lam=lam,
         field=Field(mesh, u),

@@ -501,14 +501,16 @@ def picone_check(p, u, phi, measure=None, max_samples=None, seed=0):
     dot = np.sum(gu * gp, axis=1)
     au = np.abs(uq)
     ap = np.abs(pq)
-    upow = cpcore._guarded_power(au, p - 2.0) * uq
-    t1 = p * upow * dot / (ap ** (p - 2.0) * pq)
-    t2 = (p - 1.0) * au**p * gp_n**2 / ap**p
-    r_side = gu_n**p - cpcore._guarded_power(gp_n, p - 2.0) * (t1 - t2)
+    power = cpcore._guarded_power
+    upow = power(au, p - 2.0) * uq
+    t1 = p * upow * dot / (power(ap, p - 2.0) * pq)
+    t2 = (p - 1.0) * power(au, p) * gp_n**2 / power(ap, p)
+    gu_p = power(gu_n, p)
+    r_side = gu_p - power(gp_n, p - 2.0) * (t1 - t2)
 
     resid = np.abs(c_side - r_side)
     a_n = np.sqrt(np.sum(a * a, axis=1))
-    scale = float(np.max(gu_n**p + a_n**p + 1.0)) if resid.size else 1.0
+    scale = float(np.max(gu_p + power(a_n, p) + 1.0)) if resid.size else 1.0
     max_abs_residual = float(np.max(resid)) if resid.size else 0.0
     return PiconeResult(
         max_abs_residual=max_abs_residual,

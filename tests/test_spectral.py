@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh, splu
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 import plapstab as ps
 from plapstab import spectral
@@ -374,8 +374,8 @@ class TestSingularNewtonSystem:
         assert np.isfinite(pair.lam) and np.all(np.isfinite(pair.field.values))
         assert pair.converged == (pair.residual <= max(SolverOptions().tol, pair.residual_floor))
         # the sub-mesh's systems are factored dense, where the isolated
-        # node's zero column fails getrf as it failed splu: every bordered
-        # factorisation failed, so only the lagged layout is kept
+        # node's zero column fails getrf: every bordered factorisation
+        # failed, so only the lagged layout is kept
         assert np.count_nonzero(sub.interior) + 1 <= spectral._DENSE_MAX
         assert sub.lu_layouts["interior"][0] == "dense" and "bordered" not in sub.lu_layouts
 
@@ -393,7 +393,7 @@ def order_mesh():
     built = {}
 
     def get(name, level, variant):
-        """A new Mesh object, so that no column order is cached on it yet."""
+        """A new Mesh object, so that no factor layout is cached on it yet."""
         if (name, level) not in built:
             built[(name, level)] = ps.build_mesh(_ORDER_DOMAINS[name], level)
         m = built[(name, level)]
@@ -410,19 +410,25 @@ def order_mesh():
     return get
 
 
-def _counted_splu(monkeypatch):
-    """Record the column ordering asked of every splu call in spectral."""
-    calls = []
+@pytest.fixture(scope="module")
+def order_ground_state(order_mesh):
+    """The ground state's nodal values on order_mesh(name, level, variant),
+    solved once per mesh, p and measure on a mesh of its own."""
+    solved = {}
 
-    def counted(a, **kwargs):
-        calls.append((a.shape[0], kwargs.get("permc_spec", "COLAMD")))
-        return splu(a, **kwargs)
+    def get(name, level, variant, p, measure):
+        key = (name, level, variant, p, measure)
+        if key not in solved:
+            m = order_mesh(name, level, variant)
+            solved[key] = spectral._ground_state(p, m, _MEASURES[measure], SolverOptions()).field.values
+        return solved[key]
 
-    monkeypatch.setattr(spectral, "splu", counted)
-    return calls
+    return get
 
 
 class TestCachedColumnOrder:
+    # the cached order is the interior pattern's reverse Cuthill-McKee
+    # order, kept in its band layout with the gathers into band storage
     @staticmethod
     def _matrices(p, m, mu, u):
         """(name, source, fresh CSC) of a lagged, a bordered and the
@@ -440,82 +446,92 @@ class TestCachedColumnOrder:
             ("interior", stiffness.data, stiffness),
         ]
 
-    # bordered systems above _DENSE_MAX unknowns: the sparse path (interior
-    # ones are factored banded, TestBandFactor)
+    # bordered systems above _DENSE_MAX unknowns: block elimination on the
+    # banded LU of J, at random iterates and at converged ground states,
+    # where J is singular up to rounding
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(name=st.sampled_from(sorted(_ORDER_DOMAINS)), level=st.integers(3, 4),
            variant=st.sampled_from(["mesh", "cut", "read"]), p=st.sampled_from([1.5, 2.0, 3.0, 6.0]),
            measure=st.sampled_from(sorted(_MEASURES)), seed=st.integers(0, 2**32 - 1))
-    def test_ordered_factor_solves_bitwise(self, order_mesh, name, level, variant, p, measure, seed):
+    def test_bordered_solves_backward_stable(self, order_mesh, order_ground_state, name, level, variant, p,
+                                             measure, seed):
         m = order_mesh(name, level, variant)
         assume(np.count_nonzero(m.interior) > spectral._DENSE_MAX)
         mu = _MEASURES[measure]
         rng = np.random.default_rng(seed)
-        u = np.where(m.interior, rng.uniform(0.5, 1.5, m.n_nodes), 0.0)
-        for name_, source, fresh in self._matrices(p, m, mu, u):
-            if name_ != "bordered":
-                continue
-            # the gather builds the matrix that is factored in natural order
-            src, indices, indptr = spectral._natural_layout(m, name_)
+        ground = order_ground_state(name, level, variant, p, measure)
+        for u in (np.where(m.interior, rng.uniform(0.5, 1.5, m.n_nodes), 0.0), ground):
+            _, source, fresh = self._matrices(p, m, mu, u)[1]
+            # the gather builds the bordered matrix
+            src, indices, indptr = spectral._natural_layout(m, "bordered")
             assert np.array_equal(source[src], fresh.data)
             assert np.array_equal(indices, fresh.indices) and np.array_equal(indptr, fresh.indptr)
-            rhs = [rng.standard_normal(fresh.shape[0]), rng.standard_normal((fresh.shape[0], 3))]
-            want = splu(fresh)
-            # the first call orders by COLAMD, the next ones reuse its order
-            for solve in [spectral._lu_solve(m, name_, source) for _ in range(3)]:
-                for x in rhs:
-                    got, ref = solve(x), want.solve(x)
-                    assert np.array_equal(got, ref)
-                    assert got.flags.f_contiguous == ref.flags.f_contiguous
-            assert m.lu_layouts[name_][0] == "sparse"
+            size = fresh.shape[0]
+            rhs = [rng.standard_normal(size), rng.standard_normal((size, 3))]
+            # the first call builds the band layout, the next ones reuse it
+            for solve in [spectral._lu_solve(m, "bordered", source) for _ in range(2)]:
+                assert m.lu_layouts["bordered"][0] == "band"
+                _assert_backward_stable(fresh.toarray(), solve, rhs)
+            # a zero row and column of J, or a zero border
+            _assert_singular_caches_nothing(m, order_mesh(name, level, variant), "bordered", source, rng)
 
-    def test_colamd_once_per_mesh_and_pattern(self, monkeypatch):
+    def test_band_layout_shared_per_mesh(self, monkeypatch):
+        built = []
+        band_layout = spectral._band_layout
+
+        def counted(src, indices, indptr):
+            built.append(indptr.size - 1)
+            return band_layout(src, indices, indptr)
+
+        monkeypatch.setattr(spectral, "_band_layout", counted)
         m = ps.build_mesh(ps.polygon_domain(_SQUARE), 3)
-        calls = _counted_splu(monkeypatch)
-        first = ps.first_eigenpair(3.0, m, ps.lebesgue())
         n = np.count_nonzero(m.interior)
-        # the bordered pattern, ordered once; the interior matrices go
-        # through the banded factor, not splu
-        assert sorted(c for c in calls if c[1] == "COLAMD") == [(n + 1, "COLAMD")]
-        assert all(size == n + 1 for size, _ in calls)
-        del calls[:]
-        again = ps.first_eigenpair(3.0, m, ps.lebesgue())
+        # lagged and Newton factors at p = 3 and p = 2, and deflation's
+        first = ps.first_eigenpair(3.0, m, ps.lebesgue())
         pair = ps.first_eigenpair(2.0, m, ps.gaussian())
         ps.second_eigenvalue(2.0, m, ps.gaussian(), pair)
-        assert calls and all(spec == "NATURAL" for _, spec in calls)
-        assert again.lam == first.lam
-        # a sub-mesh is a new mesh: it orders its own patterns (79 interior
-        # nodes, above _DENSE_MAX)
+        assert built == [n] and m.lu_layouts["bordered"] is m.lu_layouts["interior"]
+        assert ps.first_eigenpair(3.0, m, ps.lebesgue()).lam == first.lam
+        assert not hasattr(spectral, "splu")
+        # a sub-mesh is a new mesh: it builds its own (79 interior nodes,
+        # above _DENSE_MAX)
         centroids = np.mean(m.nodes[m.elements], axis=1)
         sub, _ = submesh(m, np.nonzero(centroids[:, 0] > 0.25)[0])
         assert np.count_nonzero(sub.interior) > spectral._DENSE_MAX
-        del calls[:]
         ps.first_eigenpair(3.0, sub, ps.lebesgue())
-        assert [spec for _, spec in calls].count("COLAMD") == 1
-        assert [sub.lu_layouts[name][0] for name in ("interior", "bordered")] == ["band", "sparse"]
-        # one of at most _DENSE_MAX unknowns (49) makes no sparse factor
+        assert built == [n, np.count_nonzero(sub.interior)]
+        assert sub.lu_layouts["bordered"] is sub.lu_layouts["interior"]
+        # one of at most _DENSE_MAX unknowns (49) is factored dense
         half, _ = submesh(m, np.arange(m.n_elements // 2))
-        del calls[:]
         ps.first_eigenpair(3.0, half, ps.lebesgue())
-        assert not calls and half.lu_layouts["bordered"][0] == "dense"
+        assert len(built) == 2 and [half.lu_layouts[k][0] for k in ("interior", "bordered")] == ["dense"] * 2
 
     @pytest.mark.parametrize("p", [2.0, 3.0, 6.0])
     def test_one_factorisation_per_step(self, monkeypatch, p):
-        # Newton steps factor the bordered matrix by splu, lagged steps the
-        # interior one by banded Cholesky
+        # each Newton step factors J once by banded LU and never tries
+        # Cholesky on it; lagged steps factor the interior matrix by banded
+        # Cholesky
         m = ps.build_mesh(ps.polygon_domain(_SQUARE), 4)
-        calls = _counted_splu(monkeypatch)
+        names = []
+        lu_solve = spectral._lu_solve
+
+        def counted(mesh, name, source):
+            names.append(name)
+            return lu_solve(mesh, name, source)
+
+        monkeypatch.setattr(spectral, "_lu_solve", counted)
         band = _counted_band(monkeypatch)
         pair = ps.first_eigenpair(p, m, ps.lebesgue())
         n = np.count_nonzero(m.interior)
-        newton = len(calls)
-        assert newton >= 1 and all(size == n + 1 for size, _ in calls)
-        assert all(size == n for size in band["pbtrf"]) and not band["gbtrf"]
+        newton = names.count("bordered")
+        lagged = names.count("interior")
+        assert newton >= 1 and band["gbtrf"] == [n] * newton
+        assert band["pbtrf"] == [n] * lagged
         if p == 2.0:
             # the lagged steps share one stiffness factor
-            assert len(band["pbtrf"]) == 1
+            assert lagged == 1
         else:
-            assert len(band["pbtrf"]) + newton == pair.iterations
+            assert lagged + newton == pair.iterations
 
     def test_failed_first_factorisation_caches_no_order(self):
         m = ps.build_mesh(ps.polygon_domain(_SQUARE), 2)
@@ -612,21 +628,24 @@ class TestBandFactor:
         monkeypatch.setattr(spectral, "_band_layout", counted)
         m = ps.build_mesh(ps.polygon_domain(_SQUARE), 4)
         n = np.count_nonzero(m.interior)
-        # lagged factors at p = 3, the p = 2 stiffness factor and deflation
+        # lagged and Newton factors at p = 3, the p = 2 stiffness factor and
+        # deflation
         ps.first_eigenpair(3.0, m, ps.lebesgue())
         pair = ps.first_eigenpair(2.0, m, ps.gaussian())
         ps.second_eigenvalue(2.0, m, ps.gaussian(), pair)
         assert built == [n]
-        _, src, position, kd, perm = m.lu_layouts["interior"]
+        _, src, position, kd, perm, general = m.lu_layouts["interior"]
         # the ordered square's bandwidth is about sqrt(n), against about n
         # in mesh order
         assert kd <= 31 and np.array_equal(np.sort(perm), np.arange(n))
         assert src.size == position.size == (m.pattern("interior")[1].size + n) // 2
+        assert general.shape == (2, src.size)
         # a new mesh with the same nodes builds its own, the same one
         other = Mesh(m.nodes, m.elements)
         ps.first_eigenpair(3.0, other, ps.lebesgue())
         assert built == [n, n]
-        assert all(np.array_equal(a, b) for a, b in zip(other.lu_layouts["interior"][1:], (src, position, kd, perm)))
+        layout = (src, position, kd, perm, general)
+        assert all(np.array_equal(a, b) for a, b in zip(other.lu_layouts["interior"][1:], layout, strict=True))
 
     @pytest.mark.parametrize("measure", sorted(_MEASURES))
     def test_indefinite_matrix_falls_back_to_band_lu(self, monkeypatch, measure):
@@ -697,12 +716,12 @@ class TestDenseFactor:
     def test_one_factor_for_every_p2_solve(self, monkeypatch, order_mesh, name, level, measure):
         # at p = 2 the lagged steps share one dense factor of the stiffness
         # matrix, and deflation one for all its Lanczos solves; each Newton
-        # step factors the bordered matrix. No sparse factor is made
+        # step factors the bordered matrix. No banded factor is made
         m = order_mesh(name, level, "mesh")
         n = np.count_nonzero(m.interior)
         assert n + 1 <= spectral._DENSE_MAX
         mu = _MEASURES[measure]
-        splu_calls = _counted_splu(monkeypatch)
+        band = _counted_band(monkeypatch)
         calls = _counted_lapack(monkeypatch)
         pair = ps.first_eigenpair(2.0, m, mu)
         newton = calls["getrf"].count(n + 1)
@@ -714,7 +733,7 @@ class TestDenseFactor:
             del calls[key][:]
         second = ps.second_eigenvalue(2.0, m, mu, pair)
         assert calls["getrf"] == [n] and calls["getrs"] == [n] * second.iterations
-        assert not splu_calls
+        assert band == {"pbtrf": [], "gbtrf": []}
 
 
 _SWEEP_CASES = {

@@ -181,6 +181,12 @@ class Mesh:
     `gradient_operator()` (built on first use, then kept), and element mass
     matrices the weights times `basis_products` (spectral._mass_local).
     Each serves one field or a block of rows alike.
+
+    Two caches are filled by the solver on first use and kept for the
+    mesh's lifetime: `lu_layouts`, the factor layouts of the interior
+    pattern's matrices, and `start_vector`, the read-only unnormalised
+    start of every ground-state solve (the distance to the boundary; see
+    spectral._start_vector), None until then.
     """
 
     def __init__(self, nodes, elements):
@@ -203,6 +209,9 @@ class Mesh:
         # of the interior pattern (reverse Cuthill-McKee order and band
         # gathers), one object shared by the interior and bordered matrices
         self.lu_layouts = {}
+        # the unnormalised ground-state start (spectral._start_vector),
+        # read-only, built by the first ground-state solve on this mesh
+        self.start_vector = None
         self._gradient_operator = None
         self._build_geometry()
 

@@ -266,6 +266,21 @@ def _distance_to_boundary(mesh):
     return d
 
 
+def _start_vector(mesh):
+    """The unnormalised start of every ground-state solve on `mesh`: the
+    distance to the boundary, built on first use and kept read-only in
+    `mesh.start_vector`."""
+    if mesh.start_vector is None:
+        u = _distance_to_boundary(mesh)
+        if not np.any(u[mesh.interior] > 0.0):
+            # a cut submesh is not convex: every interior node can lie on a
+            # boundary-edge line, so start from the interior indicator instead
+            u = mesh.interior.astype(float)
+        u.setflags(write=False)
+        mesh.start_vector = u
+    return mesh.start_vector
+
+
 def _normalize(mesh, values, p, measure):
     f = Field(mesh, values)
     nrm = lp_norm(f, p, measure)
@@ -522,12 +537,7 @@ def _ground_state(p, mesh, measure, opts):
     if not np.any(interior):
         raise ValueError("mesh has no interior nodes")
 
-    u = _distance_to_boundary(mesh)
-    if not np.any(u[interior] > 0.0):
-        # a cut submesh is not convex: every interior node can lie on a
-        # boundary-edge line, so start from the interior indicator instead
-        u = interior.astype(float)
-    u = _normalize(mesh, u, p, measure)
+    u = _normalize(mesh, _start_vector(mesh), p, measure)
     lam, b, r, res, terms = _euler_lagrange(p, mesh, measure, u)
     history = [lam]
     newton = False

@@ -9,20 +9,26 @@ tolerance tol = 1e-8 * int |grad u|^p dmu.
 
 The stability battery holds its fields as (block, n_nodes) arrays of 16
 rows: one uniform draw per block (equal to the per-field draws), one
-smoothing pass over the block with the node adjacency built once per call,
-and one reduction each for the energies, deficits and tolerances.  The
-distance inf_c int |u - c u1|^p dmu has one kernel for all rows at once,
-_convex_lp_min, whose root finder is _lp_argmin (safeguarded
+smoothing pass over the block with the node adjacency and degrees built
+once per call, and one reduction each for the energies, deficits and
+tolerances.  The distance inf_c int |u - c u1|^p dmu has one kernel for all
+rows at once, _convex_lp_min, whose root finder is _lp_argmin (safeguarded
 Newton-bisection on the increasing derivative, started from the L^2
 projection); its bracket and stop scale with the rows, so the distance is
-p-homogeneous at any amplitude.  What it needs of u1 alone (_lp_reference)
-is built once per battery, not per block.  The weighted Poincare check
+p-homogeneous at any amplitude.  _lp_argmin reads the derivatives from one
+of two evaluators, and p alone picks which: quadrature sums over the points
+(_quadrature_derivatives) at odd and non-integer p, and at p = 4, 6 and 8,
+where the objective is a polynomial in c, its coefficients from row moments
+built once per block (_moment_derivatives), so that no Newton step touches
+the quadrature points.  What it needs of u1 alone (_lp_reference) is built
+once per battery, not per block.  The weighted Poincare check
 takes its centering root t0 and inf_t int |f - t|^p w from one call of it,
 with v = 1.  Single-field functions call the same kernels on a one-row
 block.
 """
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -122,11 +128,12 @@ class PiconeResult:
 
 
 def _deficits(p, mesh, values, lambda1, measure):
-    """(deficit, int |grad u|^p dmu, u at the quadrature points) for each row u
-    of `values`, an (n_fields, n_nodes) block of nodal values."""
+    """(deficit, int |grad u|^p dmu, u at the quadrature points, int |u|^p dmu)
+    for each row u of `values`, an (n_fields, n_nodes) block of nodal values."""
     energy = gradient_energies(p, mesh.gradients(values), mesh.element_density_integrals(measure))
     uq = mesh.values_at_quad(values)
-    return energy - lambda1 * lp_energies(p, uq, mesh.measure_weights(measure)), energy, uq
+    lp = lp_energies(p, uq, mesh.measure_weights(measure))
+    return energy - lambda1 * lp, energy, uq, lp
 
 
 def deficit(p, u, lambda1, measure):
@@ -134,29 +141,26 @@ def deficit(p, u, lambda1, measure):
     return float(_deficits(p, u.mesh, u.values[None], lambda1, measure)[0][0])
 
 
-def _lp_argmin(p, ref, U, c, lo, hi, tol):
-    """Root c_r of F_r'(c) = -p sum W |U_r - c v|^(p-2) (U_r - c v) v for each
-    row U_r, with W, v and their products from `ref` (_lp_reference).
+def _lp_argmin(derivatives, c, lo, hi, tol):
+    """Root c_r of the increasing derivative F_r' for each row r, where
+    derivatives(rows, x) returns (F_r'(x_r), F_r''(x_r)) for the rows `rows`
+    at the points x: _quadrature_derivatives or _moment_derivatives.
 
-    This is the one 1-D root finder of the module.  F_r' increases and
-    changes sign on [lo_r, hi_r].  Each row takes Newton steps from c_r and
-    stops once |F_r'| <= tol_r, keeping the Newton step computed from that
-    last evaluation, or once its iterate no longer moves.  A step that
-    leaves the bracket, or fails to halve the step before last, is replaced
-    by bisection, so every row converges even where F_r'' is unbounded
-    (p < 2) or vanishes (p > 2).
+    This is the one 1-D root finder of the module.  F_r' changes sign on
+    [lo_r, hi_r].  Each row takes Newton steps from c_r and stops once
+    |F_r'| <= tol_r, keeping the Newton step computed from that last
+    evaluation, or once its iterate no longer moves.  A step that leaves
+    the bracket, or fails to halve the step before last, is replaced by
+    bisection, so every row converges even where F_r'' is unbounded (p < 2)
+    or vanishes (p > 2).
     """
     c, lo, hi, tol = (np.array(x, dtype=float) for x in (c, lo, hi, tol))
-    _, v, Wv, Wvv, _, _ = ref
     last = hi - lo
     before = last.copy()
     rows = np.arange(c.size)
     for _ in range(_ROOT_STEPS):
         x = c[rows]
-        d = U[rows] - x[:, None] * v
-        t = cpcore._guarded_power(np.abs(d), p - 2.0)
-        g = -p * ((t * d) @ Wv)
-        gp = p * (p - 1.0) * (t @ Wvv)
+        g, gp = derivatives(rows, x)
         r_lo = np.where(g < 0.0, x, lo[rows])
         r_hi = np.where(g > 0.0, x, hi[rows])
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -174,17 +178,85 @@ def _lp_argmin(p, ref, U, c, lo, hi, tol):
     return c
 
 
+def _quadrature_derivatives(p, ref, U):
+    """The evaluator of _lp_argmin for F_r(c) = sum W |U_r - c v|^p at any p:
+    F_r' = -p sum W |U_r - c v|^(p-2) (U_r - c v) v and F_r'' = p (p - 1)
+    sum W |U_r - c v|^(p-2) v v, by quadrature sums over the points of the
+    rows asked for."""
+    _, v, Wv, Wvv = ref[:4]
+
+    def derivatives(rows, x):
+        d = U[rows] - x[:, None] * v
+        t = cpcore._guarded_power(np.abs(d), p - 2.0)
+        return -p * ((t * d) @ Wv), p * (p - 1.0) * (t @ Wvv)
+
+    return derivatives
+
+
+def _moment_derivatives(p, ref, U, c0):
+    """(the evaluator of _lp_argmin, |F_r'(c0_r)|) at an even p of
+    _moment_order, where F_r is a polynomial in c.
+
+    With D_r = U_r - c0_r v and t = c - c0_r, F_r'(c) = sum_k a_rk t^k,
+    a_rk = -p C(p-1, k) (-1)^k m_rk, from the row moments m_rk = sum W
+    D_r^(p-1-k) v^(k+1), k = 0 .. p-1: p-2 block products and p-1
+    mat-vecs with the columns W v^(k+1) of `ref`, once per block.  Every
+    evaluation after that works on (rows, p) arrays.  The expansion point is
+    the start c0, not 0: near the eigenspace, where U_r - c v is small
+    against U_r, the moments of U_r itself would cancel in F_r' and F_r''.
+    """
+    n = int(p)
+    v, V = ref[1], ref[-1]
+    D = U - c0[:, None] * v
+    m = np.empty((len(U), n))
+    m[:, n - 1] = np.sum(V[n - 1])
+    power = D
+    for j in range(n - 2, -1, -1):
+        m[:, j] = power @ V[j]
+        if j:
+            power = power * D
+    k = np.arange(n)
+    # coef[r, 0] holds the a_rk of F_r', coef[r, 1] the k a_rk of F_r'' (in
+    # t^(k-1)), so that one contraction with the powers of t gives both
+    coef = np.zeros((len(U), 2, n))
+    coef[:, 0] = m * (-p * np.array([math.comb(n - 1, j) for j in k]) * (-1.0) ** k)
+    coef[:, 1, :-1] = coef[:, 0, 1:] * k[1:]
+
+    def derivatives(rows, x):
+        return np.einsum("rjk,rk->jr", coef[rows], (x - c0[rows])[:, None] ** k)
+
+    return derivatives, np.abs(coef[:, 0, 0])
+
+
+def _moment_order(p):
+    """p as an int where the distance kernel expands F_r in row moments: the
+    even exponents above 2 that cpcore._guarded_power multiplies out (4, 6
+    and 8); None at every other p."""
+    if p != 2.0 and p % 2.0 == 0.0 and p in cpcore._MULTIPLIED_POWERS:
+        return int(p)
+    return None
+
+
 def _lp_reference(p, W, v):
     """The row-independent arrays of the distance kernel for the weights W
     and the reference function v, both flattened: (W, v, W v, W v v, W |v|,
-    ||v||_p). A battery builds them once for all its blocks."""
+    ||v||_p, V), where V, at an even p of _moment_order, holds the rows W
+    v^(k+1), k = 0 .. p-1, of _moment_derivatives, and is None otherwise.
+    A battery builds them once for all its blocks."""
     W = W.ravel()
     v = v.ravel()
     nv = float(lp_energies(p, v, W)) ** (1.0 / p)
     if nv == 0.0:
         raise ValueError("reference function vanishes identically")
     Wv = W * v
-    return W, v, Wv, Wv * v, W * np.abs(v), nv
+    n = _moment_order(p)
+    V = None
+    if n is not None:
+        V = np.empty((n, v.size))
+        V[0] = Wv
+        for k in range(1, n):
+            V[k] = V[k - 1] * v
+    return W, v, Wv, Wv * v, W * np.abs(v), nv, V
 
 
 def _convex_lp_min(p, W, U, v):
@@ -192,27 +264,37 @@ def _convex_lp_min(p, W, U, v):
 
     W and v are shaped like one row of U; returns the arrays (F_r(c_r*), c_r*).
     """
-    return _reference_lp_min(p, _lp_reference(p, W, v), U)
-
-
-def _reference_lp_min(p, ref, U):
-    """_convex_lp_min for the rows of U, with W and v given by `ref`
-    (_lp_reference).  F_r is strictly convex and coercive for p > 1, and its
-    minimizer c* has |c*| ||v||_p <= ||U_r - c* v||_p + ||U_r||_p <= 2
-    ||U_r||_p, so it lies in [-B_r, B_r], B_r = 3 ||U_r||_p / ||v||_p.  At
-    p = 2 it is the L^2 projection c0 = <U_r, W v> / <v, W v>; otherwise
-    _lp_argmin starts there and stops at |F_r'| <= 1e-10 p sum W (|U_r| +
-    |c0 v|)^(p-1) |v|.  Bracket and stop scale with U_r as F_r' does, so
-    u -> s u gives s c* and s^p F_r(c*) at any s.
-    """
-    W, v, Wv, Wvv, Wav, nv = ref
+    ref = _lp_reference(p, W, v)
     U = U.reshape(len(U), -1)
+    return _reference_lp_min(p, ref, U, lp_energies(p, U, ref[0]))
+
+
+def _reference_lp_min(p, ref, U, energies):
+    """_convex_lp_min for the rows of U, with W and v given by `ref`
+    (_lp_reference) and the energies sum W |U_r|^p given.  F_r is strictly
+    convex and coercive for p > 1, and its minimizer c* has |c*| ||v||_p <=
+    ||U_r - c* v||_p + ||U_r||_p <= 2 ||U_r||_p, so it lies in [-B_r, B_r],
+    B_r = 3 ||U_r||_p / ||v||_p.  At p = 2 it is the L^2 projection c0 =
+    <U_r, W v> / <v, W v>.  Otherwise _lp_argmin starts there, reading F_r'
+    and F_r'' from the row moments at the even p of _moment_order and from
+    quadrature sums at every other p.  The quadrature path stops at |F_r'|
+    <= 1e-10 p sum W (|U_r| + |c0 v|)^(p-1) |v|; the moment path at |F_r'|
+    <= 1e-10 |F_r'(c0)|, which by the triangle inequality is at most that.
+    Bracket and stop scale with U_r as F_r' does, so u -> s u gives s c* and
+    s^p F_r(c*) at any s.  F_r(c*) is one direct quadrature sum on both
+    paths: its moment expansion would cancel near the eigenspace.
+    """
+    W, v, Wv, Wvv, Wav, nv, V = ref
     c = (U @ Wv) / np.sum(Wvv)
     if p != 2.0:
-        bound = 3.0 * lp_energies(p, U, W) ** (1.0 / p) / nv
-        scale = p * (cpcore._guarded_power(np.abs(U) + np.abs(c[:, None] * v), p - 1.0) @ Wav)
-        tol = 1e-10 * np.maximum(scale, 1e-300)
-        c = _lp_argmin(p, ref, U, np.clip(c, -bound, bound), -bound, bound, tol)
+        bound = 3.0 * energies ** (1.0 / p) / nv
+        start = np.clip(c, -bound, bound)
+        if V is None:
+            derivatives = _quadrature_derivatives(p, ref, U)
+            scale = p * (cpcore._guarded_power(np.abs(U) + np.abs(c[:, None] * v), p - 1.0) @ Wav)
+        else:
+            derivatives, scale = _moment_derivatives(p, ref, U, start)
+        c = _lp_argmin(derivatives, start, -bound, bound, 1e-10 * np.maximum(scale, 1e-300))
     return lp_energies(p, U - c[:, None] * v, W), c
 
 
@@ -286,8 +368,8 @@ def _stability_reports(p, domain, mesh, blocks, measure, eigenpair, constant):
     note = _POLYGON_NOTE if domain.kind == "polygon" and measure.kind == "lebesgue" else ""
     reports = []
     for values in blocks:
-        d, energy, uq = _deficits(p, mesh, values, eigenpair.lam, measure)
-        dist, c_star = _reference_lp_min(p, ref, uq)
+        d, energy, uq, lp = _deficits(p, mesh, values, eigenpair.lam, measure)
+        dist, c_star = _reference_lp_min(p, ref, uq.reshape(len(uq), -1), lp)
         rhs = constant * dist
         tol = TOL_QUAD_FACTOR * np.maximum(energy, 1e-300)
         margin = d - rhs
@@ -316,10 +398,18 @@ def stability_check(p, domain, u, measure, eigenpair=None, opts=None, constant_f
     return _stability_reports(p, domain, u.mesh, [u.values[None]], measure, eigenpair, constant)[0]
 
 
-def _random_fields(mesh, rng, n_fields, adj):
-    """(n_fields, n_nodes) smoothed zero-trace noise from one draw; row i
-    equals the i-th of n_fields sequential random_zero_trace_field calls."""
-    deg = np.asarray(adj.sum(axis=1)).ravel()[:, None]
+def _smoothing(mesh):
+    """(node adjacency, node degrees as a column): the neighbour averaging
+    of _random_fields, built once per battery."""
+    adj = mesh.node_adjacency()
+    return adj, np.asarray(adj.sum(axis=1)).ravel()[:, None]
+
+
+def _random_fields(mesh, rng, n_fields, smoothing):
+    """(n_fields, n_nodes) smoothed zero-trace noise from one draw, with the
+    (adjacency, degrees) of _smoothing(mesh); row i equals the i-th of
+    n_fields sequential random_zero_trace_field calls."""
+    adj, deg = smoothing
     values = rng.uniform(-1.0, 1.0, (n_fields, mesh.n_nodes)).T
     values[mesh.boundary_mask] = 0.0
     for _ in range(2):
@@ -336,7 +426,7 @@ def random_zero_trace_field(mesh, rng):
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    values = _random_fields(mesh, rng, 1, mesh.node_adjacency())
+    values = _random_fields(mesh, rng, 1, _smoothing(mesh))
     return Field(mesh, values[0])
 
 
@@ -344,9 +434,13 @@ def stability_battery(p, domain, mesh, measure, n_fields, seed=0, eigenpair=None
     """Seeded random-field battery; returns one StabilityReport per field.
 
     The fields are drawn, smoothed and checked in blocks of _BLOCK_FIELDS
-    rows; what does not depend on the field (u1 at the quadrature points,
-    ||u1||_p and its weighted products) is computed once per call, not per
-    block.  A block draw equals the per-field draws, so field i is the i-th
+    rows; what does not depend on the field (the node adjacency and
+    degrees, u1 at the quadrature points, ||u1||_p and its weighted
+    products and powers) is computed once per call, not per block.  The
+    distance of a block reuses the block's int |u|^p dmu from its deficits;
+    at p = 4, 6 and 8 its Newton steps work on the block's row moments and
+    stop at |F'| <= 1e-10 |F'(c0)| (see _reference_lp_min).  A block draw
+    equals the per-field draws, so field i is the i-th
     random_zero_trace_field of the seeded stream, and report i agrees with
     that field's stability_check: the same verdict, p, lambda1, constant
     and note, the deficit, tolerance and margin to 1e-12 relative, the
@@ -357,8 +451,8 @@ def stability_battery(p, domain, mesh, measure, n_fields, seed=0, eigenpair=None
     constant = _bound_constant(p, domain, constant_factor)
     eigenpair = _ground_state(p, mesh, measure, eigenpair, opts)
     rng = np.random.default_rng(seed)
-    adj = mesh.node_adjacency()
-    blocks = (_random_fields(mesh, rng, min(_BLOCK_FIELDS, n_fields - start), adj)
+    smoothing = _smoothing(mesh)
+    blocks = (_random_fields(mesh, rng, min(_BLOCK_FIELDS, n_fields - start), smoothing)
               for start in range(0, n_fields, _BLOCK_FIELDS))
     return _stability_reports(p, domain, mesh, blocks, measure, eigenpair, constant)
 

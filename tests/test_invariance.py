@@ -154,7 +154,7 @@ def test_battery_p_homogeneity(cache, name, measure, p, seed, c, sign):
     mu = ps.lebesgue() if measure == "lebesgue" else ps.gaussian()
     domain = cache.domain(name)
     constant = verify._bound_constant(p, domain, 1.0)
-    values = verify._random_fields(mesh, np.random.default_rng(seed), verify._BLOCK_FIELDS, mesh.node_adjacency())
+    values = verify._random_fields(mesh, np.random.default_rng(seed), verify._BLOCK_FIELDS, verify._smoothing(mesh))
     reports = [verify._stability_reports(p, domain, mesh, [block], mu, pair, constant) for block in (values, c * values)]
     scale = abs(c) ** p
     for one, scaled in zip(*reports):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import plapstab as ps
@@ -12,6 +12,7 @@ from plapstab.spectral import gradient_energies
 from plapstab.verify import (
     _convex_lp_min,
     _random_fields,
+    _smoothing,
     _weight_array,
     centering_root,
     cp_remainder,
@@ -579,7 +580,7 @@ class TestCsv:
 class TestBatchedBattery:
     @pytest.mark.parametrize("measure", ["lebesgue", "gaussian"])
     @pytest.mark.parametrize("name, level", [("interval01", 3), ("square", 2)])
-    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 6.0])
     def test_matches_single_field_checks(self, cache, p, name, level, measure):
         domain, mesh = cache.domain(name), cache.mesh(name, level)
         meas = ps.lebesgue() if measure == "lebesgue" else ps.gaussian()
@@ -600,7 +601,7 @@ class TestBatchedBattery:
     @pytest.mark.parametrize("name, level", [("interval01", 3), ("square", 2)])
     def test_block_draw_equals_sequential_draws(self, cache, name, level):
         mesh = cache.mesh(name, level)
-        block = _random_fields(mesh, np.random.default_rng(4), 20, mesh.node_adjacency())
+        block = _random_fields(mesh, np.random.default_rng(4), 20, _smoothing(mesh))
         rng = np.random.default_rng(4)
         one_by_one = np.array([ps.random_zero_trace_field(mesh, rng).values for _ in range(20)])
         assert np.array_equal(block, one_by_one)
@@ -624,6 +625,9 @@ class TestDistanceKernel:
     @_PROPERTY
     @given(p=_EXPONENTS, seed=_SEEDS,
            s=st.floats(0.1, 10.0), sign=st.sampled_from([-1.0, 1.0]))
+    @example(p=4.0, seed=1, s=3.7, sign=-1.0)
+    @example(p=6.0, seed=2, s=0.3, sign=1.0)
+    @example(p=8.0, seed=3, s=7.1, sign=-1.0)
     def test_scaling(self, p, seed, s, sign):
         W, U, v = _lp_problem(seed)
         dist, c = _convex_lp_min(p, W, U, v)
@@ -633,6 +637,9 @@ class TestDistanceKernel:
 
     @_PROPERTY
     @given(p=_EXPONENTS, seed=_SEEDS, t=st.floats(-5.0, 5.0))
+    @example(p=4.0, seed=4, t=-2.3)
+    @example(p=6.0, seed=5, t=4.1)
+    @example(p=8.0, seed=6, t=0.7)
     def test_eigenspace_shift(self, p, seed, t):
         W, U, v = _lp_problem(seed)
         dist, c = _convex_lp_min(p, W, U, v)
@@ -642,6 +649,9 @@ class TestDistanceKernel:
 
     @_PROPERTY
     @given(p=_EXPONENTS, seed=_SEEDS)
+    @example(p=4.0, seed=7)
+    @example(p=6.0, seed=8)
+    @example(p=8.0, seed=9)
     def test_rows_equal_one_row_calls(self, p, seed):
         W, U, v = _lp_problem(seed, n_rows=5)
         dist, c = _convex_lp_min(p, W, U, v)
@@ -657,3 +667,72 @@ class TestDistanceKernel:
         dist, _ = _convex_lp_min(p, W, U, v)
         golden = [golden_lp_min(p, W, u, v) for u in U]
         np.testing.assert_allclose(dist, golden, rtol=1e-12)
+
+
+class TestMomentPath:
+    """The even exponents 4, 6 and 8, where the distance kernel reads F_r'
+    and F_r'' from row moments instead of quadrature sums."""
+
+    def test_p_alone_picks_the_evaluator(self):
+        assert [verify._moment_order(p) for p in (4.0, 6.0, 8.0, 4)] == [4, 6, 8, 4]
+        assert all(verify._moment_order(p) is None for p in (1.5, 2.0, 3.0, 4.5, 5.0, 10.0))
+        W, _, v = _lp_problem(0)
+        assert verify._lp_reference(3.0, W, v)[-1] is None
+        assert verify._lp_reference(6.0, W, v)[-1].shape == (6, v.size)
+
+    @pytest.mark.parametrize("p", [4.0, 6.0, 8.0])
+    @_PROPERTY
+    @given(seed=_SEEDS, shift=st.floats(-2.0, 2.0))
+    def test_matches_quadrature_evaluator(self, p, seed, shift):
+        W, U, v = _lp_problem(seed)
+        ref = verify._lp_reference(p, W, v)
+        c0 = (U @ ref[2]) / np.sum(ref[3])
+        moments, _ = verify._moment_derivatives(p, ref, U, c0)
+        quadrature = verify._quadrature_derivatives(p, ref, U)
+        rows = np.arange(len(U))
+        for x in (c0, c0 + shift, c0 - 0.1 * shift):
+            d = np.abs(U - x[:, None] * v) + np.abs(v)
+            size = p * (p - 1.0) * np.sum(W * d ** (p - 1.0), axis=1)
+            for got, want in zip(moments(rows, x), quadrature(rows, x), strict=True):
+                assert np.all(np.abs(got - want) <= 1e-12 * size)
+
+    @pytest.mark.parametrize("p", [4.0, 6.0, 8.0])
+    @_PROPERTY
+    @given(seed=_SEEDS)
+    def test_root_matches_quadrature_path_and_golden_section(self, p, seed):
+        W, U, v = _lp_problem(seed)
+        ref = verify._lp_reference(p, W, v)
+        energies = ps.spectral.lp_energies(p, U, W)
+        bound = 3.0 * energies ** (1.0 / p) / ref[5]
+        c0 = np.clip((U @ ref[2]) / np.sum(ref[3]), -bound, bound)
+        moments, scale = verify._moment_derivatives(p, ref, U, c0)
+        quadrature = verify._quadrature_derivatives(p, ref, U)
+        c_m = verify._lp_argmin(moments, c0, -bound, bound, 1e-10 * scale)
+        c_q = verify._lp_argmin(quadrature, c0, -bound, bound, 1e-10 * scale)
+        np.testing.assert_allclose(c_m, c_q, rtol=1e-12, atol=1e-14)
+        dist, c = _convex_lp_min(p, W, U, v)
+        assert np.array_equal(c, c_m)
+        golden = [golden_lp_min(p, W, u, v) for u in U]
+        np.testing.assert_allclose(dist, golden, rtol=1e-12)
+
+    @pytest.mark.parametrize("p", [4.0, 6.0, 8.0])
+    @_PROPERTY
+    @given(seed=_SEEDS, a=st.floats(-3.0, 3.0).filter(lambda a: abs(a) > 0.1))
+    def test_near_eigenspace_rows(self, p, seed, a):
+        # ||U - c* v||_p is about 1e-6 of ||U||_p, so the distance is about
+        # 1e-6p of sum W |U|^p: the moments of U itself would cancel in F'
+        W, U, v = _lp_problem(seed)
+        U = a * v + 1e-6 * U
+        dist, _ = _convex_lp_min(p, W, U, v)
+        assert np.all(dist <= 1e-15 * ps.spectral.lp_energies(p, U, W))
+        golden = [golden_lp_min(p, W, u, v) for u in U]
+        np.testing.assert_allclose(dist, golden, rtol=1e-8)
+
+    @pytest.mark.parametrize("p", [4.0, 6.0, 8.0])
+    @pytest.mark.parametrize("a", [1.0, -0.37, 2.5e3])
+    def test_exact_multiple_of_v(self, p, a):
+        W, _, v = _lp_problem(11)
+        U = a * v[None]
+        dist, c = _convex_lp_min(p, W, U, v)
+        assert dist[0] <= 1e-40 * ps.spectral.lp_energies(p, U, W)[0]
+        assert abs(c[0] - a) <= 1e-14 * abs(a)

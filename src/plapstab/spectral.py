@@ -2,20 +2,24 @@
 
 The ground state solves the discrete Euler-Lagrange system A_p(u) =
 lambda B_p(u) of the Rayleigh quotient int |grad u|^p dmu / int |u|^p dmu
-over zero-trace P1 fields, normalised by int |u|^p dmu = 1. One loop stops
+over zero-trace P1 fields, normalised by int |u|^p dmu = 1. It is converged
 when the relative residual |A_p(u) - R(u) B_p(u)| / |A_p(u)| on the interior
 dofs is at most `SolverOptions.tol`, or at most the rounding floor of that
-residual where this is higher (on fine 1-D meshes). Its first steps are
-lagged-diffusivity (inverse power) steps: each solves a linear system whose
-element weights freeze (|grad u|^2 + eps^2)^((p-2)/2) at the iterate, with
-eps on a fixed decreasing schedule. Once such a step lowers the quotient by
-1e-3 relative or less, Newton steps on the bordered system [J, -b; b^T, 0]
-take over, with b = B_p(u) and J the Jacobian of the residual. Both
-directions backtrack by halving the step length until the quotient drops;
-a singular bordered system counts as a failed Newton direction.
-The second eigenvalue uses shift-invert Lanczos (ARPACK) in the complement
-of the ground state for p = 2 and otherwise a hyperplane-cut
-two-nodal-domain estimator (a certified upper bound). Along each direction
+residual where this is higher (on fine 1-D meshes). At p = 2 the system is
+the linear K u = lambda M u, and both p = 2 pairs come from one kernel,
+shift-invert Lanczos on the stiffness factor (_lanczos; Ericsson and Ruhe,
+Math. Comp. 35, 1980): the ground state from the start vector, the second
+pair in the M-complement of the ground state. At every other p one loop
+takes outer steps. Its first steps are lagged-diffusivity (inverse power)
+steps: each solves a linear system whose element weights freeze (|grad
+u|^2 + eps^2)^((p-2)/2) at the iterate, with eps on a fixed decreasing
+schedule. Once such a step lowers the quotient by 1e-3 relative or less,
+Newton steps on the bordered system [J, -b; b^T, 0] take over, with b =
+B_p(u) and J the Jacobian of the residual. Both directions backtrack by
+halving the step length until the quotient drops; a singular bordered
+system counts as a failed Newton direction.
+The second eigenvalue at p != 2 is a hyperplane-cut two-nodal-domain
+estimator (a certified upper bound). Along each direction
 it finds the cut where the two sides' lambda1 cross by a search seeded at
 the previous direction's crossing: it gallops by 1, 2, 4, ... cuts from
 there to bracket the crossing and bisects the bracket. A side's lambda1 is
@@ -38,8 +42,8 @@ weights |grad u|^(p-2), |u|^(p-2) take their powers from
 `cpcore._guarded_power`, which multiplies out integer exponents up to 8.
 Every linear solve is a direct factor (`_lu_solve`) of one of two
 matrices on the interior pattern: the interior matrix of the lagged steps
-and of deflation (symmetric, with positive element weights), and the
-bordered Newton matrix [J, -b; b^T, 0]. At most _DENSE_MAX = 64 unknowns
+and of the p = 2 stiffness (symmetric, with positive element weights), and
+the bordered Newton matrix [J, -b; b^T, 0]. At most _DENSE_MAX = 64 unknowns
 (as on most of the cut sweep's sides; dense wins up to about 100,
 measured), the data is gathered into a dense column-major array and
 factored by LAPACK (`getrf`/`getrs`). Above it, both matrices use one band
@@ -51,9 +55,8 @@ lagged matrix that is only numerically semidefinite. The bordered matrix
 is solved by block elimination on the banded LU of J with one refinement
 step; J is singular up to rounding at a converged iterate, so Cholesky is
 not tried on it. The mesh keeps the layouts (`Mesh.lu_layouts`), never a
-factor. At p = 2 the lagged steps share one factor of the stiffness matrix,
-released before the first Newton step, and deflation keeps one for its
-Lanczos solves; every other factor serves one solve.
+factor. A p = 2 Lanczos run keeps one factor of the stiffness matrix for
+all its solves; every other factor serves one solve.
 """
 
 import warnings
@@ -63,7 +66,6 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg.lapack import dgbtrf as _gbtrf, dgbtrs as _gbtrs, dgetrf as _getrf, dgetrs as _getrs
 from scipy.linalg.lapack import dpbtrf as _pbtrf, dpbtrs as _pbtrs
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .cpcore import _check_p, _guarded_power
 from .geometry import Field, submesh
@@ -98,6 +100,9 @@ _CUT_DIRECTIONS = 32
 # dense loses from about 110 (143 against 126 us at 113, 171 against 142
 # us at 127, 658 against 175 us at 255)
 _DENSE_MAX = 64
+# Krylov estimate of the shift-invert Lanczos steps at which rounding, not
+# the Krylov space, bounds the true residual
+_LANCZOS_ROUNDING = 2.0**-52
 
 
 @dataclass
@@ -106,8 +111,9 @@ class SolverOptions:
 
     `tol` is the relative residual at which the ground state (or at its
     rounding floor, if higher) and deflation count as converged.
-    `max_outer` caps the ground state's outer steps and deflation's Lanczos
-    restarts. `seed` seeds deflation's start vector. The linear solves
+    `max_outer` caps the ground state's outer steps at p != 2 and the
+    Lanczos steps (one solve each) of both p = 2 pairs. `seed` seeds
+    deflation's start vector. The linear solves
     are direct, with no tolerance and no choice of solver: dense LAPACK LU
     up to _DENSE_MAX = 64 unknowns (where it is the faster one, measured);
     above it, banded Cholesky in reverse Cuthill-McKee order for the
@@ -148,10 +154,14 @@ class EigenPair:
         return self.estimator == "nodal-cut"
 
     def to_json_dict(self, mesh_file=None):
+        """The report entry of the pair; `residual` and `residual_floor` are
+        NaN where not computed, which a report writes as null."""
         return {
             "lambda": float(self.lam),
             "iterations": int(self.iterations),
             "residual_history": [float(r) for r in self.residual_history],
+            "residual": float(self.residual),
+            "residual_floor": float(self.residual_floor),
             "normalized": True,
             "converged": bool(self.converged),
             "estimator": self.estimator,
@@ -504,28 +514,114 @@ def _lu_solve(mesh, name, source):
     return solve
 
 
+def _lanczos(mesh, measure, start, against, opts):
+    """Shift-invert Lanczos for the least eigenpair of K x = lambda M x on
+    the interior dofs (K the stiffness, M the mass matrix of `measure`), in
+    the M-complement of the interior vector `against` if it is not None.
+
+    Lanczos on K^-1 M, self-adjoint in the M inner product, from the
+    interior vector `start`, with full reorthogonalisation (classical
+    Gram-Schmidt, twice) against the basis and `against`; every step is one
+    solve with the one factor of K (_lu_solve). The Krylov estimate of step
+    j is beta_j |s_j| / theta, theta the largest Ritz value of the
+    tridiagonal T_j and s its eigenvector: the relative M-norm residual of
+    the shift-inverted pair. Once it is at or below 1e-2 `opts.tol`, each
+    step checks the true relative residual |K x - R M x| / |K x| of the
+    Ritz vector x (R its Rayleigh quotient, the `against` part of the
+    residual removed) and stops when that is at most `opts.tol`. It also
+    stops when the estimate is at rounding level (_LANCZOS_ROUNDING),
+    where no step can lower the true residual, when the Krylov space is
+    invariant, and after `opts.max_outer` steps. Returns (x, the Ritz
+    values 1 / theta of every step, which do not increase, so that their
+    number is that of the solves, the true relative residual of x).
+    """
+    K = _assemble_csc(mesh, _stiffness_local(mesh, mesh.element_density_integrals(measure)))
+    M = _assemble_csc(mesh, _mass_local(mesh, mesh.measure_weights(measure)))
+    solve = _lu_solve(mesh, "interior", K.data)
+    # rows kept M-orthonormal: `against` first, if given, then the basis
+    basis, m_basis = [], []
+    if against is not None:
+        m_against = M @ against
+        scale = np.sqrt(float(against @ m_against))
+        basis.append(against / scale)
+        m_basis.append(m_against / scale)
+    locked = len(basis)
+    dim = start.size - locked
+
+    def orthogonalise(w):
+        # classical Gram-Schmidt against every kept row, twice; returns the
+        # coefficients of the two passes summed, the M-norm and M w
+        h = np.zeros(len(basis))
+        if basis:
+            rows, m_rows = np.array(basis), np.array(m_basis)
+            for _ in range(2):
+                c = m_rows @ w
+                w = w - c @ rows
+                h += c
+        mw = M @ w
+        return w, h, np.sqrt(float(w @ mw)), mw
+
+    q, _, norm, mq = orthogonalise(start)
+    basis.append(q / norm)
+    m_basis.append(mq / norm)
+
+    def residual(s):
+        x = s @ np.array(basis[locked:locked + s.size])
+        kx, mx = K @ x, M @ x
+        r = kx - (float(x @ kx) / float(x @ mx)) * mx
+        if locked:
+            r -= m_basis[0] * float(basis[0] @ r)
+        return x, float(np.linalg.norm(r) / np.linalg.norm(kx))
+
+    alpha, beta, ritz = [], [], []
+    s = np.ones(1)
+    for j in range(1, opts.max_outer + 1):
+        w, h, b, mw = orthogonalise(solve(m_basis[-1]))
+        alpha.append(h[-1])
+        beta.append(b)
+        # eigenpairs of the tridiagonal T_j: its diagonal alpha, off it beta
+        theta, vectors = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1))
+        s = vectors[:, -1]
+        ritz.append(1.0 / theta[-1])
+        estimate = b * abs(s[-1]) / theta[-1]
+        final = estimate <= _LANCZOS_ROUNDING or j == dim
+        if final or estimate <= 1e-2 * opts.tol:
+            x, rel = residual(s)
+            if final or rel <= opts.tol:
+                return x, ritz, rel
+        basis.append(w / b)
+        m_basis.append(mw / b)
+    x, rel = residual(s)
+    return x, ritz, rel
+
+
 def first_eigenpair(p, mesh, measure, opts=None):
     """Ground state of the Dirichlet (Gaussian) p-Laplacian on the mesh.
 
-    Each outer step takes a lagged-diffusivity direction while those steps
-    lower the Rayleigh quotient by more than _NEWTON_DROP relative, and the
-    Newton direction of the bordered Euler-Lagrange system after that. The
-    step length halves from 1 until the quotient drops (a Newton step also
-    passes when it rises by at most _NEWTON_RISE relative while the residual
-    falls). A direction that finds no step hands over to the other one; two
-    such failures in a row end the solve. It stops once the relative
-    residual is at most max(`opts.tol`, its rounding floor), and `converged`
-    says exactly that.
-    Returns an EigenPair with a non-increasing (to _NEWTON_RISE) Rayleigh
-    history; non-convergence is reported through EigenPair.converged and a
-    warning, not raised.
+    At p = 2 it is the Ritz vector of _lanczos from the start vector:
+    `iterations` counts its solves and the history holds its Ritz values.
+    At every other p each outer step takes a lagged-diffusivity direction
+    while those steps lower the Rayleigh quotient by more than _NEWTON_DROP
+    relative, and the Newton direction of the bordered Euler-Lagrange
+    system after that. The step length halves from 1 until the quotient
+    drops (a Newton step also passes when it rises by at most _NEWTON_RISE
+    relative while the residual falls). A direction that finds no step
+    hands over to the other one; two such failures in a row end the solve.
+    It stops once the relative residual is at most max(`opts.tol`, its
+    rounding floor). At every p `converged` says that the relative residual
+    of the returned pair is at most that, and lambda is its Rayleigh
+    quotient.
+    Returns an EigenPair with a non-increasing (to _NEWTON_RISE, or to
+    rounding at p = 2) Rayleigh history; non-convergence is reported
+    through EigenPair.converged and a warning, not raised.
     """
     _check_p(p)
     opts = opts or SolverOptions()
     pair = _ground_state(p, mesh, measure, opts)
     if not pair.converged:
+        steps = "shift-invert solves" if p == 2.0 else "outer steps"
         warnings.warn(
-            f"first_eigenpair stopped after {pair.iterations} outer steps at relative residual "
+            f"first_eigenpair stopped after {pair.iterations} {steps} at relative residual "
             f"{pair.residual:.3e} > max(tol {opts.tol:g}, rounding floor {pair.residual_floor:.3e})"
         )
     return pair
@@ -537,63 +633,15 @@ def _ground_state(p, mesh, measure, opts):
     if not np.any(interior):
         raise ValueError("mesh has no interior nodes")
 
-    u = _normalize(mesh, _start_vector(mesh), p, measure)
-    lam, b, r, res, terms = _euler_lagrange(p, mesh, measure, u)
-    history = [lam]
-    newton = False
-    solve = None
-    lagged = failures = it = 0
-    while res > opts.tol and it < opts.max_outer and failures < 2:
-        # the floor costs about one residual; lagged steps stay far above it.
-        # In Newton mode the terms of u are at hand: u was just accepted, or
-        # a lagged direction from it failed
-        if newton:
-            floor = _residual_floor(p, mesh, terms, r + lam * b)
-            if res <= floor:
-                break
-        it += 1
-        d = np.zeros(mesh.n_nodes)
-        if newton:
-            # at p = 2 the lagged factor is the iterate-free stiffness matrix;
-            # drop it before the first bordered factorisation
-            solve = None
-            # J comes from the terms of the evaluation that accepted u
-            source = np.concatenate([_scatter(mesh, _jacobian(p, mesh, lam, terms)), b, -b])
-            try:
-                # u is normalised, so the normalisation row has zero right side
-                d[interior] = _lu_solve(mesh, "bordered", source)(np.append(-r, 0.0))[:-1]
-            except RuntimeError:
-                # exactly singular, as where an interior node of a cut
-                # sub-mesh touches no other interior node and u and grad u
-                # vanish around it: a failed direction, like a failed halving
-                d = None
-        else:
-            if solve is None or p != 2.0:
-                solve = None  # the last lagged factor goes before the next is made
-                # lagged diffusivity (|grad u|^2 + eps^2)^((p-2)/2) on the
-                # fixed schedule eps = max(1e-8, 1e-2 2^-k) of lagged step k
-                g = mesh.gradients(u)
-                eps = max(1e-8, 1e-2 * 0.5**lagged)
-                weights = (np.sum(g * g, axis=1) + eps * eps) ** (0.5 * (p - 2.0))
-                de = mesh.element_density_integrals(measure)
-                solve = _lu_solve(mesh, "interior", _scatter(mesh, _stiffness_local(mesh, de * weights)))
-            d[interior] = solve(b)
-            d = _normalize(mesh, d, p, measure) - u
-            lagged += 1
-        t = 1.0
-        for _ in range(0 if d is None else _MAX_HALVINGS):
-            v = _normalize(mesh, u + t * d, p, measure)
-            lam_v, b_v, r_v, res_v, terms_v = _euler_lagrange(p, mesh, measure, v)
-            if lam_v < lam or (newton and lam_v <= lam * (1.0 + _NEWTON_RISE) and res_v < res):
-                failures = 0
-                newton = newton or lam - lam_v <= _NEWTON_DROP * lam
-                u, lam, b, r, res, terms = v, lam_v, b_v, r_v, res_v, terms_v
-                break
-            t *= 0.5
-        else:
-            failures += 1
-            newton = not newton
-        history.append(lam)
+    if p == 2.0:
+        x, history, _ = _lanczos(mesh, measure, _start_vector(mesh)[interior], None, opts)
+        it = len(history)
+        u = np.zeros(mesh.n_nodes)
+        u[interior] = x
+        u = _normalize(mesh, u, p, measure)
+        lam, b, r, res, terms = _euler_lagrange(p, mesh, measure, u)
+    else:
+        u, lam, b, r, res, terms, history, it = _outer_loop(p, mesh, measure, opts)
 
     if np.sum(u) < 0.0:
         u = -u
@@ -611,48 +659,79 @@ def _ground_state(p, mesh, measure, opts):
     )
 
 
+def _outer_loop(p, mesh, measure, opts):
+    """The outer steps of _ground_state at p != 2, from the start vector:
+    (u, R, b, r, relative residual, terms of u, Rayleigh history, steps)."""
+    interior = mesh.interior
+    u = _normalize(mesh, _start_vector(mesh), p, measure)
+    lam, b, r, res, terms = _euler_lagrange(p, mesh, measure, u)
+    history = [lam]
+    newton = False
+    lagged = failures = it = 0
+    while res > opts.tol and it < opts.max_outer and failures < 2:
+        # the floor costs about one residual; lagged steps stay far above it.
+        # In Newton mode the terms of u are at hand: u was just accepted, or
+        # a lagged direction from it failed
+        if newton:
+            floor = _residual_floor(p, mesh, terms, r + lam * b)
+            if res <= floor:
+                break
+        it += 1
+        d = np.zeros(mesh.n_nodes)
+        if newton:
+            # J comes from the terms of the evaluation that accepted u
+            source = np.concatenate([_scatter(mesh, _jacobian(p, mesh, lam, terms)), b, -b])
+            try:
+                # u is normalised, so the normalisation row has zero right side
+                d[interior] = _lu_solve(mesh, "bordered", source)(np.append(-r, 0.0))[:-1]
+            except RuntimeError:
+                # exactly singular, as where an interior node of a cut
+                # sub-mesh touches no other interior node and u and grad u
+                # vanish around it: a failed direction, like a failed halving
+                d = None
+        else:
+            # lagged diffusivity (|grad u|^2 + eps^2)^((p-2)/2) on the fixed
+            # schedule eps = max(1e-8, 1e-2 2^-k) of lagged step k
+            g = mesh.gradients(u)
+            eps = max(1e-8, 1e-2 * 0.5**lagged)
+            weights = (np.sum(g * g, axis=1) + eps * eps) ** (0.5 * (p - 2.0))
+            de = mesh.element_density_integrals(measure)
+            d[interior] = _lu_solve(mesh, "interior", _scatter(mesh, _stiffness_local(mesh, de * weights)))(b)
+            d = _normalize(mesh, d, p, measure) - u
+            lagged += 1
+        t = 1.0
+        for _ in range(0 if d is None else _MAX_HALVINGS):
+            v = _normalize(mesh, u + t * d, p, measure)
+            lam_v, b_v, r_v, res_v, terms_v = _euler_lagrange(p, mesh, measure, v)
+            if lam_v < lam or (newton and lam_v <= lam * (1.0 + _NEWTON_RISE) and res_v < res):
+                failures = 0
+                newton = newton or lam - lam_v <= _NEWTON_DROP * lam
+                u, lam, b, r, res, terms = v, lam_v, b_v, r_v, res_v, terms_v
+                break
+            t *= 0.5
+        else:
+            failures += 1
+            newton = not newton
+        history.append(lam)
+
+    return u, lam, b, r, res, terms, history, it
+
+
 def _deflated_second(p, mesh, measure, u1, opts):
-    """Shift-invert Lanczos (ARPACK's `eigsh`, sigma = 0) in the
-    M-complement of span(u1), p = 2 only: each step solves with the interior
-    stiffness factor and projects against u1. `converged` means the relative
+    """The second pair at p = 2: _lanczos against the ground state u1, from
+    the uniform start vector of `opts.seed`. `converged` means the relative
     residual |K v - theta M v| / |K v| (u1 part removed, theta the Rayleigh
-    quotient) is at most `opts.tol`, whatever ARPACK says; `iterations`
-    counts the solves.
+    quotient) is at most `opts.tol`; `iterations` counts the solves and
+    `residual_history` holds the Ritz values.
     """
     interior = mesh.interior
-    K = _assemble_csc(mesh, _stiffness_local(mesh, mesh.element_density_integrals(measure)))
-    M = _assemble_csc(mesh, _mass_local(mesh, mesh.measure_weights(measure)))
     u1i = u1.values[interior]
     n = u1i.size
     if n < 2:
         raise ValueError("mesh has too few interior nodes for a second eigenvalue")
-    solve = _lu_solve(mesh, "interior", K.data)
-    Mu1 = M @ u1i
-    Mu1 /= float(u1i @ Mu1)
-    solves = 0
-
-    def project(x):
-        # x - u1 (u1' M x) / (u1' M u1): M-orthogonal to u1
-        return x - u1i * float(Mu1 @ x)
-
-    def shift_invert(x):
-        nonlocal solves
-        solves += 1
-        return project(solve(x))
-
-    v0 = project(np.random.default_rng(opts.seed).uniform(-1.0, 1.0, n))
-    try:
-        _, x = eigsh(K, k=1, M=M, sigma=0.0, which="LM", OPinv=LinearOperator((n, n), shift_invert, dtype=float),
-                     v0=v0, tol=1e-2 * opts.tol, maxiter=opts.max_outer)
-        v = x[:, 0]
-    except ArpackNoConvergence:
-        # with k = 1 nothing converged: the start vector stands in
-        v = v0
-    Kv, Mv = K @ v, M @ v
-    theta = float(v @ Kv) / float(v @ Mv)
-    resid = Kv - theta * Mv
-    resid -= Mu1 * float(u1i @ resid)
-    rel = float(np.linalg.norm(resid) / np.linalg.norm(Kv))
+    start = np.random.default_rng(opts.seed).uniform(-1.0, 1.0, n)
+    v, ritz, rel = _lanczos(mesh, measure, start, u1i, opts)
+    solves = len(ritz)
     converged = rel <= opts.tol
     if not converged:
         warnings.warn(
@@ -665,7 +744,7 @@ def _deflated_second(p, mesh, measure, u1, opts):
     return EigenPair(
         lam=rayleigh_quotient(p, Field(mesh, values), measure),
         field=Field(mesh, values),
-        residual_history=[theta],
+        residual_history=ritz,
         iterations=solves,
         converged=converged,
         estimator="deflation",
@@ -833,8 +912,9 @@ def _cut_sweep_second(p, mesh, measure, opts):
 def second_eigenvalue(p, mesh, measure, u1pair, opts=None):
     """Second Dirichlet eigenvalue.
 
-    p = 2 uses shift-invert Lanczos deflated against the converged ground
-    state `u1pair` and converges to the discrete lambda_2.  Every other p
+    p = 2 uses shift-invert Lanczos (_lanczos) in the M-complement of the
+    converged ground state `u1pair` and converges to the discrete lambda_2;
+    `iterations` counts its solves.  Every other p
     uses the hyperplane-cut sweep, which returns a certified upper bound
     (is_upper_bound is set; `u1pair` is not used and may be None); its glued
     sign-changing field is an admissible candidate, not an eigenfunction.

@@ -141,26 +141,33 @@ def deficit(p, u, lambda1, measure):
     return float(_deficits(p, u.mesh, u.values[None], lambda1, measure)[0][0])
 
 
-def _lp_argmin(derivatives, c, lo, hi, tol):
+def _lp_argmin(derivatives, c, lo, hi):
     """Root c_r of the increasing derivative F_r' for each row r, where
     derivatives(rows, x) returns (F_r'(x_r), F_r''(x_r)) for the rows `rows`
     at the points x: _quadrature_derivatives or _moment_derivatives.
 
     This is the one 1-D root finder of the module.  F_r' changes sign on
     [lo_r, hi_r].  Each row takes Newton steps from c_r and stops once
-    |F_r'| <= tol_r, keeping the Newton step computed from that last
-    evaluation, or once its iterate no longer moves.  A step that leaves
-    the bracket, or fails to halve the step before last, is replaced by
-    bisection, so every row converges even where F_r'' is unbounded (p < 2)
-    or vanishes (p > 2).
+    |F_r'| <= 1e-10 |F_r'(c_r)|, read from its first evaluation, keeping
+    the Newton step computed from that last evaluation, or once its step is
+    at most 2^-52 of the width of [lo_r, hi_r]: the iterate no longer moves
+    at the bracket's resolution, as where c_r is the root to rounding and
+    F_r'(c_r) is rounding noise that no step can shrink by 1e-10.  A step
+    that leaves the bracket, or fails to halve the step before last, is
+    replaced by bisection, so every row converges even where F_r'' is
+    unbounded (p < 2) or vanishes (p > 2).
     """
-    c, lo, hi, tol = (np.array(x, dtype=float) for x in (c, lo, hi, tol))
+    c, lo, hi = (np.array(x, dtype=float) for x in (c, lo, hi))
     last = hi - lo
     before = last.copy()
+    resolution = 2.0**-52 * last
     rows = np.arange(c.size)
+    tol = None
     for _ in range(_ROOT_STEPS):
         x = c[rows]
         g, gp = derivatives(rows, x)
+        if tol is None:
+            tol = 1e-10 * np.maximum(np.abs(g), 1e-300)
         r_lo = np.where(g < 0.0, x, lo[rows])
         r_hi = np.where(g > 0.0, x, hi[rows])
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -169,7 +176,7 @@ def _lp_argmin(derivatives, c, lo, hi, tol):
         take = (r_lo < newton) & (newton < r_hi) & (2.0 * np.abs(step) <= before[rows])
         new = np.where(take, newton, 0.5 * (r_lo + r_hi))
         before[rows], last[rows] = last[rows], np.abs(new - x)
-        done = (np.abs(g) <= tol[rows]) | (new == x)
+        done = (np.abs(g) <= tol[rows]) | (np.abs(new - x) <= resolution[rows])
         lo[rows], hi[rows] = r_lo, r_hi
         c[rows] = np.where(done & ~take, x, new)
         rows = rows[~done]
@@ -194,8 +201,8 @@ def _quadrature_derivatives(p, ref, U):
 
 
 def _moment_derivatives(p, ref, U, c0):
-    """(the evaluator of _lp_argmin, |F_r'(c0_r)|) at an even p of
-    _moment_order, where F_r is a polynomial in c.
+    """The evaluator of _lp_argmin at an even p of _moment_order, where F_r
+    is a polynomial in c.
 
     With D_r = U_r - c0_r v and t = c - c0_r, F_r'(c) = sum_k a_rk t^k,
     a_rk = -p C(p-1, k) (-1)^k m_rk, from the row moments m_rk = sum W
@@ -225,7 +232,7 @@ def _moment_derivatives(p, ref, U, c0):
     def derivatives(rows, x):
         return np.einsum("rjk,rk->jr", coef[rows], (x - c0[rows])[:, None] ** k)
 
-    return derivatives, np.abs(coef[:, 0, 0])
+    return derivatives
 
 
 def _moment_order(p):
@@ -239,7 +246,7 @@ def _moment_order(p):
 
 def _lp_reference(p, W, v):
     """The row-independent arrays of the distance kernel for the weights W
-    and the reference function v, both flattened: (W, v, W v, W v v, W |v|,
+    and the reference function v, both flattened: (W, v, W v, W v v,
     ||v||_p, V), where V, at an even p of _moment_order, holds the rows W
     v^(k+1), k = 0 .. p-1, of _moment_derivatives, and is None otherwise.
     A battery builds them once for all its blocks."""
@@ -256,7 +263,7 @@ def _lp_reference(p, W, v):
         V[0] = Wv
         for k in range(1, n):
             V[k] = V[k - 1] * v
-    return W, v, Wv, Wv * v, W * np.abs(v), nv, V
+    return W, v, Wv, Wv * v, nv, V
 
 
 def _convex_lp_min(p, W, U, v):
@@ -277,24 +284,22 @@ def _reference_lp_min(p, ref, U, energies):
     B_r = 3 ||U_r||_p / ||v||_p.  At p = 2 it is the L^2 projection c0 =
     <U_r, W v> / <v, W v>.  Otherwise _lp_argmin starts there, reading F_r'
     and F_r'' from the row moments at the even p of _moment_order and from
-    quadrature sums at every other p.  The quadrature path stops at |F_r'|
-    <= 1e-10 p sum W (|U_r| + |c0 v|)^(p-1) |v|; the moment path at |F_r'|
-    <= 1e-10 |F_r'(c0)|, which by the triangle inequality is at most that.
-    Bracket and stop scale with U_r as F_r' does, so u -> s u gives s c* and
-    s^p F_r(c*) at any s.  F_r(c*) is one direct quadrature sum on both
-    paths: its moment expansion would cancel near the eigenspace.
+    quadrature sums at every other p, and stops at |F_r'| <= 1e-10
+    |F_r'(c0)| on both paths.  Bracket and stop scale with U_r as F_r'
+    does, so u -> s u gives s c* and s^p F_r(c*) at any s.  F_r(c*) is one
+    direct quadrature sum on both paths: its moment expansion would cancel
+    near the eigenspace.
     """
-    W, v, Wv, Wvv, Wav, nv, V = ref
+    W, v, Wv, Wvv, nv, V = ref
     c = (U @ Wv) / np.sum(Wvv)
     if p != 2.0:
         bound = 3.0 * energies ** (1.0 / p) / nv
         start = np.clip(c, -bound, bound)
         if V is None:
             derivatives = _quadrature_derivatives(p, ref, U)
-            scale = p * (cpcore._guarded_power(np.abs(U) + np.abs(c[:, None] * v), p - 1.0) @ Wav)
         else:
-            derivatives, scale = _moment_derivatives(p, ref, U, start)
-        c = _lp_argmin(derivatives, start, -bound, bound, 1e-10 * np.maximum(scale, 1e-300))
+            derivatives = _moment_derivatives(p, ref, U, start)
+        c = _lp_argmin(derivatives, start, -bound, bound)
     return lp_energies(p, U - c[:, None] * v, W), c
 
 

@@ -239,6 +239,9 @@ class TestCommands:
         assert code == 0
         rep = json.loads(out)["results"][0]
         assert (rep if command == ["gap"] else rep["second"])["lambda2_is_upper_bound"]
+        if command != ["gap"]:
+            # the cut sweep computes no residual
+            assert rep["second"]["residual"] is None and rep["second"]["residual_floor"] is None
 
     def test_triangle_cut_sweep(self, capsys):
         # the p = 3 sweep meets an Omega+ with an isolated interior node,
@@ -381,6 +384,9 @@ class TestCommands:
         entry = report["results"][0]
         assert abs(entry["first"]["lambda"] - PI2) <= 0.01 * PI2
         assert abs(entry["second"]["lambda"] - 4.0 * PI2) <= 0.01 * 4.0 * PI2
+        # how far each pair converged; deflation has no rounding floor
+        assert 0.0 < entry["first"]["residual_floor"] and entry["first"]["residual"] <= 1e-10
+        assert entry["second"]["residual"] <= 1e-10 and entry["second"]["residual_floor"] is None
         mesh_file = entry["first"]["nodal_values"]["mesh_file"]
         assert mesh_file == str(out_path) + ".mesh"
         header = open(mesh_file).readline().split()

@@ -1,9 +1,13 @@
-"""Similarity invariance of the eigenvalues and the gap (ROADMAP item 13,
-first half): random convex polygons under the Lebesgue measure, mapped by a
-scaling, a translation or a rotation. lambda1 at p in {2, 3, 6} and the
-p = 2 deflation lambda2 scale as t^-p and are otherwise unchanged, and so is
-the p = 2 gap's margin / bound, all to 1e-12 relative. The p != 2 cut sweep
-is left out: its directions are fixed in the plane, not in the domain.
+"""Similarity invariance of the eigenvalues and the gap (ROADMAP item 13):
+random convex polygons under the Lebesgue measure, mapped by a scaling, a
+translation or a rotation. lambda1 at p in {2, 3, 6} and the p = 2
+deflation lambda2 scale as t^-p and are otherwise unchanged, and so is the
+p = 2 gap's margin / bound, all to 1e-12 relative. The Gaussian measure is
+invariant under the rotations about the origin and the reflections in lines
+through it (with the vertex order reversed, so that the polygon stays
+counter-clockwise): under both, lambda1 at the same p and the p = 2 lambda2
+are unchanged to 1e-12 relative. The p != 2 cut sweep is left out: its
+directions are fixed in the plane, not in the domain.
 
 Node-renumbering invariance: the banded factor orders the unknowns by
 reverse Cuthill-McKee, which depends on the node numbering, so the same
@@ -45,6 +49,12 @@ def _rotation(angle):
     return np.array([[c, -s], [s, c]])
 
 
+def _reflection(angle):
+    """The reflection in the line through the origin at `angle`."""
+    c, s = math.cos(2.0 * angle), math.sin(2.0 * angle)
+    return np.array([[c, s], [s, -c]])
+
+
 # map kind -> (strategy for its parameter, vertices -> mapped vertices, lambda factor t^-p)
 _MAPS = {
     "scale": (st.floats(0.2, 5.0), lambda v, t: t * v, lambda t, p: t**-p),
@@ -52,6 +62,8 @@ _MAPS = {
                   lambda v, shift: v + np.array(shift), lambda shift, p: 1.0),
     "rotate": (st.floats(0.0, 2.0 * math.pi), lambda v, angle: v @ _rotation(angle).T,
                lambda angle, p: 1.0),
+    "reflect": (st.floats(0.0, math.pi), lambda v, angle: (v @ _reflection(angle).T)[::-1],
+                lambda angle, p: 1.0),
 }
 
 
@@ -59,9 +71,9 @@ def _close(got, want):
     return abs(got - want) <= _REL * abs(want)
 
 
-def _check_similarity(kind, vertices, param):
+def _check_similarity(kind, vertices, param, mu=None):
     _, apply, factor = _MAPS[kind]
-    mu = ps.lebesgue()
+    mu = mu or ps.lebesgue()
     domains = [ps.polygon_domain(vertices), ps.polygon_domain(apply(vertices, param))]
     meshes = [ps.build_mesh(domain, _LEVEL) for domain in domains]
     for p in _PS:
@@ -72,6 +84,8 @@ def _check_similarity(kind, vertices, param):
             seconds = [ps.second_eigenvalue(p, mesh, mu, pair) for mesh, pair in zip(meshes, pairs)]
             assert all(pair.converged for pair in seconds)
             assert _close(seconds[1].lam, factor(param, p) * seconds[0].lam)
+            if mu.kind == "gaussian":
+                continue
             gaps = [ps.gap_check(p, domain, mesh, mu, pairs=(u1, u2))
                     for domain, mesh, u1, u2 in zip(domains, meshes, pairs, seconds)]
             assert gaps[0].passed and gaps[1].passed
@@ -94,6 +108,18 @@ def test_translation(vertices, shift):
 @given(vertices=convex_polygons(), angle=_MAPS["rotate"][0])
 def test_rotation(vertices, angle):
     _check_similarity("rotate", vertices, angle)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(vertices=convex_polygons(), angle=_MAPS["rotate"][0])
+def test_gaussian_rotation(vertices, angle):
+    _check_similarity("rotate", vertices, angle, ps.gaussian())
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(vertices=convex_polygons(), angle=_MAPS["reflect"][0])
+def test_gaussian_reflection(vertices, angle):
+    _check_similarity("reflect", vertices, angle, ps.gaussian())
 
 
 def _renumbered(mesh, rng):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import eigsh
 
 import plapstab as ps
 from plapstab import spectral
@@ -510,7 +510,8 @@ class TestCachedColumnOrder:
     def test_one_factorisation_per_step(self, monkeypatch, p):
         # each Newton step factors J once by banded LU and never tries
         # Cholesky on it; lagged steps factor the interior matrix by banded
-        # Cholesky
+        # Cholesky. At p = 2 the Lanczos steps share one banded Cholesky
+        # factor of the stiffness matrix and no bordered matrix is made
         m = ps.build_mesh(ps.polygon_domain(_SQUARE), 4)
         names = []
         lu_solve = spectral._lu_solve
@@ -525,13 +526,24 @@ class TestCachedColumnOrder:
         n = np.count_nonzero(m.interior)
         newton = names.count("bordered")
         lagged = names.count("interior")
-        assert newton >= 1 and band["gbtrf"] == [n] * newton
+        assert band["gbtrf"] == [n] * newton
         assert band["pbtrf"] == [n] * lagged
         if p == 2.0:
-            # the lagged steps share one stiffness factor
-            assert lagged == 1
+            assert names == ["interior"] and pair.converged
+            pbtrs = _counted_band_solves(monkeypatch)
+
+            def check(got):
+                # one factor per call and one solve per step
+                assert names[-1] == "interior" and got.converged
+                assert len(pbtrs) == got.iterations == len(got.residual_history)
+                _assert_ritz_values_fall(got.residual_history)
+                del pbtrs[:]
+
+            check(ps.first_eigenpair(p, m, ps.lebesgue()))
+            check(ps.second_eigenvalue(p, m, ps.lebesgue(), pair))
+            assert names == ["interior"] * 3 and band["pbtrf"] == [n] * 3 and band["gbtrf"] == []
         else:
-            assert lagged + newton == pair.iterations
+            assert newton >= 1 and lagged + newton == pair.iterations
 
     def test_failed_first_factorisation_caches_no_order(self):
         m = ps.build_mesh(ps.polygon_domain(_SQUARE), 2)
@@ -558,6 +570,25 @@ def _counted_band(monkeypatch):
 
     monkeypatch.setattr(spectral, "_pbtrf", counted_pbtrf)
     monkeypatch.setattr(spectral, "_gbtrf", counted_gbtrf)
+    return calls
+
+
+def _assert_ritz_values_fall(history):
+    """The Ritz values of a Lanczos solve do not increase, to rounding."""
+    h = np.asarray(history)
+    assert np.all(np.diff(h) <= 1e-14 * h[:-1])
+
+
+def _counted_band_solves(monkeypatch):
+    """Record the size of every banded Cholesky solve (pbtrs) in spectral."""
+    calls = []
+    pbtrs = spectral._pbtrs
+
+    def counted(factor, rhs, **kwargs):
+        calls.append(factor.shape[1])
+        return pbtrs(factor, rhs, **kwargs)
+
+    monkeypatch.setattr(spectral, "_pbtrs", counted)
     return calls
 
 
@@ -714,26 +745,28 @@ class TestDenseFactor:
     @pytest.mark.parametrize("measure", sorted(_MEASURES))
     @pytest.mark.parametrize("name, level", [("interval", 1), ("square", 2), ("triangle", 2), ("pentagon", 2)])
     def test_one_factor_for_every_p2_solve(self, monkeypatch, order_mesh, name, level, measure):
-        # at p = 2 the lagged steps share one dense factor of the stiffness
-        # matrix, and deflation one for all its Lanczos solves; each Newton
-        # step factors the bordered matrix. No banded factor is made
+        # at p = 2 the ground state and deflation each make one dense factor
+        # of the stiffness matrix and solve with it once per Lanczos step;
+        # no bordered and no banded factor is made
         m = order_mesh(name, level, "mesh")
         n = np.count_nonzero(m.interior)
         assert n + 1 <= spectral._DENSE_MAX
         mu = _MEASURES[measure]
         band = _counted_band(monkeypatch)
         calls = _counted_lapack(monkeypatch)
+
+        def check(got):
+            assert got.converged and got.iterations >= 2
+            assert calls["getrf"] == [n] and calls["getrs"] == [n] * got.iterations
+            assert len(got.residual_history) == got.iterations
+            _assert_ritz_values_fall(got.residual_history)
+            for key in calls:
+                del calls[key][:]
+
         pair = ps.first_eigenpair(2.0, m, mu)
-        newton = calls["getrf"].count(n + 1)
-        assert newton >= 1 and calls["getrf"] == [n] + [n + 1] * newton
-        # every lagged step solves with the one interior factor
-        lagged = pair.iterations - newton
-        assert lagged >= 2 and calls["getrs"] == [n] * lagged + [n + 1] * newton
-        for key in calls:
-            del calls[key][:]
-        second = ps.second_eigenvalue(2.0, m, mu, pair)
-        assert calls["getrf"] == [n] and calls["getrs"] == [n] * second.iterations
-        assert band == {"pbtrf": [], "gbtrf": []}
+        check(pair)
+        check(ps.second_eigenvalue(2.0, m, mu, pair))
+        assert band == {"pbtrf": [], "gbtrf": []} and "bordered" not in m.lu_layouts
 
 
 _SWEEP_CASES = {
@@ -1204,16 +1237,18 @@ class TestSecondEigenvalue:
         v = pair.field.values[m.interior]
         assert abs(v @ (M @ vecs[:, 2])) <= 1e-6 * math.sqrt(v @ (M @ v))
 
-    def test_arpack_no_convergence_reported_unconverged(self, cache, monkeypatch):
-        def no_convergence(A, k, **kwargs):
-            raise ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), np.empty((A.shape[0], 0)))
-
-        monkeypatch.setattr(spectral, "eigsh", no_convergence)
+    def test_step_cap_reported_unconverged(self, cache):
+        # two Lanczos steps are too few on the square at level 3, for the
+        # ground state and for deflation
+        opts = SolverOptions(max_outer=2)
+        with pytest.warns(UserWarning, match="first_eigenpair stopped after 2 shift-invert solves"):
+            bad = ps.first_eigenpair(2.0, cache.mesh("square", 3), ps.lebesgue(), opts)
+        assert not bad.converged and bad.iterations == 2 and bad.residual > opts.tol
         u1 = cache.pair(2.0, "square", 3)
         with pytest.warns(UserWarning, match="shift-invert solves"):
-            pair = ps.second_eigenvalue(2.0, cache.mesh("square", 3), ps.lebesgue(), u1)
+            pair = ps.second_eigenvalue(2.0, cache.mesh("square", 3), ps.lebesgue(), u1, opts)
         assert not pair.converged and pair.estimator == "deflation"
-        assert pair.residual > SolverOptions().tol
+        assert pair.iterations == 2 and pair.residual > opts.tol
         assert np.isfinite(pair.lam)
 
     def test_iterations_count_solves(self, cache, monkeypatch):
@@ -1500,3 +1535,5 @@ class TestOptionsAndExport:
         assert len(d["nodal_values"]["values"]) == pair.field.values.size
         assert d["residual_history"][-1] == pytest.approx(pair.lam)
         assert d["lambda2_is_upper_bound"] is False
+        assert d["residual"] == pair.residual <= SolverOptions().tol
+        assert d["residual_floor"] == pair.residual_floor > 0.0

@@ -660,6 +660,28 @@ class TestDistanceKernel:
             np.testing.assert_allclose(dist_r, dist[r:r + 1], rtol=1e-12)
             np.testing.assert_allclose(c_r, c[r:r + 1], rtol=0, atol=1e-9)
 
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0, 5.0])
+    def test_root_at_the_start_stops_at_once(self, p):
+        # an odd row against an even v on symmetric weights: c* = 0, and
+        # F'(c0) is rounding noise that no step shrinks by 1e-10, so the
+        # row stops on the bracket's resolution after its first evaluation
+        x = np.linspace(-1.0, 1.0, 61)
+        W, v, U = 1.0 + x * x, 1.0 - x * x, (x * (1.0 - x * x))[None]
+        ref = verify._lp_reference(p, W, v)
+        bound = 3.0 * ps.spectral.lp_energies(p, U, W) ** (1.0 / p) / ref[4]
+        c0 = (U @ ref[2]) / np.sum(ref[3])
+        assert abs(c0[0]) <= 1e-15 * bound[0]
+        evaluator = (verify._quadrature_derivatives(p, ref, U) if ref[-1] is None
+                     else verify._moment_derivatives(p, ref, U, c0))
+        calls = []
+
+        def counted(rows, x):
+            calls.append(rows.size)
+            return evaluator(rows, x)
+
+        c = verify._lp_argmin(counted, c0, -bound, bound)
+        assert len(calls) == 1 and abs(c[0]) <= 1e-15 * bound[0]
+
     @_PROPERTY
     @given(p=st.floats(1.2, 1.95), seed=_SEEDS)
     def test_p_below_two_matches_golden_section(self, p, seed):
@@ -687,7 +709,7 @@ class TestMomentPath:
         W, U, v = _lp_problem(seed)
         ref = verify._lp_reference(p, W, v)
         c0 = (U @ ref[2]) / np.sum(ref[3])
-        moments, _ = verify._moment_derivatives(p, ref, U, c0)
+        moments = verify._moment_derivatives(p, ref, U, c0)
         quadrature = verify._quadrature_derivatives(p, ref, U)
         rows = np.arange(len(U))
         for x in (c0, c0 + shift, c0 - 0.1 * shift):
@@ -703,12 +725,12 @@ class TestMomentPath:
         W, U, v = _lp_problem(seed)
         ref = verify._lp_reference(p, W, v)
         energies = ps.spectral.lp_energies(p, U, W)
-        bound = 3.0 * energies ** (1.0 / p) / ref[5]
+        bound = 3.0 * energies ** (1.0 / p) / ref[4]
         c0 = np.clip((U @ ref[2]) / np.sum(ref[3]), -bound, bound)
-        moments, scale = verify._moment_derivatives(p, ref, U, c0)
+        moments = verify._moment_derivatives(p, ref, U, c0)
         quadrature = verify._quadrature_derivatives(p, ref, U)
-        c_m = verify._lp_argmin(moments, c0, -bound, bound, 1e-10 * scale)
-        c_q = verify._lp_argmin(quadrature, c0, -bound, bound, 1e-10 * scale)
+        c_m = verify._lp_argmin(moments, c0, -bound, bound)
+        c_q = verify._lp_argmin(quadrature, c0, -bound, bound)
         np.testing.assert_allclose(c_m, c_q, rtol=1e-12, atol=1e-14)
         dist, c = _convex_lp_min(p, W, U, v)
         assert np.array_equal(c, c_m)
@@ -725,6 +747,19 @@ class TestMomentPath:
         U = a * v + 1e-6 * U
         dist, _ = _convex_lp_min(p, W, U, v)
         assert np.all(dist <= 1e-15 * ps.spectral.lp_energies(p, U, W))
+        golden = [golden_lp_min(p, W, u, v) for u in U]
+        np.testing.assert_allclose(dist, golden, rtol=1e-8)
+
+    @pytest.mark.parametrize("p", [3.0, 5.0])
+    @_PROPERTY
+    @given(seed=_SEEDS, a=st.floats(-3.0, 3.0).filter(lambda a: abs(a) > 0.1))
+    def test_near_eigenspace_rows_quadrature_path(self, p, seed, a):
+        # the quadrature path's stop is relative to |F'(c0)| too, so it does
+        # not stop at the L^2 projection c0 near the eigenspace
+        W, U, v = _lp_problem(seed)
+        U = a * v + 1e-6 * U
+        assert verify._lp_reference(p, W, v)[-1] is None
+        dist, _ = _convex_lp_min(p, W, U, v)
         golden = [golden_lp_min(p, W, u, v) for u in U]
         np.testing.assert_allclose(dist, golden, rtol=1e-8)
 

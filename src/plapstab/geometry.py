@@ -174,6 +174,11 @@ class Mesh:
     the reference basis values at the quadrature points, (q, k), the same
     on every element, with their pairwise products `basis_products`,
     (q, k * k); both are read-only and shared by the meshes of a dimension.
+    `grad_gram[e, i, j]` is grad phi_i . grad phi_j on element e and the
+    read-only `grad_lengths[e, i]` is |grad phi_i| there. The quadrature
+    points and `grad_gram` are broadcast products summed in order over the
+    vertices and the dimensions (bitwise the einsum forms, in about half
+    their time).
 
     The quadrature kernels are linear products with these: values at the
     quadrature points are the element gather of the nodal values times
@@ -244,13 +249,21 @@ class Mesh:
             b = np.stack([v1[:, 1] - v2[:, 1], v2[:, 1] - v0[:, 1], v0[:, 1] - v1[:, 1]], axis=1)
             c = np.stack([v2[:, 0] - v1[:, 0], v0[:, 0] - v2[:, 0], v1[:, 0] - v0[:, 0]], axis=1)
             self.grads = np.stack([b, c], axis=2) / (2.0 * area[:, None, None])
-            self.quad_points = np.einsum("qk,mkd->mqd", _TRI6_BARY, xe)
+            # sum_k bary[q, k] x[m, k], summed over k in order
+            self.quad_points = _TRI6_BARY[None, :, 0, None] * xe[:, None, 0]
+            for k in (1, 2):
+                self.quad_points += _TRI6_BARY[None, :, k, None] * xe[:, None, k]
             self.quad_weights = area[:, None] * _TRI6_WEIGHTS[None, :]
             self.basis, self.basis_products = _TRIANGLE_BASIS
         scale = np.max(self.measures)
         if np.any(self.measures <= 1e-14 * scale):
             raise ValueError("mesh contains degenerate elements")
-        self.grad_gram = np.einsum("mid,mjd->mij", self.grads, self.grads)
+        # grad phi_i . grad phi_j, summed over the dimensions in order
+        self.grad_gram = self.grads[:, :, None, 0] * self.grads[:, None, :, 0]
+        for d in range(1, self.dim):
+            self.grad_gram += self.grads[:, :, None, d] * self.grads[:, None, :, d]
+        self.grad_lengths = np.sqrt(np.diagonal(self.grad_gram, axis1=1, axis2=2))
+        self.grad_lengths.setflags(write=False)
 
     @property
     def n_nodes(self):

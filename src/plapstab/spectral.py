@@ -37,9 +37,12 @@ with cached arrays: stiffness the element weights times `Mesh.grad_gram`,
 mass one matmul of the quadrature weights with `Mesh.basis_products`.
 Every int |u|^p dmu is one call of `lp_energies` and every
 int |grad u|^p dmu one of `gradient_energies`, on values and gradients from
-the mesh's matmul and sparse-operator kernels; they and the Euler-Lagrange
-weights |grad u|^(p-2), |u|^(p-2) take their powers from
-`cpcore._guarded_power`, which multiplies out integer exponents up to 8.
+the mesh's matmul and sparse-operator kernels. An Euler-Lagrange
+evaluation forms |grad u| and |u| once and takes from them both the
+Rayleigh quotient, by the operations of those two kernels (so bitwise
+`rayleigh_quotient`'s), and the weights |grad u|^(p-2), |u|^(p-2). All the
+powers come from `cpcore._guarded_power`, which multiplies out integer
+exponents up to 8.
 Every linear solve is a direct factor (`_lu_solve`) of one of two
 matrices on the interior pattern: the interior matrix of the lagged steps
 and of the p = 2 stiffness (symmetric, with positive element weights), and
@@ -56,7 +59,10 @@ is solved by block elimination on the banded LU of J with one refinement
 step; J is singular up to rounding at a converged iterate, so Cholesky is
 not tried on it. The mesh keeps the layouts (`Mesh.lu_layouts`), never a
 factor. A p = 2 Lanczos run keeps one factor of the stiffness matrix for
-all its solves; every other factor serves one solve.
+all its solves; every other factor serves one solve. It keeps its basis
+and the basis's M-images as the filled rows of two arrays whose capacity
+doubles from _LANCZOS_ROWS, and takes the Ritz pairs of its tridiagonal
+from LAPACK `stev`.
 """
 
 import warnings
@@ -65,7 +71,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.linalg.lapack import dgbtrf as _gbtrf, dgbtrs as _gbtrs, dgetrf as _getrf, dgetrs as _getrs
-from scipy.linalg.lapack import dpbtrf as _pbtrf, dpbtrs as _pbtrs
+from scipy.linalg.lapack import dpbtrf as _pbtrf, dpbtrs as _pbtrs, dstev as _stev
 
 from .cpcore import _check_p, _guarded_power
 from .geometry import Field, submesh
@@ -103,6 +109,8 @@ _DENSE_MAX = 64
 # Krylov estimate of the shift-invert Lanczos steps at which rounding, not
 # the Krylov space, bounds the true residual
 _LANCZOS_ROUNDING = 2.0**-52
+# rows of the Lanczos basis arrays at first; their capacity doubles when full
+_LANCZOS_ROWS = 16
 
 
 @dataclass
@@ -292,8 +300,9 @@ def _start_vector(mesh):
 
 
 def _normalize(mesh, values, p, measure):
-    f = Field(mesh, values)
-    nrm = lp_norm(f, p, measure)
+    """values / lp_norm(Field(mesh, values), p, measure), bitwise, without
+    building the Field."""
+    nrm = float(lp_energies(p, mesh.values_at_quad(values), mesh.measure_weights(measure))) ** (1.0 / p)
     if nrm == 0.0:
         raise ValueError("cannot normalize the zero field")
     return values / nrm
@@ -313,11 +322,13 @@ def _euler_lagrange(p, mesh, measure, u):
     de = mesh.element_density_integrals(measure)
     g = mesh.gradients(u)
     uq = mesh.values_at_quad(u)
-    # the same operations as rayleigh_quotient, so R is bitwise the same
-    lam = float(gradient_energies(p, g, de) / lp_energies(p, uq, w))
-    gn = np.sqrt(np.add.reduce(g * g, axis=1))
+    gn, ua = np.sqrt(np.add.reduce(g * g, axis=1)), np.abs(uq)
+    # the operations of gradient_energies and lp_energies on this |g| and
+    # |u|, so R is bitwise rayleigh_quotient's
+    lam = float(np.add.reduce(_guarded_power(gn, p) * de, axis=-1)
+                / np.add.reduce(w * _guarded_power(ua, p), axis=(-2, -1)))
     ga = de * _guarded_power(gn, p - 2.0)
-    uw = w * _guarded_power(np.abs(uq), p - 2.0)
+    uw = w * _guarded_power(ua, p - 2.0)
     gphi = np.einsum("mkd,md->mk", mesh.grads, g)  # G g, one row per element
     elements, interior = mesh.elements.ravel(), mesh.interior
     a = np.bincount(elements, (ga[:, None] * gphi).ravel(), mesh.n_nodes)[interior]
@@ -349,7 +360,7 @@ def _residual_floor(p, mesh, terms, a):
     dg = 2^-53 sum_j |grad phi_j| |u_j|. Grows like h^-2."""
     u, gn, ga, _, gphi = terms
     phi2 = np.diagonal(mesh.grad_gram, axis1=1, axis2=2)  # |grad phi_i|^2 per element
-    dg = 2.0**-53 * np.add.reduce(np.sqrt(phi2) * np.abs(u[mesh.elements]), axis=1)
+    dg = 2.0**-53 * np.add.reduce(mesh.grad_lengths * np.abs(u[mesh.elements]), axis=1)
     gain = np.sqrt(phi2 + (p * (p - 2.0)) * _guarded_power(gn, -2.0)[:, None] * gphi**2)
     fe = (ga * dg)[:, None] * gain
     f = np.bincount(mesh.elements.ravel(), fe.ravel(), mesh.n_nodes)[mesh.interior]
@@ -522,9 +533,14 @@ def _lanczos(mesh, measure, start, against, opts):
     Lanczos on K^-1 M, self-adjoint in the M inner product, from the
     interior vector `start`, with full reorthogonalisation (classical
     Gram-Schmidt, twice) against the basis and `against`; every step is one
-    solve with the one factor of K (_lu_solve). The Krylov estimate of step
-    j is beta_j |s_j| / theta, theta the largest Ritz value of the
-    tridiagonal T_j and s its eigenvector: the relative M-norm residual of
+    solve with the one factor of K (_lu_solve). `against` and the basis
+    vectors are the first rows of one array, their M-images those of
+    another; both start with _LANCZOS_ROWS rows and double when full, and
+    the Gram-Schmidt passes and the Ritz vector work on the filled rows in
+    place. The Ritz pairs of the tridiagonal T_j (diagonal alpha, off it
+    beta) come from LAPACK `stev`. The Krylov estimate of step
+    j is beta_j |s_j| / theta, theta the largest Ritz value of
+    T_j and s its eigenvector: the relative M-norm residual of
     the shift-inverted pair. Once it is at or below 1e-2 `opts.tol`, each
     step checks the true relative residual |K x - R M x| / |K x| of the
     Ritz vector x (R its Rayleigh quotient, the `against` part of the
@@ -538,49 +554,64 @@ def _lanczos(mesh, measure, start, against, opts):
     K = _assemble_csc(mesh, _stiffness_local(mesh, mesh.element_density_integrals(measure)))
     M = _assemble_csc(mesh, _mass_local(mesh, mesh.measure_weights(measure)))
     solve = _lu_solve(mesh, "interior", K.data)
-    # rows kept M-orthonormal: `against` first, if given, then the basis
-    basis, m_basis = [], []
+    # M-orthonormal rows, `against` first if given, then the basis, and
+    # their M-images: the first `filled` rows of two arrays whose capacity
+    # doubles when full
+    rows = np.empty((_LANCZOS_ROWS, start.size))
+    m_rows = np.empty_like(rows)
+    filled = 0
+
+    def keep(v, mv, scale):
+        nonlocal rows, m_rows, filled
+        if filled == len(rows):
+            rows = np.concatenate([rows, np.empty_like(rows)])
+            m_rows = np.concatenate([m_rows, np.empty_like(m_rows)])
+        np.divide(v, scale, out=rows[filled])
+        np.divide(mv, scale, out=m_rows[filled])
+        filled += 1
+
     if against is not None:
         m_against = M @ against
-        scale = np.sqrt(float(against @ m_against))
-        basis.append(against / scale)
-        m_basis.append(m_against / scale)
-    locked = len(basis)
+        keep(against, m_against, np.sqrt(float(against @ m_against)))
+    locked = filled
     dim = start.size - locked
 
     def orthogonalise(w):
         # classical Gram-Schmidt against every kept row, twice; returns the
         # coefficients of the two passes summed, the M-norm and M w
-        h = np.zeros(len(basis))
-        if basis:
-            rows, m_rows = np.array(basis), np.array(m_basis)
+        h = np.zeros(filled)
+        if filled:
+            kept, m_kept = rows[:filled], m_rows[:filled]
             for _ in range(2):
-                c = m_rows @ w
-                w = w - c @ rows
+                c = m_kept @ w
+                w = w - c @ kept
                 h += c
         mw = M @ w
         return w, h, np.sqrt(float(w @ mw)), mw
 
     q, _, norm, mq = orthogonalise(start)
-    basis.append(q / norm)
-    m_basis.append(mq / norm)
+    keep(q, mq, norm)
 
     def residual(s):
-        x = s @ np.array(basis[locked:locked + s.size])
+        x = s @ rows[locked:locked + s.size]
         kx, mx = K @ x, M @ x
         r = kx - (float(x @ kx) / float(x @ mx)) * mx
         if locked:
-            r -= m_basis[0] * float(basis[0] @ r)
+            r -= m_rows[0] * float(rows[0] @ r)
         return x, float(np.linalg.norm(r) / np.linalg.norm(kx))
 
-    alpha, beta, ritz = [], [], []
+    # the tridiagonal T_j: its diagonal alpha[:j], off it beta[:j - 1]
+    alpha, beta = np.empty((2, min(opts.max_outer, dim)))
+    ritz = []
     s = np.ones(1)
     for j in range(1, opts.max_outer + 1):
-        w, h, b, mw = orthogonalise(solve(m_basis[-1]))
-        alpha.append(h[-1])
-        beta.append(b)
-        # eigenpairs of the tridiagonal T_j: its diagonal alpha, off it beta
-        theta, vectors = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1))
+        w, h, b, mw = orthogonalise(solve(m_rows[filled - 1]))
+        alpha[j - 1], beta[j - 1] = h[-1], b
+        # LAPACK takes an off-diagonal of length max(j - 1, 1); at j = 1 its
+        # one entry is not read
+        theta, vectors, info = _stev(alpha[:j], beta[:max(j - 1, 1)])
+        if info:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
         s = vectors[:, -1]
         ritz.append(1.0 / theta[-1])
         estimate = b * abs(s[-1]) / theta[-1]
@@ -589,8 +620,7 @@ def _lanczos(mesh, measure, start, against, opts):
             x, rel = residual(s)
             if final or rel <= opts.tol:
                 return x, ritz, rel
-        basis.append(w / b)
-        m_basis.append(mw / b)
+        keep(w, mw, b)
     x, rel = residual(s)
     return x, ritz, rel
 

@@ -236,6 +236,19 @@ def gradients_einsum(mesh, values):
     return np.einsum("mkd,...mk->...md", mesh.grads, values.take(mesh.elements, axis=-1))
 
 
+def quad_points_einsum(mesh, bary):
+    """Physical quadrature points of a triangle mesh, (m, q, 2), from the
+    rule's (q, 3) barycentric points, as one einsum over the element
+    vertices: plapstab's form before the broadcast products."""
+    return np.einsum("qk,mkd->mqd", bary, mesh.nodes[mesh.elements])
+
+
+def grad_gram_einsum(mesh):
+    """Element matrices grad phi_i . grad phi_j, (m, k, k), as one einsum:
+    plapstab's form before the broadcast products."""
+    return np.einsum("mid,mjd->mij", mesh.grads, mesh.grads)
+
+
 def mass_local_einsum(mesh, quad_weights):
     """Element matrices sum_q w_eq phi_i phi_j, (m, k, k), as the 3-operand
     einsum: plapstab's form before the basis-product matmul."""

@@ -17,8 +17,10 @@ from conftest import UNIT_SQUARE
 from oracles import (
     coo_node_adjacency,
     field_eval_per_dimension,
+    grad_gram_einsum,
     on_polygon_boundary,
     project_boundary_nodes_loop,
+    quad_points_einsum,
     refine_triangles_loop,
     submesh_count_boundary,
     write_mesh_loop,
@@ -179,6 +181,29 @@ class TestMeshAgainstLoops:
         assert back.nodes.tobytes() == m.nodes.tobytes()
         assert np.array_equal(back.elements, m.elements)
         assert np.array_equal(back.boundary_mask, m.boundary_mask)
+
+
+class TestGeometryAgainstEinsum:
+    """Quadrature points and grad_gram, built as broadcast products summed in
+    order, equal bit for bit the einsum forms of tests/oracles.py."""
+
+    @pytest.mark.parametrize("name", ["interval", "triangle", "quadrilateral", "thin-rectangle"])
+    def test_bitwise(self, name):
+        if name == "interval":
+            domain = ps.interval_domain(-0.3, 1.7)
+        elif name == "thin-rectangle":
+            domain = ps.polygon_domain([[0, 0], [4, 0], [4, 0.5], [0, 0.5]])
+        else:
+            domain = ps.polygon_domain(MESH_POLYGONS[name])
+        for level in range(6):
+            m = ps.build_mesh(domain, level)
+            if m.dim == 2:
+                assert m.quad_points.tobytes() == quad_points_einsum(m, geometry._TRI6_BARY).tobytes(), level
+            gram = grad_gram_einsum(m)
+            assert m.grad_gram.tobytes() == gram.tobytes(), level
+            assert np.array_equal(m.grad_lengths, np.sqrt(np.diagonal(gram, axis1=1, axis2=2))), level
+            with pytest.raises(ValueError, match="read-only"):
+                m.grad_lengths[0, 0] = 1.0
 
 
 class TestIntegrate:

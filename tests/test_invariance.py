@@ -1,8 +1,11 @@
 """Similarity invariance of the eigenvalues and the gap (ROADMAP item 13):
 random convex polygons under the Lebesgue measure, mapped by a scaling, a
 translation or a rotation. lambda1 at p in {2, 3, 6} and the p = 2
-deflation lambda2 scale as t^-p and are otherwise unchanged, and so is the
-p = 2 gap's margin / bound, all to 1e-12 relative. The Gaussian measure is
+deflation lambda2 scale as t^-p and are otherwise unchanged, and so are
+the p = 2 gap's margin / bound and, per field of the seeded stability
+battery at each p, margin / tol_quad, all to 1e-12 relative, with the
+same verdicts: the maps keep the node order, so the battery draws the same
+nodal values on both meshes. The Gaussian measure is
 invariant under the rotations about the origin and the reflections in lines
 through it (with the vertex order reversed, so that the polygon stays
 counter-clockwise): under both, lambda1 at the same p and the p = 2 lambda2
@@ -27,6 +30,9 @@ from plapstab.geometry import Mesh
 _REL = 1e-12
 _LEVEL = 2
 _PS = (2.0, 3.0, 6.0)
+# two blocks of the battery's fields
+_BATTERY_FIELDS = 2 * verify._BLOCK_FIELDS
+_BATTERY_SEED = 5
 
 
 @st.composite
@@ -90,6 +96,15 @@ def _check_similarity(kind, vertices, param, mu=None):
                     for domain, mesh, u1, u2 in zip(domains, meshes, pairs, seconds)]
             assert gaps[0].passed and gaps[1].passed
             assert _close(gaps[1].margin / gaps[1].bound, gaps[0].margin / gaps[0].bound)
+        if mu.kind == "lebesgue":
+            # the maps keep the node order, so the seeded battery draws the
+            # same nodal values on both meshes
+            batteries = [verify.stability_battery(p, domain, mesh, mu, _BATTERY_FIELDS, seed=_BATTERY_SEED,
+                                                  eigenpair=pair)
+                         for domain, mesh, pair in zip(domains, meshes, pairs)]
+            for one, mapped in zip(*batteries):
+                assert mapped.passed == one.passed
+                assert _close(mapped.margin / mapped.tol_quad, one.margin / one.tol_quad)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)

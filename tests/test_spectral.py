@@ -181,6 +181,7 @@ class TestFirstEigenpair:
 
 _SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
 _QUADRILATERAL = [[0, 0], [1.2, 0.1], [1.0, 0.9], [0.1, 0.7]]
+_THIN_RECTANGLE = [[0, 0], [4, 0], [4, 0.5], [0, 0.5]]
 _TRIANGLE = [[0, 0], [1, 0], [0.2, 0.9]]
 _PENTAGON_ANGLES = 0.3 + 0.4 * np.pi * np.arange(5)
 _GRID_MESHES = {
@@ -234,6 +235,17 @@ class TestEulerLagrange:
         (u,) = _random_values(m, seed, n_fields=1)
         lam = spectral._euler_lagrange(p, m, _MEASURES[measure], u)[0]
         assert lam == ps.rayleigh_quotient(p, ps.Field(m, u), _MEASURES[measure])
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(p=st.sampled_from([1.5, 2.0, 3.0, 6.0]), measure=st.sampled_from(sorted(_MEASURES)),
+           name=st.sampled_from(["interval01", "square"]), seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(1e-3, 1e3))
+    def test_normalize_is_lp_norm_bitwise(self, cache, p, measure, name, seed, scale):
+        m = cache.mesh(name, 3)
+        v = scale * np.random.default_rng(seed).standard_normal(m.n_nodes)
+        mu = _MEASURES[measure]
+        want = v / spectral.lp_norm(ps.Field(m, v), p, mu)
+        assert spectral._normalize(m, v, p, mu).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("measure", ["lebesgue", "gaussian"])
     @pytest.mark.parametrize("key", [("interval", 5), ("triangle", 3), ("pentagon", 3)], ids=_grid_id)
@@ -1269,6 +1281,43 @@ class TestSecondEigenvalue:
         pair = ps.second_eigenvalue(2.0, cache.mesh("square", 3), ps.lebesgue(), u1)
         assert pair.iterations == len(calls) > 0
         assert all(len(shape) == 1 for shape in calls)
+
+    @pytest.mark.parametrize("name, level", [("thin-rectangle", 4), ("square", 5)])
+    def test_lanczos_rows_past_first_capacity(self, cache, name, level):
+        # Gaussian measure: the thin rectangle's pairs take 19 and 20
+        # Lanczos steps, the square's second pair more than 20, so the
+        # basis arrays grow past their first _LANCZOS_ROWS rows
+        mu = ps.gaussian()
+        if name == "square":
+            m = cache.mesh(name, level)
+            first, second = cache.pair(2.0, name, level, "gaussian"), cache.second(2.0, name, level, "gaussian")
+        else:
+            m = ps.build_mesh(ps.polygon_domain(_THIN_RECTANGLE), level)
+            first = ps.first_eigenpair(2.0, m, mu)
+            second = ps.second_eigenvalue(2.0, m, mu, first)
+            assert first.iterations > spectral._LANCZOS_ROWS
+        assert second.iterations > spectral._LANCZOS_ROWS
+        assert first.converged and second.converged
+        K, M = _interior_matrices(m, mu)
+        lam = np.sort(eigsh(K, k=3, M=M, sigma=0, return_eigenvectors=False))
+        assert abs(first.lam - lam[0]) <= 1e-9 * lam[0]
+        assert abs(second.lam - lam[1]) <= 1e-12 * lam[1]
+        for pair in (first, second):
+            assert len(pair.residual_history) == pair.iterations
+            _assert_ritz_values_fall(pair.residual_history)
+
+    def test_lanczos_rows_capacity_changes_nothing(self, cache, monkeypatch):
+        # from one row the basis arrays double five times on the way to the
+        # second pair's 17 steps on square L4; the pairs are the same
+        m = cache.mesh("square", 4)
+        want = (cache.pair(2.0, "square", 4), cache.second(2.0, "square", 4))
+        monkeypatch.setattr(spectral, "_LANCZOS_ROWS", 1)
+        first = ps.first_eigenpair(2.0, m, ps.lebesgue())
+        got = (first, ps.second_eigenvalue(2.0, m, ps.lebesgue(), first))
+        for pair, ref in zip(got, want):
+            assert pair.iterations == ref.iterations and pair.converged
+            assert abs(pair.lam - ref.lam) <= 1e-15 * ref.lam
+            assert np.allclose(pair.residual_history, ref.residual_history, rtol=1e-15, atol=0.0)
 
     def test_deflation_needs_two_interior_nodes(self, cache):
         # square level 0: the centroid is the only interior node

@@ -188,8 +188,8 @@ class Mesh:
     Each serves one field or a block of rows alike.
 
     Two caches are filled by the solver on first use and kept for the
-    mesh's lifetime: `lu_layouts`, the factor layouts of the interior
-    pattern's matrices, and `start_vector`, the read-only unnormalised
+    mesh's lifetime: `lu_layout`, the one factor layout of the matrices on
+    the interior pattern, and `start_vector`, the read-only unnormalised
     start of every ground-state solve (the distance to the boundary; see
     spectral._start_vector), None until then.
     """
@@ -208,12 +208,12 @@ class Mesh:
         self.boundary_mask.setflags(write=False)
         self._density_cache = {}
         self._patterns = {}
-        # factor layout per matrix built on the interior pattern, filled by
-        # the first factorisation of that matrix (see spectral._lu_solve):
-        # the dense gather index (at most 64 unknowns), or the band layout
-        # of the interior pattern (reverse Cuthill-McKee order and band
-        # gathers), one object shared by the interior and bordered matrices
-        self.lu_layouts = {}
+        # the factor layout of the interior pattern, built by the first
+        # factorisation on it (see spectral._lu_solve): each entry's row and
+        # column (at most 64 unknowns), or the band layout (reverse
+        # Cuthill-McKee order and band gathers); every matrix on the pattern,
+        # bordered or not, uses it
+        self.lu_layout = None
         # the unnormalised ground-state start (spectral._start_vector),
         # read-only, built by the first ground-state solve on this mesh
         self.start_vector = None
@@ -322,8 +322,8 @@ class Mesh:
         entry (i, j) of element e adds into, or `indices.size` (a discard
         slot) when either node is left out. So
         `np.bincount(slots, local.ravel())[:indices.size]` assembles an
-        (m, k, k) array of element matrices. The layouts that the factors of
-        interior-pattern matrices use are kept in `lu_layouts`.
+        (m, k, k) array of element matrices. The layout that the factors of
+        interior-pattern matrices use is kept in `lu_layout`.
         """
         if nodes not in self._patterns:
             if nodes == "interior":

@@ -19,7 +19,9 @@ B_p(u) and J the Jacobian of the residual. Both directions backtrack by
 halving the step length until the quotient drops; a singular bordered
 system counts as a failed Newton direction.
 The second eigenvalue at p != 2 is a hyperplane-cut two-nodal-domain
-estimator (a certified upper bound). Along each direction
+estimator: an upper bound on the discrete lambda2 of the fixed quadrature,
+not on the continuum lambda2 while the quadrature of int |u|^p is inexact
+(7e-6 to 1.5e-3 relative on sign-changing fields). Along each direction
 it finds the cut where the two sides' lambda1 cross by a search seeded at
 the previous direction's crossing: it gallops by 1, 2, 4, ... cuts from
 there to bracket the crossing and bisects the bracket. A side's lambda1 is
@@ -43,22 +45,23 @@ Rayleigh quotient, by the operations of those two kernels (so bitwise
 `rayleigh_quotient`'s), and the weights |grad u|^(p-2), |u|^(p-2). All the
 powers come from `cpcore._guarded_power`, which multiplies out integer
 exponents up to 8.
-Every linear solve is a direct factor (`_lu_solve`) of one of two
-matrices on the interior pattern: the interior matrix of the lagged steps
-and of the p = 2 stiffness (symmetric, with positive element weights), and
-the bordered Newton matrix [J, -b; b^T, 0]. At most _DENSE_MAX = 64 unknowns
-(as on most of the cut sweep's sides; dense wins up to about 100,
-measured), the data is gathered into a dense column-major array and
-factored by LAPACK (`getrf`/`getrs`). Above it, both matrices use one band
-layout of the interior pattern: its reverse Cuthill-McKee order (bandwidth
-31 on square L4, 63 on square L5) and gathers into LAPACK's band storage.
-The interior matrix is factored by banded Cholesky (`pbtrf`/`pbtrs`), or by
-partial-pivot banded LU (`gbtrf`/`gbtrs`) where Cholesky breaks down on a
-lagged matrix that is only numerically semidefinite. The bordered matrix
-is solved by block elimination on the banded LU of J with one refinement
-step; J is singular up to rounding at a converged iterate, so Cholesky is
-not tried on it. The mesh keeps the layouts (`Mesh.lu_layouts`), never a
-factor. A p = 2 Lanczos run keeps one factor of the stiffness matrix for
+Every linear solve is a direct factor (`_lu_solve`) of a matrix A given by
+its CSC data on the interior pattern: the lagged matrix or the p = 2
+stiffness (symmetric, with positive element weights), or J, bordered as
+[J, -b; b^T, 0] by the border (b, -b). The mesh keeps one layout, built
+from the interior pattern alone (`Mesh.lu_layout`), never a factor. At
+most _DENSE_MAX = 64 interior unknowns (as on most of the cut sweep's
+sides), the layout is each entry's row and column: the data goes into a
+dense n x n array, or (n + 1) x (n + 1) with b in row n and -b in column
+n, factored by LAPACK (`getrf`/`getrs`). Above it, the layout is the
+pattern's reverse Cuthill-McKee order (bandwidth 31 on square L4, 63 on
+square L5) with gathers into LAPACK's band storage. A is factored by
+banded Cholesky (`pbtrf`/`pbtrs`), or by partial-pivot banded LU
+(`gbtrf`/`gbtrs`) where Cholesky breaks down on a lagged matrix that is
+only numerically semidefinite. The bordered matrix is solved by block
+elimination on the banded LU of J with one refinement step; J is singular
+up to rounding at a converged iterate, so Cholesky is not tried on it. A
+p = 2 Lanczos run keeps one factor of the stiffness matrix for
 all its solves; every other factor serves one solve. It keeps its basis
 and the basis's M-images as the filled rows of two arrays whose capacity
 doubles from _LANCZOS_ROWS, and takes the Ritz pairs of its tridiagonal
@@ -98,13 +101,12 @@ _NEWTON_RISE = 1e-12
 _MAX_HALVINGS = 30
 # cut directions of the 2-D cut sweep, equally spaced over [0, pi)
 _CUT_DIRECTIONS = 32
-# systems of at most this many unknowns are factored dense (LAPACK getrf),
-# larger ones banded; see _lu_solve.
-# One factorisation and solve of a lagged matrix against sparse LU,
-# 2 vCPU Xeon, one BLAS thread: dense 7-17 us against 60-100 us sparse at
-# 15-31 unknowns, 47 against 121 us at 63 and 89 against 187 us at 85;
-# dense loses from about 110 (143 against 126 us at 113, 171 against 142
-# us at 127, 658 against 175 us at 255)
+# meshes of at most this many interior unknowns factor dense (LAPACK
+# getrf), larger ones banded; see _lu_solve. The cut sweep's small sides
+# are each a new sub-mesh, and a band layout costs a reverse Cuthill-McKee
+# order per sub-mesh: with banded factors for all sizes (0 here) the L2
+# polygon sweeps ran 5-34% slower (2 vCPU Xeon, one BLAS thread), although
+# one banded factor beats getrf at 54 unknowns
 _DENSE_MAX = 64
 # Krylov estimate of the shift-invert Lanczos steps at which rounding, not
 # the Krylov space, bounds the true residual
@@ -123,11 +125,11 @@ class SolverOptions:
     Lanczos steps (one solve each) of both p = 2 pairs. `seed` seeds
     deflation's start vector. The linear solves
     are direct, with no tolerance and no choice of solver: dense LAPACK LU
-    up to _DENSE_MAX = 64 unknowns (where it is the faster one, measured);
-    above it, banded Cholesky in reverse Cuthill-McKee order for the
-    interior matrices (banded LU where Cholesky breaks down) and block
-    elimination on the banded LU of the Jacobian for the bordered Newton
-    matrix. `n_offsets` is inert and kept
+    up to _DENSE_MAX = 64 interior unknowns (where it saves the cut sweep's
+    sub-meshes a band layout each, measured); above it, banded Cholesky in
+    reverse Cuthill-McKee order for the interior matrices (banded LU where
+    Cholesky breaks down) and block elimination on the banded LU of the
+    Jacobian for the bordered Newton matrix. `n_offsets` is inert and kept
     only so that callers that still pass it keep working.
     """
 
@@ -367,42 +369,30 @@ def _residual_floor(p, mesh, terms, a):
     return float(np.linalg.norm(f) / np.linalg.norm(a))
 
 
-def _natural_layout(mesh, name):
-    """(src, indices, indptr) of the CSC matrix `name` on the interior
-    pattern, whose data is source[src] for the source that _lu_solve takes.
-    "interior" is the interior block itself (source: its data). "bordered"
-    is [J, -b; b^T, 0] (source: [J.data, b, -b]): b_j closes column j of J
-    and -b is the last column."""
-    _, indices, indptr = mesh.pattern("interior")
-    nnz, n = indices.size, indptr.size - 1
-    if name == "interior":
-        return np.arange(nnz), indices, indptr
-    ends = indptr[1:]
-    src = np.concatenate([np.insert(np.arange(nnz), ends, nnz + np.arange(n)), nnz + n + np.arange(n)])
-    rows = np.concatenate([np.insert(indices, ends, n), np.arange(n)]).astype(np.int32)
-    return src, rows, np.append(indptr + np.arange(n + 1), indptr[-1] + 2 * n).astype(np.int32)
-
-
-def _dense_solve(layout, source):
-    """Solve of the LAPACK LU (`getrf`, partial pivoting) of the matrix with
-    data from `source`, gathered by the dense `layout`."""
-    _, src, position, n = layout
-    a = np.zeros(n * n)
-    a[position] = source[src]
-    lu, piv, info = _getrf(a.reshape(n, n, order="F"), overwrite_a=True)
+def _dense_solve(layout, data, border=None):
+    """Solve of the LAPACK LU (`getrf`, partial pivoting) of the n x n matrix
+    with CSC `data` at the (rows, columns, n) of the dense `layout`, or of
+    the bordered matrix [A, c; b^T, 0] for border = (b, c)."""
+    rows, cols, n = layout
+    size = n if border is None else n + 1
+    a = np.zeros((size, size), order="F")
+    a[rows, cols] = data
+    if border is not None:
+        a[n, :n], a[:n, n] = border
+    lu, piv, info = _getrf(a, overwrite_a=True)
     if info > 0:
         raise RuntimeError("Factor is exactly singular")
     return lambda rhs: _getrs(lu, piv, rhs)[0]
 
 
-def _band_layout(src, indices, indptr):
-    """("band", src, position, kd, perm, general) of the symmetric CSC matrix
-    with data source[src]: perm is its reverse Cuthill-McKee order (row k of
-    the ordered matrix is row perm[k]) and kd the ordered matrix's
-    bandwidth. src keeps the entries on or above the ordered diagonal alone,
+def _band_layout(indices, indptr):
+    """(upper, position, kd, perm, general) of the symmetric CSC pattern
+    (indices, indptr): perm is its reverse Cuthill-McKee order (row k of the
+    ordered matrix is row perm[k]) and kd the ordered matrix's bandwidth.
+    upper indexes the data entries on or above the ordered diagonal,
     position their places in LAPACK's upper band storage, a column-major
     (kd + 1) x n array holding entry (i, j) in row kd + i - j, and general,
-    (2, src.size), their places and those of their mirror images below the
+    (2, upper.size), their places and those of their mirror images below the
     diagonal in LAPACK's general band storage, a column-major (3 kd + 1) x n
     array holding (i, j) in row 2 kd + i - j under kd rows of room for the
     LU's fill-in."""
@@ -415,11 +405,11 @@ def _band_layout(src, indices, indptr):
     rank[perm] = np.arange(n)
     i = rank[indices]
     j = rank[np.repeat(np.arange(n), np.diff(indptr))]
-    upper = i <= j
+    upper = np.flatnonzero(i <= j)
     i, j = i[upper], j[upper]
     kd = int(np.max(j - i))
     general = np.stack([2 * kd + i - j + (3 * kd + 1) * j, 2 * kd + j - i + (3 * kd + 1) * i])
-    return "band", src[upper], kd + i - j + (kd + 1) * j, kd, perm, general
+    return upper, kd + i - j + (kd + 1) * j, kd, perm, general
 
 
 def _permuted(ordered, perm):
@@ -433,51 +423,48 @@ def _permuted(ordered, perm):
     return solve
 
 
-def _band_lu(layout, source):
+def _band_lu(layout, data):
     """Solve of the partial-pivot LU (`gbtrf`) of the symmetric matrix with
-    data from `source`, gathered over both triangles into the general band
-    storage of `layout` (_band_layout)."""
-    _, src, _, kd, perm, general = layout
+    CSC `data`, gathered over both triangles into the general band storage
+    of `layout` (_band_layout)."""
+    upper, _, kd, perm, general = layout
     n = perm.size
     ab = np.zeros((3 * kd + 1) * n)
-    ab[general] = source[src]
+    ab[general] = data[upper]
     factor, piv, info = _gbtrf(ab.reshape(3 * kd + 1, n, order="F"), kd, kd, overwrite_ab=True)
     if info > 0:
         raise RuntimeError("Factor is exactly singular")
     return _permuted(lambda rhs: _gbtrs(factor, kd, kd, rhs, piv)[0], perm)
 
 
-def _band_solve(layout, source):
+def _band_solve(layout, data):
     """Solve of the banded Cholesky factor (`pbtrf`) of the symmetric matrix
-    with data from `source`, gathered into the upper band storage of
-    `layout` (_band_layout), or of its _band_lu where Cholesky breaks down."""
-    _, src, position, kd, perm, _ = layout
+    with CSC `data`, gathered into the upper band storage of `layout`
+    (_band_layout), or of its _band_lu where Cholesky breaks down."""
+    upper, position, kd, perm, _ = layout
     n = perm.size
     ab = np.zeros((kd + 1) * n)
-    ab[position] = source[src]
+    ab[position] = data[upper]
     factor, info = _pbtrf(ab.reshape(kd + 1, n, order="F"), overwrite_ab=True)
     if info != 0:
-        return _band_lu(layout, source)
+        return _band_lu(layout, data)
     return _permuted(lambda rhs: _pbtrs(factor, rhs)[0], perm)
 
 
-def _bordered_solve(mesh, layout, source):
-    """Solve of the bordered matrix [J, c; b^T, 0] with source [J.data, b, c]
-    (see _natural_layout) by block elimination on the banded LU of J
-    (_band_lu): x = y - s z with y = J^-1 f, z = J^-1 c and s from
-    b^T x = g, then one step of refinement on the bordered residual, which
-    makes the elimination backward stable although J is singular up to
-    rounding at a converged iterate (Govaerts, SIAM J. Matrix Anal. Appl.
-    12, 1991). b^T J^-1 c = 0 is a singular bordered matrix."""
-    _, indices, indptr = mesh.pattern("interior")
-    nnz, n = indices.size, indptr.size - 1
-    jac_solve = _band_lu(layout, source)
-    b, c = source[nnz:nnz + n], source[nnz + n:]
+def _bordered_solve(layout, jac, b, c):
+    """Solve of the bordered matrix [J, c; b^T, 0], J the CSC matrix `jac`,
+    by block elimination on the banded LU of J (_band_lu): x = y - s z with
+    y = J^-1 f, z = J^-1 c and s from b^T x = g, then one step of refinement
+    on the bordered residual, which makes the elimination backward stable
+    although J is singular up to rounding at a converged iterate (Govaerts,
+    SIAM J. Matrix Anal. Appl. 12, 1991). b^T J^-1 c = 0 is a singular
+    bordered matrix."""
+    n = b.size
+    jac_solve = _band_lu(layout, jac.data)
     z = jac_solve(c)
     bz = float(b @ z)
     if bz == 0.0:
         raise RuntimeError("Factor is exactly singular")
-    jac = _square_csc(source[:nnz], indices, indptr)
 
     def eliminate(f, g):
         y = jac_solve(f)
@@ -495,33 +482,28 @@ def _bordered_solve(mesh, layout, source):
     return solve
 
 
-def _lu_solve(mesh, name, source):
-    """Solve of the factor of the matrix `name` (see _natural_layout) with
-    data from `source`: at most _DENSE_MAX unknowns, _dense_solve; above it,
-    _band_solve of an interior matrix and _bordered_solve of a bordered one,
-    on the interior pattern's band layout, built once per mesh.
-    `mesh.lu_layouts` keeps, per name, the layout, never a factor. A
-    singular matrix raises RuntimeError and caches nothing.
+def _lu_solve(mesh, data, border=None):
+    """Solve of the factor of the matrix with CSC `data` on the interior
+    pattern, or, for border = (b, c), of the bordered matrix [A, c; b^T, 0].
+    At most _DENSE_MAX interior unknowns, _dense_solve; above it,
+    _band_solve of the matrix itself and _bordered_solve of a bordered one.
+    The layout comes from the interior pattern alone and is built once per
+    mesh: the row and column of each entry, or the band layout.
+    `mesh.lu_layout` keeps it, never a factor. A singular matrix raises
+    RuntimeError and caches nothing.
     """
-    layout = mesh.lu_layouts.get(name)
-    if layout is None:
-        src, indices, indptr = _natural_layout(mesh, name)
-        n = indptr.size - 1
-        if n <= _DENSE_MAX:
-            # column-major position of each CSC entry in the n x n array
-            layout = ("dense", src, np.repeat(n * np.arange(n), np.diff(indptr)) + indices, n)
-        else:
-            # J is on the interior pattern, with its data first in the
-            # bordered source: the interior pattern's band layout serves both
-            shared = (kept for kept in mesh.lu_layouts.values() if kept[0] == "band")
-            layout = next(shared, None) or _band_layout(*_natural_layout(mesh, "interior"))
-    if layout[0] == "dense":
-        solve = _dense_solve(layout, source)
-    elif name == "interior":
-        solve = _band_solve(layout, source)
+    _, indices, indptr = mesh.pattern("interior")
+    n = indptr.size - 1
+    if n <= _DENSE_MAX:
+        layout = mesh.lu_layout or (indices, np.repeat(np.arange(n), np.diff(indptr)), n)
+        solve = _dense_solve(layout, data, border)
     else:
-        solve = _bordered_solve(mesh, layout, source)
-    mesh.lu_layouts[name] = layout
+        layout = mesh.lu_layout or _band_layout(indices, indptr)
+        if border is None:
+            solve = _band_solve(layout, data)
+        else:
+            solve = _bordered_solve(layout, _square_csc(data, indices, indptr), *border)
+    mesh.lu_layout = layout
     return solve
 
 
@@ -553,7 +535,7 @@ def _lanczos(mesh, measure, start, against, opts):
     """
     K = _assemble_csc(mesh, _stiffness_local(mesh, mesh.element_density_integrals(measure)))
     M = _assemble_csc(mesh, _mass_local(mesh, mesh.measure_weights(measure)))
-    solve = _lu_solve(mesh, "interior", K.data)
+    solve = _lu_solve(mesh, K.data)
     # M-orthonormal rows, `against` first if given, then the basis, and
     # their M-images: the first `filled` rows of two arrays whose capacity
     # doubles when full
@@ -710,10 +692,10 @@ def _outer_loop(p, mesh, measure, opts):
         d = np.zeros(mesh.n_nodes)
         if newton:
             # J comes from the terms of the evaluation that accepted u
-            source = np.concatenate([_scatter(mesh, _jacobian(p, mesh, lam, terms)), b, -b])
+            jac = _scatter(mesh, _jacobian(p, mesh, lam, terms))
             try:
                 # u is normalised, so the normalisation row has zero right side
-                d[interior] = _lu_solve(mesh, "bordered", source)(np.append(-r, 0.0))[:-1]
+                d[interior] = _lu_solve(mesh, jac, (b, -b))(np.append(-r, 0.0))[:-1]
             except RuntimeError:
                 # exactly singular, as where an interior node of a cut
                 # sub-mesh touches no other interior node and u and grad u
@@ -726,7 +708,7 @@ def _outer_loop(p, mesh, measure, opts):
             eps = max(1e-8, 1e-2 * 0.5**lagged)
             weights = (np.sum(g * g, axis=1) + eps * eps) ** (0.5 * (p - 2.0))
             de = mesh.element_density_integrals(measure)
-            d[interior] = _lu_solve(mesh, "interior", _scatter(mesh, _stiffness_local(mesh, de * weights)))(b)
+            d[interior] = _lu_solve(mesh, _scatter(mesh, _stiffness_local(mesh, de * weights)))(b)
             d = _normalize(mesh, d, p, measure) - u
             lagged += 1
         t = 1.0
@@ -859,8 +841,8 @@ def _cut_sweep_second(p, mesh, measure, opts):
     nearby cuts, so most searches probe only a few cuts. Any correct search
     of a monotone predicate finds the same j. A component shared by sides
     is solved once. Each max(lambda+, lambda-) is the quotient of an
-    admissible glued field, so the result bounds lambda2 even where
-    unconverged sub-solves break the ordering. `iterations` counts the
+    admissible glued field, so the result bounds the discrete lambda2 even
+    where unconverged sub-solves break the ordering. `iterations` counts the
     distinct cuts evaluated; `converged` holds when both sub-solves of the
     returned cut converged. One warning per sweep counts the distinct
     sub-solves that did not converge, if any. A mesh on which no cut leaves
@@ -945,9 +927,12 @@ def second_eigenvalue(p, mesh, measure, u1pair, opts=None):
     p = 2 uses shift-invert Lanczos (_lanczos) in the M-complement of the
     converged ground state `u1pair` and converges to the discrete lambda_2;
     `iterations` counts its solves.  Every other p
-    uses the hyperplane-cut sweep, which returns a certified upper bound
-    (is_upper_bound is set; `u1pair` is not used and may be None); its glued
-    sign-changing field is an admissible candidate, not an eigenfunction.
+    uses the hyperplane-cut sweep, which returns an upper bound on the
+    discrete lambda_2 of the fixed quadrature (is_upper_bound is set;
+    `u1pair` is not used and may be None). It does not bound the continuum
+    lambda_2 while the quadrature of int |u|^p is inexact (7e-6 to 1.5e-3
+    relative on sign-changing fields). Its glued sign-changing field is an
+    admissible candidate, not an eigenfunction.
     """
     _check_p(p)
     if u1pair is None and p == 2.0 or u1pair is not None and not u1pair.converged:

@@ -164,6 +164,23 @@ class TestCommands:
         (entry,) = json.loads(capsys.readouterr().out)["results"]
         assert not entry["passed"]
 
+    def test_constants_huge_p(self, capsys):
+        # the logs of c1 are about -0.69 p, and the two forms differ by their
+        # rounding, 3e-11 at p = 2e5 and 1.2e-10 at p = 1e6
+        assert main(["constants", "--p", "200000,1000000", "--no-timestamp"]) == 0
+        entries = json.loads(capsys.readouterr().out)["results"]
+        assert len(entries) == 2 and all(e["passed"] for e in entries)
+
+    @pytest.mark.parametrize("p", ["200000", "1000000"])
+    def test_constants_moved_k0_fails_at_huge_p(self, monkeypatch, p, capsys):
+        # the k0 form moves by 2e-8 and 5e-7 where k0 moves by 1e-9 relative
+        sharp = cli.cpcore.c1_sharp
+        monkeypatch.setattr(cli.cpcore, "c1_sharp",
+                            lambda p: dataclasses.replace(sharp(p), k0=sharp(p).k0 * (1.0 + 1e-9)))
+        assert main(["constants", "--p", p, "--no-timestamp"]) == 2
+        (entry,) = json.loads(capsys.readouterr().out)["results"]
+        assert not entry["passed"]
+
     @pytest.mark.parametrize("p", [247.0, 300.0])
     def test_constants_large_p_variational_above_c1(self, p, capsys):
         assert main(["constants", "--p", str(p), "--no-timestamp"]) == 0

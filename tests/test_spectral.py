@@ -365,7 +365,7 @@ class TestGroundStateConvergence:
 
 
 class TestSingularNewtonSystem:
-    def test_isolated_interior_node_returns_pair(self):
+    def test_isolated_interior_node_returns_pair(self, monkeypatch):
         # along theta = 7 pi / 32 the cut at the distinct centroid projection
         # of index 18 of 48 leaves an interior node of the triangle's Omega+
         # with no interior neighbour; u and grad u vanish around it
@@ -379,6 +379,16 @@ class TestSingularNewtonSystem:
                 if i in adjacency:
                     adjacency[i].update(j for j in tri if j != i and sub.interior[j])
         assert any(not nb for nb in adjacency.values())
+        # the LAPACK info of every dense factorisation, by size
+        factors = {size: [] for size in range(1, spectral._DENSE_MAX + 2)}
+        getrf = spectral._getrf
+
+        def recorded_getrf(a, **kwargs):
+            out = getrf(a, **kwargs)
+            factors[a.shape[0]].append(out[-1])
+            return out
+
+        monkeypatch.setattr(spectral, "_getrf", recorded_getrf)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             pair = ps.first_eigenpair(3.0, sub, ps.lebesgue())
@@ -387,9 +397,12 @@ class TestSingularNewtonSystem:
         assert pair.converged == (pair.residual <= max(SolverOptions().tol, pair.residual_floor))
         # the sub-mesh's systems are factored dense, where the isolated
         # node's zero column fails getrf: every bordered factorisation
-        # failed, so only the lagged layout is kept
-        assert np.count_nonzero(sub.interior) + 1 <= spectral._DENSE_MAX
-        assert sub.lu_layouts["interior"][0] == "dense" and "bordered" not in sub.lu_layouts
+        # failed, and the lagged ones keep the dense layout
+        n = np.count_nonzero(sub.interior)
+        assert n <= spectral._DENSE_MAX
+        assert factors[n] and all(info == 0 for info in factors[n])
+        assert factors[n + 1] and all(info > 0 for info in factors[n + 1])
+        assert _layout_kind(sub) == "dense"
 
 
 _ORDER_DOMAINS = {
@@ -443,8 +456,9 @@ class TestCachedColumnOrder:
     # order, kept in its band layout with the gathers into band storage
     @staticmethod
     def _matrices(p, m, mu, u):
-        """(name, source, fresh CSC) of a lagged, a bordered and the
-        deflation matrix at u, each CSC built apart from _lu_solve."""
+        """(data, border, fresh CSC) of a lagged, a bordered and the
+        deflation matrix at u, as _lu_solve takes them, each CSC built
+        apart from _lu_solve."""
         g = m.gradients(u)
         weights = (np.sum(g * g, axis=1) + 1e-4) ** (0.5 * (p - 2.0))
         lagged = spectral._assemble_csc(m, spectral._stiffness_local(m, m.element_density_integrals(mu) * weights))
@@ -452,11 +466,11 @@ class TestCachedColumnOrder:
         jac = spectral._assemble_csc(m, spectral._jacobian(p, m, lam, terms))
         bordered = sparse.bmat([[jac, -b[:, None]], [b[None, :], None]], format="csc")
         stiffness = spectral._assemble_csc(m, spectral._stiffness_local(m, m.element_density_integrals(mu)))
-        return [
-            ("interior", lagged.data, lagged),
-            ("bordered", np.concatenate([jac.data, b, -b]), bordered),
-            ("interior", stiffness.data, stiffness),
-        ]
+        _, indices, indptr = m.pattern("interior")
+        # every matrix's data is on the interior pattern
+        for a in (lagged, jac, stiffness):
+            assert np.array_equal(a.indices, indices) and np.array_equal(a.indptr, indptr)
+        return [(lagged.data, None, lagged), (jac.data, (b, -b), bordered), (stiffness.data, None, stiffness)]
 
     # bordered systems above _DENSE_MAX unknowns: block elimination on the
     # banded LU of J, at random iterates and at converged ground states,
@@ -473,27 +487,23 @@ class TestCachedColumnOrder:
         rng = np.random.default_rng(seed)
         ground = order_ground_state(name, level, variant, p, measure)
         for u in (np.where(m.interior, rng.uniform(0.5, 1.5, m.n_nodes), 0.0), ground):
-            _, source, fresh = self._matrices(p, m, mu, u)[1]
-            # the gather builds the bordered matrix
-            src, indices, indptr = spectral._natural_layout(m, "bordered")
-            assert np.array_equal(source[src], fresh.data)
-            assert np.array_equal(indices, fresh.indices) and np.array_equal(indptr, fresh.indptr)
+            data, border, fresh = self._matrices(p, m, mu, u)[1]
             size = fresh.shape[0]
             rhs = [rng.standard_normal(size), rng.standard_normal((size, 3))]
             # the first call builds the band layout, the next ones reuse it
-            for solve in [spectral._lu_solve(m, "bordered", source) for _ in range(2)]:
-                assert m.lu_layouts["bordered"][0] == "band"
+            for solve in [spectral._lu_solve(m, data, border) for _ in range(2)]:
+                assert _layout_kind(m) == "band"
                 _assert_backward_stable(fresh.toarray(), solve, rhs)
             # a zero row and column of J, or a zero border
-            _assert_singular_caches_nothing(m, order_mesh(name, level, variant), "bordered", source, rng)
+            _assert_singular_caches_nothing(m, order_mesh(name, level, variant), data, border, rng)
 
     def test_band_layout_shared_per_mesh(self, monkeypatch):
         built = []
         band_layout = spectral._band_layout
 
-        def counted(src, indices, indptr):
+        def counted(indices, indptr):
             built.append(indptr.size - 1)
-            return band_layout(src, indices, indptr)
+            return band_layout(indices, indptr)
 
         monkeypatch.setattr(spectral, "_band_layout", counted)
         m = ps.build_mesh(ps.polygon_domain(_SQUARE), 3)
@@ -502,7 +512,7 @@ class TestCachedColumnOrder:
         first = ps.first_eigenpair(3.0, m, ps.lebesgue())
         pair = ps.first_eigenpair(2.0, m, ps.gaussian())
         ps.second_eigenvalue(2.0, m, ps.gaussian(), pair)
-        assert built == [n] and m.lu_layouts["bordered"] is m.lu_layouts["interior"]
+        assert built == [n] and _layout_kind(m) == "band"
         assert ps.first_eigenpair(3.0, m, ps.lebesgue()).lam == first.lam
         assert not hasattr(spectral, "splu")
         # a sub-mesh is a new mesh: it builds its own (79 interior nodes,
@@ -511,12 +521,15 @@ class TestCachedColumnOrder:
         sub, _ = submesh(m, np.nonzero(centroids[:, 0] > 0.25)[0])
         assert np.count_nonzero(sub.interior) > spectral._DENSE_MAX
         ps.first_eigenpair(3.0, sub, ps.lebesgue())
-        assert built == [n, np.count_nonzero(sub.interior)]
-        assert sub.lu_layouts["bordered"] is sub.lu_layouts["interior"]
-        # one of at most _DENSE_MAX unknowns (49) is factored dense
+        assert built == [n, np.count_nonzero(sub.interior)] and _layout_kind(sub) == "band"
+        # one of at most _DENSE_MAX unknowns (49) is factored dense, its
+        # lagged and bordered matrices alike
         half, _ = submesh(m, np.arange(m.n_elements // 2))
+        n_half = np.count_nonzero(half.interior)
+        band, dense = _counted_band(monkeypatch), _counted_lapack(monkeypatch)
         ps.first_eigenpair(3.0, half, ps.lebesgue())
-        assert len(built) == 2 and [half.lu_layouts[k][0] for k in ("interior", "bordered")] == ["dense"] * 2
+        assert len(built) == 2 and _layout_kind(half) == "dense"
+        assert set(dense["getrf"]) == {n_half, n_half + 1} and band == {"pbtrf": [], "gbtrf": []}
 
     @pytest.mark.parametrize("p", [2.0, 3.0, 6.0])
     def test_one_factorisation_per_step(self, monkeypatch, p):
@@ -528,9 +541,9 @@ class TestCachedColumnOrder:
         names = []
         lu_solve = spectral._lu_solve
 
-        def counted(mesh, name, source):
-            names.append(name)
-            return lu_solve(mesh, name, source)
+        def counted(mesh, data, border=None):
+            names.append("interior" if border is None else "bordered")
+            return lu_solve(mesh, data, border)
 
         monkeypatch.setattr(spectral, "_lu_solve", counted)
         band = _counted_band(monkeypatch)
@@ -562,8 +575,8 @@ class TestCachedColumnOrder:
         n = np.count_nonzero(m.interior)
         nnz = m.pattern("interior")[1].size
         with pytest.raises(RuntimeError):
-            spectral._lu_solve(m, "bordered", np.zeros(nnz + 2 * n))
-        assert "bordered" not in m.lu_layouts
+            spectral._lu_solve(m, np.zeros(nnz), (np.zeros(n), np.zeros(n)))
+        assert m.lu_layout is None
 
 
 def _counted_band(monkeypatch):
@@ -616,23 +629,35 @@ def _assert_backward_stable(a, solve, rhs):
         assert np.all(np.max(np.abs(r), axis=0) <= bound)
 
 
-def _assert_singular_caches_nothing(m, other, name, source, rng):
-    """An exact zero row and column of the matrix `name` (both, since the
-    banded factor reads an interior matrix's upper triangle alone) raise
+def _layout_kind(m):
+    """"dense" or "band", the kind of factor layout that the mesh keeps
+    (each entry's row and column and n, or _band_layout's five arrays)."""
+    return {3: "dense", 5: "band"}[len(m.lu_layout)]
+
+
+def _assert_singular_caches_nothing(m, other, data, border, rng):
+    """An exact zero row and column of the matrix with `data` and `border`
+    (both, since the banded factor reads an interior matrix's upper triangle
+    alone; row and column n of a bordered matrix are its border) raise
     RuntimeError on the mesh m, which keeps its layout, and on `other`, a
-    new mesh like m, which then caches no layout for it."""
-    src, indices, indptr = spectral._natural_layout(m, name)
-    j = int(rng.integers(indptr.size - 1))
-    singular = source.copy()
-    singular[src[indptr[j]:indptr[j + 1]]] = 0.0
-    singular[src[indices == j]] = 0.0
-    kind = m.lu_layouts[name][0]
+    new mesh like m, which then caches no layout."""
+    _, indices, indptr = m.pattern("interior")
+    n = indptr.size - 1
+    j = int(rng.integers(n + (border is not None)))
+    data = data.copy()
+    border = None if border is None else tuple(v.copy() for v in border)
+    if j < n:
+        data[indptr[j]:indptr[j + 1]] = 0.0
+        data[indices == j] = 0.0
+    for v in border or ():
+        v[j if j < n else slice(None)] = 0.0
+    layout = m.lu_layout
     with pytest.raises(RuntimeError):
-        spectral._lu_solve(m, name, singular)
-    assert m.lu_layouts[name][0] == kind
+        spectral._lu_solve(m, data, border)
+    assert m.lu_layout is layout
     with pytest.raises(RuntimeError):
-        spectral._lu_solve(other, name, singular)
-    assert name not in other.lu_layouts
+        spectral._lu_solve(other, data, border)
+    assert other.lu_layout is None
 
 
 class TestBandFactor:
@@ -650,23 +675,23 @@ class TestBandFactor:
         rng = np.random.default_rng(seed)
         u = np.where(m.interior, rng.uniform(0.5, 1.5, m.n_nodes), 0.0)
         # a lagged matrix and the stiffness matrix
-        for name_, source, fresh in TestCachedColumnOrder._matrices(p, m, mu, u):
-            if name_ != "interior":
+        for data, border, fresh in TestCachedColumnOrder._matrices(p, m, mu, u):
+            if border is not None:
                 continue
             rhs = [rng.standard_normal(n), rng.standard_normal((n, 3))]
             # the first call builds the band layout, the next ones reuse it
-            for solve in [spectral._lu_solve(m, name_, source) for _ in range(2)]:
-                assert m.lu_layouts[name_][0] == "band"
+            for solve in [spectral._lu_solve(m, data) for _ in range(2)]:
+                assert _layout_kind(m) == "band"
                 _assert_backward_stable(fresh.toarray(), solve, rhs)
-            _assert_singular_caches_nothing(m, order_mesh(name, level, variant), name_, source, rng)
+            _assert_singular_caches_nothing(m, order_mesh(name, level, variant), data, None, rng)
 
     def test_layout_once_per_mesh(self, monkeypatch):
         built = []
         band_layout = spectral._band_layout
 
-        def counted(src, indices, indptr):
+        def counted(indices, indptr):
             built.append(indptr.size - 1)
-            return band_layout(src, indices, indptr)
+            return band_layout(indices, indptr)
 
         monkeypatch.setattr(spectral, "_band_layout", counted)
         m = ps.build_mesh(ps.polygon_domain(_SQUARE), 4)
@@ -677,18 +702,17 @@ class TestBandFactor:
         pair = ps.first_eigenpair(2.0, m, ps.gaussian())
         ps.second_eigenvalue(2.0, m, ps.gaussian(), pair)
         assert built == [n]
-        _, src, position, kd, perm, general = m.lu_layouts["interior"]
+        upper, position, kd, perm, general = m.lu_layout
         # the ordered square's bandwidth is about sqrt(n), against about n
         # in mesh order
         assert kd <= 31 and np.array_equal(np.sort(perm), np.arange(n))
-        assert src.size == position.size == (m.pattern("interior")[1].size + n) // 2
-        assert general.shape == (2, src.size)
+        assert upper.size == position.size == (m.pattern("interior")[1].size + n) // 2
+        assert general.shape == (2, upper.size)
         # a new mesh with the same nodes builds its own, the same one
         other = Mesh(m.nodes, m.elements)
         ps.first_eigenpair(3.0, other, ps.lebesgue())
         assert built == [n, n]
-        layout = (src, position, kd, perm, general)
-        assert all(np.array_equal(a, b) for a, b in zip(other.lu_layouts["interior"][1:], layout, strict=True))
+        assert all(np.array_equal(a, b) for a, b in zip(other.lu_layout, m.lu_layout, strict=True))
 
     @pytest.mark.parametrize("measure", sorted(_MEASURES))
     def test_indefinite_matrix_falls_back_to_band_lu(self, monkeypatch, measure):
@@ -703,13 +727,13 @@ class TestBandFactor:
         shifted = K - 30.0 * M
         assert np.array_equal(shifted.indices, K.indices) and np.array_equal(shifted.indptr, K.indptr)
         calls = _counted_band(monkeypatch)
-        solve = spectral._lu_solve(m, "interior", shifted.data)
+        solve = spectral._lu_solve(m, shifted.data)
         assert calls == {"pbtrf": [n], "gbtrf": [n]}
-        assert m.lu_layouts["interior"][0] == "band"
+        assert _layout_kind(m) == "band"
         rng = np.random.default_rng(7)
         _assert_backward_stable(shifted.toarray(), solve, [rng.standard_normal(n), rng.standard_normal((n, 3))])
         # the positive definite stiffness matrix on the same layout: Cholesky
-        _assert_backward_stable(K.toarray(), spectral._lu_solve(m, "interior", K.data), [rng.standard_normal(n)])
+        _assert_backward_stable(K.toarray(), spectral._lu_solve(m, K.data), [rng.standard_normal(n)])
         assert calls == {"pbtrf": [n, n], "gbtrf": [n]}
 
 
@@ -740,19 +764,46 @@ class TestDenseFactor:
     def test_dense_solves(self, order_mesh, name, level, variant, p, measure, seed):
         m = order_mesh(name, level, variant)
         n = np.count_nonzero(m.interior)
-        assume(2 <= n and n + 1 <= spectral._DENSE_MAX)
+        assume(2 <= n <= spectral._DENSE_MAX)
         mu = _MEASURES[measure]
         rng = np.random.default_rng(seed)
         u = np.where(m.interior, rng.uniform(0.5, 1.5, m.n_nodes), 0.0)
-        for name_, source, fresh in TestCachedColumnOrder._matrices(p, m, mu, u):
+        for data, border, fresh in TestCachedColumnOrder._matrices(p, m, mu, u):
             a = fresh.toarray()
             size = a.shape[0]
             rhs = [rng.standard_normal(size), rng.standard_normal((size, 3))]
             # the first call caches the gather index, the next ones reuse it
-            for solve in [spectral._lu_solve(m, name_, source) for _ in range(2)]:
-                assert m.lu_layouts[name_][0] == "dense"
+            for solve in [spectral._lu_solve(m, data, border) for _ in range(2)]:
+                assert _layout_kind(m) == "dense"
                 _assert_backward_stable(a, solve, rhs)
-            _assert_singular_caches_nothing(m, order_mesh(name, level, variant), name_, source, rng)
+            _assert_singular_caches_nothing(m, order_mesh(name, level, variant), data, border, rng)
+
+    @pytest.mark.parametrize("n", [63, 64, 65])
+    def test_size_switch(self, monkeypatch, n):
+        # the interior unknowns alone choose the factor: at most _DENSE_MAX
+        # of them, dense getrf of the n x n lagged and stiffness matrices and
+        # of the (n + 1) x (n + 1) bordered one; above it, banded Cholesky of
+        # the former and block elimination on the banded LU of J
+        assert spectral._DENSE_MAX == 64
+        m = Mesh(np.linspace(0.0, 1.0, n + 2), np.stack([np.arange(n + 1), np.arange(1, n + 2)], axis=1))
+        assert np.count_nonzero(m.interior) == n
+        rng = np.random.default_rng(n)
+        u = np.where(m.interior, rng.uniform(0.5, 1.5, m.n_nodes), 0.0)
+        dense, band = _counted_lapack(monkeypatch), _counted_band(monkeypatch)
+        for data, border, fresh in TestCachedColumnOrder._matrices(3.0, m, ps.lebesgue(), u):
+            size = fresh.shape[0]
+            solve = spectral._lu_solve(m, data, border)
+            if n <= spectral._DENSE_MAX:
+                assert dense["getrf"] == [size] and band == {"pbtrf": [], "gbtrf": []}
+            elif border is None:
+                assert dense["getrf"] == [] and band == {"pbtrf": [n], "gbtrf": []}
+            else:
+                assert dense["getrf"] == [] and band == {"pbtrf": [], "gbtrf": [n]}
+            _assert_backward_stable(fresh.toarray(), solve, [rng.standard_normal(size), rng.standard_normal((size, 3))])
+            for calls in (dense, band):
+                for key in calls:
+                    del calls[key][:]
+        assert _layout_kind(m) == ("dense" if n <= spectral._DENSE_MAX else "band")
 
     @pytest.mark.parametrize("measure", sorted(_MEASURES))
     @pytest.mark.parametrize("name, level", [("interval", 1), ("square", 2), ("triangle", 2), ("pentagon", 2)])
@@ -762,7 +813,7 @@ class TestDenseFactor:
         # no bordered and no banded factor is made
         m = order_mesh(name, level, "mesh")
         n = np.count_nonzero(m.interior)
-        assert n + 1 <= spectral._DENSE_MAX
+        assert n <= spectral._DENSE_MAX
         mu = _MEASURES[measure]
         band = _counted_band(monkeypatch)
         calls = _counted_lapack(monkeypatch)
@@ -778,7 +829,7 @@ class TestDenseFactor:
         pair = ps.first_eigenpair(2.0, m, mu)
         check(pair)
         check(ps.second_eigenvalue(2.0, m, mu, pair))
-        assert band == {"pbtrf": [], "gbtrf": []} and "bordered" not in m.lu_layouts
+        assert band == {"pbtrf": [], "gbtrf": []} and _layout_kind(m) == "dense"
 
 
 _SWEEP_CASES = {
@@ -1267,8 +1318,8 @@ class TestSecondEigenvalue:
         calls = []
         lu_solve = spectral._lu_solve
 
-        def counted(mesh, name, source):
-            solve = lu_solve(mesh, name, source)
+        def counted(mesh, data, border=None):
+            solve = lu_solve(mesh, data, border)
 
             def counted_solve(rhs):
                 calls.append(rhs.shape)

@@ -198,6 +198,11 @@ def run_constants(config):
             # grows with |log c1|, about 0.69 p
             log_c1 = res.log_c1()
             ok = ok and abs(log_c1 - res.log_c1_k0_form()) <= max(1e-12, 1e-14 * abs(log_c1))
+            # that form is stationary at k0; the root equation is first order
+            # in it. Its rounding at the true k0 stays below 2e-15 p (p from
+            # 2 + 1e-7 to 1e7), and a k0 moved by 1e-9 relative reads at
+            # least 4e-9 p
+            ok = ok and abs(res.k0_residual()) <= 1e-13 * p
             # every sample of the ratio bounds c1 from above, up to rounding
             ok = ok and entry["c1_variational"] >= res.c1 * (1.0 - 1e-12)
         else:

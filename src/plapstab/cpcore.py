@@ -101,35 +101,51 @@ class C1Result:
         terms = [math.log(p - 1.0) + p * log_rest, math.log(p) + log_k0 + (p - 1.0) * log_rest, p * log_k0]
         return float(np.logaddexp.reduce(terms))
 
+    def k0_residual(self):
+        """Residual of the equation r0 solves (_c1_equation) at r = k0 / (1 -
+        k0), 0 for p = 2: first order in an error of k0, where the k0 form
+        of log c1 is stationary. Where _c1_equation overflows, the log form
+        (p-1) log r - log((p-1) r + p - 2) of the same equation."""
+        if math.isnan(self.k0):
+            return 0.0
+        p, r = self.p, self.k0 / (1.0 - self.k0)
+        try:
+            return _c1_equation(r, p)
+        except OverflowError:
+            return (p - 1.0) * math.log(r) - math.log((p - 1.0) * r + p - 2.0)
+
 
 def _normal_or_exp(x, log_x):
     """x where it is a normal float; exp(log_x) below the normal range."""
     return x if x >= sys.float_info.min else math.exp(log_x)
 
 
+def _c1_equation(r, p):
+    """g(r) = f(r) / (p - 2) = r expm1((p-2) log r) / (p - 2) - (r + 1) of
+    f(r) = r^(p-1) - (p-1) r - (p-2): the equation whose root r0 > 1 gives
+    c1, without the O(p - 2) cancellation of f near p = 2."""
+    return r * math.expm1((p - 2.0) * math.log(r)) / (p - 2.0) - (r + 1.0)
+
+
 def _c1_root(p):
     """Unique root r0 > 1 of f(r) = r^(p-1) - (p-1) r - (p-2) by scipy's brentq.
 
-    It solves g(r) = f(r) / (p - 2) = r expm1((p-2) log r) / (p - 2) - (r + 1)
-    instead: same root, without the O(p - 2) cancellation of f near p = 2.
+    It solves g(r) = _c1_equation(r, p) = f(r) / (p - 2) instead: same root.
     g(1) = -2 < 0, so the upper ends 2, 4, 8, ... bracket it. Where g(2)
     overflows (p above about 1026), r0 - 1 is of order log(p) / p, and the
     ends 1 + 2^k / (p - 2), k = 0, 1, ..., bracket it instead."""
     from scipy.optimize import brentq
 
-    def g(r):
-        return r * math.expm1((p - 2.0) * math.log(r)) / (p - 2.0) - (r + 1.0)
-
     try:
-        g(2.0)
+        _c1_equation(2.0, p)
     except OverflowError:
         ends = (1.0 + 2.0**k / (p - 2.0) for k in range(40))
     else:
         ends = (2.0**k for k in range(1, 40))
-    hi = next((r for r in ends if g(r) > 0.0), None)
+    hi = next((r for r in ends if _c1_equation(r, p) > 0.0), None)
     if hi is None:
         raise RuntimeError("failed to bracket c1 root")
-    return brentq(g, 1.0, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+    return brentq(_c1_equation, 1.0, hi, args=(p,), xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
 
 
 def c1_sharp(p):

@@ -17,7 +17,10 @@ schedule. Once such a step lowers the quotient by 1e-3 relative or less,
 Newton steps on the bordered system [J, -b; b^T, 0] take over, with b =
 B_p(u) and J the Jacobian of the residual. Both directions backtrack by
 halving the step length until the quotient drops; a singular bordered
-system counts as a failed Newton direction.
+system counts as a failed Newton direction. A trial point costs one
+Rayleigh quotient (_quotient): the rest of the Euler-Lagrange system
+(_system) is formed only where the quotient lets the step pass, from the
+pieces the quotient already has.
 The second eigenvalue at p != 2 is a hyperplane-cut two-nodal-domain
 estimator: an upper bound on the discrete lambda2 of the fixed quadrature,
 not on the continuum lambda2 while the quadrature of int |u|^p is inexact
@@ -40,11 +43,12 @@ mass one matmul of the quadrature weights with `Mesh.basis_products`.
 Every int |u|^p dmu is one call of `lp_energies` and every
 int |grad u|^p dmu one of `gradient_energies`, on values and gradients from
 the mesh's matmul and sparse-operator kernels. An Euler-Lagrange
-evaluation forms |grad u| and |u| once and takes from them both the
+evaluation forms |grad u|^2, |grad u| and |u| once and takes from them the
 Rayleigh quotient, by the operations of those two kernels (so bitwise
-`rayleigh_quotient`'s), and the weights |grad u|^(p-2), |u|^(p-2). All the
-powers come from `cpcore._guarded_power`, which multiplies out integer
-exponents up to 8.
+`rayleigh_quotient`'s), and, where the system is wanted, the weights
+|grad u|^(p-2), |u|^(p-2) and the lagged weights. All the powers come
+from `cpcore._guarded_power`, which multiplies out integer exponents up
+to 8.
 Every linear solve is a direct factor (`_lu_solve`) of a matrix A given by
 its CSC data on the interior pattern: the lagged matrix or the p = 2
 stiffness (symmetric, with positive element weights), or J, bordered as
@@ -310,43 +314,61 @@ def _normalize(mesh, values, p, measure):
     return values / nrm
 
 
-def _euler_lagrange(p, mesh, measure, u):
-    """The discrete Euler-Lagrange system at u on the interior dofs.
-
-    Returns (R, b, r, rel, terms): the Rayleigh quotient R(u), b = B_p(u)
-    with B_p(u)_i = int |u|^(p-2) u phi_i dmu, the residual r = A_p(u) - R b
-    with A_p(u)_i = int |grad u|^(p-2) grad u . grad phi_i dmu, its relative
-    norm |r| / |A_p(u)|, and the element terms (u, |g|, de |g|^(p-2),
-    w |u|^(p-2), G g) of g = grad u, from which _jacobian and _residual_floor
-    build their results without evaluating u again.
-    """
+def _quotient(p, mesh, measure, u):
+    """The Rayleigh quotient R(u) and the pieces it is built from: (R,
+    (u, g, uq, |g|^2, |g|, |u|)) of g = grad u per element and the values uq
+    at the quadrature points. A line-search trial needs R alone; _system
+    forms the rest of the Euler-Lagrange system from the pieces."""
     w = mesh.measure_weights(measure)
     de = mesh.element_density_integrals(measure)
     g = mesh.gradients(u)
     uq = mesh.values_at_quad(u)
-    gn, ua = np.sqrt(np.add.reduce(g * g, axis=1)), np.abs(uq)
+    g2 = np.add.reduce(g * g, axis=1)
+    gn, ua = np.sqrt(g2), np.abs(uq)
     # the operations of gradient_energies and lp_energies on this |g| and
     # |u|, so R is bitwise rayleigh_quotient's
     lam = float(np.add.reduce(_guarded_power(gn, p) * de, axis=-1)
                 / np.add.reduce(w * _guarded_power(ua, p), axis=(-2, -1)))
-    ga = de * _guarded_power(gn, p - 2.0)
-    uw = w * _guarded_power(ua, p - 2.0)
+    return lam, (u, g, uq, g2, gn, ua)
+
+
+def _system(p, mesh, measure, lam, pieces):
+    """The discrete Euler-Lagrange system on the interior dofs at the u of
+    `pieces`, R(u) = lam (both from _quotient).
+
+    Returns (b, r, rel, terms): b = B_p(u) with B_p(u)_i = int |u|^(p-2) u
+    phi_i dmu, the residual r = A_p(u) - R b with A_p(u)_i = int |grad
+    u|^(p-2) grad u . grad phi_i dmu, its relative norm |r| / |A_p(u)|, and
+    the element terms (u, |g|^2, |g|, de |g|^(p-2), w |u|^(p-2), G g) of g =
+    grad u, from which _jacobian, _residual_floor and the lagged weights
+    build their results without evaluating u again.
+    """
+    u, g, uq, g2, gn, ua = pieces
+    ga = mesh.element_density_integrals(measure) * _guarded_power(gn, p - 2.0)
+    uw = mesh.measure_weights(measure) * _guarded_power(ua, p - 2.0)
     gphi = np.einsum("mkd,md->mk", mesh.grads, g)  # G g, one row per element
     elements, interior = mesh.elements.ravel(), mesh.interior
     a = np.bincount(elements, (ga[:, None] * gphi).ravel(), mesh.n_nodes)[interior]
     b = np.bincount(elements, ((uw * uq) @ mesh.basis).ravel(), mesh.n_nodes)[interior]
     r = a - lam * b
     rel = float(np.linalg.norm(r) / np.linalg.norm(a))
-    return lam, b, r, rel, (u, gn, ga, uw, gphi)
+    return b, r, rel, (u, g2, gn, ga, uw, gphi)
+
+
+def _euler_lagrange(p, mesh, measure, u):
+    """(R, b, r, rel, terms) of the discrete Euler-Lagrange system at u:
+    _quotient, then _system from its pieces."""
+    lam, pieces = _quotient(p, mesh, measure, u)
+    return (lam, *_system(p, mesh, measure, lam, pieces))
 
 
 def _jacobian(p, mesh, lam, terms):
     """Element matrices of the Jacobian J = A_p'(u) - R B_p'(u) at the u of
-    `terms` (from _euler_lagrange), R = lam: de |g|^(p-2) (G G^T + (p-2)
+    `terms` (from _system), R = lam: de |g|^(p-2) (G G^T + (p-2)
     (G n)(G n)^T) - R (p-1) int |u|^(p-2) phi_i phi_j, with n = g / |g|; the
     p = 2 weight is 1 everywhere and the other weights are 0 where g or u is.
     """
-    _, gn, ga, uw, gphi = terms
+    _, _, gn, ga, uw, gphi = terms
     # (p-2) de |g|^(p-4) (G g)(G g)^T is the (p-2) (G n)(G n)^T term
     gb = (p - 2.0) * _guarded_power(gn, -2.0) * ga
     local = _stiffness_local(mesh, ga) + gb[:, None, None] * (gphi[:, :, None] * gphi[:, None, :])
@@ -357,10 +379,10 @@ def _jacobian(p, mesh, lam, terms):
 def _residual_floor(p, mesh, terms, a):
     """|F| / |a|, a = A_p(u), F_i = int |grad u|^(p-2) |(I + (p-2) n n^T) grad
     phi_i| dg dmu (n = grad u / |grad u|) at the u of `terms` (from
-    _euler_lagrange): to first order, how far A_p(u)_i moves when each u_j
+    _system): to first order, how far A_p(u)_i moves when each u_j
     moves by its rounding 2^-53 |u_j|, which moves grad u by at most
     dg = 2^-53 sum_j |grad phi_j| |u_j|. Grows like h^-2."""
-    u, gn, ga, _, gphi = terms
+    u, _, gn, ga, _, gphi = terms
     phi2 = np.diagonal(mesh.grad_gram, axis1=1, axis2=2)  # |grad phi_i|^2 per element
     dg = 2.0**-53 * np.add.reduce(mesh.grad_lengths * np.abs(u[mesh.elements]), axis=1)
     gain = np.sqrt(phi2 + (p * (p - 2.0)) * _guarded_power(gn, -2.0)[:, None] * gphi**2)
@@ -617,7 +639,9 @@ def first_eigenpair(p, mesh, measure, opts=None):
     relative, and the Newton direction of the bordered Euler-Lagrange
     system after that. The step length halves from 1 until the quotient
     drops (a Newton step also passes when it rises by at most _NEWTON_RISE
-    relative while the residual falls). A direction that finds no step
+    relative while the residual falls). A trial point costs one Rayleigh
+    quotient; the rest of the system is formed only where the quotient
+    lets the step pass. A direction that finds no step
     hands over to the other one; two such failures in a row end the solve.
     It stops once the relative residual is at most max(`opts.tol`, its
     rounding floor). At every p `converged` says that the relative residual
@@ -703,10 +727,10 @@ def _outer_loop(p, mesh, measure, opts):
                 d = None
         else:
             # lagged diffusivity (|grad u|^2 + eps^2)^((p-2)/2) on the fixed
-            # schedule eps = max(1e-8, 1e-2 2^-k) of lagged step k
-            g = mesh.gradients(u)
+            # schedule eps = max(1e-8, 1e-2 2^-k) of lagged step k, with
+            # |grad u|^2 from the terms of u
             eps = max(1e-8, 1e-2 * 0.5**lagged)
-            weights = (np.sum(g * g, axis=1) + eps * eps) ** (0.5 * (p - 2.0))
+            weights = (terms[1] + eps * eps) ** (0.5 * (p - 2.0))
             de = mesh.element_density_integrals(measure)
             d[interior] = _lu_solve(mesh, _scatter(mesh, _stiffness_local(mesh, de * weights)))(b)
             d = _normalize(mesh, d, p, measure) - u
@@ -714,12 +738,16 @@ def _outer_loop(p, mesh, measure, opts):
         t = 1.0
         for _ in range(0 if d is None else _MAX_HALVINGS):
             v = _normalize(mesh, u + t * d, p, measure)
-            lam_v, b_v, r_v, res_v, terms_v = _euler_lagrange(p, mesh, measure, v)
-            if lam_v < lam or (newton and lam_v <= lam * (1.0 + _NEWTON_RISE) and res_v < res):
-                failures = 0
-                newton = newton or lam - lam_v <= _NEWTON_DROP * lam
-                u, lam, b, r, res, terms = v, lam_v, b_v, r_v, res_v, terms_v
-                break
+            # a trial costs one quotient; the rest of the system is formed
+            # only where the step can pass
+            lam_v, pieces = _quotient(p, mesh, measure, v)
+            if lam_v < lam or (newton and lam_v <= lam * (1.0 + _NEWTON_RISE)):
+                b_v, r_v, res_v, terms_v = _system(p, mesh, measure, lam_v, pieces)
+                if lam_v < lam or res_v < res:
+                    failures = 0
+                    newton = newton or lam - lam_v <= _NEWTON_DROP * lam
+                    u, lam, b, r, res, terms = v, lam_v, b_v, r_v, res_v, terms_v
+                    break
             t *= 0.5
         else:
             failures += 1

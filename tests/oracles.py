@@ -632,3 +632,58 @@ def block_inverse_iteration_second(K, M, u1, tol=1e-10, max_outer=200, seed=0, b
             break
         x = project(solve(M @ x))
     return float(theta[0]), v, rel, it
+
+
+def outer_loop_full_evaluation(el, p, mesh, measure, opts):
+    """The outer steps of spectral._ground_state at p != 2 as they were
+    before a line-search trial was decided on its Rayleigh quotient alone:
+    the whole Euler-Lagrange system at every trial point, and the lagged
+    weights from the gradients of u evaluated again. `el` is the spectral
+    module, whose kernels and constants it calls. Returns _outer_loop's
+    (u, R, b, r, relative residual, terms of u, Rayleigh history, steps) and
+    the counts {"trials": trial points, "accepted": accepted steps}."""
+    interior = mesh.interior
+    u = el._normalize(mesh, el._start_vector(mesh), p, measure)
+    lam, b, r, res, terms = el._euler_lagrange(p, mesh, measure, u)
+    history = [lam]
+    newton = False
+    lagged = failures = it = trials = accepted = 0
+    while res > opts.tol and it < opts.max_outer and failures < 2:
+        if newton:
+            floor = el._residual_floor(p, mesh, terms, r + lam * b)
+            if res <= floor:
+                break
+        it += 1
+        d = np.zeros(mesh.n_nodes)
+        if newton:
+            jac = el._scatter(mesh, el._jacobian(p, mesh, lam, terms))
+            try:
+                d[interior] = el._lu_solve(mesh, jac, (b, -b))(np.append(-r, 0.0))[:-1]
+            except RuntimeError:
+                d = None
+        else:
+            g = mesh.gradients(u)
+            eps = max(1e-8, 1e-2 * 0.5**lagged)
+            weights = (np.sum(g * g, axis=1) + eps * eps) ** (0.5 * (p - 2.0))
+            de = mesh.element_density_integrals(measure)
+            local = el._stiffness_local(mesh, de * weights)
+            d[interior] = el._lu_solve(mesh, el._scatter(mesh, local))(b)
+            d = el._normalize(mesh, d, p, measure) - u
+            lagged += 1
+        t = 1.0
+        for _ in range(0 if d is None else el._MAX_HALVINGS):
+            v = el._normalize(mesh, u + t * d, p, measure)
+            trials += 1
+            lam_v, b_v, r_v, res_v, terms_v = el._euler_lagrange(p, mesh, measure, v)
+            if lam_v < lam or (newton and lam_v <= lam * (1.0 + el._NEWTON_RISE) and res_v < res):
+                failures = 0
+                accepted += 1
+                newton = newton or lam - lam_v <= el._NEWTON_DROP * lam
+                u, lam, b, r, res, terms = v, lam_v, b_v, r_v, res_v, terms_v
+                break
+            t *= 0.5
+        else:
+            failures += 1
+            newton = not newton
+        history.append(lam)
+    return (u, lam, b, r, res, terms, history, it), {"trials": trials, "accepted": accepted}

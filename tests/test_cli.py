@@ -181,6 +181,29 @@ class TestCommands:
         (entry,) = json.loads(capsys.readouterr().out)["results"]
         assert not entry["passed"]
 
+    @pytest.mark.parametrize("shift", [1e-9, -1e-9])
+    @pytest.mark.parametrize("p", ["2.5", "3", "10", "50", "500", "1030", "200000", "1000000"])
+    def test_constants_moved_k0_fails(self, monkeypatch, p, shift, capsys):
+        # the root equation's residual at k0 is first order in its error:
+        # 4e-9 p and more for a 1e-9 relative move, against a tolerance of
+        # 1e-13 p, where the k0 form of log c1 moves by the square of it
+        sharp = cli.cpcore.c1_sharp
+        monkeypatch.setattr(cli.cpcore, "c1_sharp",
+                            lambda p: dataclasses.replace(sharp(p), k0=sharp(p).k0 * (1.0 + shift)))
+        assert main(["constants", "--p", p, "--no-timestamp"]) == 2
+        (entry,) = json.loads(capsys.readouterr().out)["results"]
+        assert not entry["passed"]
+
+    @pytest.mark.parametrize("ps", ["2,3", "1.0000001,200,1030", "1030,1050,1076,1080", "200000,1000000", "1.5,2,3,10"])
+    def test_constants_true_k0_passes(self, ps, capsys):
+        # the p of the console-script steps and of the benchmark's constants
+        assert main(["constants", "--p", ps, "--no-timestamp"]) == 0
+        entries = json.loads(capsys.readouterr().out)["results"]
+        assert all(e["passed"] for e in entries)
+        for e in entries:
+            if e["p"] > 2.0:
+                assert abs(cli.cpcore.c1_sharp(e["p"]).k0_residual()) <= 1e-13 * e["p"]
+
     @pytest.mark.parametrize("p", [247.0, 300.0])
     def test_constants_large_p_variational_above_c1(self, p, capsys):
         assert main(["constants", "--p", str(p), "--no-timestamp"]) == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -169,6 +170,25 @@ class TestC1Sharp:
         with mp.workdps(40):
             assert abs(mp.mpf(res.r0) - ref) <= 4 * math.ulp(res.r0)
         assert res.lower <= res.c1 <= res.upper
+
+    @pytest.mark.parametrize("p", np.geomspace(2.0000001, 1e7, 41).tolist() + [2.0001, 3.0, 1029.0, 1082.0])
+    def test_k0_residual_first_order(self, p):
+        # the root equation at r = k0 / (1 - k0): at most 2e-15 p at the true
+        # k0 (measured from p = 2 + 1e-7 to 1e7), at least 4e-9 p where k0
+        # moves by 1e-9 relative; constants passes at 1e-13 p
+        res = c1_sharp(p)
+        assert abs(res.k0_residual()) <= 1e-13 * p
+        for shift in (1e-9, -1e-9):
+            moved = dataclasses.replace(res, k0=res.k0 * (1.0 + shift))
+            assert abs(moved.k0_residual()) >= 3e-9 * p
+
+    def test_k0_residual_log_form_where_the_scaled_form_overflows(self):
+        # r = 9 and r^(p-2) overflows at p = 2000: the log form of the same
+        # equation, (p-1) log r - log((p-1) r + p - 2)
+        res = dataclasses.replace(c1_sharp(2000.0), k0=0.9)
+        r = 0.9 / (1.0 - 0.9)
+        assert res.k0_residual() == 1999.0 * math.log(r) - math.log(1999.0 * r + 1998.0)
+        assert c1_sharp(2.0).k0_residual() == 0.0
 
     def test_p4_exact(self):
         # r^3 - 3r - 2 = (r - 2)(r + 1)^2, so r0 = 2 and c1 = 3 * 3^-2

@@ -28,6 +28,7 @@ from oracles import (
     interior_components_nested,
     lp_energies_pow,
     mass_local_einsum,
+    outer_loop_full_evaluation,
     side_components_nested,
     values_at_quad_einsum,
 )
@@ -99,10 +100,13 @@ class TestFirstEigenpair:
         pair = cache.pair(2.0, "interval-sym", 4, "gaussian")
         assert abs(pair.lam - 2.0) <= 5e-4
 
-    def test_monotone_rayleigh_history(self, cache):
-        pair = cache.pair(3.0, "interval01", 4)
-        h = np.asarray(pair.residual_history)
-        assert np.all(np.diff(h) <= 1e-12 * np.maximum(1.0, h[:-1]))
+    @pytest.mark.parametrize("measure", ["lebesgue", "gaussian"])
+    @pytest.mark.parametrize("name, level", [("interval01", 5), ("square", 3)])
+    @pytest.mark.parametrize("p", [1.5, 3.0, 6.0])
+    def test_monotone_rayleigh_history(self, cache, p, name, level, measure):
+        # a step may raise the quotient by at most _NEWTON_RISE relative
+        h = np.asarray(cache.pair(p, name, level, measure).residual_history)
+        assert np.all(np.diff(h) <= spectral._NEWTON_RISE * h[:-1])
 
     def test_self_consistency_and_normalization(self, cache):
         pair = cache.pair(3.0, "interval01", 4)
@@ -290,7 +294,7 @@ class TestEulerLagrange:
         m = cache.mesh(name, level)
         u = spectral._distance_to_boundary(m) * np.random.default_rng(3).uniform(1.0, 1.5, m.n_nodes)
         lam, _, _, _, terms = spectral._euler_lagrange(p, m, ps.gaussian(), u)
-        _, gn, ga, uw, gphi = terms
+        _, _, gn, ga, uw, gphi = terms
         # de |g|^(p-2) G G^T + (p-2) de |g|^(p-4) (G g)(G g)^T
         # - R (p-1) int |u|^(p-2) phi_i phi_j, written out
         gb = (p - 2.0) * spectral._guarded_power(gn, -2.0) * ga
@@ -302,6 +306,74 @@ class TestEulerLagrange:
         # >= 0, so every entry is a sum of nonnegative terms
         old = mass_local_einsum(m, uw)
         assert np.all(np.abs(mass - old) <= 1e-15 * old)
+
+
+# ground states whose line searches reject trials: Newton steps on the
+# Gaussian interval (up to 12 rejections a step), lagged steps rejected at t = 1
+# on the square and on a cut sub-mesh; the level-2 triangle factors dense
+_LINE_SEARCH_CASES = {
+    "interval-L5-gaussian-p6": (lambda: ps.build_mesh(ps.interval_domain(0.0, 1.0), 5), "gaussian", 6.0, "newton"),
+    "square-L3-lebesgue-p6": (lambda: ps.build_mesh(ps.polygon_domain(_SQUARE), 3), "lebesgue", 6.0, "lagged"),
+    "square-L3-gaussian-p6": (lambda: ps.build_mesh(ps.polygon_domain(_SQUARE), 3), "gaussian", 6.0, "lagged"),
+    "triangle-L2-lebesgue-p1.5": (lambda: ps.build_mesh(ps.polygon_domain(_TRIANGLE), 2), "lebesgue", 1.5, None),
+    "cut-square-L3-lebesgue-p6": (lambda: _oblique_cut(ps.build_mesh(ps.polygon_domain(_SQUARE), 3)),
+                                  "lebesgue", 6.0, "lagged"),
+}
+
+
+def _oblique_cut(m):
+    centroids = np.mean(m.nodes[m.elements], axis=1)
+    return submesh(m, np.nonzero(centroids @ [1.0, 0.3] >= 0.45)[0])[0]
+
+
+class TestLineSearch:
+    @pytest.mark.parametrize("case", sorted(_LINE_SEARCH_CASES))
+    def test_equals_full_evaluation_oracle(self, monkeypatch, case):
+        build, measure, p, _ = _LINE_SEARCH_CASES[case]
+        mu = _MEASURES[measure]
+        got = ps.first_eigenpair(p, build(), mu)
+        monkeypatch.setattr(spectral, "_outer_loop", lambda *a: outer_loop_full_evaluation(spectral, *a)[0])
+        want = ps.first_eigenpair(p, build(), mu)
+        assert got.converged and want.converged
+        assert got.field.values.tobytes() == want.field.values.tobytes()
+        assert (got.lam, got.iterations, got.residual, got.residual_floor) == (
+            want.lam, want.iterations, want.residual, want.residual_floor)
+        assert got.residual_history == want.residual_history
+
+    @pytest.mark.parametrize("case", sorted(_LINE_SEARCH_CASES))
+    def test_system_formed_only_where_a_step_can_pass(self, monkeypatch, case):
+        # b, r and the Jacobian terms come from _system alone: at the start
+        # and once per accepted step, never at a rejected trial
+        build, measure, p, rejecting = _LINE_SEARCH_CASES[case]
+        mu = _MEASURES[measure]
+        _, steps = outer_loop_full_evaluation(spectral, p, build(), mu, SolverOptions())
+        # quotients and systems per mode of the direction being searched,
+        # which its factor tells: bordered for Newton
+        counts = {mode: {"_quotient": 0, "_system": 0} for mode in ("start", "newton", "lagged")}
+        mode = "start"
+        kernels = {name: getattr(spectral, name) for name in ("_quotient", "_system", "_lu_solve")}
+
+        def counter(name):
+            def counted(*a):
+                counts[mode][name] += 1
+                return kernels[name](*a)
+
+            return counted
+
+        def factor(mesh, data, border=None):
+            nonlocal mode
+            mode = "lagged" if border is None else "newton"
+            return kernels["_lu_solve"](mesh, data, border)
+
+        monkeypatch.setattr(spectral, "_quotient", counter("_quotient"))
+        monkeypatch.setattr(spectral, "_system", counter("_system"))
+        monkeypatch.setattr(spectral, "_lu_solve", factor)
+        assert ps.first_eigenpair(p, build(), mu).converged
+        assert counts["start"] == {"_quotient": 1, "_system": 1}
+        assert sum(c["_quotient"] for c in counts.values()) == 1 + steps["trials"]
+        assert sum(c["_system"] for c in counts.values()) == 1 + steps["accepted"]
+        if rejecting is not None:
+            assert counts[rejecting]["_quotient"] > counts[rejecting]["_system"]
 
 
 class TestGroundStateConvergence:

@@ -7,6 +7,7 @@ when every verdict passed (empirical verdicts count when not falsified),
 """
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -14,6 +15,7 @@ import math
 import os
 import sys
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -154,30 +156,87 @@ def _problem(config):
     return domain, build_mesh(domain, config["level"]), Measure(config["measure"])
 
 
-def _jsonable(obj):
-    """Plain JSON values of a report: dataclasses become dicts of their
-    fields, numpy scalars and arrays Python ones, non-finite floats None."""
+@functools.cache
+def _field_names(cls):
+    """Field names of a report dataclass, in the sorted order of JSON keys."""
+    return tuple(sorted(f.name for f in dataclasses.fields(cls)))
+
+
+def _write_object(items, pad, out):
+    """Append to `out` the JSON object of (key, value) pairs in the order
+    given; its members go on lines indented by `pad` plus two spaces. A key
+    that is not a str raises TypeError."""
+    if not items:
+        out.append("{}")
+        return
+    inner = pad + "  "
+    lead = "{\n" + inner
+    for key, value in items:
+        out.append(lead + encode_basestring_ascii(key) + ": ")
+        _write(value, inner, out)
+        lead = ",\n" + inner
+    out.append("\n" + pad + "}")
+
+
+def _write_array(items, pad, out):
+    """Append to `out` the JSON array of a list or tuple, one item a line."""
+    if not items:
+        out.append("[]")
+        return
+    inner = pad + "  "
+    sep = ",\n" + inner
+    # a list of floats (nodal values, residual histories) is one join; no
+    # finite float's repr has an "n", while "nan" and "inf" have
+    try:
+        text = sep.join(map(float.__repr__, items))
+    except TypeError:  # an item is not a float
+        pass
+    else:
+        if "n" not in text:
+            out.append("[\n" + inner + text + "\n" + pad + "]")
+            return
+    lead = "[\n" + inner
+    for value in items:
+        out.append(lead)
+        _write(value, inner, out)
+        lead = sep
+    out.append("\n" + pad + "]")
+
+
+def _write(obj, pad, out):
+    """Append to `out` the JSON text of a report value at indent `pad`."""
     if isinstance(obj, (float, np.floating)):  # the commonest leaf first
         v = float(obj)
-        return v if math.isfinite(v) else None
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if dataclasses.is_dataclass(obj):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    return obj
+        out.append(float.__repr__(v) if math.isfinite(v) else "null")
+    elif isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, dict):
+        _write_object(sorted(obj.items()), pad, out)
+    elif isinstance(obj, (list, tuple)):
+        _write_array(obj, pad, out)
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, (bool, np.bool_)):  # before int: bool is an int
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(int.__repr__(int(obj)))
+    elif isinstance(obj, np.ndarray):
+        _write_array(obj.tolist(), pad, out)
+    elif dataclasses.is_dataclass(obj):
+        _write_object([(k, getattr(obj, k)) for k in _field_names(type(obj))], pad, out)
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _report_text(report):
-    """Strict JSON text of a report: NaN and +-inf are written as null."""
-    return json.dumps(_jsonable(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """Strict JSON text of a report, as `json.dumps(..., indent=2,
+    sort_keys=True)` lays it out: dataclasses are objects of their fields,
+    numpy scalars and arrays Python values, NaN and +-inf null; any other
+    type, or a key that is not a str, raises TypeError."""
+    out = []
+    _write(report, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def run_constants(config):
@@ -328,9 +387,15 @@ def run(config):
 
 def _write_atomic(path, text):
     tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        # a failed write or rename leaves no temp file behind
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def main(argv=None):

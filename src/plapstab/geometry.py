@@ -557,12 +557,20 @@ def integrate(mesh, measure, integrand):
     return float(np.sum(w * vals))
 
 
+def _table_lines(table, fmt):
+    """The rows of a 2-D array as lines of entries formatted by `fmt`,
+    space-joined: one `fmt` pass over all entries, then a join by column."""
+    cells = list(map(fmt, table.ravel().tolist()))
+    width = table.shape[1]
+    return map(" ".join, zip(*(cells[j::width] for j in range(width))))
+
+
 def write_mesh(mesh, path):
     """Text format: header `DIM n NODES k ELEMS m`, coordinates, node-index
     tuples, then one line of 0/1 boundary flags."""
     lines = [f"DIM {mesh.dim} NODES {mesh.n_nodes} ELEMS {mesh.n_elements}"]
-    lines += [" ".join(map(repr, row)) for row in mesh.nodes.tolist()]
-    lines += [" ".join(map(str, row)) for row in mesh.elements.tolist()]
+    lines += _table_lines(mesh.nodes, float.__repr__)
+    lines += _table_lines(mesh.elements, int.__repr__)
     lines.append(" ".join("1" if b else "0" for b in mesh.boundary_mask.tolist()))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -182,7 +182,7 @@ class EigenPair:
             "lambda2_is_upper_bound": bool(self.is_upper_bound),
             "nodal_values": {
                 "mesh_file": mesh_file,
-                "values": [float(v) for v in self.field.values],
+                "values": self.field.values,
             },
         }
 

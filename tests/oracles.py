@@ -1,6 +1,10 @@
 """Independent oracles used to freeze expected values before trusting the
 library code paths.  Nothing in here imports from plapstab."""
 
+import dataclasses
+import json
+import math
+
 import mpmath as mp
 import numpy as np
 from scipy import sparse
@@ -687,3 +691,30 @@ def outer_loop_full_evaluation(el, p, mesh, measure, opts):
             newton = not newton
         history.append(lam)
     return (u, lam, b, r, res, terms, history, it), {"trials": trials, "accepted": accepted}
+
+
+def jsonable(obj):
+    """Plain JSON values of a report: dataclasses become dicts of their
+    fields, numpy scalars and arrays Python ones, non-finite floats None."""
+    if isinstance(obj, (float, np.floating)):
+        v = float(obj)
+        return v if math.isfinite(v) else None
+    if isinstance(obj, dict):
+        return {k: jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, np.ndarray):
+        return [jsonable(v) for v in obj.tolist()]
+    if dataclasses.is_dataclass(obj):
+        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    return obj
+
+
+def report_text_dumps(report):
+    """A report's text through the stdlib encoder, indented and sorted: the
+    bytes that `cli._report_text` must write."""
+    return json.dumps(jsonable(report), indent=2, sort_keys=True, allow_nan=False) + "\n"

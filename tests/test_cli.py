@@ -4,10 +4,16 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from plapstab import cli, cpcore, verify
 from plapstab.cli import _report_text, build_parser, load_config, main, parse_domain_flag
+
+from oracles import report_text_dumps
 
 PI2 = math.pi**2
 
@@ -235,6 +241,16 @@ class TestCommands:
         assert code == 1 and out == ""
         assert err.startswith("run error: ") and err.count("\n") == 1
         assert not missing.exists()
+
+    def test_failed_report_write_leaves_no_temp_file(self, tmp_path, capsys):
+        # the report's path is a directory: the rename fails
+        out_dir = tmp_path / "outdir"
+        out_dir.mkdir()
+        code, out, err = run_cli(["constants", "--p", "2", "--no-timestamp", "--out", str(out_dir)], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("run error: ") and err.count("\n") == 1
+        assert [f.name for f in tmp_path.iterdir()] == ["outdir"]
+        assert not any(out_dir.iterdir())
 
     def test_write_error_no_traceback(self, tmp_path):
         argv = ["stability", "--p", "2", "--level", "1", "--fields", "2", "--csv", str(tmp_path / "missing" / "x.csv")]
@@ -476,3 +492,63 @@ class TestDeterminism:
         _, out, _ = run_cli(["constants", "--p", "2", "--no-timestamp"], capsys)
         entry = json.loads(out)["results"][0]
         assert entry["r0"] is None and entry["k0"] is None
+
+
+_FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e16, 5e-324])
+_KEYS = st.text() | st.sampled_from(['"\\/\b\f\n\r\t\x00\x1f\x7f', "é λ ∞ \u2028", "\U0001d4c1"])
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.booleans().map(np.bool_),
+    st.integers(), st.integers(-2**63, 2**63 - 1).map(np.int64), st.integers(0, 255).map(np.uint8),
+    _FLOATS, _FLOATS.map(np.float64), st.floats(width=32).map(np.float32),
+    _KEYS,
+    st.lists(_FLOATS),
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4), elements=_FLOATS),
+    hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4)),
+    st.builds(verify.StabilityReport, note=_KEYS), st.builds(verify.GapReport),
+    st.builds(verify.WeightedPoincareReport), st.builds(verify.PiconeResult),
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_KEYS, inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+class TestReportText:
+    """`_report_text` writes the bytes of the stdlib encoder, indented by two
+    and sorted, on the plain values of tests/oracles.py's `jsonable`."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_VALUES)
+    def test_matches_stdlib_encoder(self, value):
+        assert _report_text(value) == report_text_dumps(value)
+
+    @pytest.mark.parametrize("value", [
+        {1.5}, {"a": [frozenset()]}, object(), {1: 2.0}, {None: "x"}, {"a": {(1, 2): 0.5}},
+    ])
+    def test_unserialisable_value_or_key_raises_type_error(self, value):
+        with pytest.raises(TypeError):
+            _report_text(value)
+
+    @pytest.mark.parametrize("argv, check", [
+        # p = 2 leaves r0 and k0 NaN
+        (["constants", "--p", "2"], lambda r: r["results"][0]["r0"] is None),
+        (["eigen", "--p", "2", "--level", "2", "--second"], lambda r: r["results"][0]["second"]),
+        # the cut sweep
+        (["eigen", "--p", "3", "--level", "1", "--second"],
+         lambda r: r["results"][0]["second"]["estimator"] == "nodal-cut"),
+        # a Lebesgue polygon's reports carry the note
+        (["stability", "--p", "2", "--domain", "polygon:0,0;1,0;0.2,0.9", "--level", "1",
+          "--fields", "3", "--csv", "{dir}/rows.csv"],
+         lambda r: r["results"][0]["reports"][0]["note"]),
+        (["gap", "--p", "2", "--level", "2"], lambda r: r["results"][0]["verdict"] == "certified"),
+        (["picone", "--p", "2,3", "--level", "2", "--samples", "50"], lambda r: len(r["results"]) == 2),
+    ], ids=["constants", "eigen-p2", "eigen-p3-cut", "stability-polygon", "gap", "picone"])
+    def test_command_report_matches_stdlib_encoder(self, argv, check, tmp_path):
+        args = build_parser().parse_args([a.format(dir=tmp_path) for a in argv] + ["--no-timestamp"])
+        code, report = cli.run(load_config(args))
+        assert code == 0
+        text = _report_text(report)
+        assert text == report_text_dumps(report)
+        assert check(json.loads(text))

@@ -286,8 +286,6 @@ def run_eigen(config):
     mesh_file = config.get("mesh_out")
     if mesh_file is None and config.get("out"):
         mesh_file = str(config["out"]) + ".mesh"
-    if mesh_file:
-        write_mesh(mesh, mesh_file)
     for p in config["p"]:
         pair = first_eigenpair(p, mesh, measure, opts)
         ok = ok and pair.converged
@@ -299,6 +297,9 @@ def run_eigen(config):
         results.append(entry)
     if not ok:
         raise RuntimeError("eigen solve did not converge")
+    # only now, so that a run that fails leaves no mesh file without a report
+    if mesh_file:
+        write_mesh(mesh, mesh_file)
     return True, results, []
 
 

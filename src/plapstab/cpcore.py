@@ -7,7 +7,8 @@ constants governing 1 < p < 2, and the C_p functional itself for complex
 vector arguments.
 
 C_p has one row kernel, `_cp_values`, under `cp_eval_batch` (many rows) and
-`cp_eval` / `cp_eval_flagged` (one); c1's root r0 comes from scipy's `brentq`.
+`cp_eval` / `cp_eval_flagged` (one), with every power from `_guarded_power`;
+c1's root r0 comes from scipy's `brentq`.
 `scipy.integrate` and `scipy.optimize` are imported by the two functions that
 use them, so `import plapstab` loads neither.
 """
@@ -318,8 +319,8 @@ def _cp_values(p, xi, eta):
     nxi2, nd2, ne2, pairing = dot(xi, xi), dot(diff, diff), dot(eta, eta), dot(diff, eta)
     # |xi - eta|^(p-2) * (xi - eta) -> 0 as xi -> eta, for every p > 1
     cross = p * _guarded_power(nd2, 0.5 * (p - 2.0)) * pairing
-    val = nxi2 ** (0.5 * p) - nd2 ** (0.5 * p) - cross
-    scale = np.maximum(np.maximum(nxi2, nd2), ne2) ** (0.5 * p) + 1e-300
+    val = _guarded_power(nxi2, 0.5 * p) - _guarded_power(nd2, 0.5 * p) - cross
+    scale = _guarded_power(np.maximum(np.maximum(nxi2, nd2), ne2), 0.5 * p) + 1e-300
     return val, (val < 0.0) & (val > -1e-12 * scale)
 
 

@@ -42,13 +42,17 @@ with cached arrays: stiffness the element weights times `Mesh.grad_gram`,
 mass one matmul of the quadrature weights with `Mesh.basis_products`.
 Every int |u|^p dmu is one call of `lp_energies` and every
 int |grad u|^p dmu one of `gradient_energies`, on values and gradients from
-the mesh's matmul and sparse-operator kernels. An Euler-Lagrange
-evaluation forms |grad u|^2, |grad u| and |u| once and takes from them the
-Rayleigh quotient, by the operations of those two kernels (so bitwise
-`rayleigh_quotient`'s), and, where the system is wanted, the weights
-|grad u|^(p-2), |u|^(p-2) and the lagged weights. All the powers come
-from `cpcore._guarded_power`, which multiplies out integer exponents up
-to 8.
+the mesh's matmul and sparse-operator kernels. Every norm (int |u|^p
+dmu)^(1/p) is one call of `_lp_norm`, which scales the values by a power of
+two where int |u|^p would leave [2^-1000, 2^1000] (as the lagged
+directions' do from p = 31 on). An Euler-Lagrange evaluation forms
+|grad u|^2, |grad u| and |u| once and takes from them the Rayleigh
+quotient (_quotient, by the operations of those two kernels; it is what
+`rayleigh_quotient` returns), and, where the system is wanted, the weights
+|grad u|^(p-2), |u|^(p-2) and the lagged weights. Its vectors on the
+interior dofs are each one scatter of element vectors (_interior_vector).
+All the powers of arrays come from `cpcore._guarded_power`, which
+multiplies out integer exponents up to 8.
 Every linear solve is a direct factor (`_lu_solve`) of a matrix A given by
 its CSC data on the interior pattern: the lagged matrix or the p = 2
 stiffness (symmetric, with positive element weights), or J, bordered as
@@ -72,6 +76,7 @@ doubles from _LANCZOS_ROWS, and takes the Ritz pairs of its tridiagonal
 from LAPACK `stev`.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -117,6 +122,8 @@ _DENSE_MAX = 64
 _LANCZOS_ROUNDING = 2.0**-52
 # rows of the Lanczos basis arrays at first; their capacity doubles when full
 _LANCZOS_ROWS = 16
+# the range of int |u|^p dmu in which _lp_norm takes the norm unscaled
+_LP_RANGE = (2.0**-1000, 2.0**1000)
 
 
 @dataclass
@@ -188,7 +195,30 @@ class EigenPair:
 
 
 def lp_norm(field, p, measure):
-    return float(lp_energies(p, field.at_quad(), field.mesh.measure_weights(measure))) ** (1.0 / p)
+    """(int |u|^p dmu)^(1/p) of one field (_lp_norm)."""
+    return _lp_norm(p, field.at_quad(), field.mesh.measure_weights(measure))
+
+
+def _lp_norm(p, uq, w):
+    """(int |u|^p dmeasure)^(1/p) from the values uq at the quadrature points
+    and the quadrature weights w, shaped alike: the one norm kernel. Where
+    int |u|^p falls outside [2^-1000, 2^1000] (or is not finite), uq is
+    first scaled by the power of two 2^-k that puts its peak in [1/2, 1),
+    and the norm of the scaled values is scaled back by 2^k. Both scalings
+    are exact, but for values that the first takes into the subnormals,
+    whose p-th powers are below 2^-1070 of the peak's. Inside that range
+    the norm is the plain one, bit for bit. Zero where uq is. Where the
+    plain int |u|^p overflows, numpy's overflow warning stays: silencing it
+    (np.errstate) cost 2% of the benchmark's `eigen` pass, and no solve
+    in the CLI's range of p overflows there (the directions underflow)."""
+    energy = float(lp_energies(p, uq, w))
+    if _LP_RANGE[0] <= energy <= _LP_RANGE[1]:
+        return energy ** (1.0 / p)
+    peak = float(np.max(np.abs(uq)))
+    if peak == 0.0:
+        return 0.0
+    k = math.frexp(peak)[1]
+    return math.ldexp(float(lp_energies(p, np.ldexp(uq, -k), w)) ** (1.0 / p), k)
 
 
 def lp_energies(p, uq, w):
@@ -214,12 +244,14 @@ def grad_energy(p, field, measure):
 
 
 def rayleigh_quotient(p, field, measure):
-    """int |grad u|^p dmu / int |u|^p dmu."""
+    """int |grad u|^p dmu / int |u|^p dmu (_quotient). A quotient that is not
+    finite, as of the zero field, raises ValueError."""
     _check_p(p)
-    den = float(lp_energies(p, field.at_quad(), field.mesh.measure_weights(measure)))
-    if den <= 0.0:
-        raise ValueError("Rayleigh quotient of the zero field")
-    return grad_energy(p, field, measure) / den
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam, _ = _quotient(p, field.mesh, measure, field.values)
+    if not math.isfinite(lam):
+        raise ValueError("Rayleigh quotient of the zero field, or of |u|^p out of float range")
+    return lam
 
 
 def _stiffness_local(mesh, element_weights):
@@ -308,7 +340,7 @@ def _start_vector(mesh):
 def _normalize(mesh, values, p, measure):
     """values / lp_norm(Field(mesh, values), p, measure), bitwise, without
     building the Field."""
-    nrm = float(lp_energies(p, mesh.values_at_quad(values), mesh.measure_weights(measure))) ** (1.0 / p)
+    nrm = _lp_norm(p, mesh.values_at_quad(values), mesh.measure_weights(measure))
     if nrm == 0.0:
         raise ValueError("cannot normalize the zero field")
     return values / nrm
@@ -326,7 +358,7 @@ def _quotient(p, mesh, measure, u):
     g2 = np.add.reduce(g * g, axis=1)
     gn, ua = np.sqrt(g2), np.abs(uq)
     # the operations of gradient_energies and lp_energies on this |g| and
-    # |u|, so R is bitwise rayleigh_quotient's
+    # |u|; rayleigh_quotient is this R
     lam = float(np.add.reduce(_guarded_power(gn, p) * de, axis=-1)
                 / np.add.reduce(w * _guarded_power(ua, p), axis=(-2, -1)))
     return lam, (u, g, uq, g2, gn, ua)
@@ -347,12 +379,17 @@ def _system(p, mesh, measure, lam, pieces):
     ga = mesh.element_density_integrals(measure) * _guarded_power(gn, p - 2.0)
     uw = mesh.measure_weights(measure) * _guarded_power(ua, p - 2.0)
     gphi = np.einsum("mkd,md->mk", mesh.grads, g)  # G g, one row per element
-    elements, interior = mesh.elements.ravel(), mesh.interior
-    a = np.bincount(elements, (ga[:, None] * gphi).ravel(), mesh.n_nodes)[interior]
-    b = np.bincount(elements, ((uw * uq) @ mesh.basis).ravel(), mesh.n_nodes)[interior]
+    a = _interior_vector(mesh, ga[:, None] * gphi)
+    b = _interior_vector(mesh, (uw * uq) @ mesh.basis)
     r = a - lam * b
     rel = float(np.linalg.norm(r) / np.linalg.norm(a))
     return b, r, rel, (u, g2, gn, ga, uw, gphi)
+
+
+def _interior_vector(mesh, local):
+    """The interior dofs of the vector assembled from the (m, k) element
+    vectors `local`, k the nodes per element: one scatter onto the nodes."""
+    return np.bincount(mesh.elements.ravel(), local.ravel(), mesh.n_nodes)[mesh.interior]
 
 
 def _euler_lagrange(p, mesh, measure, u):
@@ -385,9 +422,8 @@ def _residual_floor(p, mesh, terms, a):
     u, _, gn, ga, _, gphi = terms
     phi2 = np.diagonal(mesh.grad_gram, axis1=1, axis2=2)  # |grad phi_i|^2 per element
     dg = 2.0**-53 * np.add.reduce(mesh.grad_lengths * np.abs(u[mesh.elements]), axis=1)
-    gain = np.sqrt(phi2 + (p * (p - 2.0)) * _guarded_power(gn, -2.0)[:, None] * gphi**2)
-    fe = (ga * dg)[:, None] * gain
-    f = np.bincount(mesh.elements.ravel(), fe.ravel(), mesh.n_nodes)[mesh.interior]
+    gain = np.sqrt(phi2 + (p * (p - 2.0)) * _guarded_power(gn, -2.0)[:, None] * (gphi * gphi))
+    f = _interior_vector(mesh, (ga * dg)[:, None] * gain)
     return float(np.linalg.norm(f) / np.linalg.norm(a))
 
 
@@ -730,7 +766,7 @@ def _outer_loop(p, mesh, measure, opts):
             # schedule eps = max(1e-8, 1e-2 2^-k) of lagged step k, with
             # |grad u|^2 from the terms of u
             eps = max(1e-8, 1e-2 * 0.5**lagged)
-            weights = (terms[1] + eps * eps) ** (0.5 * (p - 2.0))
+            weights = _guarded_power(terms[1] + eps * eps, 0.5 * (p - 2.0))
             de = mesh.element_density_integrals(measure)
             d[interior] = _lu_solve(mesh, _scatter(mesh, _stiffness_local(mesh, de * weights)))(b)
             d = _normalize(mesh, d, p, measure) - u

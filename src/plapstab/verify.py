@@ -36,7 +36,7 @@ import numpy as np
 
 from . import cpcore
 from .geometry import Field
-from .spectral import first_eigenpair, grad_energy, gradient_energies, lp_energies, second_eigenvalue
+from .spectral import _lp_norm, first_eigenpair, grad_energy, gradient_energies, lp_energies, second_eigenvalue
 
 __all__ = [
     "StabilityReport",
@@ -252,7 +252,7 @@ def _lp_reference(p, W, v):
     A battery builds them once for all its blocks."""
     W = W.ravel()
     v = v.ravel()
-    nv = float(lp_energies(p, v, W)) ** (1.0 / p)
+    nv = _lp_norm(p, v, W)
     if nv == 0.0:
         raise ValueError("reference function vanishes identically")
     Wv = W * v

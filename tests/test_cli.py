@@ -448,6 +448,33 @@ class TestCommands:
         header = open(mesh_file).readline().split()
         assert header[:2] == ["DIM", "1"]
 
+    def test_failed_eigen_run_leaves_no_file(self, tmp_path, capsys):
+        # p = 1.1 does not converge at level 3: exit 1, and neither the
+        # report nor its mesh file is written
+        out_path = tmp_path / "r.json"
+        code, out, err = run_cli(["eigen", "--p", "1.1", "--level", "3", "--no-timestamp", "--out", str(out_path)],
+                                 capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("run error: ")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["eigen", "--p", "40,100,200", "--level", "5"],
+        ["eigen", "--p", "40,100,200", "--domain", "polygon:0,0;1,0;1,1;0,1", "--level", "3"],
+        ["stability", "--p", "40", "--level", "3", "--fields", "20"],
+        ["stability", "--p", "40", "--domain", "polygon:0,0;1,0;1,1;0,1", "--level", "3", "--fields", "20"],
+        ["stability", "--p", "100", "--level", "3", "--fields", "20"],
+        ["gap", "--p", "40,100", "--level", "3"],
+    ], ids=["eigen-interval", "eigen-square", "stability-interval-40", "stability-square-40",
+            "stability-interval-100", "gap-interval"])
+    def test_large_p_commands(self, argv, capsys):
+        # int |u|^p of the solver's directions leaves float range at these p;
+        # the reports are strict JSON, so a null would be a non-finite number
+        code, out, _ = run_cli([*argv, "--no-timestamp"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["passed"] is True and "null" not in out.replace('"mesh_file": null', "")
+
     def test_stability_csv(self, tmp_path, capsys):
         csv_path = tmp_path / "rows.csv"
         code, out, _ = run_cli(

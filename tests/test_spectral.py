@@ -70,6 +70,18 @@ class TestRayleighQuotient:
         with pytest.raises(ValueError):
             ps.rayleigh_quotient(2.0, ps.Field(m, np.zeros(m.n_nodes)), ps.lebesgue())
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 40.0])
+    @pytest.mark.parametrize("measure", sorted(_MEASURES))
+    @pytest.mark.parametrize("name", ["interval01", "square"])
+    def test_zero_field_rejected_without_warning(self, cache, name, measure, p):
+        # the quotient 0 / 0 is taken without a floating-point warning and
+        # raised as ValueError
+        m = cache.mesh(name, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="zero field"):
+                ps.rayleigh_quotient(p, ps.Field(m, np.zeros(m.n_nodes)), _MEASURES[measure])
+
 
 class TestFirstEigenpair:
     def test_interval_p2(self, cache):
@@ -374,6 +386,96 @@ class TestLineSearch:
         assert sum(c["_system"] for c in counts.values()) == 1 + steps["accepted"]
         if rejecting is not None:
             assert counts[rejecting]["_quotient"] > counts[rejecting]["_system"]
+
+
+    @pytest.mark.parametrize("p", [3.0, 6.0])
+    def test_trial_with_non_finite_quotient_is_rejected(self, monkeypatch, p):
+        # the first two trials read a NaN and an infinite quotient: each is
+        # rejected as a quotient that did not drop, without forming the
+        # system or raising, and the step halves on to the next trial
+        quotient, system = spectral._quotient, spectral._system
+        calls = []
+
+        def patched_quotient(*a):
+            lam, pieces = quotient(*a)
+            calls.append("q")
+            return {2: math.nan, 3: math.inf}.get(calls.count("q"), lam), pieces
+
+        def counted_system(*a):
+            calls.append("s")
+            return system(*a)
+
+        monkeypatch.setattr(spectral, "_quotient", patched_quotient)
+        monkeypatch.setattr(spectral, "_system", counted_system)
+        pair = ps.first_eigenpair(p, ps.build_mesh(ps.polygon_domain(_SQUARE), 3), ps.lebesgue())
+        assert calls[:5] == ["q", "s", "q", "q", "q"]
+        assert len(pair.residual_history) == pair.iterations + 1
+        assert pair.converged and np.all(np.isfinite(pair.residual_history))
+
+
+class TestLpNorm:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(p=st.floats(1.05, 200.0), k=st.integers(-600, 600), measure=st.sampled_from(sorted(_MEASURES)),
+           name=st.sampled_from(["interval01", "square"]), seed=st.integers(0, 2**32 - 1))
+    def test_power_of_two_scaling(self, cache, p, k, measure, name, seed):
+        # int |2^k u|^p leaves float range for most (p, k) here; the norm
+        # scales by 2^k all the same, and _normalize still gives norm 1.
+        # Where it stays in range the norm is the plain E^(1/p), and the
+        # rounding of 1/p moves that by up to |ln E^(1/p)| 2^-53 relative
+        # (2e-14 at a norm of 1e77): the second term of the tolerance
+        m = cache.mesh(name, 3)
+        mu = _MEASURES[measure]
+        (u,) = _random_values(m, seed, n_fields=1)
+        scaled = np.ldexp(u, k)
+        want = math.ldexp(spectral.lp_norm(ps.Field(m, u), p, mu), k)
+        tol = 1e-14 + 2.0**-53 * abs(math.log(want))
+        assert abs(spectral.lp_norm(ps.Field(m, scaled), p, mu) - want) <= tol * want
+        v = spectral._normalize(m, scaled, p, mu)
+        assert abs(float(spectral.lp_energies(p, m.values_at_quad(v), m.measure_weights(mu))) - 1.0) <= 1e-13
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 40.0])
+    def test_in_range_norm_is_unscaled(self, cache, p):
+        # inside [2^-1000, 2^1000] the norm is the plain (int |u|^p)^(1/p)
+        m = cache.mesh("square", 3)
+        (u,) = _random_values(m, 5, n_fields=1)
+        uq, w = m.values_at_quad(u), m.measure_weights(ps.gaussian())
+        assert spectral._lp_norm(p, uq, w) == float(spectral.lp_energies(p, uq, w)) ** (1.0 / p)
+
+    def test_zero_values(self, cache):
+        m = cache.mesh("square", 2)
+        w = m.measure_weights(ps.lebesgue())
+        assert spectral._lp_norm(40.0, np.zeros_like(w), w) == 0.0
+        with pytest.raises(ValueError, match="zero field"):
+            spectral._normalize(m, np.zeros(m.n_nodes), 40.0, ps.lebesgue())
+
+
+class TestLargeP:
+    """Ground states where int |u|^p of the solver's directions leaves float
+    range (from p = 31 on interval L5 and p = 30 on square L3)."""
+
+    @pytest.mark.parametrize("p", [31.0, 40.0, 100.0, 200.0])
+    def test_interval_matches_pi_p(self, cache, p):
+        pair = ps.first_eigenpair(p, cache.mesh("interval01", 5), ps.lebesgue())
+        ref = ps.pi_p(p) ** p
+        assert pair.converged and abs(pair.lam - ref) <= 3e-4 * ref
+        assert abs(ps.lp_norm(pair.field, p, ps.lebesgue()) - 1.0) <= 1e-13
+
+    # lambda^(1/p) at p = 40, 100, 200; it falls toward 1/inradius (2 on
+    # the square, 3.47 on the triangle; Juutinen, Lindqvist and Manfredi,
+    # Arch. Ration. Mech. Anal. 148, 1999)
+    @pytest.mark.parametrize("vertices, roots, limit", [
+        (_SQUARE, (2.337, 2.169, 2.107), 2.0),
+        (_TRIANGLE, (4.287, 4.061, 3.977), 3.47),
+    ], ids=["square", "triangle"])
+    def test_polygon_root_falls_toward_inradius(self, vertices, roots, limit):
+        m = ps.build_mesh(ps.polygon_domain(vertices), 3)
+        got = []
+        for p, root in zip((40.0, 100.0, 200.0), roots):
+            pair = ps.first_eigenpair(p, m, ps.lebesgue())
+            assert pair.converged
+            got.append(pair.lam ** (1.0 / p))
+            assert abs(got[-1] - root) <= 1e-3
+        assert got == sorted(got, reverse=True) and got[-1] > limit
 
 
 class TestGroundStateConvergence:

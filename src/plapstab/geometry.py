@@ -187,11 +187,18 @@ class Mesh:
     matrices the weights times `basis_products` (spectral._mass_local).
     Each serves one field or a block of rows alike.
 
-    Two caches are filled by the solver on first use and kept for the
-    mesh's lifetime: `lu_layout`, the one factor layout of the matrices on
-    the interior pattern, and `start_vector`, the read-only unnormalised
-    start of every ground-state solve (the distance to the boundary; see
-    spectral._start_vector), None until then.
+    Four caches are filled on first use and kept for the mesh's lifetime
+    (None, or empty, until then):
+    - `lu_layout`, the one factor layout of the matrices on the interior
+      pattern (spectral._lu_solve);
+    - `start_vector`, the read-only unnormalised start of every
+      ground-state solve, the distance to the boundary
+      (spectral._start_vector);
+    - `stiffness_factors`, per measure kind, the interior stiffness and
+      mass matrices of p = 2 and the solve of the stiffness factor
+      (spectral._stiffness_factor), the only factor a mesh keeps;
+    - `smoothing`, the read-only node adjacency and degrees of the random
+      fields' neighbour averaging (verify._smoothing).
     """
 
     def __init__(self, nodes, elements):
@@ -217,6 +224,13 @@ class Mesh:
         # the unnormalised ground-state start (spectral._start_vector),
         # read-only, built by the first ground-state solve on this mesh
         self.start_vector = None
+        # measure kind -> (K, M, solve of K's factor) on the interior dofs
+        # (spectral._stiffness_factor), filled by the first p = 2 solve
+        # under that measure; only a factor that succeeded is kept
+        self.stiffness_factors = {}
+        # (node adjacency, node degrees) of verify._smoothing, read-only,
+        # built by the first random field drawn on this mesh
+        self.smoothing = None
         self._gradient_operator = None
         self._build_geometry()
 

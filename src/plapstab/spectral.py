@@ -57,7 +57,8 @@ Every linear solve is a direct factor (`_lu_solve`) of a matrix A given by
 its CSC data on the interior pattern: the lagged matrix or the p = 2
 stiffness (symmetric, with positive element weights), or J, bordered as
 [J, -b; b^T, 0] by the border (b, -b). The mesh keeps one layout, built
-from the interior pattern alone (`Mesh.lu_layout`), never a factor. At
+from the interior pattern alone (`Mesh.lu_layout`), and one factor, that
+of the p = 2 stiffness per measure kind. At
 most _DENSE_MAX = 64 interior unknowns (as on most of the cut sweep's
 sides), the layout is each entry's row and column: the data goes into a
 dense n x n array, or (n + 1) x (n + 1) with b in row n and -b in column
@@ -68,9 +69,12 @@ banded Cholesky (`pbtrf`/`pbtrs`), or by partial-pivot banded LU
 (`gbtrf`/`gbtrs`) where Cholesky breaks down on a lagged matrix that is
 only numerically semidefinite. The bordered matrix is solved by block
 elimination on the banded LU of J with one refinement step; J is singular
-up to rounding at a converged iterate, so Cholesky is not tried on it. A
-p = 2 Lanczos run keeps one factor of the stiffness matrix for
-all its solves; every other factor serves one solve. It keeps its basis
+up to rounding at a converged iterate, so Cholesky is not tried on it.
+The first p = 2 Lanczos run on a mesh and measure kind factors the
+stiffness matrix, and the mesh keeps the factor with K and M
+(`Mesh.stiffness_factors`) for every solve of that run and of every later
+one there: both pairs and repeated ground states. Every other factor
+serves one solve. A Lanczos run keeps its basis
 and the basis's M-images as the filled rows of two arrays whose capacity
 doubles from _LANCZOS_ROWS, and takes the Ritz pairs of its tridiagonal
 from LAPACK `stev`.
@@ -547,8 +551,10 @@ def _lu_solve(mesh, data, border=None):
     _band_solve of the matrix itself and _bordered_solve of a bordered one.
     The layout comes from the interior pattern alone and is built once per
     mesh: the row and column of each entry, or the band layout.
-    `mesh.lu_layout` keeps it, never a factor. A singular matrix raises
-    RuntimeError and caches nothing.
+    `mesh.lu_layout` keeps it. The solve of the p = 2 stiffness is kept per
+    measure kind by _stiffness_factor; every other solve returned here
+    serves one right side. A singular matrix raises RuntimeError and
+    caches nothing.
     """
     _, indices, indptr = mesh.pattern("interior")
     n = indptr.size - 1
@@ -565,6 +571,22 @@ def _lu_solve(mesh, data, border=None):
     return solve
 
 
+def _stiffness_factor(mesh, measure):
+    """(K, M, solve) on the interior dofs: the stiffness and mass matrices of
+    `measure` and the solve of K's factor (_lu_solve). Built by the first
+    p = 2 solve on the mesh and measure kind and kept, read-only, in
+    `mesh.stiffness_factors`; a factorisation that fails keeps nothing."""
+    key = measure.kind
+    if key not in mesh.stiffness_factors:
+        K = _assemble_csc(mesh, _stiffness_local(mesh, mesh.element_density_integrals(measure)))
+        M = _assemble_csc(mesh, _mass_local(mesh, mesh.measure_weights(measure)))
+        solve = _lu_solve(mesh, K.data)
+        for a in (K.data, M.data):
+            a.setflags(write=False)
+        mesh.stiffness_factors[key] = (K, M, solve)
+    return mesh.stiffness_factors[key]
+
+
 def _lanczos(mesh, measure, start, against, opts):
     """Shift-invert Lanczos for the least eigenpair of K x = lambda M x on
     the interior dofs (K the stiffness, M the mass matrix of `measure`), in
@@ -573,9 +595,10 @@ def _lanczos(mesh, measure, start, against, opts):
     Lanczos on K^-1 M, self-adjoint in the M inner product, from the
     interior vector `start`, with full reorthogonalisation (classical
     Gram-Schmidt, twice) against the basis and `against`; every step is one
-    solve with the one factor of K (_lu_solve). `against` and the basis
-    vectors are the first rows of one array, their M-images those of
-    another; both start with _LANCZOS_ROWS rows and double when full, and
+    solve with the one factor of K, made by the first run on the mesh and
+    measure kind and read by every later one (_stiffness_factor). `against`
+    and the basis vectors are the first rows of one array, their M-images
+    those of another; both start with _LANCZOS_ROWS rows and double when full, and
     the Gram-Schmidt passes and the Ritz vector work on the filled rows in
     place. The Ritz pairs of the tridiagonal T_j (diagonal alpha, off it
     beta) come from LAPACK `stev`. The Krylov estimate of step
@@ -591,9 +614,7 @@ def _lanczos(mesh, measure, start, against, opts):
     values 1 / theta of every step, which do not increase, so that their
     number is that of the solves, the true relative residual of x).
     """
-    K = _assemble_csc(mesh, _stiffness_local(mesh, mesh.element_density_integrals(measure)))
-    M = _assemble_csc(mesh, _mass_local(mesh, mesh.measure_weights(measure)))
-    solve = _lu_solve(mesh, K.data)
+    K, M, solve = _stiffness_factor(mesh, measure)
     # M-orthonormal rows, `against` first if given, then the basis, and
     # their M-images: the first `filled` rows of two arrays whose capacity
     # doubles when full

@@ -10,7 +10,7 @@ tolerance tol = 1e-8 * int |grad u|^p dmu.
 The stability battery holds its fields as (block, n_nodes) arrays of 16
 rows: one uniform draw per block (equal to the per-field draws), one
 smoothing pass over the block with the node adjacency and degrees built
-once per call, and one reduction each for the energies, deficits and
+once per mesh, and one reduction each for the energies, deficits and
 tolerances.  The distance inf_c int |u - c u1|^p dmu has one kernel for all
 rows at once, _convex_lp_min, whose root finder is _lp_argmin (safeguarded
 Newton-bisection on the increasing derivative, started from the L^2
@@ -405,9 +405,15 @@ def stability_check(p, domain, u, measure, eigenpair=None, opts=None, constant_f
 
 def _smoothing(mesh):
     """(node adjacency, node degrees as a column): the neighbour averaging
-    of _random_fields, built once per battery."""
-    adj = mesh.node_adjacency()
-    return adj, np.asarray(adj.sum(axis=1)).ravel()[:, None]
+    of _random_fields, built on first use and kept read-only in
+    `mesh.smoothing`."""
+    if mesh.smoothing is None:
+        adj = mesh.node_adjacency()
+        deg = np.asarray(adj.sum(axis=1)).ravel()[:, None]
+        for a in (adj.data, adj.indices, adj.indptr, deg):
+            a.setflags(write=False)
+        mesh.smoothing = (adj, deg)
+    return mesh.smoothing
 
 
 def _random_fields(mesh, rng, n_fields, smoothing):
@@ -439,19 +445,20 @@ def stability_battery(p, domain, mesh, measure, n_fields, seed=0, eigenpair=None
     """Seeded random-field battery; returns one StabilityReport per field.
 
     The fields are drawn, smoothed and checked in blocks of _BLOCK_FIELDS
-    rows; what does not depend on the field (the node adjacency and
-    degrees, u1 at the quadrature points, ||u1||_p and its weighted
-    products and powers) is computed once per call, not per block.  The
-    distance of a block reuses the block's int |u|^p dmu from its deficits;
-    at p = 4, 6 and 8 its Newton steps work on the block's row moments and
-    stop at |F'| <= 1e-10 |F'(c0)| (see _reference_lp_min).  A block draw
-    equals the per-field draws, so field i is the i-th
-    random_zero_trace_field of the seeded stream, and report i agrees with
-    that field's stability_check: the same verdict, p, lambda1, constant
-    and note, the deficit, tolerance and margin to 1e-12 relative, the
-    distance and right side to 1e-11 relative and c_star to 1e-7 absolute.
-    The two differ in the last bits at p != 2, because the distance
-    minimisation rounds its block products by the block's row count.
+    rows; what does not depend on the field (u1 at the quadrature points,
+    ||u1||_p and its weighted products and powers) is computed once per
+    call, not per block, and the node adjacency and degrees once per mesh
+    (_smoothing).  The distance of a block reuses the block's int |u|^p dmu
+    from its deficits; at p = 4, 6 and 8 its Newton steps work on the
+    block's row moments and stop at |F'| <= 1e-10 |F'(c0)| (see
+    _reference_lp_min).  A block draw equals the per-field draws, so field i
+    is the i-th random_zero_trace_field of the seeded stream, and report i
+    agrees with that field's stability_check: the same verdict, p, lambda1,
+    constant and note, the deficit, tolerance and margin to 1e-12 relative,
+    the distance and right side to 1e-11 relative and c_star to 1e-7
+    absolute. The two differ in the last bits at p != 2, because the
+    distance minimisation rounds its block products by the block's row
+    count.
     """
     constant = _bound_constant(p, domain, constant_factor)
     eigenpair = _ground_state(p, mesh, measure, eigenpair, opts)

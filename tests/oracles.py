@@ -2,6 +2,7 @@
 library code paths.  Nothing in here imports from plapstab."""
 
 import dataclasses
+import functools
 import json
 import math
 
@@ -10,6 +11,7 @@ import numpy as np
 from scipy import sparse
 from scipy.integrate import solve_ivp
 from scipy.linalg import eigh
+from scipy.optimize import brentq
 from scipy.sparse.linalg import splu
 
 mp.mp.dps = 30
@@ -32,35 +34,59 @@ def pi_p_quad_oracle(p):
     return float(2 * (head + tail))
 
 
-def shooting_lambda1(p):
-    """First Dirichlet eigenvalue of the 1D p-Laplacian on (0, 1) by shooting.
+def unit_weight(x):
+    """The Lebesgue weight of shooting_eigenvalue."""
+    return 1.0
 
-    Integrate u' = |v|^(1/(p-1)) sign v, v' = -|u|^(p-2) u from (0, 1) with
-    unit eigenvalue; p-homogeneity makes the amplitude irrelevant and the
-    first zero x0 rescales to lambda_1(0, 1) = x0^p.
+
+def gaussian_weight(x):
+    """The 1-D standard Gaussian density, a weight of shooting_eigenvalue."""
+    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+
+@functools.lru_cache(maxsize=None)
+def shooting_eigenvalue(k, p, a, b, weight):
+    """k-th Dirichlet eigenvalue of -(w phi_p(u'))' = lambda w phi_p(u) on
+    (a, b), phi_p(s) = |s|^(p-2) s, for a positive weight function w, by
+    shooting. Cached per argument tuple, so that a session computes each
+    value once.
+
+    The half-linear system u' = phi_q(v / w), v' = -lambda w phi_p(u), with
+    v = w phi_p(u') and phi_q the inverse of phi_p, is integrated from u(a)
+    = 0, v(a) = 1 by DOP853 at rtol 1e-13; p-homogeneity makes the
+    amplitude irrelevant. u(b) as a function of lambda vanishes at the
+    eigenvalues, and `brentq` finds the k-th root in a bracket from the
+    weight's range, sampled at 1001 points and widened by 0.1%: by min-max,
+    lambda_k lies within [w_min / w_max, w_max / w_min] times the Lebesgue
+    value (k pi_p / (b - a))^p, with pi_p = 2 pi (p - 1)^(1/p) / (p
+    sin(pi / p)). The ranges of lambda_(k-1) and lambda_(k+1) miss that
+    bracket while (w_max / w_min)^2 < (k / (k - 1))^p and ((k + 1) / k)^p.
+    At the root, the sign changes of u over the integrator's steps inside
+    (a, b) are checked to number k - 1.
     """
     q = 1.0 / (p - 1.0)
+    shots = {}  # lambda -> u at the integrator's steps
 
-    def rhs(x, y):
-        u, v = y
-        du = np.sign(v) * abs(v) ** q
-        dv = -abs(u) ** (p - 2.0) * u if u != 0.0 else 0.0
-        return [du, dv]
+    def u_end(lam):
+        def rhs(x, y):
+            u, v = y.tolist()
+            w = weight(x)
+            t = v / w
+            return [math.copysign(abs(t) ** q, t), -lam * w * math.copysign(abs(u) ** (p - 1.0), u)]
 
-    def hit_zero(x, y):
-        return y[0]
+        shots[lam] = solve_ivp(rhs, [a, b], [0.0, 1.0], method="DOP853", rtol=1e-13, atol=1e-15).y[0]
+        return shots[lam][-1]
 
-    hit_zero.terminal = True
-    hit_zero.direction = -1
-
-    sol = solve_ivp(
-        rhs, [0.0, 50.0], [0.0, 1.0], rtol=1e-11, atol=1e-12,
-        events=hit_zero, max_step=0.01,
-    )
-    if sol.t_events[0].size == 0:
-        raise RuntimeError("shooting never returned to zero")
-    x0 = float(sol.t_events[0][0])
-    return x0**p
+    xs = np.linspace(a, b, 1001)
+    w = np.array([weight(x) for x in xs])
+    spread = float(w.max() / w.min()) * (1.0 + 1e-3)
+    pi_p = 2.0 * math.pi * (p - 1.0) ** (1.0 / p) / (p * math.sin(math.pi / p))
+    lebesgue = (k * pi_p / (b - a)) ** p
+    lam = brentq(u_end, lebesgue / spread, lebesgue * spread, xtol=1e-300, rtol=1e-15)
+    # brentq returns a point it evaluated
+    if np.count_nonzero(np.diff(np.sign(shots[lam][1:-1]))) != k - 1:
+        raise RuntimeError(f"the root in the bracket is not lambda_{k}")
+    return lam
 
 
 def lambda1_interval_quadrature(p):

@@ -13,7 +13,7 @@ import plapstab as ps
 from plapstab.cpcore import c1_sharp, c1_variational, cp_eval_batch, pi_p
 from plapstab.verify import stability_battery, weighted_poincare_check
 
-from oracles import lambda1_interval_quadrature, shooting_lambda1
+from oracles import lambda1_interval_quadrature, shooting_eigenvalue, unit_weight
 
 PI2 = math.pi**2
 SQRT2 = math.sqrt(2.0)
@@ -100,7 +100,7 @@ def test_criterion_04_p2_eigensolver_convergence(cache):
 
 def test_criterion_05_p3_interval_vs_shooting_oracle(cache):
     t0 = time.perf_counter()
-    lam_shoot = shooting_lambda1(3.0)
+    lam_shoot = shooting_eigenvalue(1, 3.0, 0.0, 1.0, unit_weight)
     lam_quad = lambda1_interval_quadrature(3.0)
     # two independent oracles agree with each other and with pi_p(3)^3
     oracles_ok = abs(lam_shoot - lam_quad) <= 1e-6 * lam_quad

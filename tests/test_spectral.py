@@ -23,13 +23,17 @@ from oracles import (
     distance_to_boundary_loop,
     euler_lagrange_residual,
     exhaustive_cut_value,
+    gaussian_weight,
     gradient_energies_pow,
     gradients_einsum,
     interior_components_nested,
     lp_energies_pow,
     mass_local_einsum,
     outer_loop_full_evaluation,
+    pi_p_quad_oracle,
+    shooting_eigenvalue,
     side_components_nested,
+    unit_weight,
     values_at_quad_einsum,
 )
 
@@ -709,8 +713,9 @@ class TestCachedColumnOrder:
     def test_one_factorisation_per_step(self, monkeypatch, p):
         # each Newton step factors J once by banded LU and never tries
         # Cholesky on it; lagged steps factor the interior matrix by banded
-        # Cholesky. At p = 2 the Lanczos steps share one banded Cholesky
-        # factor of the stiffness matrix and no bordered matrix is made
+        # Cholesky. At p = 2 the Lanczos steps of every call on the mesh and
+        # measure share one banded Cholesky factor of the stiffness matrix,
+        # made by the first call, and no bordered matrix is made
         m = ps.build_mesh(ps.polygon_domain(_SQUARE), 4)
         names = []
         lu_solve = spectral._lu_solve
@@ -732,15 +737,15 @@ class TestCachedColumnOrder:
             pbtrs = _counted_band_solves(monkeypatch)
 
             def check(got):
-                # one factor per call and one solve per step
-                assert names[-1] == "interior" and got.converged
+                # no factor after the first call, and one solve per step
+                assert names == ["interior"] and got.converged
                 assert len(pbtrs) == got.iterations == len(got.residual_history)
                 _assert_ritz_values_fall(got.residual_history)
                 del pbtrs[:]
 
             check(ps.first_eigenpair(p, m, ps.lebesgue()))
             check(ps.second_eigenvalue(p, m, ps.lebesgue(), pair))
-            assert names == ["interior"] * 3 and band["pbtrf"] == [n] * 3 and band["gbtrf"] == []
+            assert names == ["interior"] and band["pbtrf"] == [n] and band["gbtrf"] == []
         else:
             assert newton >= 1 and lagged + newton == pair.iterations
 
@@ -982,9 +987,10 @@ class TestDenseFactor:
     @pytest.mark.parametrize("measure", sorted(_MEASURES))
     @pytest.mark.parametrize("name, level", [("interval", 1), ("square", 2), ("triangle", 2), ("pentagon", 2)])
     def test_one_factor_for_every_p2_solve(self, monkeypatch, order_mesh, name, level, measure):
-        # at p = 2 the ground state and deflation each make one dense factor
-        # of the stiffness matrix and solve with it once per Lanczos step;
-        # no bordered and no banded factor is made
+        # at p = 2 the ground state makes one dense factor of the stiffness
+        # matrix on the new mesh, and deflation solves with the same factor;
+        # each solves once per Lanczos step. No bordered and no banded
+        # factor is made
         m = order_mesh(name, level, "mesh")
         n = np.count_nonzero(m.interior)
         assert n <= spectral._DENSE_MAX
@@ -992,18 +998,109 @@ class TestDenseFactor:
         band = _counted_band(monkeypatch)
         calls = _counted_lapack(monkeypatch)
 
-        def check(got):
+        def check(got, factors):
             assert got.converged and got.iterations >= 2
-            assert calls["getrf"] == [n] and calls["getrs"] == [n] * got.iterations
+            assert calls["getrf"] == factors and calls["getrs"] == [n] * got.iterations
             assert len(got.residual_history) == got.iterations
             _assert_ritz_values_fall(got.residual_history)
             for key in calls:
                 del calls[key][:]
 
         pair = ps.first_eigenpair(2.0, m, mu)
-        check(pair)
-        check(ps.second_eigenvalue(2.0, m, mu, pair))
+        check(pair, [n])
+        check(ps.second_eigenvalue(2.0, m, mu, pair), [])
         assert band == {"pbtrf": [], "gbtrf": []} and _layout_kind(m) == "dense"
+
+
+def _pair_bytes(pair):
+    """Everything a p = 2 pair's numbers are made of, as bytes."""
+    return (pair.lam.hex(), pair.field.values.tobytes(), [float(v).hex() for v in pair.residual_history],
+            pair.iterations, pair.converged, float(pair.residual).hex(), float(pair.residual_floor).hex())
+
+
+class TestStiffnessFactorCache:
+    # the first p = 2 solve on a mesh and measure kind factors the interior
+    # stiffness matrix; the mesh keeps K, M and the factor's solve in
+    # stiffness_factors, and every later p = 2 solve there reads them
+    @pytest.mark.parametrize("measure", sorted(_MEASURES))
+    @pytest.mark.parametrize("level, kind", [(2, "dense"), (4, "band")])
+    def test_one_factorisation_for_all_p2_calls(self, monkeypatch, measure, level, kind):
+        m = ps.build_mesh(ps.polygon_domain(_SQUARE), level)
+        n = np.count_nonzero(m.interior)
+        mu = _MEASURES[measure]
+        band, dense = _counted_band(monkeypatch), _counted_lapack(monkeypatch)
+        pbtrs = _counted_band_solves(monkeypatch)
+        solves = dense["getrs"] if kind == "dense" else pbtrs
+        pairs = []
+        for call in ("first", "first", "second"):
+            pair = (ps.first_eigenpair(2.0, m, mu) if call == "first"
+                    else ps.second_eigenvalue(2.0, m, mu, pairs[0]))
+            # one solve per Lanczos step
+            assert pair.converged and len(solves) == pair.iterations == len(pair.residual_history)
+            del solves[:]
+            pairs.append(pair)
+        factors = dense["getrf"] + band["pbtrf"] + band["gbtrf"]
+        assert factors == [n] and _layout_kind(m) == kind
+        assert list(m.stiffness_factors) == [mu.kind]
+        assert _pair_bytes(pairs[0]) == _pair_bytes(pairs[1])
+        # no pair holds a factor, a matrix or a solve
+        for pair in pairs:
+            assert all(isinstance(v, (float, int, str, list, ps.Field)) for v in vars(pair).values())
+
+    @pytest.mark.parametrize("first", sorted(_MEASURES))
+    @pytest.mark.parametrize("level", [2, 4])
+    def test_warm_pairs_bitwise_fresh(self, first, level):
+        # both measures on one mesh, in either order, against each measure
+        # alone on a mesh of its own
+        domain = ps.polygon_domain(_SQUARE)
+        second = "lebesgue" if first == "gaussian" else "gaussian"
+        warm = ps.build_mesh(domain, level)
+        for name in (first, second, first, second):
+            mu = _MEASURES[name]
+            fresh = ps.build_mesh(domain, level)
+            want = ps.first_eigenpair(2.0, fresh, mu)
+            want2 = ps.second_eigenvalue(2.0, fresh, mu, want)
+            got = ps.first_eigenpair(2.0, warm, mu)
+            got2 = ps.second_eigenvalue(2.0, warm, mu, got)
+            assert _pair_bytes(got) == _pair_bytes(want)
+            assert _pair_bytes(got2) == _pair_bytes(want2)
+        assert sorted(warm.stiffness_factors) == sorted(_MEASURES)
+
+    @pytest.mark.parametrize("level", [2, 4])
+    def test_other_p_neither_reads_nor_fills(self, monkeypatch, level):
+        domain = ps.polygon_domain(_SQUARE)
+        m = ps.build_mesh(domain, level)
+        want = ps.first_eigenpair(3.0, ps.build_mesh(domain, level), ps.lebesgue())
+        got = ps.first_eigenpair(3.0, m, ps.lebesgue())
+        assert m.stiffness_factors == {} and _pair_bytes(got) == _pair_bytes(want)
+        ps.first_eigenpair(2.0, m, ps.lebesgue())
+        kept = dict(m.stiffness_factors)
+
+        def poisoned(mesh, measure):
+            raise AssertionError("a p != 2 solve read the stiffness factors")
+
+        monkeypatch.setattr(spectral, "_stiffness_factor", poisoned)
+        assert _pair_bytes(ps.first_eigenpair(3.0, m, ps.lebesgue())) == _pair_bytes(want)
+        assert m.stiffness_factors == kept
+
+    def test_failed_factorisation_keeps_nothing(self, monkeypatch):
+        m = ps.build_mesh(ps.polygon_domain(_SQUARE), 2)
+
+        def singular(mesh, data, border=None):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(spectral, "_lu_solve", singular)
+        with pytest.raises(RuntimeError):
+            ps.first_eigenpair(2.0, m, ps.lebesgue())
+        assert m.stiffness_factors == {}
+
+    def test_kept_matrices_read_only(self):
+        m = ps.build_mesh(ps.polygon_domain(_SQUARE), 3)
+        ps.first_eigenpair(2.0, m, ps.gaussian())
+        K, M, _ = m.stiffness_factors["gaussian"]
+        for a in (K, M):
+            with pytest.raises(ValueError):
+                a.data[0] = 0.0
 
 
 _SWEEP_CASES = {
@@ -1459,8 +1556,9 @@ class TestSecondEigenvalue:
 
     @pytest.mark.parametrize("level", [1, 3, 4, 5])
     def test_gaussian_square_returns_lambda2_not_lambda3(self, cache, level):
-        # the Gaussian breaks the square's symmetry only slightly: lambda_2
-        # and lambda_3 differ by 3e-6 to 2e-4 relative (5e-5 at level 3)
+        # the standard Gaussian factorises on the unit square, so lambda_2 =
+        # lambda_3 is double in the continuum (x <-> y); the mesh splits the
+        # pair by 3e-6 to 2e-4 relative (5e-5 at level 3)
         m = cache.mesh("square", level)
         K, M = _interior_matrices(m, ps.gaussian())
         lam, vecs = eigsh(K, k=3, M=M, sigma=0)
@@ -1489,20 +1587,18 @@ class TestSecondEigenvalue:
         assert np.isfinite(pair.lam)
 
     def test_iterations_count_solves(self, cache, monkeypatch):
+        # the ground state factored the stiffness matrix of the shared mesh;
+        # deflation makes no factor and solves with that one once per step
         calls = []
-        lu_solve = spectral._lu_solve
+        pbtrs = spectral._pbtrs
 
-        def counted(mesh, data, border=None):
-            solve = lu_solve(mesh, data, border)
-
-            def counted_solve(rhs):
-                calls.append(rhs.shape)
-                return solve(rhs)
-
-            return counted_solve
+        def counted(factor, rhs, **kwargs):
+            calls.append(rhs.shape)
+            return pbtrs(factor, rhs, **kwargs)
 
         u1 = cache.pair(2.0, "square", 3)
-        monkeypatch.setattr(spectral, "_lu_solve", counted)
+        monkeypatch.setattr(spectral, "_pbtrs", counted)
+        monkeypatch.setattr(spectral, "_lu_solve", lambda *args: pytest.fail("a new factor"))
         pair = ps.second_eigenvalue(2.0, cache.mesh("square", 3), ps.lebesgue(), u1)
         assert pair.iterations == len(calls) > 0
         assert all(len(shape) == 1 for shape in calls)
@@ -1558,6 +1654,51 @@ class TestSecondEigenvalue:
             bad = ps.first_eigenpair(3.0, m, ps.lebesgue(), opts)
         with pytest.raises(ValueError):
             ps.second_eigenvalue(3.0, m, ps.lebesgue(), bad)
+
+
+# the Dirichlet (lambda1, lambda2) of the 1-D standard Gaussian measure on
+# (0, 1) by weighted shooting (ROADMAP item 18)
+_GAUSSIAN_01 = {
+    1.5: (5.074041679163244, 14.876406345191022),
+    2.0: (9.440202892191358, 39.05860397172313),
+    3.0: (27.089035545130486, 223.93892207477597),
+    6.0: (404.2579136348226, 26724.64973327698),
+}
+# relative errors of the P1 pairs on the Gaussian interval (0, 1) at levels
+# 3, 5 and 7 (ROADMAP item 18): lambda1 at p = 2 and 3, and the p = 2
+# deflation lambda2
+_GAUSSIAN_01_ERRORS = {
+    (2.0, "first"): (5.3e-5, 3.3e-6, 2.1e-7),
+    (3.0, "first"): (8.9e-5, 5.5e-6, 3.6e-7),
+    (2.0, "second"): (2.0e-4, 1.3e-5, 8.0e-7),
+}
+
+
+class TestShootingOracle:
+    # the weighted shooting oracle of tests/oracles.py, an external reference
+    # for the Gaussian pairs; each value is computed once per session
+    @pytest.mark.parametrize("p", sorted(_GAUSSIAN_01))
+    def test_lebesgue_pi_p(self, p):
+        lam1 = pi_p_quad_oracle(p) ** p
+        for k, want in ((1, lam1), (2, 2.0**p * lam1)):
+            assert abs(shooting_eigenvalue(k, p, 0.0, 1.0, unit_weight) - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("p", sorted(_GAUSSIAN_01))
+    def test_gaussian_interval_values(self, p):
+        for k, want in enumerate(_GAUSSIAN_01[p], 1):
+            assert abs(shooting_eigenvalue(k, p, 0.0, 1.0, gaussian_weight) - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("p, which", sorted(_GAUSSIAN_01_ERRORS))
+    def test_gaussian_interval_convergence(self, cache, p, which):
+        # P1 pairs above the oracle, within 2x of the recorded errors, and
+        # falling at least 10x every two levels
+        k = 1 if which == "first" else 2
+        exact = shooting_eigenvalue(k, p, 0.0, 1.0, gaussian_weight)
+        get = cache.pair if which == "first" else cache.second
+        errs = [(get(p, "interval01", level, "gaussian").lam - exact) / exact for level in (3, 5, 7)]
+        for err, ref in zip(errs, _GAUSSIAN_01_ERRORS[(p, which)]):
+            assert 0.5 * ref <= err <= 2.0 * ref
+        assert errs[0] >= 10.0 * errs[1] and errs[1] >= 10.0 * errs[2]
 
 
 def _random_values(mesh, seed, n_fields=2):

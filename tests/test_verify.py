@@ -607,6 +607,32 @@ class TestBatchedBattery:
         assert np.array_equal(block, one_by_one)
         assert np.array_equal(block, sequential_zero_trace_fields(mesh, np.random.default_rng(4), 20))
 
+    def test_smoothing_built_once_per_mesh(self, cache, monkeypatch):
+        # the adjacency and degrees are built by the first draw on a mesh and
+        # kept read-only; Mesh.node_adjacency itself builds anew each call
+        domain = cache.domain("square")
+        mesh = ps.build_mesh(domain, 3)
+        want = sequential_zero_trace_fields(mesh, np.random.default_rng(4), 20)
+        assert mesh.node_adjacency() is not mesh.node_adjacency()
+        built = []
+        node_adjacency = ps.Mesh.node_adjacency
+
+        def counted(m):
+            built.append(m.n_nodes)
+            return node_adjacency(m)
+
+        monkeypatch.setattr(ps.Mesh, "node_adjacency", counted)
+        assert mesh.smoothing is None
+        for _ in range(2):
+            stability_battery(2.0, domain, mesh, ps.lebesgue(), 20, seed=4)
+            assert np.array_equal(_random_fields(mesh, np.random.default_rng(4), 20, _smoothing(mesh)), want)
+        ps.random_zero_trace_field(mesh, 0)
+        assert built == [mesh.n_nodes] and _smoothing(mesh) is mesh.smoothing
+        adj, deg = mesh.smoothing
+        for a in (adj.data, adj.indices, adj.indptr, deg):
+            with pytest.raises(ValueError):
+                a[0] = 0
+
 
 def _lp_problem(seed, n_rows=3, n_points=60):
     """Positive weights, a positive reference function and signed rows."""

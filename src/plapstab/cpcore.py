@@ -9,11 +9,17 @@ vector arguments.
 C_p has one row kernel, `_cp_values`, under `cp_eval_batch` (many rows) and
 `cp_eval` / `cp_eval_flagged` (one), with every power from `_guarded_power`;
 c1's root r0 comes from scipy's `brentq`.
+The sampled constants (`c1_variational`, `c2_c3_estimate`) share one
+log-polar sample grid, the one state of the module: built on the first call
+that needs it and kept read-only for the life of the process (1.3 MB of
+p-free pieces, see `_sample_grid`); every other function is pure.
 `scipy.integrate` and `scipy.optimize` are imported by the two functions that
 use them, so `import plapstab` loads neither.
 """
 
+import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -36,6 +42,10 @@ _R_MIN = 1e-3
 _R_MAX = 1e3
 _N_RADII = 128
 _N_ANGLES = 256
+# radius rows per chunk of the kept grid: 4096 points, 32 KB per array, so
+# that each temporary of a chunk's evaluation stays below malloc's mmap
+# threshold (128 KB)
+_CHUNK_ROWS = 16
 _REFINE_ROUNDS = 10
 # radii the c2/c3 estimate also samples: probes of the ratio's limit at infinity
 _C2C3_FAR_RADII = (1e4, 1e5, 1e6)
@@ -163,14 +173,39 @@ def c1_sharp(p):
     return C1Result(p=p, r0=r0, k0=r0 / (1.0 + r0), c1=c1, lower=lower, upper=upper)
 
 
-def _ratio_numerator(p, s, t):
-    """(s, t, x, num) of both ratios: s and t as arrays, x = t^2 + s^2 + 2s
-    >= -1 and their numerator num = (1 + x)^(p/2) - 1 - p s."""
+def _ratio_pieces(s, t):
+    """The p-free pieces of both ratios at the points (s, t): (s, log1p(x),
+    t^2 + s^2, sqrt(1 + x) + 1, max x), with x = t^2 + s^2 + 2s >= -1 and
+    the arrays in the shape of s and t."""
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
-    x = t * t + s * s + 2.0 * s
+    r2 = t * t + s * s
+    x = r2 + 2.0 * s
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return s, np.log1p(x), r2, np.sqrt(1.0 + x) + 1.0, float(x.max())
+
+
+def _ratio_numerator(p, s, log1p_x):
+    """The numerator (1 + x)^(p/2) - 1 - p s of both ratios."""
+    num = np.expm1(0.5 * p * log1p_x)
+    num -= p * s
+    return num
+
+
+def _c1_kernel(p, s, log1p_x, r2, root, max_x):
+    """The c1 ratio from the pieces of _ratio_pieces (see _c1_ratio)."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return s, t, x, np.expm1(0.5 * p * np.log1p(x)) - p * s
+        num = _ratio_numerator(p, s, log1p_x)
+        den = r2 ** (0.5 * p)
+        ratio = num / den
+        # both sides are at most (1 + r)^p at radius r <= 1 + sqrt(1 + x), so
+        # neither overflows while p log(2 + sqrt(1 + max x)) is below
+        # log(max float) = 709.78
+        if p * math.log(2.0 + math.sqrt(max(1.0 + max_x, 0.0))) > 709.0:
+            log_num = np.where(np.isinf(num), 0.5 * p * log1p_x, np.log(num))
+            big = np.isinf(num) | np.isinf(den)
+            ratio = np.where(big, np.exp(log_num - 0.5 * p * np.log(r2)), ratio)
+        return ratio
 
 
 def _c1_ratio(p, s, t):
@@ -180,59 +215,103 @@ def _c1_ratio(p, s, t):
     the ratio is taken in log form, exp(log num - (p/2) log(t^2 + s^2)),
     with log num = (p/2) log1p(x) where num itself overflows: 1 + p s is
     then below its last bit. Elsewhere it is the plain quotient."""
-    s, t, x, num = _ratio_numerator(p, s, t)
+    return _c1_kernel(p, *_ratio_pieces(s, t))
+
+
+def _c2c3_kernel(p, s, log1p_x, r2, root, max_x):
+    """The c2/c3 ratio from the pieces of _ratio_pieces (see _c2c3_ratio)."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratio = num / (t * t + s * s) ** (0.5 * p)
-        # both sides are at most (1 + r)^p at radius r <= 1 + sqrt(1 + x), so
-        # neither overflows while p log(2 + sqrt(1 + max x)) is below
-        # log(max float) = 709.78
-        if p * math.log(2.0 + math.sqrt(max(1.0 + np.max(x), 0.0))) > 709.0:
-            r2 = t * t + s * s
-            den = r2 ** (0.5 * p)
-            log_num = np.where(np.isinf(num), 0.5 * p * np.log1p(x), np.log(num))
-            big = np.isinf(num) | np.isinf(den)
-            ratio = np.where(big, np.exp(log_num - 0.5 * p * np.log(r2)), ratio)
-        return ratio
+        return _ratio_numerator(p, s, log1p_x) / (root ** (p - 2.0) * r2)
 
 
 def _c2c3_ratio(p, s, t):
-    s, t, x, num = _ratio_numerator(p, s, t)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        den = (np.sqrt(1.0 + x) + 1.0) ** (p - 2.0) * (t * t + s * s)
-        return num / den
+    """[(t^2 + s^2 + 2s + 1)^(p/2) - 1 - p s] / [(sqrt(t^2 + s^2 + 2s + 1)
+    + 1)^(p-2) (t^2 + s^2)]."""
+    return _c2c3_kernel(p, *_ratio_pieces(s, t))
 
 
-def _sampled_extrema(fn, far_radii, modes):
-    """Extremum of fn(s, t) for each of `modes` ("min" or "max"): the best
-    sample of the log-polar grid (_N_RADII radii from _R_MIN to _R_MAX, then
-    `far_radii`, by _N_ANGLES angles), refined by _REFINE_ROUNDS rounds of a
-    shrinking 17x17 local grid search around it. Refined samples closer
-    to the origin than _R_MIN are dropped: there the ratios are 0/0 and
-    their numerators cancel, so a rounding error can pass for an extremum."""
-    r = np.logspace(math.log10(_R_MIN), math.log10(_R_MAX), _N_RADII)
-    r = np.concatenate([r, np.asarray(far_radii, dtype=float)])
+@functools.cache
+def _sample_grid():
+    """The log-polar grid of _sampled_extrema, built on the first call and
+    kept read-only: (near, far, stencil).
+
+    near holds the _N_RADII radii from _R_MIN to _R_MAX by _N_ANGLES angles,
+    far the _C2C3_FAR_RADII rows, each as chunks of at most _CHUNK_ROWS
+    radius rows; a chunk is (t, pieces), with the p-free pieces of
+    _ratio_pieces. stencil holds the refinement's 17 x 17 offsets in s and
+    in t. 1.3 MB in all."""
     th = np.linspace(0.0, 2.0 * math.pi, _N_ANGLES, endpoint=False)
-    s = np.outer(r, np.cos(th)).ravel()
-    t = np.outer(r, np.sin(th)).ravel()
-    vals = fn(s, t)
+    cos, sin = np.cos(th), np.sin(th)
+
+    def chunks(r):
+        out = []
+        for lo in range(0, r.size, _CHUNK_ROWS):
+            rows = r[lo : lo + _CHUNK_ROWS]
+            t = np.outer(rows, sin).ravel()
+            pieces = _ratio_pieces(np.outer(rows, cos).ravel(), t)
+            for a in (t,) + pieces[:-1]:
+                a.flags.writeable = False
+            out.append((t, pieces))
+        return tuple(out)
+
+    near = chunks(np.logspace(math.log10(_R_MIN), math.log10(_R_MAX), _N_RADII))
+    far = chunks(np.asarray(_C2C3_FAR_RADII, dtype=float))
     off = np.linspace(-1.0, 1.0, 17)
-    extrema = []
-    for mode in modes:
-        pick = np.nanargmin if mode == "min" else np.nanargmax
-        i = int(pick(vals))
-        best_s, best_t = s[i], t[i]
-        best = fn(best_s, best_t)
-        w = 0.5 * math.hypot(best_s, best_t) + 1e-3
-        for _ in range(_REFINE_ROUNDS):
-            S = best_s + w * off[:, None] + 0.0 * off[None, :]
-            T = best_t + 0.0 * off[:, None] + w * off[None, :]
-            local = np.where(np.hypot(S, T) < _R_MIN, np.nan, fn(S, T))
-            j = np.unravel_index(pick(local), local.shape)
-            if (local[j] < best) if mode == "min" else (local[j] > best):
-                best, best_s, best_t = local[j], S[j], T[j]
-            w *= 0.25
-        extrema.append(float(best))
-    return extrema
+    stencil = np.array(np.meshgrid(off, off, indexing="ij"))
+    stencil.flags.writeable = False
+    return near, far, stencil
+
+
+# per mode: the NaN-ignoring reduction and the test for a better value
+_PICKS = {"min": (np.fmin, operator.lt), "max": (np.fmax, operator.gt)}
+
+
+def _first_best(vals, mode):
+    """(flat index, value) of the first least ("min") or greatest ("max")
+    entry of vals that is not NaN: the entry np.nanargmin or np.nanargmax
+    picks, without their copy of vals."""
+    v = _PICKS[mode][0].reduce(vals, axis=None)
+    i = int((vals == v).argmax())
+    return i, vals.flat[i]
+
+
+def _sampled_extrema(kernel, p, far, modes):
+    """Extremum of the ratio `kernel` at exponent p for each of `modes`
+    ("min" or "max"): the best sample of the log-polar grid (_N_RADII radii
+    from _R_MIN to _R_MAX, and the _C2C3_FAR_RADII if `far`, by _N_ANGLES
+    angles), refined by _REFINE_ROUNDS rounds of a shrinking 17x17 local
+    grid search around it. Refined samples closer to the origin than _R_MIN
+    are dropped: there the ratios are 0/0 and their numerators cancel, so a
+    rounding error can pass for an extremum.
+
+    The grid is _sample_grid's, built once per process. Each p evaluates
+    it chunk by chunk from the kept pieces, and the first best sample wins,
+    as np.nanargmin and np.nanargmax pick it; its value is evaluated again
+    on its own. The refinement evaluates every mode's stencil in one block.
+    """
+    near, far_chunks, stencil = _sample_grid()
+    picks = [None] * len(modes)  # per mode: (value, s, t) of the best sample
+    for t, pieces in near + far_chunks if far else near:
+        vals = kernel(p, *pieces)
+        for k, mode in enumerate(modes):
+            i, v = _first_best(vals, mode)
+            if picks[k] is None or _PICKS[mode][1](v, picks[k][0]):
+                picks[k] = (v, pieces[0][i], t[i])
+        del vals  # freed before the next chunk's temporaries are made
+    best = [kernel(p, *_ratio_pieces(s, t)) for _, s, t in picks]
+    best_s = np.array([s for _, s, _ in picks])
+    best_t = np.array([t for _, _, t in picks])
+    w = np.array([0.5 * math.hypot(s, t) + 1e-3 for _, s, t in picks])[:, None, None]
+    for _ in range(_REFINE_ROUNDS):
+        S = best_s[:, None, None] + w * stencil[0]
+        T = best_t[:, None, None] + w * stencil[1]
+        local = np.where(np.hypot(S, T) < _R_MIN, np.nan, kernel(p, *_ratio_pieces(S, T)))
+        for k, mode in enumerate(modes):
+            j, v = _first_best(local[k], mode)
+            if _PICKS[mode][1](v, best[k]):
+                best[k], best_s[k], best_t[k] = v, S[k].flat[j], T[k].flat[j]
+        w *= 0.25
+    return [float(b) for b in best]
 
 
 def c1_variational(p):
@@ -247,7 +326,7 @@ def c1_variational(p):
     p = _check_p(p)
     if p < 2.0:
         raise ValueError(f"the variational c1 estimate requires p >= 2, got {p}")
-    return _sampled_extrema(lambda s, t: _c1_ratio(p, s, t), (), ("min",))[0]
+    return _sampled_extrema(_c1_kernel, p, False, ("min",))[0]
 
 
 def c2_c3_estimate(p):
@@ -259,7 +338,7 @@ def c2_c3_estimate(p):
     p = _check_p(p)
     if p >= 2.0:
         raise ValueError(f"c2/c3 estimates require 1 < p < 2, got {p}")
-    return tuple(_sampled_extrema(lambda s, t: _c2c3_ratio(p, s, t), _C2C3_FAR_RADII, ("min", "max")))
+    return tuple(_sampled_extrema(_c2c3_kernel, p, True, ("min", "max")))
 
 
 def _as_complex_vec(v, name):

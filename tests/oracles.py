@@ -92,10 +92,19 @@ def shooting_eigenvalue(k, p, a, b, weight):
 def lambda1_interval_quadrature(p):
     """Same eigenvalue via the ODE first integral: the quarter period is
     (lambda/(p-1))^(-1/p) * int_0^1 (1-u^p)^(-1/p) du, so on (0, 1)
-    lambda_1 = (p-1) * (2 * int_0^1 (1-u^p)^(-1/p) du)^p."""
+    lambda_1 = (p-1) * (2 * int_0^1 (1-u^p)^(-1/p) du)^p.
+
+    The integral is split at u = 1/2. On [1/2, 1], u = 1 - z^k with k >= p /
+    (p - 1) turns the (1 - u)^(-1/p) endpoint singularity into a smooth
+    integrand, and 1 - u^p = -expm1(p log1p(-z^k)) keeps its digits; by
+    tanh-sinh on the bare singularity the value at p = 1.5 was 5.2e-12
+    relative low."""
     p = mp.mpf(p)
-    half = mp.quad(lambda u: (1 - u**p) ** (-1 / p), [0, 1])
-    return float((p - 1) * (2 * half) ** p)
+    k = int(mp.ceil(p / (p - 1)))
+    head = mp.quad(lambda u: (1 - u**p) ** (-1 / p), [0, mp.mpf(1) / 2])
+    tail = mp.quad(lambda z: k * z ** (k - 1) * (-mp.expm1(p * mp.log1p(-(z**k)))) ** (-1 / p),
+                   [0, mp.mpf(2) ** (-mp.mpf(1) / k)])
+    return float((p - 1) * (2 * (head + tail)) ** p)
 
 
 def centering_scan(p, f_vals, w_vals, quad_w, n_grid=20001):
@@ -385,6 +394,78 @@ def c1_root_mp(p, dps=40):
             else:
                 lo = mid
         return +mp.findroot(f, (lo, hi))
+
+
+def _ratio_numerator_grid(p, s, t):
+    s = np.asarray(s, dtype=float)
+    t = np.asarray(t, dtype=float)
+    x = t * t + s * s + 2.0 * s
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return s, t, x, np.expm1(0.5 * p * np.log1p(x)) - p * s
+
+
+def c1_ratio_grid(p, s, t):
+    """The c1 ratio over one full-grid call, with the log form where the
+    numerator or the denominator overflows anywhere in the call."""
+    s, t, x, num = _ratio_numerator_grid(p, s, t)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = num / (t * t + s * s) ** (0.5 * p)
+        if p * math.log(2.0 + math.sqrt(max(1.0 + np.max(x), 0.0))) > 709.0:
+            r2 = t * t + s * s
+            den = r2 ** (0.5 * p)
+            log_num = np.where(np.isinf(num), 0.5 * p * np.log1p(x), np.log(num))
+            big = np.isinf(num) | np.isinf(den)
+            ratio = np.where(big, np.exp(log_num - 0.5 * p * np.log(r2)), ratio)
+        return ratio
+
+
+def c2c3_ratio_grid(p, s, t):
+    s, t, x, num = _ratio_numerator_grid(p, s, t)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        den = (np.sqrt(1.0 + x) + 1.0) ** (p - 2.0) * (t * t + s * s)
+        return num / den
+
+
+def sampled_extrema_grid(fn, far_radii, modes):
+    """The sampled extrema as plapstab took them before it kept its sample
+    grid: the whole log-polar grid (128 radii from 1e-3 to 1e3, then
+    `far_radii`, by 256 angles) built and evaluated in one call of fn,
+    np.nanargmin / np.nanargmax picks, and 10 rounds of a shrinking 17x17
+    local grid around the best sample."""
+    r = np.logspace(math.log10(1e-3), math.log10(1e3), 128)
+    r = np.concatenate([r, np.asarray(far_radii, dtype=float)])
+    th = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
+    s = np.outer(r, np.cos(th)).ravel()
+    t = np.outer(r, np.sin(th)).ravel()
+    vals = fn(s, t)
+    off = np.linspace(-1.0, 1.0, 17)
+    extrema = []
+    for mode in modes:
+        pick = np.nanargmin if mode == "min" else np.nanargmax
+        i = int(pick(vals))
+        best_s, best_t = s[i], t[i]
+        best = fn(best_s, best_t)
+        w = 0.5 * math.hypot(best_s, best_t) + 1e-3
+        for _ in range(10):
+            S = best_s + w * off[:, None] + 0.0 * off[None, :]
+            T = best_t + 0.0 * off[:, None] + w * off[None, :]
+            local = np.where(np.hypot(S, T) < 1e-3, np.nan, fn(S, T))
+            j = np.unravel_index(pick(local), local.shape)
+            if (local[j] < best) if mode == "min" else (local[j] > best):
+                best, best_s, best_t = local[j], S[j], T[j]
+            w *= 0.25
+        extrema.append(float(best))
+    return extrema
+
+
+def c1_variational_grid(p):
+    """c1_variational(p) from sampled_extrema_grid."""
+    return sampled_extrema_grid(lambda s, t: c1_ratio_grid(p, s, t), (), ("min",))[0]
+
+
+def c2_c3_estimate_grid(p):
+    """c2_c3_estimate(p) from sampled_extrema_grid."""
+    return tuple(sampled_extrema_grid(lambda s, t: c2c3_ratio_grid(p, s, t), (1e4, 1e5, 1e6), ("min", "max")))
 
 
 def exhaustive_cut_value(centroids, n_directions, side_lambda):

@@ -27,6 +27,7 @@ from oracles import (
     gradient_energies_pow,
     gradients_einsum,
     interior_components_nested,
+    lambda1_interval_quadrature,
     lp_energies_pow,
     mass_local_einsum,
     outer_loop_full_evaluation,
@@ -1665,12 +1666,26 @@ _GAUSSIAN_01 = {
     6.0: (404.2579136348226, 26724.64973327698),
 }
 # relative errors of the P1 pairs on the Gaussian interval (0, 1) at levels
-# 3, 5 and 7 (ROADMAP item 18): lambda1 at p = 2 and 3, and the p = 2
-# deflation lambda2
+# 3, 5 and 7 (ROADMAP item 18): lambda1 at p = 1.5, 2, 3 and 6, and the
+# p = 2 deflation lambda2
 _GAUSSIAN_01_ERRORS = {
+    (1.5, "first"): (5.1e-5, 3.2e-6, 2.0e-7),
     (2.0, "first"): (5.3e-5, 3.3e-6, 2.1e-7),
     (3.0, "first"): (8.9e-5, 5.5e-6, 3.6e-7),
+    (6.0, "first"): (2.5e-4, 2.0e-5, 9.9e-7),
     (2.0, "second"): (2.0e-4, 1.3e-5, 8.0e-7),
+}
+# Gaussian rectangles [a, b] x [c, d] at p = 2: the standard Gaussian density
+# factorises, so every eigenvalue is lambda_x + lambda_y of two weighted 1-D
+# problems. Per rectangle, C in the O(h^2) bound C 4^-L on the relative
+# errors of the P1 lambda1, the deflation lambda2 and the gap at L2-L5; the
+# measured C 4^L reads 0.77-0.80, 1.64-1.95 and 2.20-2.89. The unit square's
+# lambda2 = lambda3 is double; the others have unequal sides and a simple
+# lambda2
+_GAUSSIAN_RECTANGLES = {
+    (0.0, 1.0, 0.0, 1.0): (0.85, 1.8, 2.4),
+    (0.0, 1.0, 0.0, 0.8): (0.85, 2.1, 3.0),
+    (0.1, 1.1, -0.5, 0.3): (0.85, 2.1, 3.0),
 }
 
 
@@ -1699,6 +1714,37 @@ class TestShootingOracle:
         for err, ref in zip(errs, _GAUSSIAN_01_ERRORS[(p, which)]):
             assert 0.5 * ref <= err <= 2.0 * ref
         assert errs[0] >= 10.0 * errs[1] and errs[1] >= 10.0 * errs[2]
+
+    @pytest.mark.parametrize("box", sorted(_GAUSSIAN_RECTANGLES))
+    def test_gaussian_rectangle_p2(self, box):
+        a, b, c, d = box
+        x1, x2 = (shooting_eigenvalue(k, 2.0, a, b, gaussian_weight) for k in (1, 2))
+        y1, y2 = (shooting_eigenvalue(k, 2.0, c, d, gaussian_weight) for k in (1, 2))
+        lam1, lam2 = x1 + y1, min(x2 + y1, x1 + y2)
+        if box == (0.0, 1.0, 0.0, 1.0):
+            assert abs(lam1 - 18.880405784382716) <= 1e-12 * lam1
+            assert abs(lam2 - 48.49880686391449) <= 1e-12 * lam2
+        domain = ps.polygon_domain([[a, c], [b, c], [b, d], [a, d]])
+        errs = []
+        for level in (2, 3, 4, 5):
+            mesh = ps.build_mesh(domain, level)
+            first = ps.first_eigenpair(2.0, mesh, ps.gaussian())
+            second = ps.second_eigenvalue(2.0, mesh, ps.gaussian(), first)
+            assert first.converged and second.converged
+            got = (first.lam, second.lam, second.lam - first.lam)
+            errs.append([(g - e) / e for g, e in zip(got, (lam1, lam2, lam2 - lam1))])
+            for err, bound in zip(errs[-1], _GAUSSIAN_RECTANGLES[box]):
+                assert 0.0 < err <= bound * 4.0**-level
+        # second order: each error falls at least 3.5x per level
+        assert all(coarse >= 3.5 * fine for prev, cur in zip(errs, errs[1:]) for coarse, fine in zip(prev, cur))
+
+    @pytest.mark.parametrize("p", sorted(_GAUSSIAN_01) + [1.1])
+    def test_first_integral_oracle(self, p):
+        # lambda1 on (0, 1) from the ODE's first integral: an independent
+        # quadrature of pi_p^p, 2e-16 to 9e-16 off pi_p_quad_oracle from
+        # p = 1.05 to 10 (5.2e-12 at p = 1.5 before its endpoint substitution)
+        want = pi_p_quad_oracle(p) ** p
+        assert abs(lambda1_interval_quadrature(p) - want) <= 1e-14 * want
 
 
 def _random_values(mesh, seed, n_fields=2):

@@ -187,8 +187,9 @@ class Mesh:
     matrices the weights times `basis_products` (spectral._mass_local).
     Each serves one field or a block of rows alike.
 
-    Four caches are filled on first use and kept for the mesh's lifetime
-    (None, or empty, until then):
+    Five caches are filled on first use (None, or empty, until then). The
+    first four are kept for the mesh's lifetime; the fifth holds what the
+    last cut sweep on the mesh left:
     - `lu_layout`, the one factor layout of the matrices on the interior
       pattern (spectral._lu_solve);
     - `start_vector`, the read-only unnormalised start of every
@@ -198,7 +199,11 @@ class Mesh:
       mass matrices of p = 2 and the solve of the stiffness factor
       (spectral._stiffness_factor), the only factor a mesh keeps;
     - `smoothing`, the read-only node adjacency and degrees of the random
-      fields' neighbour averaging (verify._smoothing).
+      fields' neighbour averaging (verify._smoothing);
+    - `side_meshes`, the side sub-meshes of the last cut sweep, with their
+      node maps and their own caches, keyed by the component's element-mask
+      bytes (spectral._cut_sweep_second). Each sweep replaces it with its
+      own, taking over those of the components it shares with the last.
     """
 
     def __init__(self, nodes, elements):
@@ -231,6 +236,9 @@ class Mesh:
         # (node adjacency, node degrees) of verify._smoothing, read-only,
         # built by the first random field drawn on this mesh
         self.smoothing = None
+        # component element-mask bytes -> (sub-mesh, node map) of the last
+        # cut sweep on this mesh (spectral._cut_sweep_second)
+        self.side_meshes = {}
         self._gradient_operator = None
         self._build_geometry()
 

@@ -305,6 +305,24 @@ def gradient_energies_pow(p, g, de):
     return np.sum(np.sqrt(np.sum(g * g, axis=-1)) ** p * de, axis=-1)
 
 
+def squared_norms_reduce(g):
+    """|g|^2 over the last axis by numpy's reduction, as plapstab had it in
+    gradient_energies and the Rayleigh quotient."""
+    return np.add.reduce(g * g, axis=-1)
+
+
+def grads_dot_einsum(grads, g):
+    """G g per element, (m, k, dim) and (m, dim) to (m, k), as one einsum:
+    plapstab's form in the Euler-Lagrange system before the in-order sum."""
+    return np.einsum("mkd,md->mk", grads, g)
+
+
+def vertex_sum_reduce(lengths, values):
+    """sum_i lengths[e, i] values[e, i] per element by numpy's reduction, as
+    plapstab had it in the residual floor."""
+    return np.add.reduce(lengths * values, axis=1)
+
+
 def coo_assemble(mesh, local):
     """The (n, n) matrix summed from the (m, k, k) element matrices `local`
     through scipy's coordinate (COO) format, which adds up the duplicate

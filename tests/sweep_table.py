@@ -9,7 +9,10 @@ sha1 of the glued field's bytes, the cut count (`EigenPair.iterations`),
 `converged`, the sub-solves (`spectral._ground_state` calls), the distinct
 components solved (distinct element sets handed to `spectral.submesh`), the
 unconverged sub-solves that the sweep's warning counts, and the median sweep
-seconds over N calls (default 3). Run it in two checkouts to compare them;
+seconds over N calls (default 3) twice: `sweep_s` each on a fresh mesh, which
+no sweep has run on (built outside the timer), and `warm_s` each on the
+counted mesh, whose last sweep's side sub-meshes the next sweep takes over
+(`Mesh.side_meshes`). Run it in two checkouts to compare them;
 the second form joins their rows, [parent, change] per entry, with whether
 lambda2 and the field agree bitwise. Not a test: pytest does not collect it.
 """
@@ -72,13 +75,14 @@ def sweep_row(shape, level, p, measure, repeat):
     finally:
         spectral._ground_state, spectral.submesh = ground_state, submesh
     warned = [re.match(r"cut sweep: (\d+) side sub-solves", str(w.message)) for w in record]
-    seconds = []
+    seconds = {"sweep_s": [], "warm_s": []}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for _ in range(repeat):
-            t0 = time.perf_counter()
-            spectral._cut_sweep_second(p, mesh, MEASURES[measure], spectral.SolverOptions())
-            seconds.append(time.perf_counter() - t0)
+            for key, swept in (("sweep_s", ps.build_mesh(SHAPES[shape], level)), ("warm_s", mesh)):
+                t0 = time.perf_counter()
+                spectral._cut_sweep_second(p, swept, MEASURES[measure], spectral.SolverOptions())
+                seconds[key].append(time.perf_counter() - t0)
     return {
         "config": f"{shape}-L{level}-p{p}-{measure}",
         "lambda2": est.lam,
@@ -89,12 +93,13 @@ def sweep_row(shape, level, p, measure, repeat):
         "sub_solves": counts["sub_solves"],
         "distinct_components": len(counts["parts"]),
         "warned_unconverged": sum(int(m.group(1)) for m in warned if m),
-        "sweep_s": round(statistics.median(seconds), 4),
+        **{key: round(statistics.median(values), 4) for key, values in seconds.items()},
     }
 
 
 def compare(parent_rows, change_rows):
-    """[parent, change] per entry of two runs' rows, matched by config."""
+    """[parent, change] per entry of two runs' rows, matched by config; null
+    where a run has no such entry (`warm_s` in rows written before it)."""
     change = {row["config"]: row for row in change_rows}
     table = []
     for old in parent_rows:
@@ -104,9 +109,9 @@ def compare(parent_rows, change_rows):
             "lambda2_hex": new["lambda2_hex"],
             "lambda2_bitwise": old["lambda2_hex"] == new["lambda2_hex"],
             "field_sha1_bitwise": old["field_sha1"] == new["field_sha1"],
-            **{key: [old[key], new[key]] for key in
+            **{key: [old.get(key), new.get(key)] for key in
                ("cuts", "converged", "sub_solves", "distinct_components", "warned_unconverged",
-                "sweep_s")},
+                "sweep_s", "warm_s")},
         })
     return table
 

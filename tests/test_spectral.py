@@ -26,6 +26,7 @@ from oracles import (
     gaussian_weight,
     gradient_energies_pow,
     gradients_einsum,
+    grads_dot_einsum,
     interior_components_nested,
     lambda1_interval_quadrature,
     lp_energies_pow,
@@ -34,8 +35,10 @@ from oracles import (
     pi_p_quad_oracle,
     shooting_eigenvalue,
     side_components_nested,
+    squared_norms_reduce,
     unit_weight,
     values_at_quad_einsum,
+    vertex_sum_reduce,
 )
 
 PI2 = math.pi**2
@@ -1465,6 +1468,98 @@ class TestSweepDiagnostics:
         assert int(unconverged.group(1)) >= 1 and not est.converged
 
 
+_KEPT_SWEEPS = {
+    "interval-L1": (ps.interval_domain(0.0, 1.0), 1),
+    "triangle-L2": (ps.polygon_domain(_TRIANGLE), 2),
+    "thin-rectangle-L2": (ps.polygon_domain(_THIN_RECTANGLE), 2),
+}
+
+
+def _sweep_bytes(pair):
+    """Everything a cut-sweep pair's numbers are made of, as bytes."""
+    return pair.lam.hex(), pair.field.values.tobytes(), pair.iterations, pair.converged
+
+
+def _recorded_submesh(monkeypatch):
+    """Wrap spectral.submesh; returns the list of the element-mask bytes of
+    each call, the keys of Mesh.side_meshes."""
+    keys = []
+
+    def recorded(mesh, element_idx):
+        mask = np.zeros(mesh.n_elements, dtype=bool)
+        mask[element_idx] = True
+        keys.append(mask.tobytes())
+        return submesh(mesh, element_idx)
+
+    monkeypatch.setattr(spectral, "submesh", recorded)
+    return keys
+
+
+class TestKeptSideMeshes:
+    # a sweep keeps its side sub-meshes on the mesh (Mesh.side_meshes), and
+    # the next sweep there takes over those of the components it shares
+    # with it; the solves are not kept, so every sweep is a fresh one's
+
+    @pytest.mark.parametrize("measure", sorted(_MEASURES))
+    @pytest.mark.parametrize("case", sorted(_KEPT_SWEEPS))
+    def test_repeated_sweeps_equal_fresh_ones(self, case, measure):
+        mu, opts = _MEASURES[measure], SolverOptions()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fresh = {p: _sweep_bytes(spectral._cut_sweep_second(p, ps.build_mesh(*_KEPT_SWEEPS[case]), mu, opts))
+                     for p in (3.0, 6.0)}
+            m = ps.build_mesh(*_KEPT_SWEEPS[case])
+            for p in (3.0, 6.0, 3.0, 3.0, 6.0):
+                assert _sweep_bytes(spectral._cut_sweep_second(p, m, mu, opts)) == fresh[p]
+
+    @pytest.mark.parametrize("case", ["triangle-L2", "thin-rectangle-L2"])
+    def test_only_new_components_are_cut(self, monkeypatch, case):
+        mu = ps.lebesgue()
+        keys = _recorded_submesh(monkeypatch)
+        spectral._cut_sweep_second(6.0, ps.build_mesh(*_KEPT_SWEEPS[case]), mu, SolverOptions())
+        components6 = set(keys)
+        keys.clear()
+        m = ps.build_mesh(*_KEPT_SWEEPS[case])
+        spectral._cut_sweep_second(3.0, m, mu, SolverOptions())
+        components3 = set(keys)
+        assert len(keys) == len(components3) and set(m.side_meshes) == components3
+        kept = dict(m.side_meshes)
+        keys.clear()
+        spectral._cut_sweep_second(3.0, m, mu, SolverOptions())
+        assert keys == []
+        assert m.side_meshes.keys() == kept.keys()
+        assert all(m.side_meshes[key] is kept[key] for key in kept)
+        spectral._cut_sweep_second(6.0, m, mu, SolverOptions())
+        # the p = 6 sweep cuts only what the p = 3 sweep did not visit, and
+        # the mesh keeps exactly the p = 6 sweep's components
+        assert sorted(keys) == sorted(components6 - components3) and keys
+        assert set(m.side_meshes) == components6 and components3 - components6
+        assert all(m.side_meshes[key] is kept[key] for key in components6 & components3)
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_sweep_that_raises_leaves_the_mesh_usable(self, monkeypatch, k):
+        domain, level = _KEPT_SWEEPS["triangle-L2"]
+        mu, opts = ps.gaussian(), SolverOptions()
+        fresh = _sweep_bytes(spectral._cut_sweep_second(3.0, ps.build_mesh(domain, level), mu, opts))
+        m = ps.build_mesh(domain, level)
+        spectral._cut_sweep_second(6.0, m, mu, opts)
+        ground_state, calls = spectral._ground_state, []
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == k:
+                raise RuntimeError("side solve failed")
+            return ground_state(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "_ground_state", failing)
+        with pytest.raises(RuntimeError, match="side solve failed"):
+            spectral._cut_sweep_second(3.0, m, mu, opts)
+        # the failed sweep's sub-meshes, the one whose solve raised included
+        assert len(m.side_meshes) == k
+        monkeypatch.setattr(spectral, "_ground_state", ground_state)
+        assert _sweep_bytes(spectral._cut_sweep_second(3.0, m, mu, opts)) == fresh
+
+
 # p = 2 meshes on which deflation is checked against eigsh and the block
 # inverse iteration oracle; the polygons are built here, the rest cached
 _LANCZOS_POLYGONS = {
@@ -1841,6 +1936,33 @@ class TestQuadratureKernels:
         for got, want in ((spectral.lp_energies(p, uq, w), lp_energies_pow(p, values_at_quad_einsum(m, values), w)),
                           (spectral.gradient_energies(p, g, de), gradient_energies_pow(p, gradients_einsum(m, values), de))):
             assert np.all(np.abs(got - want) <= 1e-15 * want)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(dim=st.sampled_from([1, 2]), rows=st.sampled_from([1, 16]), m=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1), zeros=st.floats(0.0, 0.5))
+    def test_short_axis_sums_match_numpy_reductions(self, dim, rows, m, seed, zeros):
+        # the in-order sums over the dimensions and the element's vertices
+        # against numpy's reductions and einsum (tests/oracles.py), with
+        # exact zeros and negative zeros: bitwise, but for the sign of a
+        # zero in G g, which the scatter that follows erases
+        rng = np.random.default_rng(seed)
+
+        def draw(shape):
+            a = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+            a[rng.random(shape) < zeros] = 0.0
+            a[rng.random(shape) < zeros] = -0.0
+            return a
+
+        g = draw((rows, m, dim))
+        assert spectral._inner(g, g).tobytes() == squared_norms_reduce(g).tobytes()
+        assert spectral._inner(g[0], g[0]).tobytes() == squared_norms_reduce(g[0]).tobytes()
+        grads, lengths = draw((rows, dim + 1, dim)), np.abs(draw((rows, dim + 1)))
+        gphi, want = spectral._inner(grads, g[:, 0, None, :]), grads_dot_einsum(grads, g[:, 0])
+        # each entry scattered alone, as by _interior_vector and _scatter
+        slots = np.arange(gphi.size)
+        assert np.bincount(slots, gphi.ravel()).tobytes() == np.bincount(slots, want.ravel()).tobytes()
+        values = np.abs(draw((rows, dim + 1)))
+        assert spectral._inner(lengths, values).tobytes() == vertex_sum_reduce(lengths, values).tobytes()
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(e=st.integers(3, 8), seed=st.integers(0, 2**32 - 1), zeros=st.integers(0, 5))

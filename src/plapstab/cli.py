@@ -143,7 +143,8 @@ def _validate_config(config):
         kind = str if default is None else type(default)
         if type(value) is not kind and not (default is None and value is None):
             raise ValueError(f"{key} must be of type {kind.__name__}, got {value!r}")
-    for key, low, high in (("level", 0, 7), ("fields", 1, math.inf), ("samples", 1, math.inf)):
+    for key, low, high in (("level", 0, 7), ("seed", 0, math.inf), ("fields", 1, math.inf),
+                           ("samples", 1, math.inf)):
         if not low <= config[key] <= high:
             raise ValueError(f"{key} must lie in [{low}, {high}], got {config[key]}")
     Measure(config["measure"])  # raises on an unknown kind
@@ -278,6 +279,24 @@ def run_constants(config):
     return all_ok, results, []
 
 
+def _pair_entry(pair, mesh_file):
+    """The report entry of an EigenPair, its nodal values tied to the mesh
+    file `mesh_file` (or None); `residual` and `residual_floor` are NaN
+    where not computed, which a report writes as null."""
+    return {
+        "lambda": float(pair.lam),
+        "iterations": int(pair.iterations),
+        "residual_history": [float(r) for r in pair.residual_history],
+        "residual": float(pair.residual),
+        "residual_floor": float(pair.residual_floor),
+        "normalized": True,
+        "converged": bool(pair.converged),
+        "estimator": pair.estimator,
+        "lambda2_is_upper_bound": bool(pair.is_upper_bound),
+        "nodal_values": {"mesh_file": mesh_file, "values": pair.field.values},
+    }
+
+
 def run_eigen(config):
     _, mesh, measure = _problem(config)
     opts = SolverOptions(seed=config["seed"])
@@ -289,11 +308,11 @@ def run_eigen(config):
     for p in config["p"]:
         pair = first_eigenpair(p, mesh, measure, opts)
         ok = ok and pair.converged
-        entry = {"p": p, "first": pair.to_json_dict(mesh_file)}
+        entry = {"p": p, "first": _pair_entry(pair, mesh_file)}
         if config["second"]:
             pair2 = second_eigenvalue(p, mesh, measure, pair, opts)
             ok = ok and pair2.converged
-            entry["second"] = pair2.to_json_dict(mesh_file)
+            entry["second"] = _pair_entry(pair2, mesh_file)
         results.append(entry)
     if not ok:
         raise RuntimeError("eigen solve did not converge")

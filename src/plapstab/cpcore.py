@@ -193,7 +193,13 @@ def _ratio_numerator(p, s, log1p_x):
 
 
 def _c1_kernel(p, s, log1p_x, r2, root, max_x):
-    """The c1 ratio from the pieces of _ratio_pieces (see _c1_ratio)."""
+    """The c1 ratio [(t^2 + s^2 + 2s + 1)^(p/2) - 1 - p s] / (t^2 +
+    s^2)^(p/2) from the pieces of _ratio_pieces(s, t).
+
+    Where the numerator or the denominator overflows (large p and radius),
+    the ratio is taken in log form, exp(log num - (p/2) log(t^2 + s^2)),
+    with log num = (p/2) log1p(x) where num itself overflows: 1 + p s is
+    then below its last bit. Elsewhere it is the plain quotient."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         num = _ratio_numerator(p, s, log1p_x)
         den = r2 ** (0.5 * p)
@@ -208,26 +214,12 @@ def _c1_kernel(p, s, log1p_x, r2, root, max_x):
         return ratio
 
 
-def _c1_ratio(p, s, t):
-    """[(t^2 + s^2 + 2s + 1)^(p/2) - 1 - p s] / (t^2 + s^2)^(p/2).
-
-    Where the numerator or the denominator overflows (large p and radius),
-    the ratio is taken in log form, exp(log num - (p/2) log(t^2 + s^2)),
-    with log num = (p/2) log1p(x) where num itself overflows: 1 + p s is
-    then below its last bit. Elsewhere it is the plain quotient."""
-    return _c1_kernel(p, *_ratio_pieces(s, t))
-
-
 def _c2c3_kernel(p, s, log1p_x, r2, root, max_x):
-    """The c2/c3 ratio from the pieces of _ratio_pieces (see _c2c3_ratio)."""
+    """The c2/c3 ratio [(t^2 + s^2 + 2s + 1)^(p/2) - 1 - p s] /
+    [(sqrt(t^2 + s^2 + 2s + 1) + 1)^(p-2) (t^2 + s^2)] from the pieces of
+    _ratio_pieces(s, t)."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return _ratio_numerator(p, s, log1p_x) / (root ** (p - 2.0) * r2)
-
-
-def _c2c3_ratio(p, s, t):
-    """[(t^2 + s^2 + 2s + 1)^(p/2) - 1 - p s] / [(sqrt(t^2 + s^2 + 2s + 1)
-    + 1)^(p-2) (t^2 + s^2)]."""
-    return _c2c3_kernel(p, *_ratio_pieces(s, t))
 
 
 @functools.cache

@@ -8,6 +8,7 @@ weighted by a Lebesgue or Gaussian density.  Every mesh's boundary is the
 nodes on its facets (end nodes in 1D, edges in 2D) of one element only.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ __all__ = [
     "zero_trace",
     "write_mesh",
     "read_mesh",
+    "per_mesh",
 ]
 
 # 4-point Gauss-Legendre on [-1, 1]
@@ -60,8 +62,7 @@ _TRI6_WEIGHTS = np.array([_TRI6_WA, _TRI6_WA, _TRI6_WA, _TRI6_WB, _TRI6_WB, _TRI
 def _reference_basis(basis):
     """(basis, products) of a rule's (q, k) reference basis values, the same
     on every element: products[q, i * k + j] = basis[q, i] basis[q, j], so
-    that the element mass matrices are one matmul (spectral._mass_local).
-    Both read-only."""
+    that the element mass matrices are one matmul. Both read-only."""
     products = (basis[:, :, None] * basis[:, None, :]).reshape(basis.shape[0], -1)
     for a in (basis, products):
         a.setflags(write=False)
@@ -133,13 +134,17 @@ def _signed_area(verts):
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
+@dataclass(frozen=True)
 class Measure:
-    """Lebesgue or standard Gaussian weight attached to every integral."""
+    """Lebesgue or standard Gaussian weight attached to every integral.
+    Measures of one kind are equal and hash alike, so a fresh Measure finds
+    what a mesh keeps per measure (per_mesh)."""
 
-    def __init__(self, kind):
-        if kind not in ("lebesgue", "gaussian"):
-            raise ValueError(f"unknown measure kind {kind!r}")
-        self.kind = kind
+    kind: str
+
+    def __post_init__(self):
+        if self.kind not in ("lebesgue", "gaussian"):
+            raise ValueError(f"unknown measure kind {self.kind!r}")
 
     def density(self, points):
         """Density values at an (N, dim) array of points."""
@@ -150,9 +155,6 @@ class Measure:
         r2 = np.sum(points * points, axis=1)
         return (2.0 * np.pi) ** (-0.5 * n) * np.exp(-0.5 * r2)
 
-    def __repr__(self):
-        return f"Measure({self.kind!r})"
-
 
 def lebesgue():
     return Measure("lebesgue")
@@ -160,6 +162,23 @@ def lebesgue():
 
 def gaussian():
     return Measure("gaussian")
+
+
+def per_mesh(build):
+    """build(mesh, *args), run once per mesh and args: the first call keeps
+    its result in `mesh.cache` under (build, *args) and later calls return
+    it. A build that raises keeps nothing. The args must be hashable."""
+
+    @functools.wraps(build)
+    def kept(mesh, *args):
+        key = (build,) + args
+        try:
+            return mesh.cache[key]
+        except KeyError:
+            value = mesh.cache[key] = build(mesh, *args)
+            return value
+
+    return kept
 
 
 class Mesh:
@@ -184,26 +203,13 @@ class Mesh:
     quadrature points are the element gather of the nodal values times
     `basis.T` (one matmul), gradients one product with the sparse
     `gradient_operator()` (built on first use, then kept), and element mass
-    matrices the weights times `basis_products` (spectral._mass_local).
-    Each serves one field or a block of rows alike.
+    matrices the weights times `basis_products`. Each serves one field or a
+    block of rows alike.
 
-    Five caches are filled on first use (None, or empty, until then). The
-    first four are kept for the mesh's lifetime; the fifth holds what the
-    last cut sweep on the mesh left:
-    - `lu_layout`, the one factor layout of the matrices on the interior
-      pattern (spectral._lu_solve);
-    - `start_vector`, the read-only unnormalised start of every
-      ground-state solve, the distance to the boundary
-      (spectral._start_vector);
-    - `stiffness_factors`, per measure kind, the interior stiffness and
-      mass matrices of p = 2 and the solve of the stiffness factor
-      (spectral._stiffness_factor), the only factor a mesh keeps;
-    - `smoothing`, the read-only node adjacency and degrees of the random
-      fields' neighbour averaging (verify._smoothing);
-    - `side_meshes`, the side sub-meshes of the last cut sweep, with their
-      node maps and their own caches, keyed by the component's element-mask
-      bytes (spectral._cut_sweep_second). Each sweep replaces it with its
-      own, taking over those of the components it shares with the last.
+    `cache` holds what is built from the mesh on first use and kept for
+    its lifetime: the results of per_mesh builders, here and in the modules
+    that solve on the mesh, and entries that a module reads and writes
+    itself, under a key it names.
     """
 
     def __init__(self, nodes, elements):
@@ -218,28 +224,7 @@ class Mesh:
         self.boundary_mask = np.bincount(self.boundary_facets.ravel(), minlength=self.n_nodes) > 0
         self.boundary_facets.setflags(write=False)
         self.boundary_mask.setflags(write=False)
-        self._density_cache = {}
-        self._patterns = {}
-        # the factor layout of the interior pattern, built by the first
-        # factorisation on it (see spectral._lu_solve): each entry's row and
-        # column (at most 64 unknowns), or the band layout (reverse
-        # Cuthill-McKee order and band gathers); every matrix on the pattern,
-        # bordered or not, uses it
-        self.lu_layout = None
-        # the unnormalised ground-state start (spectral._start_vector),
-        # read-only, built by the first ground-state solve on this mesh
-        self.start_vector = None
-        # measure kind -> (K, M, solve of K's factor) on the interior dofs
-        # (spectral._stiffness_factor), filled by the first p = 2 solve
-        # under that measure; only a factor that succeeded is kept
-        self.stiffness_factors = {}
-        # (node adjacency, node degrees) of verify._smoothing, read-only,
-        # built by the first random field drawn on this mesh
-        self.smoothing = None
-        # component element-mask bytes -> (sub-mesh, node map) of the last
-        # cut sweep on this mesh (spectral._cut_sweep_second)
-        self.side_meshes = {}
-        self._gradient_operator = None
+        self.cache = {}
         self._build_geometry()
 
     def _build_geometry(self):
@@ -306,19 +291,17 @@ class Mesh:
         xe = self.nodes[self.elements]
         return float(np.sqrt(np.max(np.sum((xe[:, :, None] - xe[:, None]) ** 2, axis=-1))))
 
+    @per_mesh
     def _measure_arrays(self, measure):
-        """(density, weights, element integrals) of the measure, built once
-        per mesh and measure kind and shared read-only by every caller."""
-        key = measure.kind
-        if key not in self._density_cache:
-            flat = self.quad_points.reshape(-1, self.dim)
-            density = measure.density(flat).reshape(self.quad_weights.shape)
-            weights = self.quad_weights * density
-            arrays = (density, weights, np.sum(weights, axis=1))
-            for a in arrays:
-                a.setflags(write=False)
-            self._density_cache[key] = arrays
-        return self._density_cache[key]
+        """(density, weights, element integrals) of the measure, shared
+        read-only by every caller."""
+        flat = self.quad_points.reshape(-1, self.dim)
+        density = measure.density(flat).reshape(self.quad_weights.shape)
+        weights = self.quad_weights * density
+        arrays = (density, weights, np.sum(weights, axis=1))
+        for a in arrays:
+            a.setflags(write=False)
+        return arrays
 
     def density_at_quad(self, measure):
         """Measure density at the quadrature points, (m, q), read-only."""
@@ -333,6 +316,7 @@ class Mesh:
         """Per-element integral of the measure density, (m,), read-only."""
         return self._measure_arrays(measure)[2]
 
+    @per_mesh
     def pattern(self, nodes):
         """CSC sparsity of the P1 matrices on `nodes`, built once per mesh.
 
@@ -344,29 +328,26 @@ class Mesh:
         entry (i, j) of element e adds into, or `indices.size` (a discard
         slot) when either node is left out. So
         `np.bincount(slots, local.ravel())[:indices.size]` assembles an
-        (m, k, k) array of element matrices. The layout that the factors of
-        interior-pattern matrices use is kept in `lu_layout`.
+        (m, k, k) array of element matrices.
         """
-        if nodes not in self._patterns:
-            if nodes == "interior":
-                number = np.cumsum(self.interior) - 1
-                number[self.boundary_mask] = -1
-            elif nodes == "all":
-                number = np.arange(self.n_nodes)
-            else:
-                raise ValueError(f"unknown node set {nodes!r}")
-            k = self.elements.shape[1]
-            n = int(np.count_nonzero(number >= 0))
-            local = number[self.elements]
-            rows = np.repeat(local, k, axis=1).ravel()
-            cols = np.tile(local, (1, k)).ravel()
-            keep = (rows >= 0) & (cols >= 0)
-            keys, inverse = np.unique(cols[keep] * n + rows[keep], return_inverse=True)
-            slots = np.full(rows.shape, keys.size)
-            slots[keep] = inverse
-            indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
-            self._patterns[nodes] = (slots, (keys % n).astype(np.int32), indptr.astype(np.int32))
-        return self._patterns[nodes]
+        if nodes == "interior":
+            number = np.cumsum(self.interior) - 1
+            number[self.boundary_mask] = -1
+        elif nodes == "all":
+            number = np.arange(self.n_nodes)
+        else:
+            raise ValueError(f"unknown node set {nodes!r}")
+        k = self.elements.shape[1]
+        n = int(np.count_nonzero(number >= 0))
+        local = number[self.elements]
+        rows = np.repeat(local, k, axis=1).ravel()
+        cols = np.tile(local, (1, k)).ravel()
+        keep = (rows >= 0) & (cols >= 0)
+        keys, inverse = np.unique(cols[keep] * n + rows[keep], return_inverse=True)
+        slots = np.full(rows.shape, keys.size)
+        slots[keep] = inverse
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
+        return slots, (keys % n).astype(np.int32), indptr.astype(np.int32)
 
     def values_at_quad(self, nodal_values):
         """P1 interpolation at all quadrature points: (n,) or (rows, n) values
@@ -380,21 +361,19 @@ class Mesh:
         g = np.ascontiguousarray((self.gradient_operator() @ nodal_values.T).T)
         return g.reshape(nodal_values.shape[:-1] + (-1, self.dim))
 
+    @per_mesh
     def gradient_operator(self):
         """Sparse (m * dim, n) CSR operator from nodal values to element
         gradients: row e * dim + d holds grads[e, :, d] in the columns of
         element e's nodes. Built on first use and kept, so that building a
         mesh costs no more."""
-        if self._gradient_operator is None:
-            from scipy import sparse
+        from scipy import sparse
 
-            m, k = self.elements.shape
-            indices = np.repeat(self.elements, self.dim, axis=0).ravel().astype(np.int32)
-            indptr = np.arange(0, m * self.dim * k + 1, k, dtype=np.int32)
-            data = self.grads.transpose(0, 2, 1).ravel()
-            self._gradient_operator = sparse.csr_matrix((data, indices, indptr), shape=(m * self.dim, self.n_nodes),
-                                                        copy=False)
-        return self._gradient_operator
+        m, k = self.elements.shape
+        indices = np.repeat(self.elements, self.dim, axis=0).ravel().astype(np.int32)
+        indptr = np.arange(0, m * self.dim * k + 1, k, dtype=np.int32)
+        data = self.grads.transpose(0, 2, 1).ravel()
+        return sparse.csr_matrix((data, indices, indptr), shape=(m * self.dim, self.n_nodes), copy=False)
 
     def node_adjacency(self):
         """Symmetric sparse node-to-node adjacency (shared element edge), CSR:
@@ -487,7 +466,7 @@ def _polygon_centroid(verts):
     x, y = verts[:, 0], verts[:, 1]
     xn, yn = np.roll(x, -1), np.roll(y, -1)
     cross = x * yn - xn * y
-    area = 0.5 * np.sum(cross)
+    area = _signed_area(verts)
     cx = np.sum((x + xn) * cross) / (6.0 * area)
     cy = np.sum((y + yn) * cross) / (6.0 * area)
     return np.array([cx, cy])

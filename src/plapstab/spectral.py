@@ -31,12 +31,18 @@ there to bracket the crossing and bisects the bracket. A side's lambda1 is
 the least over the connected components of its interior nodes, labelled on
 the parent mesh's full pattern; each distinct component is solved once per
 sweep, on one sub-mesh cut from the parent, whatever sides share it. The
-parent keeps a sweep's sub-meshes (`Mesh.side_meshes`) until the next sweep
-there, which takes over those of the components the two share, with their
-layouts, start vectors, patterns, gradient operators and measure arrays,
-and cuts only the new ones; the solves are not kept. The
-sub-solves do not warn one by one: a sweep warns once, with the number of
-them that did not converge.
+parent keeps a sweep's sub-meshes until the next sweep there, which takes
+over those of the components the two share, with all that they keep, and
+cuts only the new ones; the solves are not kept. The sub-solves do not
+warn one by one: a sweep warns once, with the number of them that did not
+converge.
+
+What this module keeps per mesh is in the mesh's store, `Mesh.cache`: the
+start vector (_start_vector) and the p = 2 stiffness factor
+(_stiffness_factor), each built once per mesh (and measure) by a
+`geometry.per_mesh` builder, and two entries read and written directly:
+the factor layout ("factor layout", _lu_solve) and the last cut sweep's
+sub-meshes ("side meshes", _cut_sweep_second).
 
 Every sparse matrix is one scatter of element matrices on a sparsity
 pattern cached on the mesh (`Mesh.pattern`): the full matrices of
@@ -61,8 +67,8 @@ Every linear solve is a direct factor (`_lu_solve`) of a matrix A given by
 its CSC data on the interior pattern: the lagged matrix or the p = 2
 stiffness (symmetric, with positive element weights), or J, bordered as
 [J, -b; b^T, 0] by the border (b, -b). The mesh keeps one layout, built
-from the interior pattern alone (`Mesh.lu_layout`), and one factor, that
-of the p = 2 stiffness per measure kind. At
+from the interior pattern alone, and one factor, that of the p = 2
+stiffness per measure. At
 most _DENSE_MAX = 64 interior unknowns (as on most of the cut sweep's
 sides), the layout is each entry's row and column: the data goes into a
 dense n x n array, or (n + 1) x (n + 1) with b in row n and -b in column
@@ -74,14 +80,13 @@ banded Cholesky (`pbtrf`/`pbtrs`), or by partial-pivot banded LU
 only numerically semidefinite. The bordered matrix is solved by block
 elimination on the banded LU of J with one refinement step; J is singular
 up to rounding at a converged iterate, so Cholesky is not tried on it.
-The first p = 2 Lanczos run on a mesh and measure kind factors the
-stiffness matrix, and the mesh keeps the factor with K and M
-(`Mesh.stiffness_factors`) for every solve of that run and of every later
-one there: both pairs and repeated ground states. Every other factor
-serves one solve. A Lanczos run keeps its basis
-and the basis's M-images as the filled rows of two arrays whose capacity
-doubles from _LANCZOS_ROWS, and takes the Ritz pairs of its tridiagonal
-from LAPACK `stev`.
+The first p = 2 Lanczos run on a mesh and measure factors the stiffness
+matrix, and the mesh keeps the factor with K and M for every solve of that
+run and of every later one there: both pairs and repeated ground states.
+Every other factor serves one solve. A Lanczos run keeps its basis and the
+basis's M-images as the filled rows of two arrays whose capacity doubles
+from _LANCZOS_ROWS, and takes the Ritz pairs of its tridiagonal from
+LAPACK `stev`.
 """
 
 import math
@@ -94,7 +99,7 @@ from scipy.linalg.lapack import dgbtrf as _gbtrf, dgbtrs as _gbtrs, dgetrf as _g
 from scipy.linalg.lapack import dpbtrf as _pbtrf, dpbtrs as _pbtrs, dstev as _stev
 
 from .cpcore import _check_p, _guarded_power
-from .geometry import Field, submesh
+from .geometry import Field, per_mesh, submesh
 
 __all__ = [
     "SolverOptions",
@@ -181,25 +186,6 @@ class EigenPair:
     def is_upper_bound(self):
         """True for the cut sweep's lambda2, an upper bound, not an eigenvalue."""
         return self.estimator == "nodal-cut"
-
-    def to_json_dict(self, mesh_file=None):
-        """The report entry of the pair; `residual` and `residual_floor` are
-        NaN where not computed, which a report writes as null."""
-        return {
-            "lambda": float(self.lam),
-            "iterations": int(self.iterations),
-            "residual_history": [float(r) for r in self.residual_history],
-            "residual": float(self.residual),
-            "residual_floor": float(self.residual_floor),
-            "normalized": True,
-            "converged": bool(self.converged),
-            "estimator": self.estimator,
-            "lambda2_is_upper_bound": bool(self.is_upper_bound),
-            "nodal_values": {
-                "mesh_file": mesh_file,
-                "values": self.field.values,
-            },
-        }
 
 
 def lp_norm(field, p, measure):
@@ -343,19 +329,17 @@ def _distance_to_boundary(mesh):
     return d
 
 
+@per_mesh
 def _start_vector(mesh):
-    """The unnormalised start of every ground-state solve on `mesh`: the
-    distance to the boundary, built on first use and kept read-only in
-    `mesh.start_vector`."""
-    if mesh.start_vector is None:
-        u = _distance_to_boundary(mesh)
-        if not np.any(u[mesh.interior] > 0.0):
-            # a cut submesh is not convex: every interior node can lie on a
-            # boundary-edge line, so start from the interior indicator instead
-            u = mesh.interior.astype(float)
-        u.setflags(write=False)
-        mesh.start_vector = u
-    return mesh.start_vector
+    """The unnormalised start of every ground-state solve on `mesh`, kept
+    read-only: the distance to the boundary."""
+    u = _distance_to_boundary(mesh)
+    if not np.any(u[mesh.interior] > 0.0):
+        # a cut submesh is not convex: every interior node can lie on a
+        # boundary-edge line, so start from the interior indicator instead
+        u = mesh.interior.astype(float)
+    u.setflags(write=False)
+    return u
 
 
 def _normalize(mesh, values, p, measure):
@@ -566,42 +550,41 @@ def _lu_solve(mesh, data, border=None):
     pattern, or, for border = (b, c), of the bordered matrix [A, c; b^T, 0].
     At most _DENSE_MAX interior unknowns, _dense_solve; above it,
     _band_solve of the matrix itself and _bordered_solve of a bordered one.
-    The layout comes from the interior pattern alone and is built once per
-    mesh: the row and column of each entry, or the band layout.
-    `mesh.lu_layout` keeps it. The solve of the p = 2 stiffness is kept per
-    measure kind by _stiffness_factor; every other solve returned here
-    serves one right side. A singular matrix raises RuntimeError and
-    caches nothing.
+    The layout comes from the interior pattern alone: the row and column of
+    each entry, or the band layout. The mesh keeps it in `mesh.cache`
+    under "factor layout" once a factorisation with it has succeeded. The
+    solve of the p = 2 stiffness is kept per measure by _stiffness_factor;
+    every other solve returned here serves one right side. A singular
+    matrix raises RuntimeError and keeps nothing.
     """
     _, indices, indptr = mesh.pattern("interior")
     n = indptr.size - 1
+    layout = mesh.cache.get("factor layout")
     if n <= _DENSE_MAX:
-        layout = mesh.lu_layout or (indices, np.repeat(np.arange(n), np.diff(indptr)), n)
+        layout = layout or (indices, np.repeat(np.arange(n), np.diff(indptr)), n)
         solve = _dense_solve(layout, data, border)
     else:
-        layout = mesh.lu_layout or _band_layout(indices, indptr)
+        layout = layout or _band_layout(indices, indptr)
         if border is None:
             solve = _band_solve(layout, data)
         else:
             solve = _bordered_solve(layout, _square_csc(data, indices, indptr), *border)
-    mesh.lu_layout = layout
+    mesh.cache["factor layout"] = layout
     return solve
 
 
+@per_mesh
 def _stiffness_factor(mesh, measure):
     """(K, M, solve) on the interior dofs: the stiffness and mass matrices of
-    `measure` and the solve of K's factor (_lu_solve). Built by the first
-    p = 2 solve on the mesh and measure kind and kept, read-only, in
-    `mesh.stiffness_factors`; a factorisation that fails keeps nothing."""
-    key = measure.kind
-    if key not in mesh.stiffness_factors:
-        K = _assemble_csc(mesh, _stiffness_local(mesh, mesh.element_density_integrals(measure)))
-        M = _assemble_csc(mesh, _mass_local(mesh, mesh.measure_weights(measure)))
-        solve = _lu_solve(mesh, K.data)
-        for a in (K.data, M.data):
-            a.setflags(write=False)
-        mesh.stiffness_factors[key] = (K, M, solve)
-    return mesh.stiffness_factors[key]
+    `measure`, read-only, and the solve of K's factor (_lu_solve). Built by
+    the first p = 2 solve on the mesh and measure and kept; a
+    factorisation that fails keeps nothing."""
+    K = _assemble_csc(mesh, _stiffness_local(mesh, mesh.element_density_integrals(measure)))
+    M = _assemble_csc(mesh, _mass_local(mesh, mesh.measure_weights(measure)))
+    solve = _lu_solve(mesh, K.data)
+    for a in (K.data, M.data):
+        a.setflags(write=False)
+    return K, M, solve
 
 
 def _lanczos(mesh, measure, start, against, opts):
@@ -943,11 +926,12 @@ def _cut_sweep_second(p, mesh, measure, opts):
     nearby cuts, so most searches probe only a few cuts. Any correct search
     of a monotone predicate finds the same j. A component shared by sides
     is solved once, on its sub-mesh: the one the last sweep on this mesh
-    kept for it (`mesh.side_meshes`), or else one cut from the mesh by
-    `submesh`. The sweep leaves its own sub-meshes in `mesh.side_meshes`
-    for the next sweep there, so that the mesh holds one sweep's sub-meshes
-    at most; every solve runs afresh, and a sweep's numbers are those of a
-    sweep on a fresh mesh. Each max(lambda+, lambda-) is the quotient of an
+    kept for it, or else one cut from the mesh by `submesh`. The sweep
+    leaves its own sub-meshes in `mesh.cache` under "side meshes" (the
+    component's element-mask bytes -> (sub-mesh, node map)) for the next
+    sweep there, so that the mesh holds one sweep's sub-meshes at most;
+    every solve runs afresh, and a sweep's numbers are those of a sweep on
+    a fresh mesh. Each max(lambda+, lambda-) is the quotient of an
     admissible glued field, so the result bounds the discrete lambda2 even
     where unconverged sub-solves break the ordering. `iterations` counts the
     distinct cuts evaluated; `converged` holds when both sub-solves of the
@@ -963,7 +947,8 @@ def _cut_sweep_second(p, mesh, measure, opts):
 
     centroids = np.mean(mesh.nodes[mesh.elements], axis=1)
     # the last sweep's sub-meshes; this sweep's replace them on the mesh
-    previous, mesh.side_meshes = mesh.side_meshes, {}
+    previous = mesh.cache.get("side meshes", {})
+    kept = mesh.cache["side meshes"] = {}
     # component element mask -> (ground state, node map): the one memo of
     # solves, as sides that differ by elements touching no interior node
     # share components
@@ -978,7 +963,7 @@ def _cut_sweep_second(p, mesh, measure, opts):
             for part in _side_components(mesh, mask):
                 part_key = part.tobytes()
                 if part_key not in solved:
-                    sub, node_map = mesh.side_meshes[part_key] = (
+                    sub, node_map = kept[part_key] = (
                         previous.pop(part_key, None) or submesh(mesh, np.nonzero(part)[0]))
                     solved[part_key] = (_ground_state(p, sub, measure, opts), node_map)
                 pair, node_map = solved[part_key]

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cpcore
-from .geometry import Field
+from .geometry import Field, per_mesh
 from .spectral import _lp_norm, first_eigenpair, grad_energy, gradient_energies, lp_energies, second_eigenvalue
 
 __all__ = [
@@ -403,17 +403,15 @@ def stability_check(p, domain, u, measure, eigenpair=None, opts=None, constant_f
     return _stability_reports(p, domain, u.mesh, [u.values[None]], measure, eigenpair, constant)[0]
 
 
+@per_mesh
 def _smoothing(mesh):
-    """(node adjacency, node degrees as a column): the neighbour averaging
-    of _random_fields, built on first use and kept read-only in
-    `mesh.smoothing`."""
-    if mesh.smoothing is None:
-        adj = mesh.node_adjacency()
-        deg = np.asarray(adj.sum(axis=1)).ravel()[:, None]
-        for a in (adj.data, adj.indices, adj.indptr, deg):
-            a.setflags(write=False)
-        mesh.smoothing = (adj, deg)
-    return mesh.smoothing
+    """(node adjacency, node degrees as a column), read-only: the neighbour
+    averaging of _random_fields."""
+    adj = mesh.node_adjacency()
+    deg = np.asarray(adj.sum(axis=1)).ravel()[:, None]
+    for a in (adj.data, adj.indices, adj.indptr, deg):
+        a.setflags(write=False)
+    return adj, deg
 
 
 def _random_fields(mesh, rng, n_fields, smoothing):

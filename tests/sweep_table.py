@@ -11,10 +11,11 @@ components solved (distinct element sets handed to `spectral.submesh`), the
 unconverged sub-solves that the sweep's warning counts, and the median sweep
 seconds over N calls (default 3) twice: `sweep_s` each on a fresh mesh, which
 no sweep has run on (built outside the timer), and `warm_s` each on the
-counted mesh, whose last sweep's side sub-meshes the next sweep takes over
-(`Mesh.side_meshes`). Run it in two checkouts to compare them;
-the second form joins their rows, [parent, change] per entry, with whether
-lambda2 and the field agree bitwise. Not a test: pytest does not collect it.
+counted mesh, whose last sweep's side sub-meshes (kept in the mesh's store,
+`Mesh.cache`) the next sweep takes over. Run it in two checkouts to compare
+them; the second form joins their rows, [parent, change] per entry, with
+whether lambda2 and the field agree bitwise. Not a test: pytest does not
+collect it.
 """
 
 import argparse

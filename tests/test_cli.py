@@ -367,6 +367,23 @@ class TestCommands:
         assert code == 1
         assert err.startswith("config error:") and not out
 
+    @pytest.mark.parametrize("source", ["flag", "config file"])
+    @pytest.mark.parametrize("command", ["constants", "eigen", "stability", "gap", "picone"])
+    def test_negative_seed_exits_1_before_any_solve(self, command, source, monkeypatch, tmp_path, capsys):
+        # every command rejects it as a config error, before it builds a
+        # mesh or solves anything
+        monkeypatch.setattr(cli, "run", lambda config: pytest.fail("a run started"))
+        argv = [command, "--level", "1", "--no-timestamp"]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({"seed": -1}))
+            argv += ["--config", str(cfg)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and not out
+        assert err == "config error: seed must lie in [0, inf], got -1\n"
+
     def test_stability_small(self, capsys):
         code, out, _ = run_cli(
             ["stability", "--p", "2", "--level", "3", "--fields", "5", "--no-timestamp"],

@@ -270,6 +270,71 @@ class TestMeasureArrays:
                 a *= 2.0
 
 
+def _solve_everything(domain, mesh, measure):
+    """Both pairs at p = 2 and 3 (deflation and the cut sweep), a battery
+    and a gap report on the mesh under the measure."""
+    for p in (2.0, 3.0):
+        pair = ps.first_eigenpair(p, mesh, measure)
+        ps.second_eigenvalue(p, mesh, measure, pair)
+        ps.stability_battery(p, domain, mesh, measure, 20, eigenpair=pair)
+        ps.gap_check(p, domain, mesh, measure)
+
+
+class TestMeshStore:
+    # everything a mesh keeps is in one dict, Mesh.cache, filled by per_mesh
+    # builders and by the entries that a module reads and writes itself
+
+    def test_solves_add_no_attributes(self):
+        domain = ps.polygon_domain([[0.0, 0.0], [1.0, 0.0], [0.2, 0.9]])
+        mesh = ps.build_mesh(domain, 2)
+        names = set(vars(mesh))
+        assert set(vars(submesh(mesh, np.arange(8))[0])) == names
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for measure in (ps.lebesgue(), ps.gaussian()):
+                _solve_everything(domain, mesh, measure)
+        assert set(vars(mesh)) == names
+        sides = mesh.cache["side meshes"]
+        assert sides and all(set(vars(sub)) == names and sub.cache for sub, _ in sides.values())
+
+    @pytest.mark.parametrize("kind", ["lebesgue", "gaussian"])
+    def test_fresh_measures_find_the_kept_entries(self, kind):
+        assert ps.Measure(kind) == ps.Measure(kind) and ps.Measure(kind) is not ps.Measure(kind)
+        assert hash(ps.Measure(kind)) == hash(ps.Measure(kind))
+        assert ps.Measure("lebesgue") != ps.Measure("gaussian")
+        domain = ps.interval_domain(0.0, 1.0)
+        mesh = ps.build_mesh(domain, 1)
+        _solve_everything(domain, mesh, ps.Measure(kind))
+        kept = dict(mesh.cache)
+        for _ in range(19):
+            _solve_everything(domain, mesh, ps.Measure(kind))
+        assert mesh.cache.keys() == kept.keys()
+        # every per_mesh entry is the object the first call kept
+        assert all(mesh.cache[key] is kept[key] for key in kept if isinstance(key, tuple))
+
+    def test_per_mesh_keeps_nothing_when_the_build_raises(self):
+        calls = []
+
+        @geometry.per_mesh
+        def build(mesh, x):
+            calls.append(x)
+            if x < 0:
+                raise ValueError("negative")
+            return [x]
+
+        mesh = ps.build_mesh(ps.interval_domain(0.0, 1.0), 0)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="negative"):
+                build(mesh, -1)
+            assert mesh.cache == {}
+        kept = build(mesh, 1)
+        assert build(mesh, 1) is kept and mesh.cache == {(build.__wrapped__, 1): kept}
+        assert calls == [-1, -1, 1]
+        with pytest.raises(ValueError, match="unknown node set"):
+            mesh.pattern("boundary")
+        assert len(mesh.cache) == 1
+
+
 def _pattern_mesh(shape, level):
     """Interval, square or triangle mesh, a cut of the square mesh, or the
     interval mesh with one node that no element uses."""

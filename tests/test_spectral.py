@@ -12,7 +12,7 @@ from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
 import plapstab as ps
-from plapstab import spectral
+from plapstab import cli, spectral
 from plapstab.geometry import Mesh, read_mesh, submesh, write_mesh
 from plapstab.spectral import SolverOptions
 
@@ -759,7 +759,7 @@ class TestCachedColumnOrder:
         nnz = m.pattern("interior")[1].size
         with pytest.raises(RuntimeError):
             spectral._lu_solve(m, np.zeros(nnz), (np.zeros(n), np.zeros(n)))
-        assert m.lu_layout is None
+        assert m.cache.get("factor layout") is None
 
 
 def _counted_band(monkeypatch):
@@ -815,7 +815,7 @@ def _assert_backward_stable(a, solve, rhs):
 def _layout_kind(m):
     """"dense" or "band", the kind of factor layout that the mesh keeps
     (each entry's row and column and n, or _band_layout's five arrays)."""
-    return {3: "dense", 5: "band"}[len(m.lu_layout)]
+    return {3: "dense", 5: "band"}[len(m.cache.get("factor layout"))]
 
 
 def _assert_singular_caches_nothing(m, other, data, border, rng):
@@ -834,13 +834,13 @@ def _assert_singular_caches_nothing(m, other, data, border, rng):
         data[indices == j] = 0.0
     for v in border or ():
         v[j if j < n else slice(None)] = 0.0
-    layout = m.lu_layout
+    layout = m.cache.get("factor layout")
     with pytest.raises(RuntimeError):
         spectral._lu_solve(m, data, border)
-    assert m.lu_layout is layout
+    assert m.cache.get("factor layout") is layout
     with pytest.raises(RuntimeError):
         spectral._lu_solve(other, data, border)
-    assert other.lu_layout is None
+    assert other.cache.get("factor layout") is None
 
 
 class TestBandFactor:
@@ -885,7 +885,7 @@ class TestBandFactor:
         pair = ps.first_eigenpair(2.0, m, ps.gaussian())
         ps.second_eigenvalue(2.0, m, ps.gaussian(), pair)
         assert built == [n]
-        upper, position, kd, perm, general = m.lu_layout
+        upper, position, kd, perm, general = m.cache.get("factor layout")
         # the ordered square's bandwidth is about sqrt(n), against about n
         # in mesh order
         assert kd <= 31 and np.array_equal(np.sort(perm), np.arange(n))
@@ -895,7 +895,8 @@ class TestBandFactor:
         other = Mesh(m.nodes, m.elements)
         ps.first_eigenpair(3.0, other, ps.lebesgue())
         assert built == [n, n]
-        assert all(np.array_equal(a, b) for a, b in zip(other.lu_layout, m.lu_layout, strict=True))
+        pairs = zip(other.cache.get("factor layout"), m.cache.get("factor layout"), strict=True)
+        assert all(np.array_equal(a, b) for a, b in pairs)
 
     @pytest.mark.parametrize("measure", sorted(_MEASURES))
     def test_indefinite_matrix_falls_back_to_band_lu(self, monkeypatch, measure):
@@ -1022,10 +1023,18 @@ def _pair_bytes(pair):
             pair.iterations, pair.converged, float(pair.residual).hex(), float(pair.residual_floor).hex())
 
 
+_build_stiffness_factor = spectral._stiffness_factor.__wrapped__
+
+
+def _kept_factors(m):
+    """The (K, M, solve) of each measure kind that the mesh's store keeps."""
+    return {key[1].kind: kept for key, kept in m.cache.items() if key[:1] == (_build_stiffness_factor,)}
+
+
 class TestStiffnessFactorCache:
     # the first p = 2 solve on a mesh and measure kind factors the interior
-    # stiffness matrix; the mesh keeps K, M and the factor's solve in
-    # stiffness_factors, and every later p = 2 solve there reads them
+    # stiffness matrix; the mesh keeps K, M and the factor's solve in its
+    # store, and every later p = 2 solve there reads them
     @pytest.mark.parametrize("measure", sorted(_MEASURES))
     @pytest.mark.parametrize("level, kind", [(2, "dense"), (4, "band")])
     def test_one_factorisation_for_all_p2_calls(self, monkeypatch, measure, level, kind):
@@ -1045,7 +1054,7 @@ class TestStiffnessFactorCache:
             pairs.append(pair)
         factors = dense["getrf"] + band["pbtrf"] + band["gbtrf"]
         assert factors == [n] and _layout_kind(m) == kind
-        assert list(m.stiffness_factors) == [mu.kind]
+        assert list(_kept_factors(m)) == [mu.kind]
         assert _pair_bytes(pairs[0]) == _pair_bytes(pairs[1])
         # no pair holds a factor, a matrix or a solve
         for pair in pairs:
@@ -1068,7 +1077,7 @@ class TestStiffnessFactorCache:
             got2 = ps.second_eigenvalue(2.0, warm, mu, got)
             assert _pair_bytes(got) == _pair_bytes(want)
             assert _pair_bytes(got2) == _pair_bytes(want2)
-        assert sorted(warm.stiffness_factors) == sorted(_MEASURES)
+        assert sorted(_kept_factors(warm)) == sorted(_MEASURES)
 
     @pytest.mark.parametrize("level", [2, 4])
     def test_other_p_neither_reads_nor_fills(self, monkeypatch, level):
@@ -1076,16 +1085,16 @@ class TestStiffnessFactorCache:
         m = ps.build_mesh(domain, level)
         want = ps.first_eigenpair(3.0, ps.build_mesh(domain, level), ps.lebesgue())
         got = ps.first_eigenpair(3.0, m, ps.lebesgue())
-        assert m.stiffness_factors == {} and _pair_bytes(got) == _pair_bytes(want)
+        assert _kept_factors(m) == {} and _pair_bytes(got) == _pair_bytes(want)
         ps.first_eigenpair(2.0, m, ps.lebesgue())
-        kept = dict(m.stiffness_factors)
+        kept = dict(_kept_factors(m))
 
         def poisoned(mesh, measure):
             raise AssertionError("a p != 2 solve read the stiffness factors")
 
         monkeypatch.setattr(spectral, "_stiffness_factor", poisoned)
         assert _pair_bytes(ps.first_eigenpair(3.0, m, ps.lebesgue())) == _pair_bytes(want)
-        assert m.stiffness_factors == kept
+        assert _kept_factors(m) == kept
 
     def test_failed_factorisation_keeps_nothing(self, monkeypatch):
         m = ps.build_mesh(ps.polygon_domain(_SQUARE), 2)
@@ -1096,12 +1105,12 @@ class TestStiffnessFactorCache:
         monkeypatch.setattr(spectral, "_lu_solve", singular)
         with pytest.raises(RuntimeError):
             ps.first_eigenpair(2.0, m, ps.lebesgue())
-        assert m.stiffness_factors == {}
+        assert _kept_factors(m) == {}
 
     def test_kept_matrices_read_only(self):
         m = ps.build_mesh(ps.polygon_domain(_SQUARE), 3)
         ps.first_eigenpair(2.0, m, ps.gaussian())
-        K, M, _ = m.stiffness_factors["gaussian"]
+        K, M, _ = _kept_factors(m)["gaussian"]
         for a in (K, M):
             with pytest.raises(ValueError):
                 a.data[0] = 0.0
@@ -1482,7 +1491,7 @@ def _sweep_bytes(pair):
 
 def _recorded_submesh(monkeypatch):
     """Wrap spectral.submesh; returns the list of the element-mask bytes of
-    each call, the keys of Mesh.side_meshes."""
+    each call, the keys of the sweep's "side meshes" entry in the store."""
     keys = []
 
     def recorded(mesh, element_idx):
@@ -1496,7 +1505,7 @@ def _recorded_submesh(monkeypatch):
 
 
 class TestKeptSideMeshes:
-    # a sweep keeps its side sub-meshes on the mesh (Mesh.side_meshes), and
+    # a sweep keeps its side sub-meshes in the mesh's store, and
     # the next sweep there takes over those of the components it shares
     # with it; the solves are not kept, so every sweep is a fresh one's
 
@@ -1522,19 +1531,19 @@ class TestKeptSideMeshes:
         m = ps.build_mesh(*_KEPT_SWEEPS[case])
         spectral._cut_sweep_second(3.0, m, mu, SolverOptions())
         components3 = set(keys)
-        assert len(keys) == len(components3) and set(m.side_meshes) == components3
-        kept = dict(m.side_meshes)
+        assert len(keys) == len(components3) and set(m.cache["side meshes"]) == components3
+        kept = dict(m.cache["side meshes"])
         keys.clear()
         spectral._cut_sweep_second(3.0, m, mu, SolverOptions())
         assert keys == []
-        assert m.side_meshes.keys() == kept.keys()
-        assert all(m.side_meshes[key] is kept[key] for key in kept)
+        assert m.cache["side meshes"].keys() == kept.keys()
+        assert all(m.cache["side meshes"][key] is kept[key] for key in kept)
         spectral._cut_sweep_second(6.0, m, mu, SolverOptions())
         # the p = 6 sweep cuts only what the p = 3 sweep did not visit, and
         # the mesh keeps exactly the p = 6 sweep's components
         assert sorted(keys) == sorted(components6 - components3) and keys
-        assert set(m.side_meshes) == components6 and components3 - components6
-        assert all(m.side_meshes[key] is kept[key] for key in components6 & components3)
+        assert set(m.cache["side meshes"]) == components6 and components3 - components6
+        assert all(m.cache["side meshes"][key] is kept[key] for key in components6 & components3)
 
     @pytest.mark.parametrize("k", [1, 5])
     def test_sweep_that_raises_leaves_the_mesh_usable(self, monkeypatch, k):
@@ -1555,7 +1564,7 @@ class TestKeptSideMeshes:
         with pytest.raises(RuntimeError, match="side solve failed"):
             spectral._cut_sweep_second(3.0, m, mu, opts)
         # the failed sweep's sub-meshes, the one whose solve raised included
-        assert len(m.side_meshes) == k
+        assert len(m.cache["side meshes"]) == k
         monkeypatch.setattr(spectral, "_ground_state", ground_state)
         assert _sweep_bytes(spectral._cut_sweep_second(3.0, m, mu, opts)) == fresh
 
@@ -2111,7 +2120,7 @@ class TestOptionsAndExport:
 
     def test_eigenpair_json_export(self, cache):
         pair = cache.pair(2.0, "interval01", 4)
-        d = pair.to_json_dict("mesh.txt")
+        d = cli._pair_entry(pair, "mesh.txt")
         assert d["lambda"] == pytest.approx(pair.lam)
         assert d["iterations"] == pair.iterations
         assert d["nodal_values"]["mesh_file"] == "mesh.txt"

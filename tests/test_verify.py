@@ -622,13 +622,14 @@ class TestBatchedBattery:
             return node_adjacency(m)
 
         monkeypatch.setattr(ps.Mesh, "node_adjacency", counted)
-        assert mesh.smoothing is None
+        key = (_smoothing.__wrapped__,)
+        assert key not in mesh.cache
         for _ in range(2):
             stability_battery(2.0, domain, mesh, ps.lebesgue(), 20, seed=4)
             assert np.array_equal(_random_fields(mesh, np.random.default_rng(4), 20, _smoothing(mesh)), want)
         ps.random_zero_trace_field(mesh, 0)
-        assert built == [mesh.n_nodes] and _smoothing(mesh) is mesh.smoothing
-        adj, deg = mesh.smoothing
+        assert built == [mesh.n_nodes] and _smoothing(mesh) is mesh.cache[key]
+        adj, deg = mesh.cache[key]
         for a in (adj.data, adj.indices, adj.indptr, deg):
             with pytest.raises(ValueError):
                 a[0] = 0

@@ -366,7 +366,9 @@ def _guarded_power(x, e):
     (e - 1) 2^-53 relative of the exact power at worst; 29 against 125 us
     by pow for e = 3 on a 16 x 3072 block); every other e uses pow."""
     if e < 0.0:
-        y = np.zeros_like(x)
+        # np.zeros, not zeros_like: the same C-ordered zeros for the
+        # C-ordered arrays passed here, without zeros_like's wrapper
+        y = np.zeros(x.shape)
         np.power(x, e, out=y, where=x > 0.0)
         return y
     chain = _MULTIPLIED_POWERS.get(e)

@@ -184,7 +184,8 @@ def per_mesh(build):
 class Mesh:
     """P1 simplicial mesh: segments in 1D, positively oriented triangles in 2D.
     Its read-only `boundary_facets` are the facets that only one element
-    has (see _boundary_facets); `boundary_mask` flags the nodes on them.
+    has (see _boundary_facets); `boundary_mask` flags the nodes on them and
+    `interior`, a read-only array built with the mesh, the other nodes.
 
     All element geometry used by assembly and quadrature is precomputed:
     `grads[e, i]` is the (constant) gradient of nodal basis i on element e,
@@ -222,8 +223,9 @@ class Mesh:
             raise ValueError("element arity does not match mesh dimension")
         self.boundary_facets = _boundary_facets(self.elements, self.n_nodes)
         self.boundary_mask = np.bincount(self.boundary_facets.ravel(), minlength=self.n_nodes) > 0
-        self.boundary_facets.setflags(write=False)
-        self.boundary_mask.setflags(write=False)
+        self.interior = ~self.boundary_mask
+        for a in (self.boundary_facets, self.boundary_mask, self.interior):
+            a.setflags(write=False)
         self.cache = {}
         self._build_geometry()
 
@@ -279,10 +281,6 @@ class Mesh:
     @property
     def n_elements(self):
         return self.elements.shape[0]
-
-    @property
-    def interior(self):
-        return ~self.boundary_mask
 
     @property
     def h(self):

@@ -38,11 +38,14 @@ warn one by one: a sweep warns once, with the number of them that did not
 converge.
 
 What this module keeps per mesh is in the mesh's store, `Mesh.cache`: the
-start vector (_start_vector) and the p = 2 stiffness factor
-(_stiffness_factor), each built once per mesh (and measure) by a
-`geometry.per_mesh` builder, and two entries read and written directly:
-the factor layout ("factor layout", _lu_solve) and the last cut sweep's
-sub-meshes ("side meshes", _cut_sweep_second).
+start vector (_start_vector), the evaluation context (_context) and the
+p = 2 stiffness factor (_stiffness_factor), each built once per mesh (and
+measure) by a `geometry.per_mesh` builder, and two entries read and written
+directly: the factor layout ("factor layout", _lu_solve) and the last cut
+sweep's sub-meshes ("side meshes", _cut_sweep_second). The context
+(_Context) holds what an outer step reads; a solve fetches it once and
+the kernels take it in place of the mesh and measure, so that a solve's
+store reads do not grow with its steps.
 
 Every sparse matrix is one scatter of element matrices on a sparsity
 pattern cached on the mesh (`Mesh.pattern`): the full matrices of
@@ -146,8 +149,8 @@ class SolverOptions:
     `tol` is the relative residual at which the ground state (or at its
     rounding floor, if higher) and deflation count as converged.
     `max_outer` caps the ground state's outer steps at p != 2 and the
-    Lanczos steps (one solve each) of both p = 2 pairs. `seed` seeds
-    deflation's start vector. The linear solves
+    Lanczos steps (one solve each) of both p = 2 pairs. `seed`, a
+    non-negative integer, seeds deflation's start vector. The linear solves
     are direct, with no tolerance and no choice of solver: dense LAPACK LU
     up to _DENSE_MAX = 64 interior unknowns (where it saves the cut sweep's
     sub-meshes a band layout each, measured); above it, banded Cholesky in
@@ -165,6 +168,14 @@ class SolverOptions:
     def __post_init__(self):
         if self.tol <= 0.0:
             raise ValueError("tolerances must be positive")
+        _check_seed(self.seed)
+
+
+def _check_seed(seed):
+    """Raise ValueError, before any solve, for a seed that numpy's
+    default_rng would refuse only where it is first drawn from."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass
@@ -255,7 +266,7 @@ def rayleigh_quotient(p, field, measure):
     finite, as of the zero field, raises ValueError."""
     _check_p(p)
     with np.errstate(divide="ignore", invalid="ignore"):
-        lam, _ = _quotient(p, field.mesh, measure, field.values)
+        lam, _ = _quotient(p, _context(field.mesh, measure), field.values)
     if not math.isfinite(lam):
         raise ValueError("Rayleigh quotient of the zero field, or of |u|^p out of float range")
     return lam
@@ -281,10 +292,11 @@ def _square_csc(data, indices, indptr):
     return sparse.csc_matrix((data, indices, indptr), shape=(n, n))
 
 
-def _scatter(mesh, local, nodes="interior"):
-    """CSC data, on the mesh's cached pattern of `nodes` (see Mesh.pattern),
-    of the matrix assembled from the (m, k, k) element matrices `local`."""
-    slots, indices, _ = mesh.pattern(nodes)
+def _scatter(pattern, local):
+    """CSC data, on a mesh's `pattern` (slots, indices, indptr) of a node set
+    (see Mesh.pattern), of the matrix assembled from the (m, k, k) element
+    matrices `local`."""
+    slots, indices, _ = pattern
     nnz = indices.size
     return np.bincount(slots, weights=local.ravel(), minlength=nnz + 1)[:nnz]
 
@@ -292,8 +304,8 @@ def _scatter(mesh, local, nodes="interior"):
 def _assemble_csc(mesh, local, nodes="interior"):
     """The matrix on `nodes` assembled from the element matrices `local`, as
     CSC in the pattern's numbering, by one scatter."""
-    _, indices, indptr = mesh.pattern(nodes)
-    return _square_csc(_scatter(mesh, local, nodes), indices, indptr)
+    pattern = mesh.pattern(nodes)
+    return _square_csc(_scatter(pattern, local), *pattern[1:])
 
 
 def weighted_stiffness(mesh, measure):
@@ -342,34 +354,82 @@ def _start_vector(mesh):
     return u
 
 
-def _normalize(mesh, values, p, measure):
+class _Context:
+    """What the Euler-Lagrange kernels and the linear solves read on one mesh
+    and measure, gathered once per pair (_context), so that an outer step
+    reads no store entry. Read-only; it holds no reference to the mesh, so
+    the mesh's store holds no reference cycle.
+
+    `w` and `de` are the measure weights and element density integrals,
+    `flat` the raveled elements, `interior` the interior node index,
+    `pattern` the interior pattern, `operator` the gradient operator, and
+    `grad_sq` and `grad_lengths` |grad phi_i|^2 and |grad phi_i| per
+    element. The mesh arrays keep the mesh's names, so that _stiffness_local
+    and _mass_local take the context as they take a mesh. `layout` is the
+    mesh's factor layout (_lu_solve) in a one-entry list that the mesh's
+    contexts share, empty until a factorisation with it has succeeded.
+    """
+
+    __slots__ = ("w", "de", "elements", "flat", "n_nodes", "interior", "pattern", "operator", "dim",
+                 "grads", "grad_gram", "grad_sq", "grad_lengths", "basis", "basis_t", "basis_products",
+                 "layout")
+
+    def __init__(self, mesh, measure):
+        self.w = mesh.measure_weights(measure)
+        self.de = mesh.element_density_integrals(measure)
+        self.elements, self.flat = mesh.elements, mesh.elements.ravel()
+        self.n_nodes, self.dim = mesh.n_nodes, mesh.dim
+        self.interior = np.flatnonzero(mesh.interior)
+        self.pattern = mesh.pattern("interior")
+        self.operator = mesh.gradient_operator()
+        self.grads, self.grad_gram, self.grad_lengths = mesh.grads, mesh.grad_gram, mesh.grad_lengths
+        self.grad_sq = np.diagonal(mesh.grad_gram, axis1=1, axis2=2).copy()
+        self.basis, self.basis_t, self.basis_products = mesh.basis, mesh.basis.T, mesh.basis_products
+        self.layout = mesh.cache.setdefault("factor layout", [])
+        for a in (self.interior, self.grad_sq):
+            a.setflags(write=False)
+
+
+@per_mesh
+def _context(mesh, measure):
+    """The _Context of `mesh` and `measure`, built on first use and kept."""
+    return _Context(mesh, measure)
+
+
+def _norm(v):
+    """The Euclidean norm of a real 1-D v: np.linalg.norm's sqrt(v . v),
+    bitwise, without its wrapper."""
+    return math.sqrt(v @ v)
+
+
+def _normalize(ctx, values, p):
     """values / lp_norm(Field(mesh, values), p, measure), bitwise, without
-    building the Field."""
-    nrm = _lp_norm(p, mesh.values_at_quad(values), mesh.measure_weights(measure))
+    building the Field, on the _Context ctx of the mesh and measure."""
+    nrm = _lp_norm(p, values.take(ctx.elements) @ ctx.basis_t, ctx.w)
     if nrm == 0.0:
         raise ValueError("cannot normalize the zero field")
     return values / nrm
 
 
-def _quotient(p, mesh, measure, u):
+def _quotient(p, ctx, u):
     """The Rayleigh quotient R(u) and the pieces it is built from: (R,
     (u, g, uq, |g|^2, |g|, |u|)) of g = grad u per element and the values uq
-    at the quadrature points. A line-search trial needs R alone; _system
-    forms the rest of the Euler-Lagrange system from the pieces."""
-    w = mesh.measure_weights(measure)
-    de = mesh.element_density_integrals(measure)
-    g = mesh.gradients(u)
-    uq = mesh.values_at_quad(u)
+    at the quadrature points (the operations of Mesh.gradients and
+    Mesh.values_at_quad), on the _Context ctx. A line-search trial needs R
+    alone; _system forms the rest of the Euler-Lagrange system from the
+    pieces."""
+    g = (ctx.operator @ u).reshape(-1, ctx.dim)
+    uq = u.take(ctx.elements) @ ctx.basis_t
     g2 = _inner(g, g)
     gn, ua = np.sqrt(g2), np.abs(uq)
     # the operations of gradient_energies and lp_energies on this |g| and
     # |u|; rayleigh_quotient is this R
-    lam = float(np.add.reduce(_guarded_power(gn, p) * de, axis=-1)
-                / np.add.reduce(w * _guarded_power(ua, p), axis=(-2, -1)))
+    lam = float(np.add.reduce(_guarded_power(gn, p) * ctx.de, axis=-1)
+                / np.add.reduce(ctx.w * _guarded_power(ua, p), axis=(-2, -1)))
     return lam, (u, g, uq, g2, gn, ua)
 
 
-def _system(p, mesh, measure, lam, pieces):
+def _system(p, ctx, lam, pieces):
     """The discrete Euler-Lagrange system on the interior dofs at the u of
     `pieces`, R(u) = lam (both from _quotient).
 
@@ -381,30 +441,30 @@ def _system(p, mesh, measure, lam, pieces):
     build their results without evaluating u again.
     """
     u, g, uq, g2, gn, ua = pieces
-    ga = mesh.element_density_integrals(measure) * _guarded_power(gn, p - 2.0)
-    uw = mesh.measure_weights(measure) * _guarded_power(ua, p - 2.0)
-    gphi = _inner(mesh.grads, g[:, None, :])  # G g, one row per element
-    a = _interior_vector(mesh, ga[:, None] * gphi)
-    b = _interior_vector(mesh, (uw * uq) @ mesh.basis)
+    ga = ctx.de * _guarded_power(gn, p - 2.0)
+    uw = ctx.w * _guarded_power(ua, p - 2.0)
+    gphi = _inner(ctx.grads, g[:, None, :])  # G g, one row per element
+    a = _interior_vector(ctx, ga[:, None] * gphi)
+    b = _interior_vector(ctx, (uw * uq) @ ctx.basis)
     r = a - lam * b
-    rel = float(np.linalg.norm(r) / np.linalg.norm(a))
+    rel = _norm(r) / _norm(a)
     return b, r, rel, (u, g2, gn, ga, uw, gphi)
 
 
-def _interior_vector(mesh, local):
+def _interior_vector(ctx, local):
     """The interior dofs of the vector assembled from the (m, k) element
     vectors `local`, k the nodes per element: one scatter onto the nodes."""
-    return np.bincount(mesh.elements.ravel(), local.ravel(), mesh.n_nodes)[mesh.interior]
+    return np.bincount(ctx.flat, local.ravel(), ctx.n_nodes)[ctx.interior]
 
 
-def _euler_lagrange(p, mesh, measure, u):
+def _euler_lagrange(p, ctx, u):
     """(R, b, r, rel, terms) of the discrete Euler-Lagrange system at u:
     _quotient, then _system from its pieces."""
-    lam, pieces = _quotient(p, mesh, measure, u)
-    return (lam, *_system(p, mesh, measure, lam, pieces))
+    lam, pieces = _quotient(p, ctx, u)
+    return (lam, *_system(p, ctx, lam, pieces))
 
 
-def _jacobian(p, mesh, lam, terms):
+def _jacobian(p, ctx, lam, terms):
     """Element matrices of the Jacobian J = A_p'(u) - R B_p'(u) at the u of
     `terms` (from _system), R = lam: de |g|^(p-2) (G G^T + (p-2)
     (G n)(G n)^T) - R (p-1) int |u|^(p-2) phi_i phi_j, with n = g / |g|; the
@@ -413,23 +473,22 @@ def _jacobian(p, mesh, lam, terms):
     _, _, gn, ga, uw, gphi = terms
     # (p-2) de |g|^(p-4) (G g)(G g)^T is the (p-2) (G n)(G n)^T term
     gb = (p - 2.0) * _guarded_power(gn, -2.0) * ga
-    local = _stiffness_local(mesh, ga) + gb[:, None, None] * (gphi[:, :, None] * gphi[:, None, :])
-    local -= (lam * (p - 1.0)) * _mass_local(mesh, uw)
+    local = _stiffness_local(ctx, ga) + gb[:, None, None] * (gphi[:, :, None] * gphi[:, None, :])
+    local -= (lam * (p - 1.0)) * _mass_local(ctx, uw)
     return local
 
 
-def _residual_floor(p, mesh, terms, a):
+def _residual_floor(p, ctx, terms, a):
     """|F| / |a|, a = A_p(u), F_i = int |grad u|^(p-2) |(I + (p-2) n n^T) grad
     phi_i| dg dmu (n = grad u / |grad u|) at the u of `terms` (from
     _system): to first order, how far A_p(u)_i moves when each u_j
     moves by its rounding 2^-53 |u_j|, which moves grad u by at most
     dg = 2^-53 sum_j |grad phi_j| |u_j|. Grows like h^-2."""
     u, _, gn, ga, _, gphi = terms
-    phi2 = np.diagonal(mesh.grad_gram, axis1=1, axis2=2)  # |grad phi_i|^2 per element
-    dg = 2.0**-53 * _inner(mesh.grad_lengths, np.abs(u[mesh.elements]))
-    gain = np.sqrt(phi2 + (p * (p - 2.0)) * _guarded_power(gn, -2.0)[:, None] * (gphi * gphi))
-    f = _interior_vector(mesh, (ga * dg)[:, None] * gain)
-    return float(np.linalg.norm(f) / np.linalg.norm(a))
+    dg = 2.0**-53 * _inner(ctx.grad_lengths, np.abs(u.take(ctx.elements)))
+    gain = np.sqrt(ctx.grad_sq + (p * (p - 2.0)) * _guarded_power(gn, -2.0)[:, None] * (gphi * gphi))
+    f = _interior_vector(ctx, (ga * dg)[:, None] * gain)
+    return _norm(f) / _norm(a)
 
 
 def _dense_solve(layout, data, border=None):
@@ -545,21 +604,22 @@ def _bordered_solve(layout, jac, b, c):
     return solve
 
 
-def _lu_solve(mesh, data, border=None):
+def _lu_solve(ctx, data, border=None):
     """Solve of the factor of the matrix with CSC `data` on the interior
-    pattern, or, for border = (b, c), of the bordered matrix [A, c; b^T, 0].
-    At most _DENSE_MAX interior unknowns, _dense_solve; above it,
-    _band_solve of the matrix itself and _bordered_solve of a bordered one.
-    The layout comes from the interior pattern alone: the row and column of
-    each entry, or the band layout. The mesh keeps it in `mesh.cache`
-    under "factor layout" once a factorisation with it has succeeded. The
+    pattern of the _Context ctx, or, for border = (b, c), of the bordered
+    matrix [A, c; b^T, 0]. At most _DENSE_MAX interior unknowns,
+    _dense_solve; above it, _band_solve of the matrix itself and
+    _bordered_solve of a bordered one. The layout comes from the interior
+    pattern alone: the row and column of each entry, or the band layout.
+    The mesh keeps it in its one-entry list `ctx.layout` (`mesh.cache`
+    under "factor layout") once a factorisation with it has succeeded. The
     solve of the p = 2 stiffness is kept per measure by _stiffness_factor;
     every other solve returned here serves one right side. A singular
     matrix raises RuntimeError and keeps nothing.
     """
-    _, indices, indptr = mesh.pattern("interior")
+    _, indices, indptr = ctx.pattern
     n = indptr.size - 1
-    layout = mesh.cache.get("factor layout")
+    layout = ctx.layout[0] if ctx.layout else None
     if n <= _DENSE_MAX:
         layout = layout or (indices, np.repeat(np.arange(n), np.diff(indptr)), n)
         solve = _dense_solve(layout, data, border)
@@ -569,7 +629,7 @@ def _lu_solve(mesh, data, border=None):
             solve = _band_solve(layout, data)
         else:
             solve = _bordered_solve(layout, _square_csc(data, indices, indptr), *border)
-    mesh.cache["factor layout"] = layout
+    ctx.layout[:] = [layout]
     return solve
 
 
@@ -581,7 +641,7 @@ def _stiffness_factor(mesh, measure):
     factorisation that fails keeps nothing."""
     K = _assemble_csc(mesh, _stiffness_local(mesh, mesh.element_density_integrals(measure)))
     M = _assemble_csc(mesh, _mass_local(mesh, mesh.measure_weights(measure)))
-    solve = _lu_solve(mesh, K.data)
+    solve = _lu_solve(_context(mesh, measure), K.data)
     for a in (K.data, M.data):
         a.setflags(write=False)
     return K, M, solve
@@ -659,7 +719,7 @@ def _lanczos(mesh, measure, start, against, opts):
         r = kx - (float(x @ kx) / float(x @ mx)) * mx
         if locked:
             r -= m_rows[0] * float(rows[0] @ r)
-        return x, float(np.linalg.norm(r) / np.linalg.norm(kx))
+        return x, _norm(r) / _norm(kx)
 
     # the tridiagonal T_j: its diagonal alpha[:j], off it beta[:j - 1]
     alpha, beta = np.empty((2, min(opts.max_outer, dim)))
@@ -722,24 +782,24 @@ def first_eigenpair(p, mesh, measure, opts=None):
 
 def _ground_state(p, mesh, measure, opts):
     """first_eigenpair for a checked p and given options, without its warning."""
-    interior = mesh.interior
-    if not np.any(interior):
+    if not np.any(mesh.interior):
         raise ValueError("mesh has no interior nodes")
-
+    ctx = _context(mesh, measure)
+    start = _start_vector(mesh)
     if p == 2.0:
-        x, history, _ = _lanczos(mesh, measure, _start_vector(mesh)[interior], None, opts)
+        x, history, _ = _lanczos(mesh, measure, start[ctx.interior], None, opts)
         it = len(history)
         u = np.zeros(mesh.n_nodes)
-        u[interior] = x
-        u = _normalize(mesh, u, p, measure)
-        lam, b, r, res, terms = _euler_lagrange(p, mesh, measure, u)
+        u[ctx.interior] = x
+        u = _normalize(ctx, u, p)
+        lam, b, r, res, terms = _euler_lagrange(p, ctx, u)
     else:
-        u, lam, b, r, res, terms, history, it = _outer_loop(p, mesh, measure, opts)
+        u, lam, b, r, res, terms, history, it = _outer_loop(p, ctx, start, opts)
 
     if np.sum(u) < 0.0:
         u = -u
     # the floor is even in u, so the terms of the unflipped u serve
-    floor = _residual_floor(p, mesh, terms, r + lam * b)
+    floor = _residual_floor(p, ctx, terms, r + lam * b)
     return EigenPair(
         lam=lam,
         field=Field(mesh, u),
@@ -752,12 +812,13 @@ def _ground_state(p, mesh, measure, opts):
     )
 
 
-def _outer_loop(p, mesh, measure, opts):
-    """The outer steps of _ground_state at p != 2, from the start vector:
-    (u, R, b, r, relative residual, terms of u, Rayleigh history, steps)."""
-    interior = mesh.interior
-    u = _normalize(mesh, _start_vector(mesh), p, measure)
-    lam, b, r, res, terms = _euler_lagrange(p, mesh, measure, u)
+def _outer_loop(p, ctx, start, opts):
+    """The outer steps of _ground_state at p != 2 on the _Context ctx, from
+    the unnormalised start vector `start`: (u, R, b, r, relative residual,
+    terms of u, Rayleigh history, steps)."""
+    interior = ctx.interior
+    u = _normalize(ctx, start, p)
+    lam, b, r, res, terms = _euler_lagrange(p, ctx, u)
     history = [lam]
     newton = False
     lagged = failures = it = 0
@@ -766,17 +827,19 @@ def _outer_loop(p, mesh, measure, opts):
         # In Newton mode the terms of u are at hand: u was just accepted, or
         # a lagged direction from it failed
         if newton:
-            floor = _residual_floor(p, mesh, terms, r + lam * b)
+            floor = _residual_floor(p, ctx, terms, r + lam * b)
             if res <= floor:
                 break
         it += 1
-        d = np.zeros(mesh.n_nodes)
+        d = np.zeros(ctx.n_nodes)
         if newton:
             # J comes from the terms of the evaluation that accepted u
-            jac = _scatter(mesh, _jacobian(p, mesh, lam, terms))
+            jac = _scatter(ctx.pattern, _jacobian(p, ctx, lam, terms))
+            # u is normalised, so the normalisation row has zero right side
+            rhs = np.zeros(r.size + 1)
+            np.negative(r, out=rhs[:-1])
             try:
-                # u is normalised, so the normalisation row has zero right side
-                d[interior] = _lu_solve(mesh, jac, (b, -b))(np.append(-r, 0.0))[:-1]
+                d[interior] = _lu_solve(ctx, jac, (b, -b))(rhs)[:-1]
             except RuntimeError:
                 # exactly singular, as where an interior node of a cut
                 # sub-mesh touches no other interior node and u and grad u
@@ -788,18 +851,17 @@ def _outer_loop(p, mesh, measure, opts):
             # |grad u|^2 from the terms of u
             eps = max(1e-8, 1e-2 * 0.5**lagged)
             weights = _guarded_power(terms[1] + eps * eps, 0.5 * (p - 2.0))
-            de = mesh.element_density_integrals(measure)
-            d[interior] = _lu_solve(mesh, _scatter(mesh, _stiffness_local(mesh, de * weights)))(b)
-            d = _normalize(mesh, d, p, measure) - u
+            d[interior] = _lu_solve(ctx, _scatter(ctx.pattern, _stiffness_local(ctx, ctx.de * weights)))(b)
+            d = _normalize(ctx, d, p) - u
             lagged += 1
         t = 1.0
         for _ in range(0 if d is None else _MAX_HALVINGS):
-            v = _normalize(mesh, u + t * d, p, measure)
+            v = _normalize(ctx, u + t * d, p)
             # a trial costs one quotient; the rest of the system is formed
             # only where the step can pass
-            lam_v, pieces = _quotient(p, mesh, measure, v)
+            lam_v, pieces = _quotient(p, ctx, v)
             if lam_v < lam or (newton and lam_v <= lam * (1.0 + _NEWTON_RISE)):
-                b_v, r_v, res_v, terms_v = _system(p, mesh, measure, lam_v, pieces)
+                b_v, r_v, res_v, terms_v = _system(p, ctx, lam_v, pieces)
                 if lam_v < lam or res_v < res:
                     failures = 0
                     newton = newton or lam - lam_v <= _NEWTON_DROP * lam
@@ -821,8 +883,8 @@ def _deflated_second(p, mesh, measure, u1, opts):
     quotient) is at most `opts.tol`; `iterations` counts the solves and
     `residual_history` holds the Ritz values.
     """
-    interior = mesh.interior
-    u1i = u1.values[interior]
+    ctx = _context(mesh, measure)
+    u1i = u1.values[ctx.interior]
     n = u1i.size
     if n < 2:
         raise ValueError("mesh has too few interior nodes for a second eigenvalue")
@@ -836,10 +898,10 @@ def _deflated_second(p, mesh, measure, u1, opts):
             f"relative residual {rel:.3e} > tol {opts.tol:g}"
         )
     values = np.zeros(mesh.n_nodes)
-    values[interior] = v
-    values = _normalize(mesh, values, p, measure)
+    values[ctx.interior] = v
+    values = _normalize(ctx, values, p)
     return EigenPair(
-        lam=rayleigh_quotient(p, Field(mesh, values), measure),
+        lam=_quotient(p, ctx, values)[0],
         field=Field(mesh, values),
         residual_history=ritz,
         iterations=solves,
@@ -1005,7 +1067,7 @@ def _cut_sweep_second(p, mesh, measure, opts):
     halves = [sides[mask.tobytes()] for mask in (best_side, ~best_side)]
     for sign, (_, pair, node_map) in zip((1.0, -1.0), halves):
         glued[node_map] += sign * pair.field.values
-    glued = _normalize(mesh, glued, p, measure)
+    glued = _normalize(_context(mesh, measure), glued, p)
     return EigenPair(
         lam=best,
         field=Field(mesh, glued),

@@ -36,7 +36,8 @@ import numpy as np
 
 from . import cpcore
 from .geometry import Field, per_mesh
-from .spectral import _lp_norm, first_eigenpair, grad_energy, gradient_energies, lp_energies, second_eigenvalue
+from .spectral import _check_seed, _lp_norm, first_eigenpair, grad_energy, gradient_energies, lp_energies
+from .spectral import second_eigenvalue
 
 __all__ = [
     "StabilityReport",
@@ -458,6 +459,7 @@ def stability_battery(p, domain, mesh, measure, n_fields, seed=0, eigenpair=None
     distance minimisation rounds its block products by the block's row
     count.
     """
+    _check_seed(seed)
     constant = _bound_constant(p, domain, constant_factor)
     eigenpair = _ground_state(p, mesh, measure, eigenpair, opts)
     rng = np.random.default_rng(seed)

@@ -763,47 +763,48 @@ def block_inverse_iteration_second(K, M, u1, tol=1e-10, max_outer=200, seed=0, b
     return float(theta[0]), v, rel, it
 
 
-def outer_loop_full_evaluation(el, p, mesh, measure, opts):
+def outer_loop_full_evaluation(el, p, ctx, start, opts):
     """The outer steps of spectral._ground_state at p != 2 as they were
     before a line-search trial was decided on its Rayleigh quotient alone:
     the whole Euler-Lagrange system at every trial point, and the lagged
     weights from the gradients of u evaluated again. `el` is the spectral
-    module, whose kernels and constants it calls. Returns _outer_loop's
-    (u, R, b, r, relative residual, terms of u, Rayleigh history, steps) and
-    the counts {"trials": trial points, "accepted": accepted steps}."""
-    interior = mesh.interior
-    u = el._normalize(mesh, el._start_vector(mesh), p, measure)
-    lam, b, r, res, terms = el._euler_lagrange(p, mesh, measure, u)
+    module, whose kernels and constants it calls, on its evaluation context
+    `ctx` of the mesh and measure, from the unnormalised start vector
+    `start`. Returns _outer_loop's (u, R, b, r, relative residual, terms of
+    u, Rayleigh history, steps) and the counts {"trials": trial points,
+    "accepted": accepted steps}."""
+    interior = ctx.interior
+    u = el._normalize(ctx, start, p)
+    lam, b, r, res, terms = el._euler_lagrange(p, ctx, u)
     history = [lam]
     newton = False
     lagged = failures = it = trials = accepted = 0
     while res > opts.tol and it < opts.max_outer and failures < 2:
         if newton:
-            floor = el._residual_floor(p, mesh, terms, r + lam * b)
+            floor = el._residual_floor(p, ctx, terms, r + lam * b)
             if res <= floor:
                 break
         it += 1
-        d = np.zeros(mesh.n_nodes)
+        d = np.zeros(ctx.n_nodes)
         if newton:
-            jac = el._scatter(mesh, el._jacobian(p, mesh, lam, terms))
+            jac = el._scatter(ctx.pattern, el._jacobian(p, ctx, lam, terms))
             try:
-                d[interior] = el._lu_solve(mesh, jac, (b, -b))(np.append(-r, 0.0))[:-1]
+                d[interior] = el._lu_solve(ctx, jac, (b, -b))(np.append(-r, 0.0))[:-1]
             except RuntimeError:
                 d = None
         else:
-            g = mesh.gradients(u)
+            g = (ctx.operator @ u).reshape(-1, ctx.dim)
             eps = max(1e-8, 1e-2 * 0.5**lagged)
             weights = (np.sum(g * g, axis=1) + eps * eps) ** (0.5 * (p - 2.0))
-            de = mesh.element_density_integrals(measure)
-            local = el._stiffness_local(mesh, de * weights)
-            d[interior] = el._lu_solve(mesh, el._scatter(mesh, local))(b)
-            d = el._normalize(mesh, d, p, measure) - u
+            local = el._stiffness_local(ctx, ctx.de * weights)
+            d[interior] = el._lu_solve(ctx, el._scatter(ctx.pattern, local))(b)
+            d = el._normalize(ctx, d, p) - u
             lagged += 1
         t = 1.0
         for _ in range(0 if d is None else el._MAX_HALVINGS):
-            v = el._normalize(mesh, u + t * d, p, measure)
+            v = el._normalize(ctx, u + t * d, p)
             trials += 1
-            lam_v, b_v, r_v, res_v, terms_v = el._euler_lagrange(p, mesh, measure, v)
+            lam_v, b_v, r_v, res_v, terms_v = el._euler_lagrange(p, ctx, v)
             if lam_v < lam or (newton and lam_v <= lam * (1.0 + el._NEWTON_RISE) and res_v < res):
                 failures = 0
                 accepted += 1
@@ -816,6 +817,69 @@ def outer_loop_full_evaluation(el, p, mesh, measure, opts):
             newton = not newton
         history.append(lam)
     return (u, lam, b, r, res, terms, history, it), {"trials": trials, "accepted": accepted}
+
+
+def _interior_vector_mesh_form(mesh, local):
+    """spectral._interior_vector as it was: the interior dofs gathered by the
+    boolean mask."""
+    return np.bincount(mesh.elements.ravel(), local.ravel(), mesh.n_nodes)[mesh.interior]
+
+
+def normalize_mesh_form(el, mesh, values, p, measure):
+    """spectral._normalize as it read the mesh and measure on every call."""
+    nrm = el._lp_norm(p, mesh.values_at_quad(values), mesh.measure_weights(measure))
+    if nrm == 0.0:
+        raise ValueError("cannot normalize the zero field")
+    return values / nrm
+
+
+def quotient_mesh_form(el, p, mesh, measure, u):
+    """spectral._quotient as it read the mesh and measure on every call:
+    (R, (u, g, uq, |g|^2, |g|, |u|)). `el` is the spectral module, whose
+    power and short-axis kernels it calls."""
+    w = mesh.measure_weights(measure)
+    de = mesh.element_density_integrals(measure)
+    g = mesh.gradients(u)
+    uq = mesh.values_at_quad(u)
+    g2 = el._inner(g, g)
+    gn, ua = np.sqrt(g2), np.abs(uq)
+    lam = float(np.add.reduce(el._guarded_power(gn, p) * de, axis=-1)
+                / np.add.reduce(w * el._guarded_power(ua, p), axis=(-2, -1)))
+    return lam, (u, g, uq, g2, gn, ua)
+
+
+def system_mesh_form(el, p, mesh, measure, lam, pieces):
+    """spectral._system as it read the mesh and measure on every call, with
+    np.linalg.norm for the relative residual: (b, r, rel, terms)."""
+    u, g, uq, g2, gn, ua = pieces
+    ga = mesh.element_density_integrals(measure) * el._guarded_power(gn, p - 2.0)
+    uw = mesh.measure_weights(measure) * el._guarded_power(ua, p - 2.0)
+    gphi = el._inner(mesh.grads, g[:, None, :])
+    a = _interior_vector_mesh_form(mesh, ga[:, None] * gphi)
+    b = _interior_vector_mesh_form(mesh, (uw * uq) @ mesh.basis)
+    r = a - lam * b
+    rel = float(np.linalg.norm(r) / np.linalg.norm(a))
+    return b, r, rel, (u, g2, gn, ga, uw, gphi)
+
+
+def jacobian_mesh_form(el, p, mesh, lam, terms):
+    """spectral._jacobian as it took the mesh: element matrices of J."""
+    _, _, gn, ga, uw, gphi = terms
+    gb = (p - 2.0) * el._guarded_power(gn, -2.0) * ga
+    local = el._stiffness_local(mesh, ga) + gb[:, None, None] * (gphi[:, :, None] * gphi[:, None, :])
+    local -= (lam * (p - 1.0)) * el._mass_local(mesh, uw)
+    return local
+
+
+def residual_floor_mesh_form(el, p, mesh, terms, a):
+    """spectral._residual_floor as it read the mesh on every call, with
+    np.linalg.norm."""
+    u, _, gn, ga, _, gphi = terms
+    phi2 = np.diagonal(mesh.grad_gram, axis1=1, axis2=2)
+    dg = 2.0**-53 * el._inner(mesh.grad_lengths, np.abs(u[mesh.elements]))
+    gain = np.sqrt(phi2 + (p * (p - 2.0)) * el._guarded_power(gn, -2.0)[:, None] * (gphi * gphi))
+    f = _interior_vector_mesh_form(mesh, (ga * dg)[:, None] * gain)
+    return float(np.linalg.norm(f) / np.linalg.norm(a))
 
 
 def jsonable(obj):

@@ -462,6 +462,17 @@ class TestSubmeshAndIO:
         with pytest.raises(ValueError):
             read_mesh(path)
 
+    def test_interior_is_a_read_only_array_built_with_the_mesh(self, tmp_path):
+        m = ps.build_mesh(ps.polygon_domain(UNIT_SQUARE), 2)
+        path = tmp_path / "square.mesh"
+        write_mesh(m, path)
+        for mesh in (m, submesh(m, np.arange(9))[0], read_mesh(path), ps.build_mesh(ps.interval_domain(0, 1), 1)):
+            assert "interior" in vars(mesh) and mesh.interior is mesh.interior
+            assert np.array_equal(mesh.interior, ~mesh.boundary_mask) and mesh.interior.dtype == bool
+            assert not mesh.interior.flags.writeable
+            with pytest.raises(ValueError):
+                mesh.interior[0] = True
+
     def test_mesh_rejects_degenerate(self):
         nodes = np.array([[0.0], [0.0], [1.0]])
         elements = np.array([[0, 1], [1, 2]])

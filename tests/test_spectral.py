@@ -28,14 +28,19 @@ from oracles import (
     gradients_einsum,
     grads_dot_einsum,
     interior_components_nested,
+    jacobian_mesh_form,
     lambda1_interval_quadrature,
     lp_energies_pow,
     mass_local_einsum,
+    normalize_mesh_form,
     outer_loop_full_evaluation,
     pi_p_quad_oracle,
+    quotient_mesh_form,
+    residual_floor_mesh_form,
     shooting_eigenvalue,
     side_components_nested,
     squared_norms_reduce,
+    system_mesh_form,
     unit_weight,
     values_at_quad_einsum,
     vertex_sum_reduce,
@@ -257,7 +262,7 @@ class TestEulerLagrange:
     def test_quotient_is_rayleigh_quotient_bitwise(self, cache, p, measure, name, seed):
         m = cache.mesh(name, 3)
         (u,) = _random_values(m, seed, n_fields=1)
-        lam = spectral._euler_lagrange(p, m, _MEASURES[measure], u)[0]
+        lam = spectral._euler_lagrange(p, spectral._context(m, _MEASURES[measure]), u)[0]
         assert lam == ps.rayleigh_quotient(p, ps.Field(m, u), _MEASURES[measure])
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -269,7 +274,7 @@ class TestEulerLagrange:
         v = scale * np.random.default_rng(seed).standard_normal(m.n_nodes)
         mu = _MEASURES[measure]
         want = v / spectral.lp_norm(ps.Field(m, v), p, mu)
-        assert spectral._normalize(m, v, p, mu).tobytes() == want.tobytes()
+        assert spectral._normalize(spectral._context(m, mu), v, p).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("measure", ["lebesgue", "gaussian"])
     @pytest.mark.parametrize("key", [("interval", 5), ("triangle", 3), ("pentagon", 3)], ids=_grid_id)
@@ -279,8 +284,8 @@ class TestEulerLagrange:
         (u,) = _random_values(m, 11, n_fields=1)
         for p in (1.5, 3.0, 10.0):
             for values in (u, ps.first_eigenpair(p, m, mu).field.values):
-                lam, b, r, rel, terms = spectral._euler_lagrange(p, m, mu, values)
-                floor = spectral._residual_floor(p, m, terms, r + lam * b)
+                lam, b, r, rel, terms = spectral._euler_lagrange(p, spectral._context(m, mu), values)
+                floor = spectral._residual_floor(p, spectral._context(m, mu), terms, r + lam * b)
                 want = euler_lagrange_residual(p, m, mu, values)
                 assert abs(rel - want[0]) <= 1e-14 * max(1.0, want[0])
                 assert abs(floor - want[1]) <= 1e-13 * want[1]
@@ -295,11 +300,12 @@ class TestEulerLagrange:
         rng = np.random.default_rng(3)
         u = spectral._distance_to_boundary(m) * rng.uniform(1.0, 1.5, m.n_nodes)
         (v,) = _random_values(m, 4, n_fields=1)
-        lam, _, _, _, terms = spectral._euler_lagrange(p, m, mu, u)
-        jac = spectral._assemble_csc(m, spectral._jacobian(p, m, lam, terms))
+        ctx = spectral._context(m, mu)
+        lam, _, _, _, terms = spectral._euler_lagrange(p, ctx, u)
+        jac = spectral._assemble_csc(m, spectral._jacobian(p, ctx, lam, terms))
 
         def F(w):
-            lam_w, b_w, r_w, _, _ = spectral._euler_lagrange(p, m, mu, w)
+            lam_w, b_w, r_w, _, _ = spectral._euler_lagrange(p, spectral._context(m, mu), w)
             return r_w + (lam_w - lam) * b_w
 
         h = 1e-6 * np.max(np.abs(u)) / np.max(np.abs(v))
@@ -313,7 +319,8 @@ class TestEulerLagrange:
     def test_jacobian_from_element_kernels_bitwise(self, cache, name, level, p):
         m = cache.mesh(name, level)
         u = spectral._distance_to_boundary(m) * np.random.default_rng(3).uniform(1.0, 1.5, m.n_nodes)
-        lam, _, _, _, terms = spectral._euler_lagrange(p, m, ps.gaussian(), u)
+        ctx = spectral._context(m, ps.gaussian())
+        lam, _, _, _, terms = spectral._euler_lagrange(p, ctx, u)
         _, _, gn, ga, uw, gphi = terms
         # de |g|^(p-2) G G^T + (p-2) de |g|^(p-4) (G g)(G g)^T
         # - R (p-1) int |u|^(p-2) phi_i phi_j, written out
@@ -321,7 +328,7 @@ class TestEulerLagrange:
         want = ga[:, None, None] * m.grad_gram + gb[:, None, None] * (gphi[:, :, None] * gphi[:, None, :])
         mass = spectral._mass_local(m, uw)
         want -= (lam * (p - 1.0)) * mass
-        assert np.array_equal(spectral._jacobian(p, m, lam, terms), want)
+        assert np.array_equal(spectral._jacobian(p, ctx, lam, terms), want)
         # the mass kernel's basis-product matmul against its einsum form; uw
         # >= 0, so every entry is a sum of nonnegative terms
         old = mass_local_einsum(m, uw)
@@ -366,7 +373,9 @@ class TestLineSearch:
         # and once per accepted step, never at a rejected trial
         build, measure, p, rejecting = _LINE_SEARCH_CASES[case]
         mu = _MEASURES[measure]
-        _, steps = outer_loop_full_evaluation(spectral, p, build(), mu, SolverOptions())
+        m = build()
+        _, steps = outer_loop_full_evaluation(spectral, p, spectral._context(m, mu), spectral._start_vector(m),
+                                              SolverOptions())
         # quotients and systems per mode of the direction being searched,
         # which its factor tells: bordered for Newton
         counts = {mode: {"_quotient": 0, "_system": 0} for mode in ("start", "newton", "lagged")}
@@ -380,10 +389,10 @@ class TestLineSearch:
 
             return counted
 
-        def factor(mesh, data, border=None):
+        def factor(ctx, data, border=None):
             nonlocal mode
             mode = "lagged" if border is None else "newton"
-            return kernels["_lu_solve"](mesh, data, border)
+            return kernels["_lu_solve"](ctx, data, border)
 
         monkeypatch.setattr(spectral, "_quotient", counter("_quotient"))
         monkeypatch.setattr(spectral, "_system", counter("_system"))
@@ -421,6 +430,139 @@ class TestLineSearch:
         assert pair.converged and np.all(np.isfinite(pair.residual_history))
 
 
+# the meshes of the evaluation-context tests: the L2 polygons and the
+# interval factor dense, the oblique cut of the square is a sub-mesh
+_CONTEXT_MESHES = {
+    "interval-L3": lambda: ps.build_mesh(ps.interval_domain(0.0, 1.0), 3),
+    "square-L2": lambda: ps.build_mesh(ps.polygon_domain(_SQUARE), 2),
+    "triangle-L2": lambda: ps.build_mesh(ps.polygon_domain(_TRIANGLE), 2),
+    "cut-square-L3": lambda: _oblique_cut(ps.build_mesh(ps.polygon_domain(_SQUARE), 3)),
+}
+
+
+class _CountingStore(dict):
+    """A mesh store that counts its reads."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+    def setdefault(self, key, default=None):
+        self.reads += 1
+        return super().setdefault(key, default)
+
+
+class TestEvaluationContext:
+    # the kernels of an outer step read one _Context per mesh and measure;
+    # their numbers are those of the forms that read the mesh and measure
+    # on every call (tests/oracles.py), bit for bit
+    @pytest.mark.parametrize("measure", sorted(_MEASURES))
+    @pytest.mark.parametrize("name", sorted(_CONTEXT_MESHES))
+    @pytest.mark.parametrize("p", [1.5, 3.0, 6.0])
+    def test_kernels_equal_the_mesh_forms_bitwise(self, monkeypatch, name, measure, p):
+        m = _CONTEXT_MESHES[name]()
+        mu = _MEASURES[measure]
+        ctx = spectral._context(m, mu)
+        # every iterate and trial point of a ground-state solve, and a
+        # random field
+        fields = [np.where(m.interior, np.random.default_rng(1).uniform(0.5, 1.5, m.n_nodes), 0.0)]
+        quotient = spectral._quotient
+
+        def recorded(p_, ctx_, u):
+            fields.append(u.copy())
+            return quotient(p_, ctx_, u)
+
+        monkeypatch.setattr(spectral, "_quotient", recorded)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ps.first_eigenpair(p, m, mu)
+        monkeypatch.setattr(spectral, "_quotient", quotient)
+        assert len(fields) > 3
+        for u in fields[::max(1, len(fields) // 12)]:
+            lam, pieces = spectral._quotient(p, ctx, u)
+            want_lam, want_pieces = quotient_mesh_form(spectral, p, m, mu, u)
+            assert lam == want_lam
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(pieces, want_pieces, strict=True))
+            b, r, rel, terms = spectral._system(p, ctx, lam, pieces)
+            want = system_mesh_form(spectral, p, m, mu, lam, pieces)
+            assert (b.tobytes(), r.tobytes(), rel) == (want[0].tobytes(), want[1].tobytes(), want[2])
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(terms, want[3], strict=True))
+            assert spectral._jacobian(p, ctx, lam, terms).tobytes() == jacobian_mesh_form(
+                spectral, p, m, lam, terms).tobytes()
+            a = r + lam * b
+            assert spectral._residual_floor(p, ctx, terms, a) == residual_floor_mesh_form(spectral, p, m, terms, a)
+            v = u + 0.25 * fields[0]
+            assert spectral._normalize(ctx, v, p).tobytes() == normalize_mesh_form(spectral, m, v, p, mu).tobytes()
+
+    @pytest.mark.parametrize("measure", sorted(_MEASURES))
+    @pytest.mark.parametrize("name", sorted(_CONTEXT_MESHES))
+    def test_norm_is_numpy_norm_bitwise(self, monkeypatch, name, measure):
+        # the residuals, A_p(u) and floor vectors of ground-state solves
+        m = _CONTEXT_MESHES[name]()
+        mu = _MEASURES[measure]
+        vectors = []
+        system = spectral._system
+
+        def recorded(p_, ctx_, lam, pieces):
+            b, r, rel, terms = system(p_, ctx_, lam, pieces)
+            vectors.extend([r, r + lam * b])
+            return b, r, rel, terms
+
+        monkeypatch.setattr(spectral, "_system", recorded)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for p in (1.5, 3.0, 6.0):
+                ps.first_eigenpair(p, m, mu)
+        assert len(vectors) > 10
+        for v in vectors:
+            assert spectral._norm(v) == np.linalg.norm(v)
+            assert spectral._norm(v) / spectral._norm(vectors[1]) == float(
+                np.linalg.norm(v) / np.linalg.norm(vectors[1]))
+
+    @pytest.mark.parametrize("measure", sorted(_MEASURES))
+    @pytest.mark.parametrize("name", ["interval-L1", "square-L3"])
+    @pytest.mark.parametrize("p", [3.0, 6.0])
+    def test_outer_steps_read_no_store_entry(self, name, measure, p):
+        # the reads of the mesh's store made by one ground-state solve do
+        # not grow with its outer steps
+        m = (ps.build_mesh(ps.interval_domain(0.0, 1.0), 1) if name == "interval-L1"
+             else ps.build_mesh(ps.polygon_domain(_SQUARE), 3))
+        mu = _MEASURES[measure]
+        full = spectral._ground_state(p, m, mu, SolverOptions())
+        assert full.converged and full.iterations >= 4
+        reads, steps = [], []
+        for max_outer in (1, 2, full.iterations // 2, full.iterations):
+            m.cache = _CountingStore(m.cache)
+            pair = spectral._ground_state(p, m, mu, SolverOptions(max_outer=max_outer))
+            reads.append(m.cache.reads)
+            steps.append(pair.iterations)
+        assert steps == sorted(set(steps)) and steps[-1] == full.iterations
+        assert len(set(reads)) == 1, (reads, steps)
+        assert pair.lam == full.lam and pair.field.values.tobytes() == full.field.values.tobytes()
+
+    def test_one_context_per_mesh_and_measure(self):
+        m = ps.build_mesh(ps.polygon_domain(_TRIANGLE), 2)
+        contexts = {kind: spectral._context(m, ps.Measure(kind)) for kind in _MEASURES}
+        assert contexts["lebesgue"] is not contexts["gaussian"]
+        assert all(spectral._context(m, ps.Measure(kind)) is ctx for kind, ctx in contexts.items())
+        ctx = contexts["gaussian"]
+        assert ctx.w is m.measure_weights(ps.gaussian()) and ctx.de is m.element_density_integrals(ps.gaussian())
+        assert np.array_equal(ctx.interior, np.flatnonzero(m.interior))
+        assert ctx.pattern is m.pattern("interior") and ctx.operator is m.gradient_operator()
+        assert np.array_equal(ctx.grad_sq, np.diagonal(m.grad_gram, axis1=1, axis2=2))
+        assert np.array_equal(np.sqrt(ctx.grad_sq), ctx.grad_lengths)
+        for a in (ctx.w, ctx.de, ctx.interior, ctx.grad_sq, ctx.grad_lengths):
+            assert not a.flags.writeable
+        # the contexts of a mesh share its one factor layout
+        assert contexts["lebesgue"].layout is ctx.layout is m.cache["factor layout"]
+
+
 class TestLpNorm:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(p=st.floats(1.05, 200.0), k=st.integers(-600, 600), measure=st.sampled_from(sorted(_MEASURES)),
@@ -438,7 +580,7 @@ class TestLpNorm:
         want = math.ldexp(spectral.lp_norm(ps.Field(m, u), p, mu), k)
         tol = 1e-14 + 2.0**-53 * abs(math.log(want))
         assert abs(spectral.lp_norm(ps.Field(m, scaled), p, mu) - want) <= tol * want
-        v = spectral._normalize(m, scaled, p, mu)
+        v = spectral._normalize(spectral._context(m, mu), scaled, p)
         assert abs(float(spectral.lp_energies(p, m.values_at_quad(v), m.measure_weights(mu))) - 1.0) <= 1e-13
 
     @pytest.mark.parametrize("p", [1.5, 3.0, 40.0])
@@ -454,7 +596,7 @@ class TestLpNorm:
         w = m.measure_weights(ps.lebesgue())
         assert spectral._lp_norm(40.0, np.zeros_like(w), w) == 0.0
         with pytest.raises(ValueError, match="zero field"):
-            spectral._normalize(m, np.zeros(m.n_nodes), 40.0, ps.lebesgue())
+            spectral._normalize(spectral._context(m, ps.lebesgue()), np.zeros(m.n_nodes), 40.0)
 
 
 class TestLargeP:
@@ -508,9 +650,10 @@ class TestGroundStateConvergence:
             warnings.simplefilter("ignore")
             pair = ps.first_eigenpair(p, m, ps.lebesgue(), opts)
         assert pair.converged == (pair.residual <= max(opts.tol, pair.residual_floor))
-        lam, b, r, rel, terms = spectral._euler_lagrange(p, m, ps.lebesgue(), pair.field.values)
+        ctx = spectral._context(m, ps.lebesgue())
+        lam, b, r, rel, terms = spectral._euler_lagrange(p, ctx, pair.field.values)
         assert pair.residual == rel
-        assert pair.residual_floor == spectral._residual_floor(p, m, terms, r + lam * b)
+        assert pair.residual_floor == spectral._residual_floor(p, ctx, terms, r + lam * b)
         assert len(pair.residual_history) == pair.iterations + 1
         if opts.max_outer == 2:
             assert not pair.converged
@@ -528,14 +671,15 @@ class TestGroundStateConvergence:
         m = cache.mesh(name, level)
         mu = ps.gaussian()
         u = ps.first_eigenpair(p, m, mu).field.values
-        lam, b, r, _, terms = spectral._euler_lagrange(p, m, mu, u)
-        floor = spectral._residual_floor(p, m, terms, r + lam * b)
+        ctx = spectral._context(m, mu)
+        lam, b, r, _, terms = spectral._euler_lagrange(p, ctx, u)
+        floor = spectral._residual_floor(p, ctx, terms, r + lam * b)
         norm_a = np.linalg.norm(r + lam * b)
         rng = np.random.default_rng(5)
         moves = []
         for _ in range(8):
             w = u * (1.0 + 2.0**-53 * rng.uniform(-1.0, 1.0, u.size))
-            moves.append(np.linalg.norm(spectral._euler_lagrange(p, m, mu, w)[2] - r) / norm_a)
+            moves.append(np.linalg.norm(spectral._euler_lagrange(p, ctx, w)[2] - r) / norm_a)
         assert max(moves) <= floor <= 8.0 * max(moves)
 
     @pytest.mark.parametrize("p", [3.0, 6.0, 10.0])
@@ -644,8 +788,9 @@ class TestCachedColumnOrder:
         g = m.gradients(u)
         weights = (np.sum(g * g, axis=1) + 1e-4) ** (0.5 * (p - 2.0))
         lagged = spectral._assemble_csc(m, spectral._stiffness_local(m, m.element_density_integrals(mu) * weights))
-        lam, b, _, _, terms = spectral._euler_lagrange(p, m, mu, u)
-        jac = spectral._assemble_csc(m, spectral._jacobian(p, m, lam, terms))
+        ctx = spectral._context(m, mu)
+        lam, b, _, _, terms = spectral._euler_lagrange(p, ctx, u)
+        jac = spectral._assemble_csc(m, spectral._jacobian(p, ctx, lam, terms))
         bordered = sparse.bmat([[jac, -b[:, None]], [b[None, :], None]], format="csc")
         stiffness = spectral._assemble_csc(m, spectral._stiffness_local(m, m.element_density_integrals(mu)))
         _, indices, indptr = m.pattern("interior")
@@ -673,7 +818,7 @@ class TestCachedColumnOrder:
             size = fresh.shape[0]
             rhs = [rng.standard_normal(size), rng.standard_normal((size, 3))]
             # the first call builds the band layout, the next ones reuse it
-            for solve in [spectral._lu_solve(m, data, border) for _ in range(2)]:
+            for solve in [spectral._lu_solve(_ctx(m), data, border) for _ in range(2)]:
                 assert _layout_kind(m) == "band"
                 _assert_backward_stable(fresh.toarray(), solve, rhs)
             # a zero row and column of J, or a zero border
@@ -724,9 +869,9 @@ class TestCachedColumnOrder:
         names = []
         lu_solve = spectral._lu_solve
 
-        def counted(mesh, data, border=None):
+        def counted(ctx, data, border=None):
             names.append("interior" if border is None else "bordered")
-            return lu_solve(mesh, data, border)
+            return lu_solve(ctx, data, border)
 
         monkeypatch.setattr(spectral, "_lu_solve", counted)
         band = _counted_band(monkeypatch)
@@ -758,8 +903,8 @@ class TestCachedColumnOrder:
         n = np.count_nonzero(m.interior)
         nnz = m.pattern("interior")[1].size
         with pytest.raises(RuntimeError):
-            spectral._lu_solve(m, np.zeros(nnz), (np.zeros(n), np.zeros(n)))
-        assert m.cache.get("factor layout") is None
+            spectral._lu_solve(_ctx(m), np.zeros(nnz), (np.zeros(n), np.zeros(n)))
+        assert _kept_layout(m) is None
 
 
 def _counted_band(monkeypatch):
@@ -812,10 +957,22 @@ def _assert_backward_stable(a, solve, rhs):
         assert np.all(np.max(np.abs(r), axis=0) <= bound)
 
 
+def _ctx(m):
+    """A _Context of the mesh m, for the linear solves, which read only its
+    interior pattern and the mesh's factor layout."""
+    return spectral._context(m, ps.lebesgue())
+
+
+def _kept_layout(m):
+    """The factor layout that the mesh keeps (_lu_solve), or None."""
+    kept = m.cache.get("factor layout")
+    return kept[0] if kept else None
+
+
 def _layout_kind(m):
     """"dense" or "band", the kind of factor layout that the mesh keeps
     (each entry's row and column and n, or _band_layout's five arrays)."""
-    return {3: "dense", 5: "band"}[len(m.cache.get("factor layout"))]
+    return {3: "dense", 5: "band"}[len(_kept_layout(m))]
 
 
 def _assert_singular_caches_nothing(m, other, data, border, rng):
@@ -834,13 +991,13 @@ def _assert_singular_caches_nothing(m, other, data, border, rng):
         data[indices == j] = 0.0
     for v in border or ():
         v[j if j < n else slice(None)] = 0.0
-    layout = m.cache.get("factor layout")
+    layout = _kept_layout(m)
     with pytest.raises(RuntimeError):
-        spectral._lu_solve(m, data, border)
-    assert m.cache.get("factor layout") is layout
+        spectral._lu_solve(_ctx(m), data, border)
+    assert _kept_layout(m) is layout
     with pytest.raises(RuntimeError):
-        spectral._lu_solve(other, data, border)
-    assert other.cache.get("factor layout") is None
+        spectral._lu_solve(_ctx(other), data, border)
+    assert _kept_layout(other) is None
 
 
 class TestBandFactor:
@@ -863,7 +1020,7 @@ class TestBandFactor:
                 continue
             rhs = [rng.standard_normal(n), rng.standard_normal((n, 3))]
             # the first call builds the band layout, the next ones reuse it
-            for solve in [spectral._lu_solve(m, data) for _ in range(2)]:
+            for solve in [spectral._lu_solve(_ctx(m), data) for _ in range(2)]:
                 assert _layout_kind(m) == "band"
                 _assert_backward_stable(fresh.toarray(), solve, rhs)
             _assert_singular_caches_nothing(m, order_mesh(name, level, variant), data, None, rng)
@@ -885,7 +1042,7 @@ class TestBandFactor:
         pair = ps.first_eigenpair(2.0, m, ps.gaussian())
         ps.second_eigenvalue(2.0, m, ps.gaussian(), pair)
         assert built == [n]
-        upper, position, kd, perm, general = m.cache.get("factor layout")
+        upper, position, kd, perm, general = _kept_layout(m)
         # the ordered square's bandwidth is about sqrt(n), against about n
         # in mesh order
         assert kd <= 31 and np.array_equal(np.sort(perm), np.arange(n))
@@ -895,7 +1052,7 @@ class TestBandFactor:
         other = Mesh(m.nodes, m.elements)
         ps.first_eigenpair(3.0, other, ps.lebesgue())
         assert built == [n, n]
-        pairs = zip(other.cache.get("factor layout"), m.cache.get("factor layout"), strict=True)
+        pairs = zip(_kept_layout(other), _kept_layout(m), strict=True)
         assert all(np.array_equal(a, b) for a, b in pairs)
 
     @pytest.mark.parametrize("measure", sorted(_MEASURES))
@@ -911,13 +1068,13 @@ class TestBandFactor:
         shifted = K - 30.0 * M
         assert np.array_equal(shifted.indices, K.indices) and np.array_equal(shifted.indptr, K.indptr)
         calls = _counted_band(monkeypatch)
-        solve = spectral._lu_solve(m, shifted.data)
+        solve = spectral._lu_solve(_ctx(m), shifted.data)
         assert calls == {"pbtrf": [n], "gbtrf": [n]}
         assert _layout_kind(m) == "band"
         rng = np.random.default_rng(7)
         _assert_backward_stable(shifted.toarray(), solve, [rng.standard_normal(n), rng.standard_normal((n, 3))])
         # the positive definite stiffness matrix on the same layout: Cholesky
-        _assert_backward_stable(K.toarray(), spectral._lu_solve(m, K.data), [rng.standard_normal(n)])
+        _assert_backward_stable(K.toarray(), spectral._lu_solve(_ctx(m), K.data), [rng.standard_normal(n)])
         assert calls == {"pbtrf": [n, n], "gbtrf": [n]}
 
 
@@ -957,7 +1114,7 @@ class TestDenseFactor:
             size = a.shape[0]
             rhs = [rng.standard_normal(size), rng.standard_normal((size, 3))]
             # the first call caches the gather index, the next ones reuse it
-            for solve in [spectral._lu_solve(m, data, border) for _ in range(2)]:
+            for solve in [spectral._lu_solve(_ctx(m), data, border) for _ in range(2)]:
                 assert _layout_kind(m) == "dense"
                 _assert_backward_stable(a, solve, rhs)
             _assert_singular_caches_nothing(m, order_mesh(name, level, variant), data, border, rng)
@@ -976,7 +1133,7 @@ class TestDenseFactor:
         dense, band = _counted_lapack(monkeypatch), _counted_band(monkeypatch)
         for data, border, fresh in TestCachedColumnOrder._matrices(3.0, m, ps.lebesgue(), u):
             size = fresh.shape[0]
-            solve = spectral._lu_solve(m, data, border)
+            solve = spectral._lu_solve(_ctx(m), data, border)
             if n <= spectral._DENSE_MAX:
                 assert dense["getrf"] == [size] and band == {"pbtrf": [], "gbtrf": []}
             elif border is None:
@@ -1186,7 +1343,7 @@ class TestCutSweep:
         assert est.lam == lam
         # the field is glued from the two sides of the best cut, so equal
         # fields mean the same best cut
-        assert np.array_equal(est.field.values, spectral._normalize(m, glued, p, mu))
+        assert np.array_equal(est.field.values, spectral._normalize(spectral._context(m, mu), glued, p))
         assert est.iterations <= n_cuts
 
     def test_no_admissible_cut(self):
@@ -2117,6 +2274,18 @@ class TestOptionsAndExport:
         with pytest.raises(ValueError):
             SolverOptions(tol=0.0)
         assert SolverOptions().tol == 1e-10
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "0", None])
+    def test_seed_must_be_a_non_negative_integer(self, monkeypatch, seed):
+        # rejected when the options are made, so that no solve runs first:
+        # numpy's default_rng refuses a negative seed only where deflation
+        # draws its start vector, after the ground state
+        solves = []
+        monkeypatch.setattr(spectral, "_ground_state", lambda *a: solves.append(a))
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            SolverOptions(seed=seed)
+        assert solves == []
+        assert SolverOptions(seed=np.int64(3)).seed == 3 and SolverOptions(seed=0).seed == 0
 
     def test_eigenpair_json_export(self, cache):
         pair = cache.pair(2.0, "interval01", 4)

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import plapstab as ps
-from plapstab import verify
+from plapstab import spectral, verify
 from plapstab.spectral import gradient_energies
 from plapstab.verify import (
     _convex_lp_min,
@@ -166,6 +166,17 @@ class TestStability:
         assert abs(rep.rhs - PI2) <= 0.01 * PI2
         assert abs(rep.margin - 2.0 * PI2) <= 0.02 * PI2
         assert rep.measure == "lebesgue" and rep.note == ""
+
+    @pytest.mark.parametrize("seed", [-1, 2.5])
+    def test_battery_rejects_a_bad_seed_before_any_solve(self, monkeypatch, interval, seed):
+        # the seed is checked first, not where the fields are drawn after
+        # the ground state was solved
+        solves = []
+        monkeypatch.setattr(spectral, "_ground_state", lambda *a: solves.append(a))
+        m = ps.build_mesh(interval, 0)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            ps.stability_battery(2.0, interval, m, ps.lebesgue(), 4, seed=seed)
+        assert solves == []
 
     def test_optimizer_trivial(self, cache, interval):
         u1 = cache.pair(3.0, "interval01", 4)

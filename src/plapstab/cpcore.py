@@ -357,24 +357,30 @@ def _multiplication_chain(n):
 _MULTIPLIED_POWERS = {float(n): _multiplication_chain(n) for n in range(2, 9)}
 
 
-def _guarded_power(x, e):
+def _guarded_power(x, e, out=None):
     """x ** e for x >= 0, read as 0 where x = 0 and e < 0: the singular
     p < 2 weights vanish with the gradient or value that carries them.
 
     The one power kernel. An integer e from 2 to 8 is computed by repeated
     multiplication (left-to-right square and multiply: about
     (e - 1) 2^-53 relative of the exact power at worst; 29 against 125 us
-    by pow for e = 3 on a 16 x 3072 block); every other e uses pow."""
+    by pow for e = 3 on a 16 x 3072 block); every other e uses pow. The
+    result is written into `out` when it is given, an array shaped like x
+    that does not overlap it, with the same bits as the new array
+    returned otherwise."""
     if e < 0.0:
-        # np.zeros, not zeros_like: the same C-ordered zeros for the
-        # C-ordered arrays passed here, without zeros_like's wrapper
-        y = np.zeros(x.shape)
-        np.power(x, e, out=y, where=x > 0.0)
-        return y
+        if out is None:
+            # np.zeros, not zeros_like: the same C-ordered zeros for the
+            # C-ordered arrays passed here, without zeros_like's wrapper
+            out = np.zeros(x.shape)
+        else:
+            out.fill(0.0)
+        np.power(x, e, out=out, where=x > 0.0)
+        return out
     chain = _MULTIPLIED_POWERS.get(e)
     if chain is None:
-        return x**e
-    y = x * x
+        return x**e if out is None else np.power(x, e, out=out)
+    y = x * x if out is None else np.multiply(x, x, out=out)
     for square in chain:
         y *= y if square else x
     return y

@@ -7,11 +7,17 @@ centering root, the pointwise Picone identity, and the fundamental-gap
 bounds.  Every report carries its margin and a scale-aware quadrature
 tolerance tol = 1e-8 * int |grad u|^p dmu.
 
-The stability battery holds its fields as (block, n_nodes) arrays of 16
-rows: one uniform draw per block (equal to the per-field draws), one
-smoothing pass over the block with the node adjacency and degrees built
-once per mesh, and one reduction each for the energies, deficits and
-tolerances.  The distance inf_c int |u - c u1|^p dmu has one kernel for all
+The stability battery checks its fields in (block, n_nodes) arrays of 16
+rows.  It draws them 16 max(1, n_quad // n_nodes) rows at a time (n_quad =
+m q), one uniform draw (equal to the per-field draws) and one smoothing
+pass per draw with the node adjacency and degrees built once per mesh, so
+no draw holds more numbers than one block's values at the quadrature
+points.  Each block takes one reduction each for the energies, deficits and
+tolerances, in one workspace per call (_workspace): its values at the
+quadrature points, |u|^p, every Newton evaluation of the distance and the
+final distance are written in place into four (16, n_quad) arrays,
+allocated once, with the operations, reduction shapes and axes of new
+arrays, so every number is that of new arrays bit for bit.  The distance inf_c int |u - c u1|^p dmu has one kernel for all
 rows at once, _convex_lp_min, whose root finder is _lp_argmin (safeguarded
 Newton-bisection on the increasing derivative, started from the L^2
 projection); its bracket and stop scale with the rows, so the distance is
@@ -128,13 +134,50 @@ class PiconeResult:
     passed: bool
 
 
-def _deficits(p, mesh, values, lambda1, measure):
+def _workspace(rows, n):
+    """The arrays that the blocks of one battery call are computed in, for
+    blocks of at most `rows` rows of n quadrature values: (4, rows, n), one
+    allocation, written in place (out=) by every block.  Slab 0 holds a
+    block's values at the quadrature points, slabs 1-3 are scratch.  A
+    block of b rows uses the first b rows of a slab, which are C-contiguous
+    like a new (b, n) array, so each kernel rounds as it would on new
+    arrays."""
+    return np.empty((4, rows, n))
+
+
+def _deficits(p, mesh, values, lambda1, measure, ws=None):
     """(deficit, int |grad u|^p dmu, u at the quadrature points, int |u|^p dmu)
-    for each row u of `values`, an (n_fields, n_nodes) block of nodal values."""
+    for each row u of `values`, an (n_fields, n_nodes) block of nodal values.
+    With a workspace `ws` (_workspace), the values at the quadrature points,
+    (rows, m, q), are written into its slab 0, and int |u|^p dmu is summed
+    in slabs 1 and 2; without one (a single field, where setting one up
+    costs more than the arrays it saves), they are new arrays."""
     energy = gradient_energies(p, mesh.gradients(values), mesh.element_density_integrals(measure))
-    uq = mesh.values_at_quad(values)
-    lp = lp_energies(p, uq, mesh.measure_weights(measure))
+    if ws is None:
+        uq = mesh.values_at_quad(values)
+        lp = lp_energies(p, uq, mesh.measure_weights(measure))
+    else:
+        uq, x, y = (slab[:len(values)].reshape(values.shape[:1] + mesh.quad_weights.shape) for slab in ws[:3])
+        # Mesh.values_at_quad, into the workspace
+        np.matmul(values.take(mesh.elements, axis=-1), mesh.basis.T, out=uq)
+        lp = _power_sums(p, uq, mesh.measure_weights(measure), x, y)
     return energy - lambda1 * lp, energy, uq, lp
+
+
+def _power_sums(p, u, w, x, y):
+    """lp_energies(p, u, w) bit for bit, with |u| written into x and its
+    weighted p-th power into y: arrays shaped like u, of which x may be u."""
+    np.abs(u, out=x)
+    y = cpcore._guarded_power(x, p, out=y)
+    np.multiply(w, y, out=y)
+    return np.add.reduce(y, axis=tuple(range(-w.ndim, 0)))
+
+
+def _shifted(U, c, v, out):
+    """U - c[:, None] * v, the rows of U less their multiples c of v,
+    written into `out`."""
+    np.multiply(c[:, None], v, out=out)
+    return np.subtract(U, out, out=out)
 
 
 def deficit(p, u, lambda1, measure):
@@ -163,45 +206,66 @@ def _lp_argmin(derivatives, c, lo, hi):
     before = last.copy()
     resolution = 2.0**-52 * last
     rows = np.arange(c.size)
+    # the active rows index the row arrays as a slice (views, not gathers)
+    # until the first row finishes
+    at = slice(None)
     tol = None
-    for _ in range(_ROOT_STEPS):
-        x = c[rows]
-        g, gp = derivatives(rows, x)
-        if tol is None:
-            tol = 1e-10 * np.maximum(np.abs(g), 1e-300)
-        r_lo = np.where(g < 0.0, x, lo[rows])
-        r_hi = np.where(g > 0.0, x, hi[rows])
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_ROOT_STEPS):
+            x = c[at]
+            g, gp = derivatives(rows, x)
+            if tol is None:
+                tol = 1e-10 * np.maximum(np.abs(g), 1e-300)
+            r_lo = np.where(g < 0.0, x, lo[at])
+            r_hi = np.where(g > 0.0, x, hi[at])
             step = g / gp
-        newton = x - step
-        take = (r_lo < newton) & (newton < r_hi) & (2.0 * np.abs(step) <= before[rows])
-        new = np.where(take, newton, 0.5 * (r_lo + r_hi))
-        before[rows], last[rows] = last[rows], np.abs(new - x)
-        done = (np.abs(g) <= tol[rows]) | (np.abs(new - x) <= resolution[rows])
-        lo[rows], hi[rows] = r_lo, r_hi
-        c[rows] = np.where(done & ~take, x, new)
-        rows = rows[~done]
-        if rows.size == 0:
-            break
+            newton = x - step
+            take = (r_lo < newton) & (newton < r_hi) & (2.0 * np.abs(step) <= before[at])
+            new = np.where(take, newton, 0.5 * (r_lo + r_hi))
+            moved = np.abs(new - x)
+            before[at] = last[at]
+            last[at] = moved
+            done = (np.abs(g) <= tol[at]) | (moved <= resolution[at])
+            lo[at], hi[at] = r_lo, r_hi
+            c[at] = np.where(done & ~take, x, new)
+            if done.all():
+                break
+            if done.any():
+                rows = at = rows[~done]
     return c
 
 
-def _quadrature_derivatives(p, ref, U):
+def _quadrature_derivatives(p, ref, U, scratch=None):
     """The evaluator of _lp_argmin for F_r(c) = sum W |U_r - c v|^p at any p:
     F_r' = -p sum W |U_r - c v|^(p-2) (U_r - c v) v and F_r'' = p (p - 1)
     sum W |U_r - c v|^(p-2) v v, by quadrature sums over the points of the
-    rows asked for."""
+    rows asked for.  Every evaluation is written into the first rows of
+    `scratch`, three arrays shaped like U (new ones when None).  While no
+    row has finished, U is read as it is; after that the rows asked for
+    are gathered into scratch.  At p = 3, |U_r - c v|^(p-2) is
+    |U_r - c v| itself, which pow would return unchanged."""
     _, v, Wv, Wvv = ref[:4]
+    if scratch is None:
+        scratch = np.empty((3,) + U.shape)
 
     def derivatives(rows, x):
-        d = U[rows] - x[:, None] * v
-        t = cpcore._guarded_power(np.abs(d), p - 2.0)
-        return -p * ((t * d) @ Wv), p * (p - 1.0) * (t @ Wvv)
+        d, t, y = scratch[:, :rows.size]
+        if rows.size == len(U):
+            _shifted(U, x, v, d)
+        else:
+            # mode="clip" writes into y directly ("raise" would buffer); the
+            # rows are all in range
+            _shifted(np.take(U, rows, axis=0, out=y, mode="clip"), x, v, d)
+        np.abs(d, out=t)
+        if p != 3.0:
+            t = cpcore._guarded_power(t, p - 2.0, out=y)
+        gp = p * (p - 1.0) * (t @ Wvv)
+        return -p * (np.multiply(t, d, out=t) @ Wv), gp
 
     return derivatives
 
 
-def _moment_derivatives(p, ref, U, c0):
+def _moment_derivatives(p, ref, U, c0, scratch=None):
     """The evaluator of _lp_argmin at an even p of _moment_order, where F_r
     is a polynomial in c.
 
@@ -212,17 +276,21 @@ def _moment_derivatives(p, ref, U, c0):
     evaluation after that works on (rows, p) arrays.  The expansion point is
     the start c0, not 0: near the eigenspace, where U_r - c v is small
     against U_r, the moments of U_r itself would cancel in F_r' and F_r''.
+    D_r and its powers are written into `scratch`, two arrays shaped like U
+    (new ones when None).
     """
     n = int(p)
     v, V = ref[1], ref[-1]
-    D = U - c0[:, None] * v
+    if scratch is None:
+        scratch = np.empty((2,) + U.shape)
+    D = _shifted(U, c0, v, scratch[0])
     m = np.empty((len(U), n))
     m[:, n - 1] = np.sum(V[n - 1])
     power = D
     for j in range(n - 2, -1, -1):
         m[:, j] = power @ V[j]
         if j:
-            power = power * D
+            power = np.multiply(power, D, out=scratch[1])
     k = np.arange(n)
     # coef[r, 0] holds the a_rk of F_r', coef[r, 1] the k a_rk of F_r'' (in
     # t^(k-1)), so that one contraction with the powers of t gives both
@@ -231,7 +299,8 @@ def _moment_derivatives(p, ref, U, c0):
     coef[:, 1, :-1] = coef[:, 0, 1:] * k[1:]
 
     def derivatives(rows, x):
-        return np.einsum("rjk,rk->jr", coef[rows], (x - c0[rows])[:, None] ** k)
+        at = slice(None) if rows.size == len(U) else rows
+        return np.einsum("rjk,rk->jr", coef[at], (x - c0[at])[:, None] ** k)
 
     return derivatives
 
@@ -277,9 +346,10 @@ def _convex_lp_min(p, W, U, v):
     return _reference_lp_min(p, ref, U, lp_energies(p, U, ref[0]))
 
 
-def _reference_lp_min(p, ref, U, energies):
+def _reference_lp_min(p, ref, U, energies, scratch=None):
     """_convex_lp_min for the rows of U, with W and v given by `ref`
-    (_lp_reference) and the energies sum W |U_r|^p given.  F_r is strictly
+    (_lp_reference) and the energies sum W |U_r|^p given, computed in
+    `scratch`, three arrays shaped like U (new ones when None).  F_r is strictly
     convex and coercive for p > 1, and its minimizer c* has |c*| ||v||_p <=
     ||U_r - c* v||_p + ||U_r||_p <= 2 ||U_r||_p, so it lies in [-B_r, B_r],
     B_r = 3 ||U_r||_p / ||v||_p.  At p = 2 it is the L^2 projection c0 =
@@ -292,16 +362,19 @@ def _reference_lp_min(p, ref, U, energies):
     near the eigenspace.
     """
     W, v, Wv, Wvv, nv, V = ref
+    if scratch is None:
+        scratch = np.empty((3,) + U.shape)
     c = (U @ Wv) / np.sum(Wvv)
     if p != 2.0:
         bound = 3.0 * energies ** (1.0 / p) / nv
         start = np.clip(c, -bound, bound)
         if V is None:
-            derivatives = _quadrature_derivatives(p, ref, U)
+            derivatives = _quadrature_derivatives(p, ref, U, scratch)
         else:
-            derivatives = _moment_derivatives(p, ref, U, start)
+            derivatives = _moment_derivatives(p, ref, U, start, scratch)
         c = _lp_argmin(derivatives, start, -bound, bound)
-    return lp_energies(p, U - c[:, None] * v, W), c
+    d = _shifted(U, c, v, scratch[0])
+    return _power_sums(p, d, W, d, scratch[1]), c
 
 
 def distance_to_eigenspace(p, u, u1, measure):
@@ -368,14 +441,19 @@ def _bound_constant(p, domain, constant_factor):
 
 def _stability_reports(p, domain, mesh, blocks, measure, eigenpair, constant):
     """One StabilityReport per zero-trace field in the rows of each
-    (rows, n_nodes) array of `blocks`. The distance kernel's arrays of u1
-    (_lp_reference) are built once for all the blocks."""
+    (rows, n_nodes) array of `blocks`, of which the first has the most rows.
+    The distance kernel's arrays of u1 (_lp_reference) are built once for
+    all the blocks, and so is the workspace (_workspace) that every block is
+    computed in, sized by the first block."""
     ref = _lp_reference(p, mesh.measure_weights(measure), eigenpair.field.at_quad())
     note = _POLYGON_NOTE if domain.kind == "polygon" and measure.kind == "lebesgue" else ""
     reports = []
+    ws = None
     for values in blocks:
-        d, energy, uq, lp = _deficits(p, mesh, values, eigenpair.lam, measure)
-        dist, c_star = _reference_lp_min(p, ref, uq.reshape(len(uq), -1), lp)
+        if ws is None:
+            ws = _workspace(len(values), mesh.quad_weights.size)
+        d, energy, uq, lp = _deficits(p, mesh, values, eigenpair.lam, measure, ws)
+        dist, c_star = _reference_lp_min(p, ref, uq.reshape(len(uq), -1), lp, ws[1:, :len(uq)])
         rhs = constant * dist
         tol = TOL_QUAD_FACTOR * np.maximum(energy, 1e-300)
         margin = d - rhs
@@ -442,12 +520,16 @@ def random_zero_trace_field(mesh, rng):
 
 def stability_battery(p, domain, mesh, measure, n_fields, seed=0, eigenpair=None, opts=None, constant_factor=1.0):
     """Seeded random-field battery; returns one StabilityReport per field.
+    n_fields must be a positive integer; it and the seed are checked before
+    any solve.
 
-    The fields are drawn, smoothed and checked in blocks of _BLOCK_FIELDS
-    rows; what does not depend on the field (u1 at the quadrature points,
-    ||u1||_p and its weighted products and powers) is computed once per
-    call, not per block, and the node adjacency and degrees once per mesh
-    (_smoothing).  The distance of a block reuses the block's int |u|^p dmu
+    The fields are checked in blocks of _BLOCK_FIELDS rows, drawn and
+    smoothed in draws of several blocks (_field_blocks), and every block is
+    computed in one workspace allocated once per call (_workspace).  What
+    does not depend on the field (u1 at the quadrature points, ||u1||_p and
+    its weighted products and powers) is computed once per call, not per
+    block, and the node adjacency and degrees once per mesh (_smoothing).
+    The distance of a block reuses the block's int |u|^p dmu
     from its deficits; at p = 4, 6 and 8 its Newton steps work on the
     block's row moments and stop at |F'| <= 1e-10 |F'(c0)| (see
     _reference_lp_min).  A block draw equals the per-field draws, so field i
@@ -460,13 +542,26 @@ def stability_battery(p, domain, mesh, measure, n_fields, seed=0, eigenpair=None
     count.
     """
     _check_seed(seed)
+    if not isinstance(n_fields, (int, np.integer)) or isinstance(n_fields, bool) or n_fields < 1:
+        raise ValueError(f"n_fields must be a positive integer, got {n_fields!r}")
     constant = _bound_constant(p, domain, constant_factor)
     eigenpair = _ground_state(p, mesh, measure, eigenpair, opts)
+    return _stability_reports(p, domain, mesh, _field_blocks(mesh, seed, n_fields), measure, eigenpair, constant)
+
+
+def _field_blocks(mesh, seed, n_fields):
+    """The battery's n_fields seeded fields as (rows, n_nodes) blocks of
+    _BLOCK_FIELDS rows, the last one shorter.  They are drawn and smoothed
+    (_random_fields) in draws of _BLOCK_FIELDS * max(1, n_quad // n_nodes)
+    rows, n_quad = m q, so that no draw holds more numbers than one block's
+    values at the quadrature points, however many fields there are."""
     rng = np.random.default_rng(seed)
     smoothing = _smoothing(mesh)
-    blocks = (_random_fields(mesh, rng, min(_BLOCK_FIELDS, n_fields - start), smoothing)
-              for start in range(0, n_fields, _BLOCK_FIELDS))
-    return _stability_reports(p, domain, mesh, blocks, measure, eigenpair, constant)
+    draw = _BLOCK_FIELDS * max(1, mesh.quad_weights.size // mesh.n_nodes)
+    for start in range(0, n_fields, draw):
+        values = _random_fields(mesh, rng, min(draw, n_fields - start), smoothing)
+        for row in range(0, len(values), _BLOCK_FIELDS):
+            yield values[row:row + _BLOCK_FIELDS]
 
 
 def centering_root(p, f, weight, measure=None):

@@ -11,16 +11,21 @@ alternating from pair to pair, so that both see the same machine state.
 
 It prints the median over the pairs of the change/parent pass-time ratio,
 the number of pairs in which the change's pass was faster, the median
-per-operation ratios, and whether every operation's numbers are bitwise
-equal on the two sides in every pass: its lambdas, the numbers it records
+per-operation ratios, each side's median minor page faults per pass (the
+`ru_minflt` delta of `resource.getrusage` around the pass), and whether
+every operation's numbers are bitwise equal on the two sides in every
+pass: its lambdas, the numbers it records
 besides its times (iterations, margins, report sizes), and for each
 eigenpair it keeps the eigenvalue, the iterations, the residual, the
 residual floor and the sha1 of the field; in `cli`, also the SHA-256 of
 each report file. The BLAS and OpenMP threads are
 pinned to 1, as the benchmark's launcher pins them. Passes in one process
 resolve a few percent where separate 20-s benchmark runs do not, since
-they share the interpreter, the heap and the CPU state. Not a test:
-pytest does not collect it.
+they share the interpreter, the heap and the CPU state. For the same
+reason the page-fault counts are indicative only: one side's frees and
+heap trims change the pages that the other side's next pass finds mapped,
+so a side's count in a process of its own can differ. Not a test: pytest
+does not collect it.
 """
 
 import os
@@ -33,6 +38,7 @@ import argparse  # noqa: E402
 import hashlib  # noqa: E402
 import importlib  # noqa: E402
 import importlib.util  # noqa: E402
+import resource  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -79,12 +85,15 @@ class Side:
         self.ctx = self.workloads.Context(seed, self.workloads.library(), out_dir)
 
     def run_pass(self):
-        """(pass seconds, {op name: seconds}, {op name: its numbers}, failed ops)."""
+        """(pass seconds, {op name: seconds}, {op name: its numbers}, failed
+        ops, minor page faults of the pass)."""
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
         ops = self.workload.run_pass(self.inputs, self.ctx)
         wall = time.perf_counter() - t0
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
         return (wall, {op.name: op.seconds for op in ops}, {op.name: numbers(op) for op in ops},
-                [op.name for op in ops if op.problems])
+                [op.name for op in ops if op.problems], faults)
 
 
 def numbers(op):
@@ -112,6 +121,7 @@ def main():
         for side in sides:
             side.run_pass()  # warm-up: first-use builds
         walls = ([], [])
+        faults = ([], [])
         op_times = ({}, {})
         equal = True
         failed = [0, 0]
@@ -120,8 +130,9 @@ def main():
             for k in ((0, 1) if i % 2 == 0 else (1, 0)):
                 results[k] = sides[k].run_pass()
             for k in (0, 1):
-                wall, ops, _, bad = results[k]
+                wall, ops, _, bad, pass_faults = results[k]
                 walls[k].append(wall)
+                faults[k].append(pass_faults)
                 failed[k] += len(bad)
                 for name, seconds in ops.items():
                     op_times[k].setdefault(name, []).append(seconds)
@@ -140,6 +151,8 @@ def main():
         op_ratios = [c / p for p, c in zip(op_times[0][name], op_times[1][name])]
         print(f"  {name}: {statistics.median(op_ratios):.4f} "
               f"(parent median {statistics.median(op_times[0][name]) * 1e3:.3f} ms)")
+    print(f"median minor page faults per pass (one heap for both sides): "
+          f"parent {statistics.median(faults[0]):g}, change {statistics.median(faults[1]):g}")
     print(f"failed ops: parent {failed[0]}, change {failed[1]}")
     print(f"numbers bitwise equal in every pass: {equal}")
     return 0 if equal else 1

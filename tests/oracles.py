@@ -882,6 +882,122 @@ def residual_floor_mesh_form(el, p, mesh, terms, a):
     return float(np.linalg.norm(f) / np.linalg.norm(a))
 
 
+def deficits_per_operation(vf, p, mesh, values, lambda1, measure):
+    """verify._deficits as it was before the battery's workspace: every
+    operation returns a new array. `vf` is the verify module, whose spectral
+    kernels it calls."""
+    energy = vf.gradient_energies(p, mesh.gradients(values), mesh.element_density_integrals(measure))
+    uq = mesh.values_at_quad(values)
+    lp = vf.lp_energies(p, uq, mesh.measure_weights(measure))
+    return energy - lambda1 * lp, energy, uq, lp
+
+
+def lp_argmin_gathers(vf, derivatives, c, lo, hi):
+    """verify._lp_argmin as it was before the battery's workspace: every step
+    gathers the active rows by fancy indexing and enters np.errstate."""
+    c, lo, hi = (np.array(x, dtype=float) for x in (c, lo, hi))
+    last = hi - lo
+    before = last.copy()
+    resolution = 2.0**-52 * last
+    rows = np.arange(c.size)
+    tol = None
+    for _ in range(vf._ROOT_STEPS):
+        x = c[rows]
+        g, gp = derivatives(rows, x)
+        if tol is None:
+            tol = 1e-10 * np.maximum(np.abs(g), 1e-300)
+        r_lo = np.where(g < 0.0, x, lo[rows])
+        r_hi = np.where(g > 0.0, x, hi[rows])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = g / gp
+        newton = x - step
+        take = (r_lo < newton) & (newton < r_hi) & (2.0 * np.abs(step) <= before[rows])
+        new = np.where(take, newton, 0.5 * (r_lo + r_hi))
+        before[rows], last[rows] = last[rows], np.abs(new - x)
+        done = (np.abs(g) <= tol[rows]) | (np.abs(new - x) <= resolution[rows])
+        lo[rows], hi[rows] = r_lo, r_hi
+        c[rows] = np.where(done & ~take, x, new)
+        rows = rows[~done]
+        if rows.size == 0:
+            break
+    return c
+
+
+def quadrature_derivatives_per_operation(vf, p, ref, U):
+    """verify._quadrature_derivatives as it was before the battery's
+    workspace: new arrays for the gathered rows, U - c v, its absolute
+    value, its power (pow at p = 3) and the product."""
+    _, v, Wv, Wvv = ref[:4]
+
+    def derivatives(rows, x):
+        d = U[rows] - x[:, None] * v
+        t = vf.cpcore._guarded_power(np.abs(d), p - 2.0)
+        return -p * ((t * d) @ Wv), p * (p - 1.0) * (t @ Wvv)
+
+    return derivatives
+
+
+def moment_derivatives_per_operation(p, ref, U, c0):
+    """verify._moment_derivatives as it was before the battery's workspace:
+    a new array for each power of U - c0 v."""
+    n = int(p)
+    v, V = ref[1], ref[-1]
+    D = U - c0[:, None] * v
+    m = np.empty((len(U), n))
+    m[:, n - 1] = np.sum(V[n - 1])
+    power = D
+    for j in range(n - 2, -1, -1):
+        m[:, j] = power @ V[j]
+        if j:
+            power = power * D
+    k = np.arange(n)
+    coef = np.zeros((len(U), 2, n))
+    coef[:, 0] = m * (-p * np.array([math.comb(n - 1, j) for j in k]) * (-1.0) ** k)
+    coef[:, 1, :-1] = coef[:, 0, 1:] * k[1:]
+
+    def derivatives(rows, x):
+        return np.einsum("rjk,rk->jr", coef[rows], (x - c0[rows])[:, None] ** k)
+
+    return derivatives
+
+
+def reference_lp_min_per_operation(vf, p, ref, U, energies):
+    """verify._reference_lp_min as it was before the battery's workspace,
+    on the per-operation evaluators and root finder above."""
+    W, v, Wv, Wvv, nv, V = ref
+    c = (U @ Wv) / np.sum(Wvv)
+    if p != 2.0:
+        bound = 3.0 * energies ** (1.0 / p) / nv
+        start = np.clip(c, -bound, bound)
+        if V is None:
+            derivatives = quadrature_derivatives_per_operation(vf, p, ref, U)
+        else:
+            derivatives = moment_derivatives_per_operation(p, ref, U, start)
+        c = lp_argmin_gathers(vf, derivatives, start, -bound, bound)
+    return vf.lp_energies(p, U - c[:, None] * v, W), c
+
+
+def stability_battery_per_operation(vf, p, domain, mesh, measure, n_fields, seed, eigenpair):
+    """verify.stability_battery as it was before the battery's workspace, at
+    constant_factor 1: 16-row draws, and each block through the per-operation
+    kernels above. Returns the reports' fields as tuples."""
+    constant = vf._bound_constant(p, domain, 1.0)
+    ref = vf._lp_reference(p, mesh.measure_weights(measure), eigenpair.field.at_quad())
+    rng = np.random.default_rng(seed)
+    smoothing = vf._smoothing(mesh)
+    rows = []
+    for start in range(0, n_fields, vf._BLOCK_FIELDS):
+        values = vf._random_fields(mesh, rng, min(vf._BLOCK_FIELDS, n_fields - start), smoothing)
+        d, energy, uq, lp = deficits_per_operation(vf, p, mesh, values, eigenpair.lam, measure)
+        dist, c_star = reference_lp_min_per_operation(vf, p, ref, uq.reshape(len(uq), -1), lp)
+        rhs = constant * dist
+        tol = vf.TOL_QUAD_FACTOR * np.maximum(energy, 1e-300)
+        margin = d - rhs
+        rows += [(di, dist_i, ci, ri, mi, ti, mi >= -ti)
+                 for di, dist_i, ci, ri, mi, ti in zip(*(a.tolist() for a in (d, dist, c_star, rhs, margin, tol)))]
+    return constant, rows
+
+
 def jsonable(obj):
     """Plain JSON values of a report: dataclasses become dicts of their
     fields, numpy scalars and arrays Python ones, non-finite floats None."""

@@ -490,3 +490,18 @@ class TestC2C3:
         c1_variational(3.0)
         assert max(radii["_c2c3_kernel"]) >= 1e6
         assert max(radii["_c1_kernel"]) < min(cpcore._C2C3_FAR_RADII)
+
+
+class TestGuardedPowerInto:
+    @pytest.mark.parametrize("e", [-0.5, -2.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.5])
+    def test_out_has_the_bits_of_a_new_array(self, e):
+        # zeros, powers that underflow and a wide range of magnitudes, in a
+        # (16, n) block
+        rng = np.random.default_rng(int(abs(e) * 10))
+        x = 10.0 ** rng.uniform(-25.0, 25.0, (16, 97))
+        x[rng.random(x.shape) < 0.05] = 0.0
+        x[0, :3] = 1e-150
+        out = np.full_like(x, np.nan)
+        got = cpcore._guarded_power(x, e, out=out)
+        assert got is out
+        assert out.tobytes() == cpcore._guarded_power(x, e).tobytes()

@@ -21,7 +21,15 @@ from plapstab.verify import (
     write_reports_csv,
 )
 
-from oracles import centering_scan, golden_lp_min, picone_sides_highprec, sequential_zero_trace_fields
+from oracles import (
+    centering_scan,
+    deficits_per_operation,
+    golden_lp_min,
+    picone_sides_highprec,
+    reference_lp_min_per_operation,
+    sequential_zero_trace_fields,
+    stability_battery_per_operation,
+)
 
 PI2 = math.pi**2
 
@@ -176,6 +184,17 @@ class TestStability:
         m = ps.build_mesh(interval, 0)
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             ps.stability_battery(2.0, interval, m, ps.lebesgue(), 4, seed=seed)
+        assert solves == []
+
+    @pytest.mark.parametrize("n_fields", [0, -5, True, 2.5, 3.0, "3", None])
+    def test_battery_rejects_a_bad_field_count_before_any_solve(self, monkeypatch, interval, n_fields):
+        # zero and negative counts returned [] and True one report, after
+        # the ground state was solved; a float failed in range()
+        solves = []
+        monkeypatch.setattr(spectral, "_ground_state", lambda *a: solves.append(a))
+        m = ps.build_mesh(interval, 1)
+        with pytest.raises(ValueError, match="n_fields must be a positive integer"):
+            ps.stability_battery(3.0, interval, m, ps.lebesgue(), n_fields)
         assert solves == []
 
     def test_optimizer_trivial(self, cache, interval):
@@ -644,6 +663,106 @@ class TestBatchedBattery:
         for a in (adj.data, adj.indices, adj.indptr, deg):
             with pytest.raises(ValueError):
                 a[0] = 0
+
+
+def _report_hex(rows):
+    """float.hex of every number in the report tuples of
+    stability_battery_per_operation."""
+    return [tuple(x.hex() if isinstance(x, float) else x for x in row) for row in rows]
+
+
+class TestBlockWorkspace:
+    """The battery computes each call's blocks in one workspace, in place,
+    with the kernels' operations in their old order: every report keeps the
+    bits of the per-operation kernels it replaced (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("measure", ["lebesgue", "gaussian"])
+    @pytest.mark.parametrize("name, level", [("interval01", 4), ("square", 3)])
+    @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0, 6.0, 7.0, 8.0])
+    def test_reports_equal_per_operation_kernels(self, cache, p, name, level, measure):
+        # 1, 5, 16, 37 and 100 fields: partial blocks, one whole block, and
+        # interval L4's 48-row draws split over several blocks
+        domain, mesh = cache.domain(name), cache.mesh(name, level)
+        meas = ps.lebesgue() if measure == "lebesgue" else ps.gaussian()
+        pair = cache.pair(p, name, level, measure)
+        for n_fields in (1, 5, 16, 37, 100):
+            reps = stability_battery(p, domain, mesh, meas, n_fields, seed=n_fields, eigenpair=pair)
+            constant, want = stability_battery_per_operation(verify, p, domain, mesh, meas, n_fields,
+                                                             n_fields, pair)
+            got = [(r.deficit, r.distance_p, r.c_star, r.rhs, r.margin, r.tol_quad, r.passed) for r in reps]
+            assert _report_hex(got) == _report_hex(want), n_fields
+            assert {(r.p, r.lambda1.hex(), r.constant.hex(), r.measure) for r in reps} == {
+                (p, pair.lam.hex(), constant.hex(), measure)}
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 10.0])
+    def test_one_row_kernels_equal_per_operation_kernels(self, cache, p):
+        # the single-field path; at p = 1.5 the exponent p - 2 is negative
+        # and the evaluator's power goes through _guarded_power's zero guard
+        mesh = cache.mesh("square", 2)
+        meas = ps.gaussian()
+        u = ps.random_zero_trace_field(mesh, 7)
+        u1 = cache.pair(2.0, "square", 2, "gaussian").field
+        values = u.values[None]
+        got = verify._deficits(p, mesh, values, 19.5, meas, verify._workspace(1, mesh.quad_weights.size))
+        want = deficits_per_operation(verify, p, mesh, values, 19.5, meas)
+        for a, b in zip(got, want, strict=True):
+            assert a.tobytes() == b.tobytes()
+        ref = verify._lp_reference(p, mesh.measure_weights(meas), u1.at_quad())
+        U = got[2].reshape(1, -1)
+        for a, b in zip(verify._reference_lp_min(p, ref, U, got[3]),
+                        reference_lp_min_per_operation(verify, p, ref, U, got[3]), strict=True):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 2.5, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
+    def test_distance_kernel_equals_per_operation_kernel(self, p):
+        # odd point counts and row counts, rows near the eigenspace, and a
+        # row whose start is its root, so that rows finish at different steps
+        for seed, n_rows, n_points in ((0, 1, 61), (1, 7, 97), (2, 16, 60), (3, 13, 255)):
+            W, U, v = _lp_problem(seed, n_rows, n_points)
+            U[::3] = 2.0 * v + 1e-6 * U[::3]
+            ref = verify._lp_reference(p, W, v)
+            energies = ps.spectral.lp_energies(p, U, W)
+            got = verify._reference_lp_min(p, ref, U, energies)
+            want = reference_lp_min_per_operation(verify, p, ref, U, energies)
+            for a, b in zip(got, want, strict=True):
+                assert a.tobytes() == b.tobytes(), seed
+
+    def test_one_workspace_per_call(self, cache, monkeypatch):
+        domain, mesh = cache.domain("square"), cache.mesh("square", 3)
+        pair = cache.pair(3.0, "square", 3, "lebesgue")
+        shapes = []
+        workspace = verify._workspace
+
+        def counted(rows, n):
+            shapes.append((rows, n))
+            return workspace(rows, n)
+
+        monkeypatch.setattr(verify, "_workspace", counted)
+        stability_battery(3.0, domain, mesh, ps.lebesgue(), 100, eigenpair=pair)
+        assert shapes == [(16, mesh.quad_weights.size)]
+        shapes.clear()
+        stability_battery(3.0, domain, mesh, ps.lebesgue(), 5, eigenpair=pair)
+        assert shapes == [(5, mesh.quad_weights.size)]
+
+    @pytest.mark.parametrize("name, level, draws", [("square", 3, [100]), ("interval01", 4, [48, 48, 4])])
+    def test_draws_no_larger_than_a_block_of_quadrature_values(self, cache, monkeypatch, name, level, draws):
+        # draws of 16 max(1, n_quad // n_nodes) rows, cut into 16-row blocks:
+        # the seeded stream of the sequential draws
+        mesh = cache.mesh(name, level)
+        sizes = []
+        random_fields = verify._random_fields
+
+        def counted(mesh, rng, n_fields, smoothing):
+            sizes.append(n_fields)
+            return random_fields(mesh, rng, n_fields, smoothing)
+
+        monkeypatch.setattr(verify, "_random_fields", counted)
+        blocks = list(verify._field_blocks(mesh, 3, 100))
+        assert sizes == draws
+        assert [len(b) for b in blocks] == [16] * 6 + [4]
+        assert max(sizes) * mesh.n_nodes <= 16 * mesh.quad_weights.size
+        want = sequential_zero_trace_fields(mesh, np.random.default_rng(3), 100)
+        assert np.array_equal(np.concatenate(blocks), want)
 
 
 def _lp_problem(seed, n_rows=3, n_points=60):

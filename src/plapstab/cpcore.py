@@ -364,10 +364,13 @@ def _guarded_power(x, e, out=None):
     The one power kernel. An integer e from 2 to 8 is computed by repeated
     multiplication (left-to-right square and multiply: about
     (e - 1) 2^-53 relative of the exact power at worst; 29 against 125 us
-    by pow for e = 3 on a 16 x 3072 block); every other e uses pow. The
-    result is written into `out` when it is given, an array shaped like x
-    that does not overlap it, with the same bits as the new array
-    returned otherwise."""
+    by pow for e = 3 on a 16 x 3072 block); e = 1 returns x itself, which
+    is what pow would compute, without a pass; every other e uses pow. The
+    result is written into `out` when it is given (except at e = 1), an
+    array shaped like x that does not overlap it, with the same bits as the
+    new array returned otherwise."""
+    if e == 1.0:
+        return x
     if e < 0.0:
         if out is None:
             # np.zeros, not zeros_like: the same C-ordered zeros for the

@@ -347,10 +347,12 @@ class Mesh:
         indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
         return slots, (keys % n).astype(np.int32), indptr.astype(np.int32)
 
-    def values_at_quad(self, nodal_values):
+    def values_at_quad(self, nodal_values, out=None):
         """P1 interpolation at all quadrature points: (n,) or (rows, n) values
-        to (..., m, q), one matmul of the element gather against the basis."""
-        return nodal_values.take(self.elements, axis=-1) @ self.basis.T
+        to (..., m, q), one matmul of the element gather against the basis,
+        written into `out` when it is given (a C-contiguous array of that
+        shape, with the bits of the new array returned otherwise)."""
+        return np.matmul(nodal_values.take(self.elements, axis=-1), self.basis.T, out=out)
 
     def gradients(self, nodal_values):
         """Per-element constant gradients: (n,) or (rows, n) values to

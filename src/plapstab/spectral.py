@@ -226,13 +226,17 @@ def _lp_norm(p, uq, w):
     return math.ldexp(float(lp_energies(p, np.ldexp(uq, -k), w)) ** (1.0 / p), k)
 
 
-def lp_energies(p, uq, w):
+def lp_energies(p, uq, w, out=None):
     """int |u|^p dmeasure from a block of values uq at the quadrature points,
     shaped (..., *w.shape), and the quadrature weights w of the measure: one
-    value per leading index."""
+    value per leading index.  |uq| and w |uq|^p are written into `out` when
+    it is given, a pair of arrays shaped like uq (the first may be uq
+    itself), and into new arrays otherwise, with the same bits."""
+    a, y = (None, None) if out is None else out
+    y = _guarded_power(np.abs(uq, out=a), p, out=y)
     # np.add.reduce is np.sum without its wrapper, whose fixed cost is about
     # half of this call's on the cut sweep's small meshes
-    return np.add.reduce(w * _guarded_power(np.abs(uq), p), axis=tuple(range(-w.ndim, 0)))
+    return np.add.reduce(np.multiply(w, y, out=y), axis=tuple(range(-w.ndim, 0)))
 
 
 def gradient_energies(p, g, de):

@@ -15,10 +15,11 @@ no draw holds more numbers than one block's values at the quadrature
 points.  Each block takes one reduction each for the energies, deficits and
 tolerances, in one workspace per call (_workspace): its values at the
 quadrature points, |u|^p, every Newton evaluation of the distance and the
-final distance are written in place into four (16, n_quad) arrays,
-allocated once, with the operations, reduction shapes and axes of new
-arrays, so every number is that of new arrays bit for bit.  The distance inf_c int |u - c u1|^p dmu has one kernel for all
-rows at once, _convex_lp_min, whose root finder is _lp_argmin (safeguarded
+final distance are written in place (the kernels' out= arguments) into
+four (16, n_quad) arrays, allocated once, with the operations, reduction
+shapes and axes of new arrays, so every number is that of new arrays bit
+for bit; a single field (deficit) takes a one-row workspace.  The distance
+inf_c int |u - c u1|^p dmu has one kernel for all rows at once, _convex_lp_min, whose root finder is _lp_argmin (safeguarded
 Newton-bisection on the increasing derivative, started from the L^2
 projection); its bracket and stop scale with the rows, so the distance is
 p-homogeneous at any amplitude.  _lp_argmin reads the derivatives from one
@@ -145,32 +146,17 @@ def _workspace(rows, n):
     return np.empty((4, rows, n))
 
 
-def _deficits(p, mesh, values, lambda1, measure, ws=None):
+def _deficits(p, mesh, values, lambda1, measure, ws):
     """(deficit, int |grad u|^p dmu, u at the quadrature points, int |u|^p dmu)
-    for each row u of `values`, an (n_fields, n_nodes) block of nodal values.
-    With a workspace `ws` (_workspace), the values at the quadrature points,
-    (rows, m, q), are written into its slab 0, and int |u|^p dmu is summed
-    in slabs 1 and 2; without one (a single field, where setting one up
-    costs more than the arrays it saves), they are new arrays."""
+    for each row u of `values`, an (n_fields, n_nodes) block of nodal values,
+    computed in the workspace `ws` (_workspace): the values at the
+    quadrature points, (rows, m, q), are written into its slab 0, and
+    int |u|^p dmu is summed in slabs 1 and 2."""
     energy = gradient_energies(p, mesh.gradients(values), mesh.element_density_integrals(measure))
-    if ws is None:
-        uq = mesh.values_at_quad(values)
-        lp = lp_energies(p, uq, mesh.measure_weights(measure))
-    else:
-        uq, x, y = (slab[:len(values)].reshape(values.shape[:1] + mesh.quad_weights.shape) for slab in ws[:3])
-        # Mesh.values_at_quad, into the workspace
-        np.matmul(values.take(mesh.elements, axis=-1), mesh.basis.T, out=uq)
-        lp = _power_sums(p, uq, mesh.measure_weights(measure), x, y)
+    uq, a, y = (slab[:len(values)].reshape(values.shape[:1] + mesh.quad_weights.shape) for slab in ws[:3])
+    mesh.values_at_quad(values, out=uq)
+    lp = lp_energies(p, uq, mesh.measure_weights(measure), out=(a, y))
     return energy - lambda1 * lp, energy, uq, lp
-
-
-def _power_sums(p, u, w, x, y):
-    """lp_energies(p, u, w) bit for bit, with |u| written into x and its
-    weighted p-th power into y: arrays shaped like u, of which x may be u."""
-    np.abs(u, out=x)
-    y = cpcore._guarded_power(x, p, out=y)
-    np.multiply(w, y, out=y)
-    return np.add.reduce(y, axis=tuple(range(-w.ndim, 0)))
 
 
 def _shifted(U, c, v, out):
@@ -182,7 +168,8 @@ def _shifted(U, c, v, out):
 
 def deficit(p, u, lambda1, measure):
     """int |grad u|^p dmu - lambda1 * int |u|^p dmu."""
-    return float(_deficits(p, u.mesh, u.values[None], lambda1, measure)[0][0])
+    ws = _workspace(1, u.mesh.quad_weights.size)
+    return float(_deficits(p, u.mesh, u.values[None], lambda1, measure, ws)[0][0])
 
 
 def _lp_argmin(derivatives, c, lo, hi):
@@ -242,8 +229,7 @@ def _quadrature_derivatives(p, ref, U, scratch=None):
     rows asked for.  Every evaluation is written into the first rows of
     `scratch`, three arrays shaped like U (new ones when None).  While no
     row has finished, U is read as it is; after that the rows asked for
-    are gathered into scratch.  At p = 3, |U_r - c v|^(p-2) is
-    |U_r - c v| itself, which pow would return unchanged."""
+    are gathered into scratch."""
     _, v, Wv, Wvv = ref[:4]
     if scratch is None:
         scratch = np.empty((3,) + U.shape)
@@ -256,9 +242,7 @@ def _quadrature_derivatives(p, ref, U, scratch=None):
             # mode="clip" writes into y directly ("raise" would buffer); the
             # rows are all in range
             _shifted(np.take(U, rows, axis=0, out=y, mode="clip"), x, v, d)
-        np.abs(d, out=t)
-        if p != 3.0:
-            t = cpcore._guarded_power(t, p - 2.0, out=y)
+        t = cpcore._guarded_power(np.abs(d, out=t), p - 2.0, out=y)
         gp = p * (p - 1.0) * (t @ Wvv)
         return -p * (np.multiply(t, d, out=t) @ Wv), gp
 
@@ -374,7 +358,7 @@ def _reference_lp_min(p, ref, U, energies, scratch=None):
             derivatives = _moment_derivatives(p, ref, U, start, scratch)
         c = _lp_argmin(derivatives, start, -bound, bound)
     d = _shifted(U, c, v, scratch[0])
-    return _power_sums(p, d, W, d, scratch[1]), c
+    return lp_energies(p, d, W, out=(d, scratch[1])), c
 
 
 def distance_to_eigenspace(p, u, u1, measure):

@@ -493,7 +493,7 @@ class TestC2C3:
 
 
 class TestGuardedPowerInto:
-    @pytest.mark.parametrize("e", [-0.5, -2.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.5])
+    @pytest.mark.parametrize("e", [-0.5, -2.0, 0.5, 1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.5])
     def test_out_has_the_bits_of_a_new_array(self, e):
         # zeros, powers that underflow and a wide range of magnitudes, in a
         # (16, n) block
@@ -505,3 +505,14 @@ class TestGuardedPowerInto:
         got = cpcore._guarded_power(x, e, out=out)
         assert got is out
         assert out.tobytes() == cpcore._guarded_power(x, e).tobytes()
+
+    def test_exponent_one_is_x_itself(self):
+        # pow(x, 1) == x, so x is returned without a pass, out or not
+        rng = np.random.default_rng(1)
+        x = 10.0 ** rng.uniform(-300.0, 300.0, (16, 97))
+        x[rng.random(x.shape) < 0.05] = 0.0
+        assert x.tobytes() == np.power(x, 1.0).tobytes()
+        out = np.full_like(x, np.nan)
+        assert cpcore._guarded_power(x, 1.0) is x
+        assert cpcore._guarded_power(x, 1.0, out=out) is x
+        assert np.isnan(out).all()

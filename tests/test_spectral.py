@@ -2044,6 +2044,8 @@ class TestGradEnergy:
         w = m.measure_weights(mu)
         values = np.array(_random_values(m, 5, n_fields=3))
         uq = m.values_at_quad(values)
+        out = np.full_like(uq, np.nan)
+        assert m.values_at_quad(values, out=out) is out and out.tobytes() == uq.tobytes()
         for p in (1.5, 2.0, 3.0, 6.0):
             rows = [float(spectral.lp_energies(p, u, w)) for u in uq]
             assert rows == [float(np.sum(w * spectral._guarded_power(np.abs(u), p))) for u in uq]
@@ -2053,6 +2055,11 @@ class TestGradEnergy:
             assert spectral.lp_energies(p, uq, w).tolist() == rows
             # the flattened rows of the distance kernel
             assert spectral.lp_energies(p, uq.reshape(len(uq), -1), w.ravel()).tolist() == rows
+            # written into given arrays, the first of them uq's own copy
+            a, y = uq.copy(), np.full_like(uq, np.nan)
+            assert spectral.lp_energies(p, uq, w, out=(a, y)).tolist() == rows
+            assert a.tobytes() == np.abs(uq).tobytes()
+            assert spectral.lp_energies(p, a, w, out=(a, y)).tolist() == rows
             for v, row in zip(values, rows):
                 f = ps.Field(m, v)
                 assert ps.rayleigh_quotient(p, f, mu) == ps.grad_energy(p, f, mu) / row

@@ -153,7 +153,7 @@ def _deficits(p, mesh, values, lambda1, measure, ws):
     quadrature points, (rows, m, q), are written into its slab 0, and
     int |u|^p dmu is summed in slabs 1 and 2."""
     energy = gradient_energies(p, mesh.gradients(values), mesh.element_density_integrals(measure))
-    uq, a, y = (slab[:len(values)].reshape(values.shape[:1] + mesh.quad_weights.shape) for slab in ws[:3])
+    uq, a, y = ws[:3, :len(values)].reshape((3, len(values)) + mesh.quad_weights.shape)
     mesh.values_at_quad(values, out=uq)
     lp = lp_energies(p, uq, mesh.measure_weights(measure), out=(a, y))
     return energy - lambda1 * lp, energy, uq, lp

@@ -19,7 +19,8 @@ final distance are written in place (the kernels' out= arguments) into
 four (16, n_quad) arrays, allocated once, with the operations, reduction
 shapes and axes of new arrays, so every number is that of new arrays bit
 for bit; a single field (deficit) takes a one-row workspace.  The distance
-inf_c int |u - c u1|^p dmu has one kernel for all rows at once, _convex_lp_min, whose root finder is _lp_argmin (safeguarded
+inf_c int |u - c u1|^p dmu has one kernel for all rows at once,
+_convex_lp_min, whose root finder is _lp_argmin (safeguarded
 Newton-bisection on the increasing derivative, started from the L^2
 projection); its bracket and stop scale with the rows, so the distance is
 p-homogeneous at any amplitude.  _lp_argmin reads the derivatives from one

@@ -167,7 +167,12 @@ def gaussian():
 def per_mesh(build):
     """build(mesh, *args), run once per mesh and args: the first call keeps
     its result in `mesh.cache` under (build, *args) and later calls return
-    it. A build that raises keeps nothing. The args must be hashable."""
+    it. A build that raises keeps nothing. The args must be hashable. What
+    is kept is shared, so every array in it is made read-only: the result
+    itself, the items of a tuple, a sparse matrix's data, indices and
+    indptr. A matrix that shares them, as weighted_stiffness and
+    weighted_mass share the kept pattern's, is copied before a structural
+    in-place operation (eliminate_zeros raises ValueError on it)."""
 
     @functools.wraps(build)
     def kept(mesh, *args):
@@ -176,6 +181,10 @@ def per_mesh(build):
             return mesh.cache[key]
         except KeyError:
             value = mesh.cache[key] = build(mesh, *args)
+            for item in value if isinstance(value, tuple) else (value,):
+                for a in (item, *(getattr(item, name, None) for name in ("data", "indices", "indptr"))):
+                    if isinstance(a, np.ndarray):
+                        a.setflags(write=False)
             return value
 
     return kept
@@ -210,7 +219,9 @@ class Mesh:
     `cache` holds what is built from the mesh on first use and kept for
     its lifetime: the results of per_mesh builders, here and in the modules
     that solve on the mesh, and entries that a module reads and writes
-    itself, under a key it names.
+    itself, under a key it names. What per_mesh keeps is read-only, the
+    pattern that `spectral.weighted_stiffness` and `weighted_mass` share
+    among it: copy those matrices before a structural in-place operation.
     """
 
     def __init__(self, nodes, elements):
@@ -296,10 +307,7 @@ class Mesh:
         flat = self.quad_points.reshape(-1, self.dim)
         density = measure.density(flat).reshape(self.quad_weights.shape)
         weights = self.quad_weights * density
-        arrays = (density, weights, np.sum(weights, axis=1))
-        for a in arrays:
-            a.setflags(write=False)
-        return arrays
+        return density, weights, np.sum(weights, axis=1)
 
     def density_at_quad(self, measure):
         """Measure density at the quadrature points, (m, q), read-only."""

@@ -16,8 +16,8 @@ u|^2 + eps^2)^((p-2)/2) at the iterate, with eps on a fixed decreasing
 schedule. Once such a step lowers the quotient by 1e-3 relative or less,
 Newton steps on the bordered system [J, -b; b^T, 0] take over, with b =
 B_p(u) and J the Jacobian of the residual. Both directions backtrack by
-halving the step length until the quotient drops; a singular bordered
-system counts as a failed Newton direction. A trial point costs one
+halving the step length until the quotient drops; a singular system,
+lagged or bordered, counts as a failed direction. A trial point costs one
 Rayleigh quotient (_quotient): the rest of the Euler-Lagrange system
 (_system) is formed only where the quotient lets the step pass, from the
 pieces the quotient already has.
@@ -353,8 +353,7 @@ def _start_vector(mesh):
     if not np.any(u[mesh.interior] > 0.0):
         # a cut submesh is not convex: every interior node can lie on a
         # boundary-edge line, so start from the interior indicator instead
-        u = mesh.interior.astype(float)
-    u.setflags(write=False)
+        return mesh.interior.astype(float)
     return u
 
 
@@ -645,10 +644,7 @@ def _stiffness_factor(mesh, measure):
     factorisation that fails keeps nothing."""
     K = _assemble_csc(mesh, _stiffness_local(mesh, mesh.element_density_integrals(measure)))
     M = _assemble_csc(mesh, _mass_local(mesh, mesh.measure_weights(measure)))
-    solve = _lu_solve(_context(mesh, measure), K.data)
-    for a in (K.data, M.data):
-        a.setflags(write=False)
-    return K, M, solve
+    return K, M, _lu_solve(_context(mesh, measure), K.data)
 
 
 def _lanczos(mesh, measure, start, against, opts):
@@ -855,8 +851,14 @@ def _outer_loop(p, ctx, start, opts):
             # |grad u|^2 from the terms of u
             eps = max(1e-8, 1e-2 * 0.5**lagged)
             weights = _guarded_power(terms[1] + eps * eps, 0.5 * (p - 2.0))
-            d[interior] = _lu_solve(ctx, _scatter(ctx.pattern, _stiffness_local(ctx, ctx.de * weights)))(b)
-            d = _normalize(ctx, d, p) - u
+            try:
+                d[interior] = _lu_solve(ctx, _scatter(ctx.pattern, _stiffness_local(ctx, ctx.de * weights)))(b)
+            except RuntimeError:
+                # exactly singular, as where the lagged weights underflow to
+                # 0 around an interior node at large p: a failed direction
+                d = None
+            else:
+                d = _normalize(ctx, d, p) - u
             lagged += 1
         t = 1.0
         for _ in range(0 if d is None else _MAX_HALVINGS):

@@ -72,6 +72,9 @@ U1_FLOOR_RATIO = 1e-10
 # so peak memory does not grow with the number of fields
 _BLOCK_FIELDS = 16
 _ROOT_STEPS = 100
+# the even p above 2 at which the distance kernel expands F_r in row moments
+# (_moment_derivatives); every other p takes quadrature sums
+_MOMENT_ORDERS = (4.0, 6.0, 8.0)
 
 _POLYGON_NOTE = (
     "euclidean polygon run: the stability inequality is established for "
@@ -223,17 +226,15 @@ def _lp_argmin(derivatives, c, lo, hi):
     return c
 
 
-def _quadrature_derivatives(p, ref, U, scratch=None):
+def _quadrature_derivatives(p, ref, U, scratch):
     """The evaluator of _lp_argmin for F_r(c) = sum W |U_r - c v|^p at any p:
     F_r' = -p sum W |U_r - c v|^(p-2) (U_r - c v) v and F_r'' = p (p - 1)
     sum W |U_r - c v|^(p-2) v v, by quadrature sums over the points of the
     rows asked for.  Every evaluation is written into the first rows of
-    `scratch`, three arrays shaped like U (new ones when None).  While no
-    row has finished, U is read as it is; after that the rows asked for
-    are gathered into scratch."""
+    `scratch`, three arrays shaped like U.  While no row has finished, U is
+    read as it is; after that the rows asked for are gathered into
+    scratch."""
     _, v, Wv, Wvv = ref[:4]
-    if scratch is None:
-        scratch = np.empty((3,) + U.shape)
 
     def derivatives(rows, x):
         d, t, y = scratch[:, :rows.size]
@@ -250,9 +251,9 @@ def _quadrature_derivatives(p, ref, U, scratch=None):
     return derivatives
 
 
-def _moment_derivatives(p, ref, U, c0, scratch=None):
-    """The evaluator of _lp_argmin at an even p of _moment_order, where F_r
-    is a polynomial in c.
+def _moment_derivatives(p, ref, U, c0, scratch):
+    """The evaluator of _lp_argmin at a p of _MOMENT_ORDERS, where F_r is a
+    polynomial in c.
 
     With D_r = U_r - c0_r v and t = c - c0_r, F_r'(c) = sum_k a_rk t^k,
     a_rk = -p C(p-1, k) (-1)^k m_rk, from the row moments m_rk = sum W
@@ -261,13 +262,10 @@ def _moment_derivatives(p, ref, U, c0, scratch=None):
     evaluation after that works on (rows, p) arrays.  The expansion point is
     the start c0, not 0: near the eigenspace, where U_r - c v is small
     against U_r, the moments of U_r itself would cancel in F_r' and F_r''.
-    D_r and its powers are written into `scratch`, two arrays shaped like U
-    (new ones when None).
+    D_r and its powers are written into `scratch`, two arrays shaped like U.
     """
     n = int(p)
     v, V = ref[1], ref[-1]
-    if scratch is None:
-        scratch = np.empty((2,) + U.shape)
     D = _shifted(U, c0, v, scratch[0])
     m = np.empty((len(U), n))
     m[:, n - 1] = np.sum(V[n - 1])
@@ -290,19 +288,10 @@ def _moment_derivatives(p, ref, U, c0, scratch=None):
     return derivatives
 
 
-def _moment_order(p):
-    """p as an int where the distance kernel expands F_r in row moments: the
-    even exponents above 2 that cpcore._guarded_power multiplies out (4, 6
-    and 8); None at every other p."""
-    if p != 2.0 and p % 2.0 == 0.0 and p in cpcore._MULTIPLIED_POWERS:
-        return int(p)
-    return None
-
-
 def _lp_reference(p, W, v):
     """The row-independent arrays of the distance kernel for the weights W
     and the reference function v, both flattened: (W, v, W v, W v v,
-    ||v||_p, V), where V, at an even p of _moment_order, holds the rows W
+    ||v||_p, V), where V, at a p of _MOMENT_ORDERS, holds the rows W
     v^(k+1), k = 0 .. p-1, of _moment_derivatives, and is None otherwise.
     A battery builds them once for all its blocks."""
     W = W.ravel()
@@ -311,9 +300,9 @@ def _lp_reference(p, W, v):
     if nv == 0.0:
         raise ValueError("reference function vanishes identically")
     Wv = W * v
-    n = _moment_order(p)
     V = None
-    if n is not None:
+    if p in _MOMENT_ORDERS:
+        n = int(p)
         V = np.empty((n, v.size))
         V[0] = Wv
         for k in range(1, n):
@@ -325,21 +314,24 @@ def _convex_lp_min(p, W, U, v):
     """Minimize F_r(c) = sum W |U_r - c v|^p over real c for each row U_r of U.
 
     W and v are shaped like one row of U; returns the arrays (F_r(c_r*), c_r*).
+    The energies sum W |U_r|^p and the minimisation are computed in one
+    scratch block of three arrays shaped like U.
     """
     ref = _lp_reference(p, W, v)
     U = U.reshape(len(U), -1)
-    return _reference_lp_min(p, ref, U, lp_energies(p, U, ref[0]))
+    scratch = np.empty((3,) + U.shape)
+    return _reference_lp_min(p, ref, U, lp_energies(p, U, ref[0], out=scratch[:2]), scratch)
 
 
-def _reference_lp_min(p, ref, U, energies, scratch=None):
+def _reference_lp_min(p, ref, U, energies, scratch):
     """_convex_lp_min for the rows of U, with W and v given by `ref`
     (_lp_reference) and the energies sum W |U_r|^p given, computed in
-    `scratch`, three arrays shaped like U (new ones when None).  F_r is strictly
-    convex and coercive for p > 1, and its minimizer c* has |c*| ||v||_p <=
+    `scratch`, three arrays shaped like U.  F_r is strictly convex and
+    coercive for p > 1, and its minimizer c* has |c*| ||v||_p <=
     ||U_r - c* v||_p + ||U_r||_p <= 2 ||U_r||_p, so it lies in [-B_r, B_r],
     B_r = 3 ||U_r||_p / ||v||_p.  At p = 2 it is the L^2 projection c0 =
     <U_r, W v> / <v, W v>.  Otherwise _lp_argmin starts there, reading F_r'
-    and F_r'' from the row moments at the even p of _moment_order and from
+    and F_r'' from the row moments at the p of _MOMENT_ORDERS and from
     quadrature sums at every other p, and stops at |F_r'| <= 1e-10
     |F_r'(c0)| on both paths.  Bracket and stop scale with U_r as F_r'
     does, so u -> s u gives s c* and s^p F_r(c*) at any s.  F_r(c*) is one
@@ -347,8 +339,6 @@ def _reference_lp_min(p, ref, U, energies, scratch=None):
     near the eigenspace.
     """
     W, v, Wv, Wvv, nv, V = ref
-    if scratch is None:
-        scratch = np.empty((3,) + U.shape)
     c = (U @ Wv) / np.sum(Wvv)
     if p != 2.0:
         bound = 3.0 * energies ** (1.0 / p) / nv
@@ -472,10 +462,7 @@ def _smoothing(mesh):
     """(node adjacency, node degrees as a column), read-only: the neighbour
     averaging of _random_fields."""
     adj = mesh.node_adjacency()
-    deg = np.asarray(adj.sum(axis=1)).ravel()[:, None]
-    for a in (adj.data, adj.indices, adj.indptr, deg):
-        a.setflags(write=False)
-    return adj, deg
+    return adj, np.asarray(adj.sum(axis=1)).ravel()[:, None]
 
 
 def _random_fields(mesh, rng, n_fields, smoothing):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.special import erf
 
 import plapstab as ps
@@ -312,6 +313,27 @@ class TestMeshStore:
         # every per_mesh entry is the object the first call kept
         assert all(mesh.cache[key] is kept[key] for key in kept if isinstance(key, tuple))
 
+    @pytest.mark.parametrize("case", ["interval-L2", "square-L3", "cut"])
+    def test_kept_arrays_read_only(self, case):
+        # every array that a per_mesh builder returned, after solves at p = 2
+        # and 3 under both measures and a random field's smoothing
+        if case == "interval-L2":
+            mesh = ps.build_mesh(ps.interval_domain(0.0, 1.0), 2)
+        else:
+            mesh = ps.build_mesh(ps.polygon_domain(UNIT_SQUARE), 3 if case == "square-L3" else 2)
+        if case == "cut":
+            centroids = np.mean(mesh.nodes[mesh.elements], axis=1)
+            mesh = submesh(mesh, np.nonzero(centroids @ [1.0, 0.3] > 0.6)[0])[0]
+        for measure in (ps.lebesgue(), ps.gaussian()):
+            for p in (2.0, 3.0):
+                ps.first_eigenpair(p, mesh, measure)
+        ps.random_zero_trace_field(mesh, 0)
+        kept = {key: value for key, value in mesh.cache.items() if isinstance(key, tuple)}
+        assert {key[0].__name__ for key in kept} == {"_measure_arrays", "pattern", "gradient_operator",
+                                                     "_start_vector", "_context", "_stiffness_factor", "_smoothing"}
+        arrays = list(_kept_arrays(list(kept.values())))
+        assert len(arrays) > 30 and not any(a.flags.writeable for a in arrays)
+
     def test_per_mesh_keeps_nothing_when_the_build_raises(self):
         calls = []
 
@@ -333,6 +355,22 @@ class TestMeshStore:
         with pytest.raises(ValueError, match="unknown node set"):
             mesh.pattern("boundary")
         assert len(mesh.cache) == 1
+
+
+def _kept_arrays(value):
+    """The arrays in a kept value: the value itself, the items of a tuple or
+    list, a sparse matrix's data, indices and indptr, and the arrays that
+    spectral._Context builds or takes from the store (it also holds the
+    mesh's own elements and gradients, which the store does not keep)."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _kept_arrays(item)
+    elif sparse.issparse(value):
+        yield from (value.data, value.indices, value.indptr)
+    elif isinstance(value, spectral._Context):
+        yield from _kept_arrays([value.w, value.de, value.interior, value.pattern, value.operator, value.grad_sq])
 
 
 def _pattern_mesh(shape, level):

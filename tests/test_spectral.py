@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import eigsh, splu, spsolve
 
 import plapstab as ps
 from plapstab import cli, spectral
@@ -729,6 +729,27 @@ class TestSingularNewtonSystem:
         assert factors[n] and all(info == 0 for info in factors[n])
         assert factors[n + 1] and all(info > 0 for info in factors[n + 1])
         assert _layout_kind(sub) == "dense"
+
+
+class TestSingularLaggedSystem:
+    def test_singular_lagged_factor_is_a_failed_direction(self, monkeypatch):
+        # as where the lagged weights underflow to 0 around an interior node
+        # at large p: a singular lagged factor fails its direction, as a
+        # singular bordered one does, and Newton steps take over
+        lu_solve = spectral._lu_solve
+        lagged = []
+
+        def singular_lagged(ctx, data, border=None):
+            if border is None:
+                lagged.append(data.size)
+                raise RuntimeError("Factor is exactly singular")
+            return lu_solve(ctx, data, border)
+
+        monkeypatch.setattr(spectral, "_lu_solve", singular_lagged)
+        pair = ps.first_eigenpair(3.0, ps.build_mesh(ps.polygon_domain(_SQUARE), 2), ps.lebesgue())
+        assert lagged and isinstance(pair, ps.EigenPair)
+        assert np.isfinite(pair.lam) and np.all(np.isfinite(pair.field.values))
+        assert pair.converged and pair.residual <= SolverOptions().tol
 
 
 _ORDER_DOMAINS = {
@@ -2248,6 +2269,37 @@ class TestFullAssembly:
                 assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
                 # the two add each entry's element terms in different orders
                 assert np.all(np.abs(got.data - want.data) <= 1e-15 * np.abs(want.data))
+
+
+class TestKeptPatternShared:
+    # weighted_stiffness and weighted_mass share the mesh's read-only full
+    # pattern (Mesh.pattern, kept by geometry.per_mesh)
+
+    def test_structural_edit_raises_and_leaves_the_mesh(self):
+        domain = ps.polygon_domain(_SQUARE)
+        m, fresh = ps.build_mesh(domain, 2), ps.build_mesh(domain, 2)
+        mu = ps.lebesgue()
+        K = spectral.weighted_stiffness(m, mu)
+        K.data[K.data < 0.0] = 0.0
+        with pytest.raises(ValueError):
+            K.eliminate_zeros()
+        for got, want in zip(m.pattern("all"), fresh.pattern("all"), strict=True):
+            assert np.array_equal(got, want)
+        assert spectral.weighted_mass(m, mu).nnz == spectral.weighted_mass(fresh, mu).nnz
+        assert np.array_equal(ps.random_zero_trace_field(m, 0).values, ps.random_zero_trace_field(fresh, 0).values)
+
+    @pytest.mark.parametrize("kind", ["lebesgue", "gaussian"])
+    def test_scipy_solvers_take_the_matrices(self, kind):
+        m = ps.build_mesh(ps.polygon_domain(_SQUARE), 3)
+        mu = _MEASURES[kind]
+        K, M = spectral.weighted_stiffness(m, mu), spectral.weighted_mass(m, mu)
+        assert not (K.indices.flags.writeable or M.indptr.flags.writeable)
+        rhs = M @ np.ones(m.n_nodes)
+        for x in (spsolve(M, rhs), splu(M).solve(rhs)):
+            assert np.max(np.abs(x - 1.0)) <= 1e-12
+        # without boundary conditions K's null space is the constants
+        lam = eigsh(K, k=2, M=M, sigma=-1.0, return_eigenvectors=False)
+        assert np.min(np.abs(lam)) <= 1e-10 and np.max(lam) > 9.0
 
 
 class TestLogConcavity:

@@ -709,7 +709,7 @@ class TestBlockWorkspace:
             assert a.tobytes() == b.tobytes()
         ref = verify._lp_reference(p, mesh.measure_weights(meas), u1.at_quad())
         U = got[2].reshape(1, -1)
-        for a, b in zip(verify._reference_lp_min(p, ref, U, got[3]),
+        for a, b in zip(verify._reference_lp_min(p, ref, U, got[3], np.empty((3,) + U.shape)),
                         reference_lp_min_per_operation(verify, p, ref, U, got[3]), strict=True):
             assert a.tobytes() == b.tobytes()
 
@@ -722,7 +722,7 @@ class TestBlockWorkspace:
             U[::3] = 2.0 * v + 1e-6 * U[::3]
             ref = verify._lp_reference(p, W, v)
             energies = ps.spectral.lp_energies(p, U, W)
-            got = verify._reference_lp_min(p, ref, U, energies)
+            got = verify._reference_lp_min(p, ref, U, energies, np.empty((3,) + U.shape))
             want = reference_lp_min_per_operation(verify, p, ref, U, energies)
             for a, b in zip(got, want, strict=True):
                 assert a.tobytes() == b.tobytes(), seed
@@ -828,8 +828,8 @@ class TestDistanceKernel:
         bound = 3.0 * ps.spectral.lp_energies(p, U, W) ** (1.0 / p) / ref[4]
         c0 = (U @ ref[2]) / np.sum(ref[3])
         assert abs(c0[0]) <= 1e-15 * bound[0]
-        evaluator = (verify._quadrature_derivatives(p, ref, U) if ref[-1] is None
-                     else verify._moment_derivatives(p, ref, U, c0))
+        evaluator = (verify._quadrature_derivatives(p, ref, U, np.empty((3,) + U.shape)) if ref[-1] is None
+                     else verify._moment_derivatives(p, ref, U, c0, np.empty((2,) + U.shape)))
         calls = []
 
         def counted(rows, x):
@@ -853,9 +853,9 @@ class TestMomentPath:
     and F_r'' from row moments instead of quadrature sums."""
 
     def test_p_alone_picks_the_evaluator(self):
-        assert [verify._moment_order(p) for p in (4.0, 6.0, 8.0, 4)] == [4, 6, 8, 4]
-        assert all(verify._moment_order(p) is None for p in (1.5, 2.0, 3.0, 4.5, 5.0, 10.0))
         W, _, v = _lp_problem(0)
+        assert [len(verify._lp_reference(p, W, v)[-1]) for p in (4.0, 6.0, 8.0, 4)] == [4, 6, 8, 4]
+        assert all(verify._lp_reference(p, W, v)[-1] is None for p in (1.5, 2.0, 3.0, 4.5, 5.0, 10.0))
         assert verify._lp_reference(3.0, W, v)[-1] is None
         assert verify._lp_reference(6.0, W, v)[-1].shape == (6, v.size)
 
@@ -866,8 +866,8 @@ class TestMomentPath:
         W, U, v = _lp_problem(seed)
         ref = verify._lp_reference(p, W, v)
         c0 = (U @ ref[2]) / np.sum(ref[3])
-        moments = verify._moment_derivatives(p, ref, U, c0)
-        quadrature = verify._quadrature_derivatives(p, ref, U)
+        moments = verify._moment_derivatives(p, ref, U, c0, np.empty((2,) + U.shape))
+        quadrature = verify._quadrature_derivatives(p, ref, U, np.empty((3,) + U.shape))
         rows = np.arange(len(U))
         for x in (c0, c0 + shift, c0 - 0.1 * shift):
             d = np.abs(U - x[:, None] * v) + np.abs(v)
@@ -884,8 +884,8 @@ class TestMomentPath:
         energies = ps.spectral.lp_energies(p, U, W)
         bound = 3.0 * energies ** (1.0 / p) / ref[4]
         c0 = np.clip((U @ ref[2]) / np.sum(ref[3]), -bound, bound)
-        moments = verify._moment_derivatives(p, ref, U, c0)
-        quadrature = verify._quadrature_derivatives(p, ref, U)
+        moments = verify._moment_derivatives(p, ref, U, c0, np.empty((2,) + U.shape))
+        quadrature = verify._quadrature_derivatives(p, ref, U, np.empty((3,) + U.shape))
         c_m = verify._lp_argmin(moments, c0, -bound, bound)
         c_q = verify._lp_argmin(quadrature, c0, -bound, bound)
         np.testing.assert_allclose(c_m, c_q, rtol=1e-12, atol=1e-14)
